@@ -25,10 +25,17 @@ from .lattice import (
     _readonly,
     weighted_l1,
 )
-from .semigroup import EvolutionPlan, Trajectory, default_method, step_matrix
+from .semigroup import (
+    EvolutionPlan,
+    Step,
+    Trajectory,
+    _flush_subnormals,
+    default_method,
+    step_operator,
+)
 
 _GRID_TOL = 1e-9
-_STEP_CACHE: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
+_STEP_CACHE: "OrderedDict[tuple, tuple[Step, np.ndarray]]" = OrderedDict()
 _STEP_CACHE_MAX = 8
 
 
@@ -216,12 +223,13 @@ def _as_column(b, space: GridSpace) -> np.ndarray:
 
 def step_input_operators(
     model: GeneratorModel, b, dt: float, method: Optional[str] = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Step, np.ndarray]:
     """One-step pair (E, F): z_{k+1} = E z_k + F u_k.
 
     exact_exponential reads E and F = int_0^dt exp(A s) b ds off the block
-    exponential of [[A, b], [0, 0]]; implicit_euler uses F = dt E b.  Cached
-    on (matrix, column, dt, method) since sweeps reuse the same stepper.
+    exponential of [[A, b], [0, 0]]; implicit_euler uses F = dt E b with E
+    from `step_operator` (O(n) per column on the presets).  Cached on
+    (matrix, column, dt, method) since sweeps reuse the same stepper.
     """
     method = method or default_method(model)
     col = _as_column(b, model.space)
@@ -235,12 +243,12 @@ def step_input_operators(
         blk = np.zeros((n + 1, n + 1))
         blk[:n, :n] = model.matrix
         blk[:n, n] = col
-        m = scipy.linalg.expm(blk * dt)
+        m = _flush_subnormals(scipy.linalg.expm(blk * dt))
         e, f = m[:n, :n].copy(), m[:n, n].copy()
+        e.setflags(write=False)
     else:
-        e = step_matrix(model, dt, "implicit_euler")
+        e = step_operator(model, dt, "implicit_euler")
         f = dt * (e @ col)
-    e.setflags(write=False)
     f.setflags(write=False)
     _STEP_CACHE[key] = (e, f)
     if len(_STEP_CACHE) > _STEP_CACHE_MAX:

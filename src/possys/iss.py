@@ -19,7 +19,7 @@ from .errors import GainValidationError
 from .generators import perron_mode, spectral_bound
 from .lattice import induced_operator_norm, weighted_l1
 from .perturbation import PerturbedSystem, small_gain_radius
-from .semigroup import default_method, operator_norm_trajectory
+from .semigroup import Step, _nonnegative, default_method, operator_norm_trajectory
 
 EISS = "eISS"
 NOT_EISS = "not_eISS"
@@ -97,14 +97,14 @@ def iss_verdict(system: PerturbedSystem, p: float = 1, guard: float = GUARD_BAND
     )
 
 
-def _norm_curves(e: np.ndarray, f: np.ndarray, col: np.ndarray, steps: int, space) -> tuple:
+def _norm_curves(e: Step, f: np.ndarray, col: np.ndarray, steps: int, space) -> tuple:
     """(||E^k||, ||E^k f||, ||E^k col||) for k = 0..steps in the weighted norm.
 
     Nonnegative systems ride the adjoint recursion y <- E^T y; anything
     signed falls back to accumulated matrix powers.
     """
     w = space.weights
-    if np.min(e) >= 0 and np.min(f) >= 0 and np.min(col) >= 0:
+    if _nonnegative(e) and np.min(f) >= 0 and np.min(col) >= 0:
         y = w.copy()
         op = np.empty(steps + 1)
         imp = np.empty(steps + 1)

@@ -1,11 +1,11 @@
 """Boundary feedback as a rank-one perturbation of the generator.
 
 The Dirichlet column d solves the shifted boundary problem cell by cell, the
-injection b = (lam I - A) d turns out independent of lam (it concentrates
-1/h in cell 0), and the feedback row beta_j h closes the loop: A_S = A + P
-with P = outer(b, beta h).  The loop gain that decides stability is the
-spectral radius of K = R(0, A) P, which for this rank-one structure collapses
-to the scalar sum_j beta_j h d0_j.
+injection b = (lam I - A) d turns out independent of lam (it is e_0 / h up to
+roundoff; the exact e_0 / h is used), and the feedback row beta_j h closes
+the loop: A_S = A + P with P = outer(b, beta h).  The loop gain that decides
+stability is the spectral radius of K = R(0, A) P, which for this rank-one
+structure collapses to the scalar sum_j beta_j h d0_j.
 """
 from __future__ import annotations
 
@@ -55,29 +55,30 @@ def dirichlet_operator(space: GridSpace, q, lam: float) -> DirichletOperator:
 def boundary_control_operator(
     model: GeneratorModel, lam: float = 0.0, check_lam: Optional[float] = None
 ) -> ControlOperator:
-    """b = (lam I - A) d, which the Dirichlet recursion makes lam-free.
+    """The boundary injection b = e_0 / h, checked against (lam I - A) d.
 
-    Computed at two distinct lam values and compared within 1e-10 to catch a
-    model whose matrix and absorption profile disagree.
+    The Dirichlet recursion makes (lam I - A) d lam-free and equal to e_0 / h
+    up to roundoff.  It is evaluated at two distinct lam values and each
+    must match within 1e-10 (scaled), which catches a model whose matrix and
+    absorption profile disagree.  The column returned is the exact one, so
+    A_S = A + b (beta h)^T keeps rows 1..n-1 of A bit for bit.
     """
     if model.absorption is None:
         raise ValueError("boundary control needs the absorption profile (upwind build)")
     if model.boundary != "zero_inflow":
         raise ValueError("boundary control is defined against the zero-inflow generator")
 
-    def at(l: float) -> np.ndarray:
-        d = dirichlet_operator(model.space, model.absorption, l).column
-        return l * d - model.matrix @ d
-
+    exact = ControlOperator.boundary_injection(model.space)
+    scale = max(1.0, float(np.max(np.abs(exact.column))))
     if check_lam is None:
         check_lam = lam + 3.0
-    col, col2 = at(lam), at(check_lam)
-    scale = max(1.0, float(np.max(np.abs(col))))
-    if np.max(np.abs(col - col2)) > 1e-10 * scale:
-        raise ValueError(
-            f"injection column differs between lam = {lam} and lam = {check_lam}"
-        )
-    return ControlOperator(space=model.space, column=col, provenance="boundary_dirichlet")
+    for l in (lam, check_lam):
+        d = dirichlet_operator(model.space, model.absorption, l).column
+        if np.max(np.abs(l * d - model.matrix @ d - exact.column)) > 1e-10 * scale:
+            raise ValueError(
+                f"injection column (lam I - A) d at lam = {l} differs from e_0 / h"
+            )
+    return exact
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import possys as ps
+from possys import iss
 from possys.errors import GainValidationError
 from possys.iss import EISS, GUARD_BAND, INCONCLUSIVE, NOT_EISS, ISSReport
 
@@ -74,6 +75,17 @@ class TestGainFit:
         # decay rate tracks the closed-loop spectral bound
         s = ps.spectral_bound(system.perturbed)
         assert mu == pytest.approx(abs(s), abs=0.05)
+
+    def test_norm_curves_take_adjoint_route(self, monkeypatch):
+        # the closed loop is exactly Metzler, so exp(dt A_S) passes the
+        # positivity gate and the O(K n^3) signed fallback never runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("signed fallback taken")
+
+        monkeypatch.setattr(iss, "induced_operator_norm", refuse)
+        rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400)
+        n_amp, mu, g = iss.iss_gain_fit(rs.system, rs.boundary_input, trials=5)
+        assert n_amp >= 1.0 and mu > 0.0 and g > 0.0
 
     def test_unstable_loop_refuses_to_fit(self, toy):
         system = closed_loop(toy, 1.5)

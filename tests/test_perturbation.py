@@ -47,6 +47,28 @@ class TestDirichletColumn:
         c = boundary_control_operator(rs.generator, lam=5.0)
         np.testing.assert_allclose(a.column, c.column, atol=1e-9)
 
+    @pytest.mark.parametrize("q, beta", [(1.0, 0.5), (np.linspace(0.2, 2.0, 60), np.linspace(1.5, 0.0, 60))])
+    def test_renewal_column_is_exact_and_closed_loop_structured(self, q, beta):
+        rs = ps.renewal_scenario(q, beta, length=6.0, cells=60)
+        exact = np.zeros(60)
+        exact[0] = 1.0 / rs.generator.space.spacing
+        assert np.array_equal(rs.boundary_input.column, exact)
+        a_s = rs.system.perturbed.matrix
+        # rows 1.. of A_S are the upwind rows of A, bit for bit: bidiagonal
+        assert np.array_equal(a_s[1:], rs.generator.matrix[1:])
+        assert np.array_equal(a_s[1:], np.tril(np.triu(a_s, -1))[1:])
+        # Metzler with zero tolerance
+        assert np.min(a_s - np.diag(np.diag(a_s))) >= 0.0
+
+    def test_injection_rejects_inconsistent_absorption(self):
+        space = ps.GridSpace(length=2.0, cells=10)
+        model = ps.build_upwind_generator(space, 1.0, ps.ZeroInflow())
+        wrong = ps.GeneratorModel(
+            space=space, matrix=model.matrix, boundary="zero_inflow", absorption=np.full(10, 2.0)
+        )
+        with pytest.raises(ValueError, match="differs"):
+            boundary_control_operator(wrong)
+
     def test_injection_requires_transport_model(self):
         space = ps.GridSpace(length=1.0, cells=3)
         model = ps.GeneratorModel.from_matrix(space, -np.eye(3))

@@ -2,16 +2,21 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import possys as ps
+from possys.control import step_input_operators
 from possys.semigroup import (
     DENSE_EXPM_LIMIT,
+    BidiagonalStep,
     EvolutionPlan,
     default_method,
     growth_estimate,
     left_invertibility_audit,
     operator_norm_trajectory,
     step_matrix,
+    step_operator,
 )
 
 
@@ -67,6 +72,110 @@ class TestStepMatrix:
             step_matrix(model, 0.5, "implicit_euler")
 
 
+def _has_subnormals(m):
+    return bool(np.any((m != 0) & (np.abs(m) < np.finfo(float).tiny)))
+
+
+def test_exponential_steps_hold_no_subnormals():
+    # raw expm of this stiff generator holds hundreds of subnormal entries
+    rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=250)
+    assert _has_subnormals(scipy.linalg.expm(0.02 * rs.generator.matrix))
+    assert not _has_subnormals(step_matrix(rs.generator, 0.02, "exact_exponential"))
+    e, f = step_input_operators(rs.system.perturbed, rs.boundary_input, 0.02, "exact_exponential")
+    assert not _has_subnormals(e) and not _has_subnormals(f)
+
+
+def _renewal(cells, q, beta, length):
+    return ps.renewal_scenario(q, beta, length=length, cells=cells).system.perturbed
+
+
+_cells = st.integers(min_value=1, max_value=40)
+_dt = st.floats(min_value=1e-3, max_value=2.0)
+_rate = st.floats(min_value=0.0, max_value=3.0)
+_models = st.one_of(
+    st.builds(_renewal, _cells, _rate, _rate, st.floats(min_value=0.5, max_value=20.0)),
+    _cells.flatmap(lambda n: st.builds(
+        _renewal,
+        st.just(n),
+        st.lists(_rate, min_size=n, max_size=n),
+        st.lists(_rate, min_size=n, max_size=n),
+        st.floats(min_value=0.5, max_value=20.0),
+    )),
+    st.builds(
+        ps.ring_transport_scenario, st.sampled_from([0.5, 2.0]),
+        st.floats(min_value=0.5, max_value=4.0), st.integers(min_value=2, max_value=40),
+    ),
+    st.builds(ps.markov_cycle_scenario, st.integers(min_value=2, max_value=40)),
+)
+
+
+class TestBidiagonalStep:
+    """The O(n) implicit-Euler operator against the dense step_matrix oracle."""
+
+    @given(model=_models, dt=_dt, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle(self, model, dt, seed):
+        # stay clear of dt at which I - dt A is (nearly) singular
+        assume(np.linalg.cond(np.eye(model.cells) - dt * model.matrix) < 1e8)
+        dense = step_matrix(model, dt, "implicit_euler")
+        op = step_operator(model, dt, "implicit_euler")
+        assert isinstance(op, BidiagonalStep)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(model.cells)
+        block = rng.standard_normal((model.cells, 3))
+        tol = dict(rtol=1e-9, atol=1e-12 * float(np.max(np.abs(dense))))
+        np.testing.assert_allclose(op @ x, dense @ x, **tol)
+        np.testing.assert_allclose(op @ block, dense @ block, **tol)
+        np.testing.assert_allclose(op.T @ x, dense.T @ x, **tol)
+        np.testing.assert_allclose(op.T @ block, dense.T @ block, **tol)
+        np.testing.assert_allclose(op.toarray(), dense, **tol)
+        # the dense LU leaves entries near -1e-18 where the exact inverse is
+        # nonnegative, so its sign is read against its own scale
+        assert op.nonnegative == bool(np.min(dense) >= -1e-12 * float(np.max(np.abs(dense))))
+
+    def test_certificate_positive_for_metzler_presets(self):
+        rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400)
+        for model in (rs.generator, rs.system.perturbed, ps.markov_cycle_scenario(9),
+                      ps.ring_transport_scenario(2.0, cells=30)):
+            op = step_operator(model, 0.05, "implicit_euler")
+            assert op.nonnegative
+            assert np.min(op @ np.ones(model.cells)) > 0
+
+    def test_certificate_refused_past_the_spectrum(self):
+        # gain 2 ring grows at about ln 2: dt = 3 leaves the M-matrix regime
+        model = ps.ring_transport_scenario(2.0, cells=20)
+        op = step_operator(model, 3.0, "implicit_euler")
+        assert not op.nonnegative
+        assert np.min(step_matrix(model, 3.0, "implicit_euler")) < 0
+
+    def test_unstructured_matrix_takes_dense_path(self):
+        space = ps.GridSpace(length=3.0, cells=3)
+        model = ps.GeneratorModel.from_matrix(
+            space, [[-2.0, 0.0, 0.0], [0.5, -2.0, 0.0], [0.5, 0.5, -2.0]]
+        )
+        e = step_operator(model, 0.3, "implicit_euler")
+        assert isinstance(e, np.ndarray)
+        np.testing.assert_array_equal(e, step_matrix(model, 0.3, "implicit_euler"))
+
+    def test_singular_sherman_morrison_denominator(self):
+        space = ps.GridSpace(length=2.0, cells=2)
+        model = ps.GeneratorModel.from_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ps.SingularSystemError):
+            step_operator(model, 1.0, "implicit_euler")
+
+    def test_zero_pivot(self):
+        space = ps.GridSpace(length=2.0, cells=2)
+        model = ps.GeneratorModel.from_matrix(space, [[-1.0, 0.0], [1.0, 2.0]])
+        with pytest.raises(ps.SingularSystemError):
+            step_operator(model, 0.5, "implicit_euler")
+
+    def test_exact_method_stays_dense(self, toy):
+        _, model, _ = toy
+        np.testing.assert_array_equal(
+            step_operator(model, 0.3), step_matrix(model, 0.3, "exact_exponential")
+        )
+
+
 def test_default_method_switches_on_size():
     small = ps.renewal_scenario(1.0, 0.0, length=1.0, cells=10).generator
     assert default_method(small) == "exact_exponential"
@@ -116,6 +225,16 @@ class TestOperatorNormCurve:
         curve = operator_norm_trajectory(model, grid)
         assert curve[0] == pytest.approx(1.0)
         assert np.all(np.diff(curve) < 0)
+
+    def test_implicit_euler_curve_against_dense_powers(self):
+        rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30)
+        model = rs.system.perturbed
+        grid = np.linspace(0.0, 2.0, 21)
+        curve = operator_norm_trajectory(model, grid, method="implicit_euler")
+        e = step_matrix(model, 0.1, "implicit_euler")
+        for k, val in enumerate(curve):
+            ref = ps.induced_operator_norm(np.linalg.matrix_power(e, k), model.space)
+            assert val == pytest.approx(ref, rel=1e-12)
 
     def test_markov_norm_constant(self):
         model = ps.markov_cycle_scenario(5)
