@@ -24,6 +24,7 @@ from .lattice import (
     weighted_l1,
 )
 from .generators import (
+    BorderedBidiagonal,
     GeneratorModel,
     NonlocalBirth,
     ProportionalWrap,

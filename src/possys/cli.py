@@ -620,6 +620,9 @@ def main(argv=None) -> int:
     except (PossysError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -35,8 +34,6 @@ from .semigroup import (
 )
 
 _GRID_TOL = 1e-9
-_STEP_CACHE: "OrderedDict[tuple, tuple[Step, np.ndarray]]" = OrderedDict()
-_STEP_CACHE_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -228,16 +225,18 @@ def step_input_operators(
 
     exact_exponential reads E and F = int_0^dt exp(A s) b ds off the block
     exponential of [[A, b], [0, 0]]; implicit_euler uses F = dt E b with E
-    from `step_operator` (O(n) per column on the presets).  Cached on
-    (matrix, column, dt, method) since sweeps reuse the same stepper.
+    from `step_operator` (O(n) per column on the presets).  Kept in the
+    model's own store under (method, dt, column), since the audits and the
+    gain fit reuse the same stepper.
     """
     method = method or default_method(model)
     col = _as_column(b, model.space)
-    key = (method, float(dt), model.matrix.tobytes(), col.tobytes())
-    hit = _STEP_CACHE.get(key)
-    if hit is not None:
-        _STEP_CACHE.move_to_end(key)
-        return hit
+    return model.cached(
+        (method, float(dt), col.tobytes()), lambda: _step_pair(model, col, dt, method)
+    )
+
+
+def _step_pair(model: GeneratorModel, col: np.ndarray, dt: float, method: str) -> tuple[Step, np.ndarray]:
     if method == "exact_exponential":
         n = model.cells
         blk = np.zeros((n + 1, n + 1))
@@ -250,9 +249,6 @@ def step_input_operators(
         e = step_operator(model, dt, "implicit_euler")
         f = dt * (e @ col)
     f.setflags(write=False)
-    _STEP_CACHE[key] = (e, f)
-    if len(_STEP_CACHE) > _STEP_CACHE_MAX:
-        _STEP_CACHE.popitem(last=False)
     return e, f
 
 

@@ -5,10 +5,14 @@ inflow rules at x = 0; the upwind finite-volume truncation turns it into a
 Metzler matrix acting on grid vectors.  Everything downstream (resolvent
 positivity, spectral bounds, inverse estimates) is phrased against the
 matrix, so custom generators can be wrapped with `GeneratorModel.from_matrix`.
+The upwind generators are stored as bordered-bidiagonal bands; their dense
+matrix is built only where a dense routine asks for it.
 """
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +34,8 @@ SINGULARITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 # largest n for a dense eigensolve; beyond it only Metzler matrices are handled
 DENSE_EIG_LIMIT = 2000
+# step operators kept per model (see GeneratorModel.cached)
+_STORE_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -62,40 +68,171 @@ class NonlocalBirth:
         object.__setattr__(self, "rates", _readonly(self.rates))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class BorderedBidiagonal:
+    """Bands of a matrix whose rows 1..n-1 are zero off the diagonal and the
+    subdiagonal; row 0 is free.
+
+    `diag` holds the n diagonal entries, `sub` the n - 1 entries A[j+1, j]
+    and `row0` the whole first row (so row0[0] == diag[0]).  Every preset
+    generator has this shape: the upwind stencil plus one wrap entry or one
+    birth row, and the boundary feedback only adds to row 0.
+    """
+
+    diag: np.ndarray
+    sub: np.ndarray
+    row0: np.ndarray
+
+    def __post_init__(self):
+        for name in ("diag", "sub", "row0"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        n = len(self.diag)
+        if self.diag.shape != (n,) or self.sub.shape != (n - 1,) or self.row0.shape != (n,):
+            raise ValueError("bands need n diagonal, n - 1 subdiagonal and n first-row entries")
+        if not all(np.all(np.isfinite(v)) for v in (self.diag, self.sub, self.row0)):
+            raise ValueError("generator entries must be finite")
+        if self.row0[0] != self.diag[0]:
+            raise ValueError("row0[0] and diag[0] are the same entry and must agree")
+
+    @classmethod
+    def detect(cls, a: np.ndarray) -> Optional["BorderedBidiagonal"]:
+        """The bands of a dense square matrix, or None when some row below the
+        first has an entry off the two diagonals.  Counts exact zeros on
+        views, no n x n temporary."""
+        body = np.count_nonzero(a[1:])
+        if body != np.count_nonzero(np.diagonal(a)[1:]) + np.count_nonzero(np.diagonal(a, -1)):
+            return None
+        return cls(np.diagonal(a), np.diagonal(a, -1), a[0])
+
+    @property
+    def cells(self) -> int:
+        return len(self.diag)
+
+    @property
+    def lower(self) -> bool:
+        """Lower bidiagonal: nothing right of the diagonal in row 0."""
+        return not np.any(self.row0[1:])
+
+    @property
+    def upper(self) -> bool:
+        """Upper triangular: a zero subdiagonal."""
+        return not np.any(self.sub)
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, read-only."""
+        n = self.cells
+        a = np.zeros((n, n))
+        a[0] = self.row0
+        idx = np.arange(1, n)
+        a[idx, idx] = self.diag[1:]
+        a[idx, idx - 1] = self.sub
+        a.setflags(write=False)
+        return a
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for a vector or an n x k block, in O(n) per column."""
+        x = np.asarray(x, dtype=float)
+        shape = (-1,) + (1,) * (x.ndim - 1)
+        y = self.diag.reshape(shape) * x
+        y[1:] += self.sub.reshape(shape) * x[:-1]
+        y[0] = self.row0 @ x
+        return y
+
+    def column_sums(self, absolute: bool = False) -> np.ndarray:
+        """Column sums of A, or of |A| when `absolute`."""
+        row0, diag, sub = self.row0, self.diag, self.sub
+        if absolute:
+            row0, diag, sub = np.abs(row0), np.abs(diag), np.abs(sub)
+        out = row0.copy()
+        out[1:] += diag[1:]
+        out[:-1] += sub
+        return out
+
+
 class GeneratorModel:
     """A generator matrix together with the grid it acts on.
 
+    Bordered-bidiagonal generators (every preset) are stored as their
+    `bands`; `matrix` is then a dense view built on first use and cached.
+    A dense `matrix` argument is kept (as a read-only copy) and its bands,
+    when it has them, are detected once here; other matrices leave `bands`
+    None.
     `absorption` keeps the cell-wise rates q_j when the matrix came from the
     upwind builder; custom matrices leave it None.  `metzler` is recomputed
     from the entries, never trusted from the caller.
     """
 
-    space: GridSpace
-    matrix: np.ndarray
-    boundary: str = "custom"
-    absorption: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        mat = _readonly(self.matrix)
-        n = self.space.cells
-        if mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} does not match {n} cells")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("generator entries must be finite")
-        object.__setattr__(self, "matrix", mat)
-        if self.absorption is not None:
-            q = _readonly(self.absorption)
-            if q.shape != (n,):
+    def __init__(
+        self,
+        space: GridSpace,
+        matrix=None,
+        boundary: str = "custom",
+        absorption: Optional[np.ndarray] = None,
+        *,
+        bands: Optional[BorderedBidiagonal] = None,
+    ):
+        n = space.cells
+        if (matrix is None) == (bands is None):
+            raise TypeError("give exactly one of matrix and bands")
+        if matrix is not None:
+            matrix = _readonly(matrix)
+            if matrix.shape != (n, n):
+                raise ValueError(f"matrix shape {matrix.shape} does not match {n} cells")
+            if not np.all(np.isfinite(matrix)):
+                raise ValueError("generator entries must be finite")
+            bands = BorderedBidiagonal.detect(matrix)
+        elif bands.cells != n:
+            raise ValueError(f"bands of {bands.cells} cells do not match {n} cells")
+        if absorption is not None:
+            absorption = _readonly(absorption)
+            if absorption.shape != (n,):
                 raise ValueError("absorption profile length does not match the grid")
-            object.__setattr__(self, "absorption", q)
+        self.space = space
+        self.boundary = boundary
+        self.absorption = absorption
+        self.bands = bands
+        self._dense = matrix
+        # guards the dense view and the step store when threads share a model
+        self._lock = threading.RLock()
+        self._store: OrderedDict = OrderedDict()
 
     @classmethod
     def from_matrix(cls, space: GridSpace, matrix, boundary: str = "custom") -> "GeneratorModel":
         return cls(space=space, matrix=np.asarray(matrix, dtype=float), boundary=boundary)
 
     @property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only matrix; built from the bands on first use."""
+        with self._lock:
+            if self._dense is None:
+                self._dense = self.bands.toarray()
+            return self._dense
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x, from the bands when the model has them."""
+        if self.bands is not None:
+            return self.bands.matvec(x)
+        return self.matrix @ x
+
+    def cached(self, key, build):
+        """The value this model stores under `key`, made by `build()` on a
+        miss.  The store keeps the _STORE_MAX most recently used entries."""
+        with self._lock:
+            hit = self._store.get(key)
+            if hit is not None:
+                self._store.move_to_end(key)
+                return hit
+            value = build()
+            self._store[key] = value
+            if len(self._store) > _STORE_MAX:
+                self._store.popitem(last=False)
+            return value
+
+    @property
     def metzler(self) -> bool:
+        if self.bands is not None:
+            off = np.concatenate((self.bands.sub, self.bands.row0[1:]))
+            return bool(len(off) == 0 or np.min(off) >= -POSITIVITY_TOL)
         off = self.matrix - np.diag(np.diag(self.matrix))
         return bool(np.min(off) >= -POSITIVITY_TOL)
 
@@ -120,25 +257,26 @@ def build_upwind_generator(space: GridSpace, q, boundary=None) -> GeneratorModel
     if np.min(q) < 0:
         raise ValueError("absorption profile must be nonnegative")
 
-    a = np.zeros((n, n))
-    np.fill_diagonal(a, -1.0 / h - q)
-    idx = np.arange(n - 1)
-    a[idx + 1, idx] = 1.0 / h
+    diag = -1.0 / h - q
+    row0 = np.zeros(n)
+    row0[0] = diag[0]
 
     if isinstance(boundary, ZeroInflow):
         pass
     elif isinstance(boundary, ProportionalWrap):
-        a[0, n - 1] += boundary.gain / h
+        row0[n - 1] += boundary.gain / h
     elif isinstance(boundary, NonlocalBirth):
         rates = np.broadcast_to(boundary.rates, (n,))
         if np.min(rates) < 0:
             raise ValueError("birth rates must be nonnegative")
         # ghost inflow (sum_j beta_j h f_j) / h contributes beta_j to row 0
-        a[0, :] += rates
+        row0 += rates
     else:
         raise TypeError(f"unknown boundary rule {boundary!r}")
+    diag[0] = row0[0]
 
-    return GeneratorModel(space=space, matrix=a, boundary=boundary.kind, absorption=q)
+    bands = BorderedBidiagonal(diag, np.full(n - 1, 1.0 / h), row0)
+    return GeneratorModel(space=space, bands=bands, boundary=boundary.kind, absorption=q)
 
 
 def _lower_triangular(a: np.ndarray) -> bool:
@@ -147,6 +285,23 @@ def _lower_triangular(a: np.ndarray) -> bool:
 
 def _upper_triangular(a: np.ndarray) -> bool:
     return np.count_nonzero(np.tril(a, -1)) == 0
+
+
+def _triangular(model: GeneratorModel) -> bool:
+    if model.bands is not None:
+        return model.bands.lower or model.bands.upper
+    return _lower_triangular(model.matrix) or _upper_triangular(model.matrix)
+
+
+def _solve_shifted_bidiagonal(bands: BorderedBidiagonal, lam: float, rhs: np.ndarray) -> np.ndarray:
+    """(lam I - A)^{-1} rhs for lower-bidiagonal bands, O(n) per column,
+    refused near an eigenvalue exactly as `_shifted` refuses."""
+    pivots = lam - bands.diag
+    gap = np.min(np.abs(pivots))
+    if gap <= SINGULARITY_TOL:
+        raise SingularSystemError(f"lambda = {lam} is within {gap:.3e} of an eigenvalue")
+    ab = np.vstack((pivots, np.append(-bands.sub, 0.0)))
+    return scipy.linalg.solve_banded((1, 0), ab, rhs, check_finite=False)
 
 
 def _shifted(model: GeneratorModel, lam: float) -> np.ndarray:
@@ -214,9 +369,9 @@ def spectral_bound(model: GeneratorModel) -> float:
     upwind generator).  Dense eigensolve up to n = 2000; above that a Perron
     power iteration on exp(t0 A) handles the Metzler case.
     """
+    if _triangular(model):
+        return float(np.max(model.bands.diag if model.bands is not None else np.diag(model.matrix)))
     a = model.matrix
-    if _lower_triangular(a) or _upper_triangular(a):
-        return float(np.max(np.diag(a)))
     n = model.cells
     if n <= DENSE_EIG_LIMIT:
         try:
@@ -258,32 +413,34 @@ def _perron_growth_rate(a: np.ndarray, tol: float = 1e-9, max_iter: int = 500) -
 def perron_mode(model: GeneratorModel, tol: float = 1e-10, max_iter: int = 10_000) -> tuple[float, np.ndarray]:
     """Rightmost eigenvalue with a nonnegative eigenvector.
 
-    Metzler matrices use power iteration on one implicit-Euler resolvent
-    step, whose dominant eigenvalue is 1/(1 - dt s(A)); this stays O(n^2)
-    per sweep after one factorization.  Other matrices fall back to a dense
-    eigensolve.
+    Metzler matrices use power iteration on one implicit-Euler step, whose
+    dominant eigenvalue is 1/(1 - dt s(A)); the step is `step_operator`'s,
+    O(n) per sweep on bordered-bidiagonal generators.  Other matrices fall
+    back to a dense eigensolve.
     """
-    a = model.matrix
+    from .semigroup import step_operator
+
     n = model.cells
     if not model.metzler:
-        ev, vecs = np.linalg.eig(a)
+        ev, vecs = np.linalg.eig(model.matrix)
         i = int(np.argmax(ev.real))
         v = np.abs(vecs[:, i].real)
         total = float(np.sum(v))
         return float(ev[i].real), v / total if total else v
     # column sums bound s(A) from above for Metzler A, so 1/dt stays in the
     # resolvent set; dt of order one keeps the eigenvalue contrast usable
-    col_bound = max(0.0, float(np.max(np.sum(a, axis=0))))
+    col_sums = model.bands.column_sums() if model.bands is not None else np.sum(model.matrix, axis=0)
+    col_bound = max(0.0, float(np.max(col_sums)))
     dt = 1.0 / (1.0 + col_bound)
-    lu = scipy.linalg.lu_factor(np.eye(n) - dt * a)
+    e = step_operator(model, dt, "implicit_euler")
     v = np.full(n, 1.0 / n)
     for k in range(max_iter):
-        w = scipy.linalg.lu_solve(lu, v)
+        w = e @ v
         rho = float(np.sum(np.abs(w)))
         v = np.abs(w) / rho
         rate = (1.0 - 1.0 / rho) / dt
         if k % 4 == 3:
-            resid = float(np.sum(np.abs(a @ v - rate * v)))
+            resid = float(np.sum(np.abs(model.matvec(v) - rate * v)))
             if resid <= 100.0 * tol * (1.0 + abs(rate)):
                 return rate, v
     raise EigensolverError("Perron mode iteration did not converge")

@@ -10,6 +10,7 @@ structure collapses to the scalar sum_j beta_j h d0_j.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -18,7 +19,14 @@ import numpy as np
 
 from .control import ControlOperator
 from .errors import PowerIterationError, SingularSystemError
-from .generators import GeneratorModel, _solve_shifted, spectral_bound, resolvent_matrix
+from .generators import (
+    BorderedBidiagonal,
+    GeneratorModel,
+    _solve_shifted,
+    _solve_shifted_bidiagonal,
+    resolvent_matrix,
+    spectral_bound,
+)
 from .lattice import POSITIVITY_TOL, GridSpace, GridVector, _readonly, weighted_l1
 
 
@@ -74,40 +82,58 @@ def boundary_control_operator(
         check_lam = lam + 3.0
     for l in (lam, check_lam):
         d = dirichlet_operator(model.space, model.absorption, l).column
-        if np.max(np.abs(l * d - model.matrix @ d - exact.column)) > 1e-10 * scale:
+        if np.max(np.abs(l * d - model.matvec(d) - exact.column)) > 1e-10 * scale:
             raise ValueError(
                 f"injection column (lam I - A) d at lam = {l} differs from e_0 / h"
             )
     return exact
 
 
-@dataclass(frozen=True)
 class PerturbedSystem:
     """A_S = A + P with the pieces kept for audits.
 
-    `small_gain_radius` holds the rank-one scalar when the system was
-    assembled from an injection column and a feedback row; matrix-built
-    systems leave it None and rely on power iteration.
+    Assembled systems keep P as its rank-one factors, the injection column
+    and the feedback row beta (P = outer(injection, beta h)); `perturbation`
+    is then a dense view built on first use and cached.  `small_gain_radius`
+    holds the rank-one scalar when the system was assembled from those
+    factors; matrix-built systems leave it None and rely on power iteration.
     """
 
-    base: GeneratorModel
-    perturbation: np.ndarray
-    perturbed: GeneratorModel
-    injection: Optional[np.ndarray] = None
-    feedback: Optional[np.ndarray] = None
-    small_gain_radius: Optional[float] = None
+    def __init__(
+        self,
+        base: GeneratorModel,
+        perturbation=None,
+        perturbed: Optional[GeneratorModel] = None,
+        injection=None,
+        feedback=None,
+        small_gain_radius: Optional[float] = None,
+    ):
+        if perturbed is None:
+            raise TypeError("the perturbed generator is required")
+        if perturbation is None and (injection is None or feedback is None):
+            raise TypeError("give the perturbation or both of its rank-one factors")
+        self.base = base
+        self.perturbed = perturbed
+        self.injection = None if injection is None else _readonly(injection)
+        self.feedback = None if feedback is None else _readonly(feedback)
+        self.small_gain_radius = small_gain_radius
+        self._dense = None if perturbation is None else _readonly(perturbation)
+        self._lock = threading.Lock()
 
-    def __post_init__(self):
-        object.__setattr__(self, "perturbation", _readonly(self.perturbation))
-        if self.injection is not None:
-            object.__setattr__(self, "injection", _readonly(self.injection))
-        if self.feedback is not None:
-            object.__setattr__(self, "feedback", _readonly(self.feedback))
+    @property
+    def perturbation(self) -> np.ndarray:
+        """Dense read-only P; built from the rank-one factors on first use."""
+        with self._lock:
+            if self._dense is None:
+                p = np.outer(self.injection, self.feedback * self.base.space.spacing)
+                p.setflags(write=False)
+                self._dense = p
+            return self._dense
 
     @classmethod
     def from_matrix(cls, base: GeneratorModel, perturbation) -> "PerturbedSystem":
         p = np.asarray(perturbation, dtype=float)
-        if p.shape != base.matrix.shape:
+        if p.shape != (base.cells, base.cells):
             raise ValueError("perturbation shape does not match the generator")
         if np.min(p) < -POSITIVITY_TOL:
             warnings.warn("perturbation has negative entries; positivity audits will flag it")
@@ -115,36 +141,54 @@ class PerturbedSystem:
             space=base.space, matrix=base.matrix + p, boundary="custom",
             absorption=base.absorption,
         )
-        return cls(base=base, perturbation=p, perturbed=perturbed)
+        return cls(base=base, perturbed=perturbed, perturbation=p)
 
 
 def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
     """Close the loop: the scalar beta-weighted population integral feeds the
-    injection column b.  P = outer(b, beta h)."""
+    injection column b.  P = outer(b, beta h).
+
+    When A has bands and b lives in cell 0 (the boundary injection), P only
+    adds to row 0 and A_S keeps the bands; the loop gain then comes from a
+    bidiagonal solve when A is lower bidiagonal.  Nothing n x n is built.
+    """
     col = b.column if isinstance(b, ControlOperator) else np.asarray(b, dtype=float)
+    if col.shape != (model.cells,):
+        raise ValueError("injection column length does not match the grid")
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (model.cells,)).astype(float)
     if not np.all(np.isfinite(beta)):
         raise ValueError("feedback profile must be finite")
     if np.min(beta) < 0:
         warnings.warn("negative feedback rates leave the positive cone; audits will flag it")
     h = model.space.spacing
-    p = np.outer(col, beta * h)
+    w = beta * h
 
     boundary = "nonlocal" if model.boundary == "zero_inflow" else "custom"
-    perturbed = GeneratorModel(
-        space=model.space, matrix=model.matrix + p, boundary=boundary,
-        absorption=model.absorption,
-    )
+    bands = model.bands
+    if bands is not None and not np.any(col[1:]):
+        row0 = bands.row0 + col[0] * w
+        diag = np.concatenate((row0[:1], bands.diag[1:]))
+        perturbed = GeneratorModel(
+            space=model.space, bands=BorderedBidiagonal(diag, bands.sub, row0),
+            boundary=boundary, absorption=model.absorption,
+        )
+    else:
+        perturbed = GeneratorModel(
+            space=model.space, matrix=model.matrix + np.outer(col, w), boundary=boundary,
+            absorption=model.absorption,
+        )
     scalar = None
     try:
-        d0 = _solve_shifted(model, 0.0, col)
+        if bands is not None and bands.lower:
+            d0 = _solve_shifted_bidiagonal(bands, 0.0, col)
+        else:
+            d0 = _solve_shifted(model, 0.0, col)
         # rank-one K = d0 (beta h)^T has spectral radius |sum beta_j h d0_j|
-        scalar = float(abs(np.dot(beta * h, d0)))
+        scalar = float(abs(np.dot(w, d0)))
     except SingularSystemError:
         pass
     return PerturbedSystem(
         base=model,
-        perturbation=p,
         perturbed=perturbed,
         injection=col,
         feedback=beta,

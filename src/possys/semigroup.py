@@ -20,6 +20,7 @@ import scipy.linalg
 from .errors import SingularSystemError
 from .generators import (
     RESIDUAL_TOL,
+    BorderedBidiagonal,
     GeneratorModel,
     _lower_triangular,
     _upper_triangular,
@@ -109,13 +110,6 @@ def step_matrix(model: GeneratorModel, dt: float, method: str = "exact_exponenti
     raise ValueError(f"unknown method {method!r}")
 
 
-def _bordered_bidiagonal(a: np.ndarray) -> bool:
-    """True when rows 1..n-1 of a are exactly zero off the diagonal and the
-    subdiagonal; row 0 is free.  Counts exact zeros on views, no n x n copy."""
-    body = np.count_nonzero(a[1:])
-    return body == np.count_nonzero(np.diagonal(a)[1:]) + np.count_nonzero(np.diagonal(a, -1))
-
-
 class _Applied:
     """`op @ y` for a function of y."""
 
@@ -127,7 +121,7 @@ class _Applied:
 
 
 class BidiagonalStep:
-    """Implicit-Euler step (I - dt A)^{-1} for a bordered-bidiagonal A.
+    """Implicit-Euler step (I - dt A)^{-1} for A given by its bands.
 
     I - dt A = T - e_0 r^T with T lower bidiagonal and r = dt A[0, 1:] (r_0 =
     0).  By Sherman-Morrison, with g = T^{-1} e_0 and the denominator
@@ -142,10 +136,10 @@ class BidiagonalStep:
     and the denominator is positive.
     """
 
-    def __init__(self, a: np.ndarray, dt: float):
-        n = a.shape[0]
-        a_diag = np.diagonal(a)
-        a_sub = np.diagonal(a, -1)
+    def __init__(self, bands: BorderedBidiagonal, dt: float):
+        n = bands.cells
+        a_diag = bands.diag
+        a_sub = bands.sub
         diag = 1.0 - dt * a_diag
         sub = -dt * a_sub
         scale = 1.0 + dt * np.abs(a_diag)
@@ -154,7 +148,7 @@ class BidiagonalStep:
         self.shape = (n, n)
         self._lower = np.vstack((diag, np.append(sub, 0.0)))
         self._upper = np.vstack((np.insert(sub, 0, 0.0), diag))
-        self._r = dt * a[0]
+        self._r = dt * bands.row0
         self._r[0] = 0.0
         e0 = np.zeros(n)
         e0[0] = 1.0
@@ -169,7 +163,7 @@ class BidiagonalStep:
         self.nonnegative = bool(
             np.all(diag > 0) and np.all(sub <= 0) and np.all(self._r >= 0) and self._denom > 0
         )
-        self._check_probe(a, dt, a_diag, a_sub)
+        self._check_probe(bands, dt)
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve_banded((1, 0), self._lower, y, check_finite=False)
@@ -192,7 +186,7 @@ class BidiagonalStep:
     def toarray(self) -> np.ndarray:
         return self._apply(np.eye(self.shape[0]))
 
-    def _check_probe(self, a: np.ndarray, dt: float, a_diag: np.ndarray, a_sub: np.ndarray) -> None:
+    def _check_probe(self, bands: BorderedBidiagonal, dt: float) -> None:
         """Backward error of x = (I - dt A)^{-1} 1, scaled as generators'
         `_backward_error` scales R(1/dt, A) 1 = dt x, all in O(n)."""
         ones = np.ones(self.shape[0])
@@ -200,13 +194,10 @@ class BidiagonalStep:
         mx = self._lower[0] * x
         mx[1:] += self._lower[1, :-1] * x[:-1]
         mx[0] -= self._r @ x
-        # column sums of |A|: the row-0 border (with a_00), diagonal, subdiagonal
-        col_abs = np.abs(a[0])
-        col_abs[1:] += np.abs(a_diag[1:])
-        col_abs[:-1] += np.abs(a_sub)
         if not np.all(np.isfinite(x)):
             err = math.inf
         else:
+            col_abs = bands.column_sums(absolute=True)
             scale = len(x) + (1.0 + dt * float(np.max(col_abs))) * float(np.sum(np.abs(x)))
             err = float(np.sum(np.abs(mx - ones))) / scale
         if not err <= RESIDUAL_TOL:
@@ -221,11 +212,11 @@ Step = Union[np.ndarray, BidiagonalStep]
 def step_operator(model: GeneratorModel, dt: float, method: str = "exact_exponential") -> Step:
     """One-step propagator for time stepping.
 
-    Implicit Euler on a bordered-bidiagonal generator (every preset) is the
+    Implicit Euler on a generator with bands (every preset) is the
     O(n)-per-column `BidiagonalStep`; everything else is `step_matrix`.
     """
-    if method == "implicit_euler" and _bordered_bidiagonal(model.matrix):
-        return BidiagonalStep(model.matrix, dt)
+    if method == "implicit_euler" and model.bands is not None:
+        return BidiagonalStep(model.bands, dt)
     return step_matrix(model, dt, method)
 
 

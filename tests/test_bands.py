@@ -1,0 +1,202 @@
+"""Band-stored generators against the dense assembly they replace."""
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import possys as ps
+from possys import cli
+from possys.control import mild_solution
+from possys.generators import BorderedBidiagonal, perron_mode
+from possys.semigroup import BidiagonalStep, EvolutionPlan, step_matrix, step_operator
+
+
+def dense_upwind(space, q, boundary):
+    """The dense upwind assembly, written out entry by entry."""
+    n, h = space.cells, space.spacing
+    q = np.broadcast_to(np.asarray(q, dtype=float), (n,))
+    a = np.zeros((n, n))
+    np.fill_diagonal(a, -1.0 / h - q)
+    idx = np.arange(n - 1)
+    a[idx + 1, idx] = 1.0 / h
+    if isinstance(boundary, ps.ProportionalWrap):
+        a[0, n - 1] += boundary.gain / h
+    elif isinstance(boundary, ps.NonlocalBirth):
+        a[0, :] += np.broadcast_to(boundary.rates, (n,))
+    return a
+
+
+def dense_markov(cells):
+    mat = -np.eye(cells)
+    idx = np.arange(cells)
+    mat[(idx + 1) % cells, idx] += 1.0
+    return mat
+
+
+def assert_no_dense_view(model):
+    assert model._dense is None
+
+
+class TestAgainstDenseAssembly:
+    @pytest.mark.parametrize("q, beta, cells", [
+        (1.0, 0.5, 1),
+        (1.0, 0.5, 40),
+        (np.linspace(0.2, 2.0, 60), np.linspace(1.5, 0.0, 60), 60),
+    ])
+    def test_renewal(self, q, beta, cells):
+        rs = ps.renewal_scenario(q, beta, length=6.0, cells=cells)
+        space = rs.generator.space
+        assert_no_dense_view(rs.generator)
+        assert_no_dense_view(rs.system.perturbed)
+        assert rs.system._dense is None
+        a = dense_upwind(space, q, ps.ZeroInflow())
+        col = np.zeros(cells)
+        col[0] = 1.0 / space.spacing
+        p = np.outer(col, np.broadcast_to(beta, (cells,)) * space.spacing)
+        assert np.array_equal(rs.generator.matrix, a)
+        assert np.array_equal(rs.system.perturbation, p)
+        assert np.array_equal(rs.system.perturbed.matrix, a + p)
+        for view in (rs.generator.matrix, rs.system.perturbation, rs.system.perturbed.matrix):
+            assert not view.flags.writeable
+        # the view is built once
+        assert rs.generator.matrix is rs.generator.matrix
+
+    @pytest.mark.parametrize("gain", [0.5, 2.0])
+    @pytest.mark.parametrize("cells", [1, 2, 30])
+    def test_ring(self, gain, cells):
+        model = ps.ring_transport_scenario(gain, length=1.5, cells=cells)
+        assert model.bands is not None
+        assert np.array_equal(model.matrix, dense_upwind(model.space, 0.0, ps.ProportionalWrap(gain)))
+
+    def test_birth_boundary(self):
+        space = ps.GridSpace(length=2.0, cells=7)
+        rule = ps.NonlocalBirth(rates=np.linspace(0.0, 1.2, 7))
+        model = ps.build_upwind_generator(space, 0.7, rule)
+        assert np.array_equal(model.matrix, dense_upwind(space, 0.7, rule))
+
+    @pytest.mark.parametrize("cells", [2, 3, 17])
+    def test_markov_cycle(self, cells):
+        model = ps.markov_cycle_scenario(cells)
+        assert model.bands is not None
+        assert np.array_equal(model.matrix, dense_markov(cells))
+        assert np.array_equal(model.bands.toarray(), dense_markov(cells))
+
+    @pytest.mark.parametrize("matrix, bordered", [
+        ([[-2.0, 0.5, 1.0], [1.0, -2.0, 0.0], [0.0, 1.0, -3.0]], True),
+        ([[-2.0, 0.0, 0.0], [1.0, -2.0, 0.0], [0.5, 1.0, -3.0]], False),
+    ])
+    def test_explicit(self, tmp_path, matrix, bordered):
+        b, beta = [2.0, 0.0, 0.0], [0.5, 0.25, 1.0]
+        doc = {"scenario": {"kind": "explicit", "matrix": matrix, "length": 3.0, "b": b, "beta": beta}}
+        path = tmp_path / "explicit.json"
+        path.write_text(json.dumps(doc))
+        built = cli.build_scenario(cli.RunConfig.from_file(str(path)))
+        a = np.array(matrix)
+        p = np.outer(b, np.array(beta) * 1.0)
+        assert (built.model.bands is not None) == bordered
+        assert (built.system.perturbed.bands is not None) == bordered
+        assert np.array_equal(built.model.matrix, a)
+        assert np.array_equal(built.system.perturbation, p)
+        assert np.array_equal(built.system.perturbed.matrix, a + p)
+
+    @pytest.mark.parametrize("dt", [0.05, 0.5, 2.0])
+    def test_explicit_bordered_step_against_dense(self, dt, rng):
+        space = ps.GridSpace(length=3.0, cells=3)
+        model = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.5, 1.0], [1.0, -2.0, 0.0], [0.0, 1.0, -3.0]])
+        op = step_operator(model, dt, "implicit_euler")
+        dense = step_matrix(model, dt, "implicit_euler")
+        assert isinstance(op, BidiagonalStep) and op.nonnegative
+        x = rng.standard_normal(3)
+        np.testing.assert_allclose(op.toarray(), dense, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(op.T @ x, dense.T @ x, rtol=1e-13, atol=1e-15)
+
+    def test_off_boundary_injection_takes_dense_sum(self):
+        rs = ps.renewal_scenario(1.0, 0.0, length=2.0, cells=6)
+        col = np.linspace(1.0, 0.0, 6)
+        system = ps.assemble_perturbed(rs.generator, col, 0.4)
+        p = np.outer(col, np.full(6, 0.4 * rs.generator.space.spacing))
+        assert system.perturbed.bands is None
+        assert np.array_equal(system.perturbed.matrix, rs.generator.matrix + p)
+        assert system.small_gain_radius == pytest.approx(
+            abs(np.full(6, 0.4 / 3.0) @ np.linalg.solve(-rs.generator.matrix, col)), rel=1e-12
+        )
+
+    def test_matvec_and_column_sums(self, rng):
+        n = 9
+        diag, sub, row0 = rng.standard_normal(n), rng.standard_normal(n - 1), rng.standard_normal(n)
+        row0[0] = diag[0]
+        bands = BorderedBidiagonal(diag, sub, row0)
+        a = bands.toarray()
+        assert np.array_equal(BorderedBidiagonal.detect(a).toarray(), a)
+        x, block = rng.standard_normal(n), rng.standard_normal((n, 4))
+        tol = dict(rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(bands.matvec(x), a @ x, **tol)
+        np.testing.assert_allclose(bands.matvec(block), a @ block, **tol)
+        np.testing.assert_allclose(bands.column_sums(), a.sum(axis=0), **tol)
+        np.testing.assert_allclose(bands.column_sums(absolute=True), np.abs(a).sum(axis=0), **tol)
+
+    def test_band_validation(self):
+        with pytest.raises(ValueError, match="agree"):
+            BorderedBidiagonal([-1.0, -2.0], [1.0], [-3.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            BorderedBidiagonal([-1.0, np.nan], [1.0], [-1.0, 0.0])
+        with pytest.raises(ValueError, match="subdiagonal"):
+            BorderedBidiagonal([-1.0, -1.0], [1.0, 1.0], [-1.0, 0.0])
+        space = ps.GridSpace(length=1.0, cells=3)
+        with pytest.raises(ValueError, match="cells"):
+            ps.GeneratorModel(space, bands=BorderedBidiagonal([-1.0, -1.0], [1.0], [-1.0, 0.0]))
+        with pytest.raises(TypeError):
+            ps.GeneratorModel(space)
+
+
+def test_large_simulation_stays_banded():
+    """20000 cells and 20 implicit-Euler steps never build an n x n array."""
+    tracemalloc.start()
+    try:
+        rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=20000)
+        model = rs.system.perturbed
+        x = model.space.vector(np.exp(-((model.space.centers - 5.0) / 2.0) ** 2))
+        u = ps.InputSignal.constant(1.0, 0.5)
+        traj = mild_solution(model, rs.boundary_input, x, u, EvolutionPlan(1.0, 0.05, "implicit_euler"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (21, 20000)
+    assert np.min(traj.states) >= 0.0
+    for m in (rs.generator, model):
+        assert_no_dense_view(m)
+    assert rs.system._dense is None
+    assert peak < 64e6
+
+
+class TestPerronMode:
+    """The banded implicit-Euler power iteration against a dense eigensolve."""
+
+    @staticmethod
+    def check(model):
+        rate, vec = perron_mode(model)
+        ev, vecs = np.linalg.eig(model.matrix)
+        i = int(np.argmax(ev.real))
+        ref = np.abs(vecs[:, i].real)
+        ref /= ref.sum()
+        assert rate == pytest.approx(ev[i].real, abs=1e-8)
+        np.testing.assert_allclose(vec, ref, atol=1e-8 * np.max(ref))
+        assert np.all(vec >= 0.0) and np.sum(vec) == pytest.approx(1.0)
+        return rate
+
+    def test_unstable_renewal(self):
+        rs = ps.renewal_scenario(1.0, 1.5, length=20.0, cells=300)
+        assert rs.system.perturbed.bands is not None
+        assert self.check(rs.system.perturbed) > 0.0
+
+    def test_ring_gain_two(self):
+        model = ps.ring_transport_scenario(2.0, length=1.0, cells=60)
+        rate = self.check(model)
+        assert rate == pytest.approx(60.0 * (2.0 ** (1.0 / 60.0) - 1.0), abs=1e-8)
+
+    def test_banded_path_builds_no_dense_view(self):
+        rs = ps.renewal_scenario(1.0, 1.5, length=20.0, cells=3000)
+        rate, _ = perron_mode(rs.system.perturbed)
+        assert rate > 0.0
+        assert_no_dense_view(rs.system.perturbed)

@@ -1,5 +1,6 @@
 """CLI contract: config validation, output formats, exit codes, determinism."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestConfigErrors:
         assert cli.main(["sweep", "--config", cfg, "--param", "length", "--values", "1.0"]) == 2
 
 
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (20000, 20000)")
+
+    monkeypatch.setattr(cli, "mild_solution", exhausted)
+    assert cli.main(["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+
+
 class TestSimulate:
     def test_csv_shape_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, initial_state="bump")
@@ -91,6 +102,16 @@ class TestSimulate:
         # wrong length is a config error
         cfg2 = write_config(tmp_path, name="c2.json", initial_state=[1.0, 2.0])
         assert cli.main(["simulate", "--config", cfg2]) == 2
+
+
+    def test_twenty_thousand_cells(self, tmp_path, capsys):
+        # the config the memory-capped CI step runs
+        cfg = str(Path(__file__).parent / "data" / "simulate-n20000-short.json")
+        out = tmp_path / "n20000.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cells"] == 20000 and summary["rows"] == 21
+        assert summary["positivity_violations"] == 0
 
 
 class TestAudit:

@@ -1,4 +1,7 @@
 """Input signals, input maps, and the admissibility audits."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -300,3 +303,76 @@ def test_step_operator_cache_returns_same_arrays(toy):
     e1, f1 = step_input_operators(model, b, 0.125, "exact_exponential")
     e2, f2 = step_input_operators(model, b, 0.125, "exact_exponential")
     assert e1 is e2 and f1 is f2
+
+
+class TestStepStore:
+    """(E, F) pairs live in the model's own store, keyed on (method, dt, column)."""
+
+    @staticmethod
+    def count_expm(monkeypatch):
+        calls = []
+        real = scipy.linalg.expm
+
+        def counted(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        return calls
+
+    def test_composition_law_builds_once(self, monkeypatch):
+        calls = self.count_expm(monkeypatch)
+        rs = ps.renewal_scenario(1.0, 0.5, length=2.0, cells=12)
+        probe = ps.InputSignal.constant(1.0, 0.5)
+        residual = composition_law_check(
+            rs.generator, rs.boundary_input, probe, 0.5, 0.5, dt=1 / 64, method="exact_exponential"
+        )
+        assert residual <= 1e-12
+        # one block exponential serves the check and its three input maps
+        assert calls == [(13, 13)]
+
+    def test_models_never_share_entries(self, monkeypatch):
+        calls = self.count_expm(monkeypatch)
+        space = ps.GridSpace(length=2.0, cells=2)
+        b = ps.ControlOperator.boundary_injection(space)
+        one = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0], [1.0, -2.0]])
+        two = ps.GeneratorModel.from_matrix(space, [[-3.0, 0.0], [1.0, -3.0]])
+        e1, f1 = step_input_operators(one, b, 0.25, "exact_exponential")
+        e2, f2 = step_input_operators(two, b, 0.25, "exact_exponential")
+        assert len(calls) == 2
+        np.testing.assert_allclose(e1, scipy.linalg.expm(0.25 * one.matrix), atol=1e-14)
+        np.testing.assert_allclose(e2, scipy.linalg.expm(0.25 * two.matrix), atol=1e-14)
+        # a model with an equal matrix still builds its own pair
+        twin = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0], [1.0, -2.0]])
+        e3, _ = step_input_operators(twin, b, 0.25, "exact_exponential")
+        assert e3 is not e1 and np.array_equal(e3, e1)
+        assert step_input_operators(one, b, 0.25, "exact_exponential")[0] is e1
+
+    def test_threads_sharing_a_model_build_each_entry_once(self, monkeypatch):
+        calls = self.count_expm(monkeypatch)
+        rs = ps.renewal_scenario(1.0, 0.5, length=2.0, cells=8)
+        model, b = rs.system.perturbed, rs.boundary_input
+        dts = [0.5 / k for k in range(1, 6)]
+        seen = {dt: set() for dt in dts}
+        lock = threading.Lock()
+
+        def work(i):
+            for j in range(40):
+                dt = dts[(i + j) % len(dts)]
+                e, _ = step_input_operators(model, b, dt, "exact_exponential")
+                with lock:
+                    seen[dt].add(id(e))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == len(dts)
+        assert all(len(ids) == 1 for ids in seen.values())
