@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -35,20 +35,32 @@ from .generators import (
     spectral_bound,
     spectral_report,
 )
-from .iss import EISS, GUARD_BAND, iss_gain_fit, iss_verdict
+from .iss import EISS, iss_gain_fit, iss_verdict
 from .lattice import GridSpace, GridVector
 from .perturbation import PerturbedSystem, assemble_perturbed, domination_check, small_gain_radius
 from .scenarios import markov_cycle_scenario, renewal_scenario, ring_transport_scenario
-from .semigroup import EvolutionPlan, default_method, left_invertibility_audit
+from .semigroup import (
+    EvolutionPlan,
+    decay_horizon,
+    default_method,
+    growth_estimate,
+    left_invertibility_audit,
+)
 
 TOLERANCE_PROFILES = {
-    "default": {"positivity": 1e-12, "guard_band": 1e-9, "residual": 1e-10},
-    "strict": {"positivity": 1e-13, "guard_band": 1e-10, "residual": 1e-11},
-    "loose": {"positivity": 1e-10, "guard_band": 1e-8, "residual": 1e-9},
+    "default": {"positivity": 1e-12, "guard_band": 1e-9},
+    "strict": {"positivity": 1e-13, "guard_band": 1e-10},
+    "loose": {"positivity": 1e-10, "guard_band": 1e-8},
 }
 DEFAULT_AUDITS = ("inverse_estimate", "admissibility", "resolvent_bound", "small_gain", "iss")
 KNOWN_AUDITS = DEFAULT_AUDITS + ("gain_fit", "left_invertibility", "domination")
-SWEEP_PARAMS = ("beta0", "q0", "a", "n")
+# sweep parameter -> (the scenario key it sets, the scenario kind it needs)
+SWEEP_PARAMS = {
+    "beta0": ("beta", "renewal"),
+    "q0": ("q", "renewal"),
+    "a": ("a", "ring_transport"),
+    "n": ("cells", "renewal"),
+}
 
 
 def _fmt(x: float) -> str:
@@ -227,16 +239,13 @@ def build_scenario(cfg: RunConfig) -> BuiltScenario:
                 echo=echo,
             )
         if kind == "ring_transport":
-            model = ring_transport_scenario(
-                gain=float(sc.get("a", 2.0)),
-                length=float(sc.get("length", 1.0)),
-                cells=int(sc.get("cells", 100)),
-            )
-            return BuiltScenario(kind=kind, model=model, echo={
+            echo = {
                 "a": float(sc.get("a", 2.0)),
                 "length": float(sc.get("length", 1.0)),
                 "cells": int(sc.get("cells", 100)),
-            })
+            }
+            model = ring_transport_scenario(gain=echo["a"], length=echo["length"], cells=echo["cells"])
+            return BuiltScenario(kind=kind, model=model, echo=echo)
         if kind == "markov_cycle":
             cells = int(sc.get("cells", 8))
             return BuiltScenario(kind=kind, model=markov_cycle_scenario(cells), echo={"cells": cells})
@@ -492,62 +501,28 @@ def cmd_audit(cfg: RunConfig, out_path: str) -> int:
 
 
 def _sweep_row(cfg: RunConfig, param: str, value: float) -> dict:
-    sc = dict(cfg.scenario)
-    if param in ("beta0", "q0", "n"):
-        if sc.get("kind") != "renewal":
-            raise ConfigError(f"sweep over {param} needs a renewal scenario")
-        if param == "beta0":
-            sc["beta"] = value
-        elif param == "q0":
-            sc["q"] = value
-        else:
-            if value <= 0 or value != int(value):
-                raise ConfigError(f"n sweep values must be positive integers, got {value}")
-            sc["cells"] = int(value)
-        rs = renewal_scenario(
-            sc.get("q", 1.0), sc.get("beta", 0.0), length=sc.get("length"),
-            cells=int(sc.get("cells", 2000)),
-        )
-        system = rs.system
-        r = small_gain_radius(system)
-        s_pert = spectral_bound(system.perturbed)
-        guard = cfg.tolerances["guard_band"]
-        s_base = spectral_bound(system.base)
-        if s_base < -guard and r < 1 - guard:
-            verdict = "eISS"
-        elif r > 1 + guard or s_base > guard:
-            verdict = "not_eISS"
-        else:
-            verdict = "inconclusive"
-        mu = None
-        if verdict == "eISS":
-            from .semigroup import operator_norm_trajectory
-
-            h = min(max(20.0 / max(abs(s_pert), 0.05), 10.0), 1e3)
-            grid = np.linspace(0.0, h, 161)
-            norms = operator_norm_trajectory(system.perturbed, grid)
-            tail = grid >= h / 2
-            mu = -float(np.polyfit(grid[tail], np.log(np.maximum(norms[tail], 1e-300)), 1)[0])
-        return {"value": value, "r": r, "s_perturbed": s_pert, "verdict": verdict, "mu": mu}
-    if param == "a":
-        if sc.get("kind") != "ring_transport":
-            raise ConfigError("sweep over a needs a ring_transport scenario")
-        model = ring_transport_scenario(
-            gain=float(value), length=float(sc.get("length", 1.0)), cells=int(sc.get("cells", 100))
-        )
-        return {
-            "value": value,
-            "r": None,
-            "s_perturbed": spectral_bound(model),
-            "verdict": None,
-            "mu": None,
-        }
-    raise ConfigError(f"unknown sweep parameter {param!r}")
+    key, kind = SWEEP_PARAMS[param]
+    if cfg.scenario.get("kind") != kind:
+        raise ConfigError(f"sweep over {param} needs a {kind} scenario")
+    if param == "n" and (value <= 0 or value != int(value)):
+        raise ConfigError(f"n sweep values must be positive integers, got {value}")
+    built = build_scenario(replace(cfg, scenario={**cfg.scenario, key: value}))
+    if built.system is None:
+        return {"value": value, "r": None, "s_perturbed": spectral_bound(built.model),
+                "verdict": None, "mu": None}
+    rep = iss_verdict(built.system, guard=cfg.tolerances["guard_band"])
+    perturbed = built.system.perturbed
+    s_pert = spectral_bound(perturbed)
+    mu = None
+    if rep.verdict == EISS:
+        mu = -growth_estimate(perturbed, window=decay_horizon(s_pert))
+    return {"value": value, "r": rep.small_gain_radius, "s_perturbed": s_pert,
+            "verdict": rep.verdict, "mu": mu}
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list, out_path: str) -> int:
     if param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
+        raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:

@@ -25,15 +25,15 @@ from .lattice import (
     weighted_l1,
 )
 from .semigroup import (
+    _GRID_TOL,
     EvolutionPlan,
     Step,
     Trajectory,
     _flush_subnormals,
     default_method,
+    grid_steps,
     step_operator,
 )
-
-_GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -236,13 +236,20 @@ def step_input_operators(
     )
 
 
+def _block_exponential(model: GeneratorModel, col: np.ndarray, t: float) -> np.ndarray:
+    """exp(t [[A, col], [0, 0]]), subnormals flushed: exp(t A) in the top
+    left block and int_0^t exp(A s) col ds in the last column."""
+    n = model.cells
+    blk = np.zeros((n + 1, n + 1))
+    blk[:n, :n] = model.matrix
+    blk[:n, n] = col
+    return _flush_subnormals(scipy.linalg.expm(blk * t))
+
+
 def _step_pair(model: GeneratorModel, col: np.ndarray, dt: float, method: str) -> tuple[Step, np.ndarray]:
     if method == "exact_exponential":
         n = model.cells
-        blk = np.zeros((n + 1, n + 1))
-        blk[:n, :n] = model.matrix
-        blk[:n, n] = col
-        m = _flush_subnormals(scipy.linalg.expm(blk * dt))
+        m = _block_exponential(model, col, dt)
         e, f = m[:n, :n].copy(), m[:n, n].copy()
         e.setflags(write=False)
     else:
@@ -250,13 +257,6 @@ def _step_pair(model: GeneratorModel, col: np.ndarray, dt: float, method: str) -
         f = dt * (e @ col)
     f.setflags(write=False)
     return e, f
-
-
-def _check_steps(t: float, dt: float, what: str) -> int:
-    k = round(t / dt)
-    if k < 0 or abs(k * dt - t) > _GRID_TOL * max(1.0, abs(t)):
-        raise ValueError(f"{what} = {t} is not a multiple of dt = {dt}")
-    return k
 
 
 def _segment_input_map(model: GeneratorModel, col: np.ndarray, u: InputSignal, tau: float) -> np.ndarray:
@@ -276,12 +276,9 @@ def _segment_input_map(model: GeneratorModel, col: np.ndarray, u: InputSignal, t
         segs.append((u.values[k], hi, lo))
         sigmas.update((hi, lo))
     g_at = {0.0: np.zeros(n)}
-    blk = np.zeros((n + 1, n + 1))
-    blk[:n, :n] = model.matrix
-    blk[:n, n] = col
     for s in sorted(sigmas):
         if s > 0.0:
-            g_at[s] = scipy.linalg.expm(blk * s)[:n, n]
+            g_at[s] = _block_exponential(model, col, s)[:n, n]
     acc = np.zeros(n)
     for val, hi, lo in segs:
         acc += val * (g_at[hi] - g_at.get(lo, 0.0))
@@ -309,7 +306,7 @@ def input_map(
         return model.space.vector(_segment_input_map(model, col, u, tau))
     if dt is None:
         dt = tau / 1024
-    steps = _check_steps(tau, dt, "tau")
+    steps = grid_steps(tau, dt, "tau")
     if not u.aligned(dt):
         warnings.warn(f"input breakpoints resampled onto the dt = {dt} grid")
     e, f = step_input_operators(model, col, dt, method)
@@ -343,7 +340,7 @@ def impulse_response_norms(
 ) -> np.ndarray:
     """||T(s) b|| for s on the uniform grid over [0, tau]."""
     col = _as_column(b, model.space)
-    steps = _check_steps(tau, dt, "tau")
+    steps = grid_steps(tau, dt, "tau")
     e, _ = step_input_operators(model, col, dt, method)
     norms = np.empty(steps + 1)
     y = col.copy()
@@ -396,9 +393,8 @@ def sampled_input_gain(
     rng = rng if rng is not None else np.random.default_rng(0)
     if dt is None:
         dt = tau / 128
-    steps = _check_steps(tau, dt, "tau")
+    steps = grid_steps(tau, dt, "tau")
     col = _as_column(b, model.space)
-    e, f = step_input_operators(model, col, dt)
     best = 0.0
     for _ in range(trials):
         uk = rng.exponential(size=steps) * (rng.random(steps) < 0.5)
@@ -406,10 +402,8 @@ def sampled_input_gain(
         norm = sig.lp_norm(p)
         if norm == 0.0:
             continue
-        z = np.zeros(model.cells)
-        for k in range(steps):
-            z = e @ z + f * uk[k]
-        best = max(best, weighted_l1(z, model.space) / norm)
+        phi = input_map(model, col, sig, tau, dt=dt).values
+        best = max(best, weighted_l1(phi, model.space) / norm)
     return best
 
 
@@ -451,7 +445,7 @@ def composition_law_check(
 
     lhs = input_map(model, col, u, t + tau, dt=dt, method=method).values
     head = input_map(model, col, u.truncated(t), t, dt=dt, method=method).values
-    for _ in range(_check_steps(tau, dt, "tau")):
+    for _ in range(grid_steps(tau, dt, "tau")):
         head = e @ head
     tail = input_map(model, col, u.shifted(t), tau, dt=dt, method=method).values
     return weighted_l1(lhs - head - tail, model.space)
@@ -563,7 +557,7 @@ def uniform_decay_curve(
     hi = float(np.max(taus))
     if dt is None:
         dt = hi / 1024
-    norms = impulse_response_norms(model, b, _check_steps(hi, dt, "tau") * dt, dt)
+    norms = impulse_response_norms(model, b, grid_steps(hi, dt, "tau") * dt, dt)
     grid = np.arange(len(norms)) * dt
     cumul = np.concatenate(([0.0], np.cumsum((norms[1:] + norms[:-1]) * 0.5 * dt)))
     return np.interp(taus, grid, cumul)

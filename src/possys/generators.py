@@ -214,6 +214,13 @@ class GeneratorModel:
             return self.bands.matvec(x)
         return self.matrix @ x
 
+    def column_sums(self, absolute: bool = False) -> np.ndarray:
+        """Column sums of A, or of |A| when `absolute`; from the bands when
+        the model has them."""
+        if self.bands is not None:
+            return self.bands.column_sums(absolute)
+        return np.sum(np.abs(self.matrix) if absolute else self.matrix, axis=0)
+
     def cached(self, key, build):
         """The value this model stores under `key`, made by `build()` on a
         miss.  The store keeps the _STORE_MAX most recently used entries."""
@@ -228,13 +235,17 @@ class GeneratorModel:
                 self._store.popitem(last=False)
             return value
 
-    @property
-    def metzler(self) -> bool:
+    def off_diagonal_min(self) -> float:
+        """Smallest off-diagonal entry (inf for one cell); A is Metzler
+        exactly when it is >= 0."""
         if self.bands is not None:
             off = np.concatenate((self.bands.sub, self.bands.row0[1:]))
-            return bool(len(off) == 0 or np.min(off) >= -POSITIVITY_TOL)
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        return bool(np.min(off) >= -POSITIVITY_TOL)
+            return float(np.min(off)) if len(off) else math.inf
+        return float(np.min(self.matrix - np.diag(np.diag(self.matrix))))
+
+    @property
+    def metzler(self) -> bool:
+        return self.off_diagonal_min() >= -POSITIVITY_TOL
 
     @property
     def cells(self) -> int:
@@ -293,72 +304,77 @@ def _triangular(model: GeneratorModel) -> bool:
     return _lower_triangular(model.matrix) or _upper_triangular(model.matrix)
 
 
-def _solve_shifted_bidiagonal(bands: BorderedBidiagonal, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """(lam I - A)^{-1} rhs for lower-bidiagonal bands, O(n) per column,
-    refused near an eigenvalue exactly as `_shifted` refuses."""
-    pivots = lam - bands.diag
-    gap = np.min(np.abs(pivots))
-    if gap <= SINGULARITY_TOL:
-        raise SingularSystemError(f"lambda = {lam} is within {gap:.3e} of an eigenvalue")
-    ab = np.vstack((pivots, np.append(-bands.sub, 0.0)))
-    return scipy.linalg.solve_banded((1, 0), ab, rhs, check_finite=False)
+def _solve(m, rhs: np.ndarray, what: str) -> np.ndarray:
+    """m^{-1} rhs, refused with SingularSystemError naming `what`.
 
-
-def _shifted(model: GeneratorModel, lam: float) -> np.ndarray:
-    m = lam * np.eye(model.cells) - model.matrix
-    if _lower_triangular(m) or _upper_triangular(m):
-        gap = np.min(np.abs(np.diag(m)))
+    `m` is a dense matrix or the (diagonal, subdiagonal) pair of a lower
+    bidiagonal one.  Triangular m are refused on a pivot within
+    SINGULARITY_TOL of zero and solved by substitution (banded, O(n) per
+    column, for a pair); anything else takes LU.  LAPACK's own singularity
+    report is refused the same way.
+    """
+    banded = isinstance(m, tuple)
+    lower = banded or _lower_triangular(m)
+    triangular = lower or _upper_triangular(m)
+    if triangular:
+        gap = float(np.min(np.abs(m[0] if banded else np.diag(m))))
         if gap <= SINGULARITY_TOL:
-            raise SingularSystemError(
-                f"lambda = {lam} is within {gap:.3e} of an eigenvalue"
-            )
-    return m
-
-
-def _solve_shifted(model: GeneratorModel, lam: float, rhs: np.ndarray) -> np.ndarray:
-    m = _shifted(model, lam)
+            raise SingularSystemError(f"{what} is singular: a pivot is within {gap:.3e} of zero")
     try:
-        if _lower_triangular(m):
-            return scipy.linalg.solve_triangular(m, rhs, lower=True)
-        if _upper_triangular(m):
-            return scipy.linalg.solve_triangular(m, rhs, lower=False)
+        if banded:
+            ab = np.vstack((m[0], np.append(m[1], 0.0)))
+            return scipy.linalg.solve_banded((1, 0), ab, rhs, check_finite=False)
+        if triangular:
+            return scipy.linalg.solve_triangular(m, rhs, lower=lower)
         return np.linalg.solve(m, rhs)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SingularSystemError(f"resolvent solve failed at lambda = {lam}: {exc}") from exc
+        raise SingularSystemError(f"{what} is singular: {exc}") from exc
 
 
-def _backward_error(model: GeneratorModel, lam: float, g: np.ndarray, rhs: np.ndarray) -> float:
-    # residual scaled the way backward stability predicts: huge resolvents
-    # are fine as long as the solve is exact for a nearby problem
-    if not np.all(np.isfinite(g)):
-        return math.inf
-    resid = np.linalg.norm(lam * g - model.matrix @ g - rhs, ord=1)
-    scale = np.linalg.norm(rhs, ord=1) + (abs(lam) + np.linalg.norm(model.matrix, 1)) * np.linalg.norm(g, ord=1)
-    return resid / scale if scale > 0 else resid
+def _solve_shifted(model: GeneratorModel, lam: float, rhs: np.ndarray, dense: bool = False) -> np.ndarray:
+    """(lam I - A)^{-1} rhs through `_solve`: on the bands when A is lower
+    bidiagonal, unless `dense` asks for the dense matrix (the resolvent
+    audits, whose reported values keep LAPACK's triangular arithmetic)."""
+    bands = model.bands
+    if not dense and bands is not None and bands.lower:
+        m = (lam - bands.diag, -bands.sub)
+    else:
+        m = lam * np.eye(model.cells) - model.matrix
+    return _solve(m, rhs, f"lam I - A at lambda = {lam}")
+
+
+def _check_backward_error(a, lam: float, g: np.ndarray, rhs: np.ndarray, what: str) -> None:
+    """Refuse g = (lam I - A)^{-1} rhs with SingularSystemError unless its
+    backward error is <= RESIDUAL_TOL.  `a` is a GeneratorModel or bands
+    (A's `matvec` and `column_sums`), so the check is O(n) on bands.
+
+    The residual is scaled the way backward stability predicts: huge
+    resolvents are fine as long as the solve is exact for a nearby problem.
+    """
+    err = math.inf
+    if np.all(np.isfinite(g)):
+        resid = np.linalg.norm(lam * g - a.matvec(g) - rhs, ord=1)
+        norm_a = float(np.max(a.column_sums(absolute=True)))
+        scale = np.linalg.norm(rhs, ord=1) + (abs(lam) + norm_a) * np.linalg.norm(g, ord=1)
+        err = resid / scale if scale > 0 else resid
+    if not err <= RESIDUAL_TOL:
+        raise SingularSystemError(f"{what} has backward error {err:.3e}")
 
 
 def resolvent_matrix(model: GeneratorModel, lam: float) -> np.ndarray:
     """Dense (lam I - A)^{-1}, with a probe check on the solve residual."""
-    r = _solve_shifted(model, lam, np.eye(model.cells))
+    r = _solve_shifted(model, lam, np.eye(model.cells), dense=True)
     # probe the solve with a single vector; a full matrix residual is O(n^3)
-    probe = r @ np.ones(model.cells)
-    err = _backward_error(model, lam, probe, np.ones(model.cells))
-    if not np.isfinite(err) or err > RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"resolvent at lambda = {lam} has backward error {err:.3e}"
-        )
+    ones = np.ones(model.cells)
+    _check_backward_error(model, lam, r @ ones, ones, f"resolvent at lambda = {lam}")
     return r
 
 
 def resolvent_apply(model: GeneratorModel, lam: float, f) -> GridVector:
     """g = (lam I - A)^{-1} f, refused unless the backward error is <= 1e-10."""
     vals = f.values if isinstance(f, GridVector) else np.asarray(f, dtype=float)
-    g = _solve_shifted(model, lam, vals)
-    err = _backward_error(model, lam, g, vals)
-    if np.any(vals) and (not np.isfinite(err) or err > RESIDUAL_TOL):
-        raise SingularSystemError(
-            f"resolvent solve at lambda = {lam} has backward error {err:.3e}"
-        )
+    g = _solve_shifted(model, lam, vals, dense=True)
+    _check_backward_error(model, lam, g, vals, f"resolvent solve at lambda = {lam}")
     return model.space.vector(g)
 
 
@@ -366,16 +382,16 @@ def spectral_bound(model: GeneratorModel) -> float:
     """max Re(spectrum).
 
     Triangular matrices read it off the diagonal (exact for the zero-inflow
-    upwind generator).  Dense eigensolve up to n = 2000; above that a Perron
-    power iteration on exp(t0 A) handles the Metzler case.
+    upwind generator).  Dense eigensolve up to n = DENSE_EIG_LIMIT; above
+    that Metzler matrices take `perron_mode`, O(n) per sweep on bands, and
+    no dense view is built.
     """
     if _triangular(model):
         return float(np.max(model.bands.diag if model.bands is not None else np.diag(model.matrix)))
-    a = model.matrix
     n = model.cells
     if n <= DENSE_EIG_LIMIT:
         try:
-            ev = np.linalg.eigvals(a)
+            ev = np.linalg.eigvals(model.matrix)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
         return float(np.max(ev.real))
@@ -383,31 +399,7 @@ def spectral_bound(model: GeneratorModel) -> float:
         raise EigensolverError(
             f"n = {n} exceeds the dense eigensolve limit and the matrix is not Metzler"
         )
-    return _perron_growth_rate(a)
-
-
-def _perron_growth_rate(a: np.ndarray, tol: float = 1e-9, max_iter: int = 500) -> float:
-    """s(A) for large Metzler A via the growth rate of exp(t0 A) on the cone.
-
-    t0 is order one: the contrast between eigenvalues separated by an O(1)
-    gap is what drives convergence, not the norm of A.  The iterate is
-    accepted once it is an eigenvector up to residual tol.
-    """
-    from scipy.sparse.linalg import expm_multiply
-
-    t0 = 1.0
-    rng = np.random.default_rng(0)
-    v = rng.random(a.shape[0]) + 0.1
-    v /= np.sum(v)
-    for _ in range(max_iter):
-        w = expm_multiply(a * t0, v)
-        growth = float(np.sum(np.abs(w)))
-        v = np.abs(w) / growth
-        rate = math.log(growth) / t0
-        resid = float(np.sum(np.abs(a @ v - rate * v)))
-        if resid <= tol * (1.0 + abs(rate)):
-            return rate
-    raise EigensolverError("Perron growth iteration did not converge")
+    return perron_mode(model)[0]
 
 
 def perron_mode(model: GeneratorModel, tol: float = 1e-10, max_iter: int = 10_000) -> tuple[float, np.ndarray]:
@@ -429,8 +421,7 @@ def perron_mode(model: GeneratorModel, tol: float = 1e-10, max_iter: int = 10_00
         return float(ev[i].real), v / total if total else v
     # column sums bound s(A) from above for Metzler A, so 1/dt stays in the
     # resolvent set; dt of order one keeps the eigenvalue contrast usable
-    col_sums = model.bands.column_sums() if model.bands is not None else np.sum(model.matrix, axis=0)
-    col_bound = max(0.0, float(np.max(col_sums)))
+    col_bound = max(0.0, float(np.max(model.column_sums())))
     dt = 1.0 / (1.0 + col_bound)
     e = step_operator(model, dt, "implicit_euler")
     v = np.full(n, 1.0 / n)

@@ -17,9 +17,16 @@ import numpy as np
 from .control import InputSignal, step_input_operators, _as_column
 from .errors import GainValidationError
 from .generators import perron_mode, spectral_bound
-from .lattice import induced_operator_norm, weighted_l1
+from .lattice import weighted_l1
 from .perturbation import PerturbedSystem, small_gain_radius
-from .semigroup import Step, _nonnegative, default_method, operator_norm_trajectory
+from .semigroup import (
+    FIT_STEPS,
+    decay_horizon,
+    default_method,
+    growth_estimate,
+    norm_curves,
+    tail_slope,
+)
 
 EISS = "eISS"
 NOT_EISS = "not_eISS"
@@ -97,38 +104,6 @@ def iss_verdict(system: PerturbedSystem, p: float = 1, guard: float = GUARD_BAND
     )
 
 
-def _norm_curves(e: Step, f: np.ndarray, col: np.ndarray, steps: int, space) -> tuple:
-    """(||E^k||, ||E^k f||, ||E^k col||) for k = 0..steps in the weighted norm.
-
-    Nonnegative systems ride the adjoint recursion y <- E^T y; anything
-    signed falls back to accumulated matrix powers.
-    """
-    w = space.weights
-    if _nonnegative(e) and np.min(f) >= 0 and np.min(col) >= 0:
-        y = w.copy()
-        op = np.empty(steps + 1)
-        imp = np.empty(steps + 1)
-        inj = np.empty(steps + 1)
-        for k in range(steps + 1):
-            op[k] = np.max(y / w)
-            imp[k] = float(y @ f)
-            inj[k] = float(y @ col)
-            if k < steps:
-                y = e.T @ y
-        return op, imp, inj
-    m = np.eye(len(col))
-    op = np.empty(steps + 1)
-    imp = np.empty(steps + 1)
-    inj = np.empty(steps + 1)
-    for k in range(steps + 1):
-        op[k] = induced_operator_norm(m, space)
-        imp[k] = weighted_l1(m @ f, space)
-        inj[k] = weighted_l1(m @ col, space)
-        if k < steps:
-            m = e @ m
-    return op, imp, inj
-
-
 def iss_gain_fit(
     system: PerturbedSystem,
     b,
@@ -141,6 +116,7 @@ def iss_gain_fit(
 ) -> tuple[float, float, float]:
     """Fit (N, mu, G) for the perturbed system and validate on random pairs.
 
+    The horizon defaults to `decay_horizon(s(A_S))` on FIT_STEPS steps.
     mu is the log-slope of ||S(t)|| over the tail half of the horizon, N
     lifts the envelope over the whole measured norm curve, and G combines
     max_k ||S(t_k) b|| with the per-step input operator so the estimate
@@ -153,19 +129,16 @@ def iss_gain_fit(
     model = system.perturbed
     col = _as_column(b, model.space)
     if horizon is None:
-        s_pert = spectral_bound(model) if model.cells <= 2000 else perron_mode(model)[0]
-        horizon = min(max(20.0 / max(abs(s_pert), 1e-3), 10.0), 1e4)
+        horizon = decay_horizon(spectral_bound(model))
     if dt is None:
-        dt = horizon / 800
+        dt = horizon / FIT_STEPS
     steps = round(horizon / dt)
     method = default_method(model)
     e, f = step_input_operators(model, col, dt, method)
 
-    op_norms, imp_norms, inj_norms = _norm_curves(e, f, col, steps, model.space)
+    op_norms, (imp_norms, inj_norms) = norm_curves(model, e, method, steps, (f, col))
     times = np.arange(steps + 1) * dt
-    tail = times >= horizon / 2
-    slope = np.polyfit(times[tail], np.log(np.maximum(op_norms[tail], 1e-300)), 1)[0]
-    mu = -float(slope)
+    mu = -tail_slope(times, op_norms, horizon)
     if mu <= 0:
         raise GainValidationError(
             f"fit window produced nonpositive decay rate {mu}; lengthen the horizon",
@@ -257,24 +230,20 @@ def iss_equivalence_sweep(
                 )
             )
             continue
-        h = horizon if horizon is not None else min(max(20.0 / max(abs(s_pert), 0.05), 10.0), 1e3)
-        grid = np.linspace(0.0, h, 201)
-        norms = operator_norm_trajectory(system.perturbed, grid)
-        tail = grid >= h / 2
-        slope = np.polyfit(grid[tail], np.log(np.maximum(norms[tail], 1e-300)), 1)[0]
+        h = horizon if horizon is not None else decay_horizon(s_pert)
+        slope = growth_estimate(system.perturbed, window=h)
 
         col = _as_column(b, system.base.space) if b is not None else (
             system.injection if system.injection is not None else np.zeros(system.base.cells)
         )
-        dt = h / 200
-        e, f = step_input_operators(system.perturbed, col, dt)
+        e, f = step_input_operators(system.perturbed, col, h / FIT_STEPS)
         z = np.zeros(system.base.cells)
-        response = np.empty(201)
-        for k in range(201):
+        response = np.empty(FIT_STEPS + 1)
+        for k in range(FIT_STEPS + 1):
             response[k] = weighted_l1(z, system.base.space)
-            if k < 200:
-                z = e @ z + f
-        bounded = bool(np.max(response[100:]) <= 2.0 * np.max(response[:100]) + 1.0)
+            z = e @ z + f
+        half = FIT_STEPS // 2
+        bounded = bool(np.max(response[half:]) <= 2.0 * np.max(response[:half]) + 1.0)
 
         evidence = bool(slope < 0) and bounded
         rows.append(

@@ -23,11 +23,11 @@ from .generators import (
     BorderedBidiagonal,
     GeneratorModel,
     _solve_shifted,
-    _solve_shifted_bidiagonal,
     resolvent_matrix,
     spectral_bound,
 )
 from .lattice import POSITIVITY_TOL, GridSpace, GridVector, _readonly, weighted_l1
+from .semigroup import grid_steps, step_matrix
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,9 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
     injection column b.  P = outer(b, beta h).
 
     When A has bands and b lives in cell 0 (the boundary injection), P only
-    adds to row 0 and A_S keeps the bands; the loop gain then comes from a
-    bidiagonal solve when A is lower bidiagonal.  Nothing n x n is built.
+    adds to row 0 and A_S keeps the bands; the loop gain then comes from
+    `_solve_shifted`, on the bands when A is lower bidiagonal.  Nothing n x n
+    is built.
     """
     col = b.column if isinstance(b, ControlOperator) else np.asarray(b, dtype=float)
     if col.shape != (model.cells,):
@@ -179,10 +180,7 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
         )
     scalar = None
     try:
-        if bands is not None and bands.lower:
-            d0 = _solve_shifted_bidiagonal(bands, 0.0, col)
-        else:
-            d0 = _solve_shifted(model, 0.0, col)
+        d0 = _solve_shifted(model, 0.0, col)
         # rank-one K = d0 (beta h)^T has spectral radius |sum beta_j h d0_j|
         scalar = float(abs(np.dot(w, d0)))
     except SingularSystemError:
@@ -217,7 +215,7 @@ def small_gain_radius(
     history: list[float] = []
     rate = math.nan
     for _ in range(max_iter):
-        kv = _solve_shifted(base, 0.0, p @ v)
+        kv = _solve_shifted(base, 0.0, p @ v, dense=True)
         rate = float(np.sum(np.abs(kv)))
         history.append(rate)
         if rate <= 1e-300:
@@ -258,14 +256,11 @@ def domination_check(
     system: PerturbedSystem, t_grid, lambda_grid, tol: float = 1e-10
 ) -> DominationReport:
     """Check the order relations a nonnegative perturbation must produce."""
-    import scipy.linalg
-
     if np.min(system.perturbation) < -POSITIVITY_TOL:
         raise ValueError("domination requires a nonnegative perturbation")
-    a, a_s = system.base.matrix, system.perturbed.matrix
     exp_bad = []
     for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
-        gap = scipy.linalg.expm(a * t) - scipy.linalg.expm(a_s * t)
+        gap = step_matrix(system.base, t) - step_matrix(system.perturbed, t)
         worst = float(np.max(gap))
         if worst > tol:
             i, j = np.unravel_index(np.argmax(gap), gap.shape)
@@ -312,15 +307,11 @@ def variation_of_constants_check(
     Both semigroups step exactly; the convolution uses left-endpoint
     quadrature, so the residual shrinks linearly with dt.
     """
-    import scipy.linalg
-
     if x.space != system.base.space:
         raise ValueError("state lives on a different grid")
-    steps = round(t / dt)
-    if steps < 1 or abs(steps * dt - t) > 1e-9 * max(1.0, t):
-        raise ValueError(f"t = {t} is not a multiple of dt = {dt}")
-    e_t = scipy.linalg.expm(system.base.matrix * dt)
-    e_s = scipy.linalg.expm(system.perturbed.matrix * dt)
+    steps = grid_steps(t, dt, "t")
+    e_t = step_matrix(system.base, dt)
+    e_s = step_matrix(system.perturbed, dt)
     z = x.values.copy()          # S(s) x
     base_only = x.values.copy()  # T(s) x
     conv = np.zeros_like(z)

@@ -6,7 +6,9 @@ generator is lower bidiagonal except row 0, and for those implicit Euler is a
 bidiagonal solve plus a rank-one correction, O(n) per step; other matrices
 take a dense inverse.  Operator norms along a trajectory use the adjoint
 trick: for an entrywise-nonnegative step the weighted column sums evolve
-under E^T, so the whole norm curve costs K adjoint applications.
+under E^T, so the whole norm curve costs K adjoint applications
+(`norm_curves`).  Decay rates are tail-half log-slopes of such curves
+(`tail_slope`) over one window rule (`decay_horizon`, `FIT_STEPS` steps).
 """
 from __future__ import annotations
 
@@ -19,14 +21,13 @@ import scipy.linalg
 
 from .errors import SingularSystemError
 from .generators import (
-    RESIDUAL_TOL,
     BorderedBidiagonal,
     GeneratorModel,
-    _lower_triangular,
-    _upper_triangular,
+    _check_backward_error,
+    _solve,
     spectral_bound,
 )
-from .lattice import GridSpace, GridVector, induced_operator_norm
+from .lattice import GridSpace, GridVector, induced_operator_norm, weighted_l1
 
 METHODS = ("exact_exponential", "implicit_euler")
 # above this size dense expm is avoided by default
@@ -34,6 +35,17 @@ DENSE_EXPM_LIMIT = 500
 _GRID_TOL = 1e-9
 # pivots and Sherman-Morrison denominators at or below this (relative) are singular
 _PIVOT_TOL = 1e-12
+# steps on the grid of every decay-rate fit
+FIT_STEPS = 800
+
+
+def grid_steps(t: float, dt: float, what: str = "t") -> int:
+    """The number of dt steps in t, refused with ValueError unless t is a
+    positive multiple of dt up to _GRID_TOL (relative for t > 1)."""
+    k = round(t / dt)
+    if k < 1 or abs(k * dt - t) > _GRID_TOL * max(1.0, abs(t)):
+        raise ValueError(f"{what} = {t} is not a positive multiple of dt = {dt}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -49,9 +61,7 @@ class EvolutionPlan:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if not (0 < self.dt <= self.t_end):
             raise ValueError(f"dt must lie in (0, t_end], got {self.dt}")
-        k = round(self.t_end / self.dt)
-        if abs(k * self.dt - self.t_end) > _GRID_TOL * max(1.0, self.t_end):
-            raise ValueError(f"t_end = {self.t_end} is not a multiple of dt = {self.dt}")
+        grid_steps(self.t_end, self.dt, "t_end")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -98,15 +108,8 @@ def step_matrix(model: GeneratorModel, dt: float, method: str = "exact_exponenti
     if method == "exact_exponential":
         return _flush_subnormals(scipy.linalg.expm(a * dt))
     if method == "implicit_euler":
-        m = np.eye(model.cells) - dt * a
-        try:
-            if _lower_triangular(m) or _upper_triangular(m):
-                if np.min(np.abs(np.diag(m))) <= 1e-12:
-                    raise SingularSystemError(f"implicit Euler step singular at dt = {dt}")
-                return scipy.linalg.solve_triangular(m, np.eye(model.cells), lower=_lower_triangular(m))
-            return np.linalg.solve(m, np.eye(model.cells))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"implicit Euler step singular at dt = {dt}") from exc
+        n = model.cells
+        return _solve(np.eye(n) - dt * a, np.eye(n), f"the implicit Euler step at dt = {dt}")
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -163,7 +166,11 @@ class BidiagonalStep:
         self.nonnegative = bool(
             np.all(diag > 0) and np.all(sub <= 0) and np.all(self._r >= 0) and self._denom > 0
         )
-        self._check_probe(bands, dt)
+        # probe: dt (I - dt A)^{-1} 1 = R(1/dt, A) 1, checked in O(n) on the bands
+        ones = np.ones(n)
+        _check_backward_error(
+            bands, 1.0 / dt, dt * self._apply(ones), ones, f"implicit Euler step at dt = {dt}"
+        )
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve_banded((1, 0), self._lower, y, check_finite=False)
@@ -186,25 +193,6 @@ class BidiagonalStep:
     def toarray(self) -> np.ndarray:
         return self._apply(np.eye(self.shape[0]))
 
-    def _check_probe(self, bands: BorderedBidiagonal, dt: float) -> None:
-        """Backward error of x = (I - dt A)^{-1} 1, scaled as generators'
-        `_backward_error` scales R(1/dt, A) 1 = dt x, all in O(n)."""
-        ones = np.ones(self.shape[0])
-        x = self._apply(ones)
-        mx = self._lower[0] * x
-        mx[1:] += self._lower[1, :-1] * x[:-1]
-        mx[0] -= self._r @ x
-        if not np.all(np.isfinite(x)):
-            err = math.inf
-        else:
-            col_abs = bands.column_sums(absolute=True)
-            scale = len(x) + (1.0 + dt * float(np.max(col_abs))) * float(np.sum(np.abs(x)))
-            err = float(np.sum(np.abs(mx - ones))) / scale
-        if not err <= RESIDUAL_TOL:
-            raise SingularSystemError(
-                f"implicit Euler step at dt = {dt} has backward error {err:.3e}"
-            )
-
 
 Step = Union[np.ndarray, BidiagonalStep]
 
@@ -212,20 +200,64 @@ Step = Union[np.ndarray, BidiagonalStep]
 def step_operator(model: GeneratorModel, dt: float, method: str = "exact_exponential") -> Step:
     """One-step propagator for time stepping.
 
-    Implicit Euler on a generator with bands (every preset) is the
-    O(n)-per-column `BidiagonalStep`; everything else is `step_matrix`.
+    Implicit Euler on a generator with bands is the O(n)-per-column
+    `BidiagonalStep` when the bidiagonal part T of I - dt A has
+    |1 - dt a_jj| >= dt |a_j,j-1| for every row j >= 1, as every preset
+    does.  Without that T^{-1} grows along the diagonal, the Sherman-Morrison
+    correction cancels and its probe does not see the error, so such
+    matrices, like everything else, take `step_matrix`.
     """
-    if method == "implicit_euler" and model.bands is not None:
-        return BidiagonalStep(model.bands, dt)
+    bands = model.bands
+    if method == "implicit_euler" and bands is not None and np.all(
+        np.abs(1.0 - dt * bands.diag[1:]) >= dt * np.abs(bands.sub)
+    ):
+        return BidiagonalStep(bands, dt)
     return step_matrix(model, dt, method)
 
 
-def _nonnegative(e: Step) -> bool:
-    """Entrywise nonnegativity: the structural certificate for a
-    BidiagonalStep, the smallest entry for a dense matrix."""
+def _nonnegative(model: GeneratorModel, e: Step, method: str) -> bool:
+    """Entrywise nonnegativity of a step of `model`, from structure where
+    there is one: a BidiagonalStep carries its certificate, and exp(dt A) >= 0
+    exactly when A is Metzler, whatever signs roundoff leaves in expm's
+    output.  A dense implicit-Euler inverse is read off its smallest entry."""
     if isinstance(e, BidiagonalStep):
         return e.nonnegative
+    if method == "exact_exponential":
+        return model.off_diagonal_min() >= 0
     return bool(np.min(e) >= 0)
+
+
+def norm_curves(
+    model: GeneratorModel, e: Step, method: str, steps: int, vectors=()
+) -> tuple[np.ndarray, list]:
+    """||E^k|| for k = 0..steps and, for each v in `vectors`, ||E^k v||, in
+    the weighted l1 norm of the model's grid; E is a `method` step of it.
+
+    A nonnegative E with nonnegative vectors rides the adjoint recursion
+    y <- E^T y from the weights: ||E^k|| = max_j y_j / w_j and
+    ||E^k v|| = y . v, `steps` adjoint applications in all.  Anything signed
+    accumulates the powers E^k.
+    """
+    w = model.space.weights
+    op = np.empty(steps + 1)
+    curves = [np.empty(steps + 1) for _ in vectors]
+    if _nonnegative(model, e, method) and all(np.min(v) >= 0 for v in vectors):
+        y = w.copy()
+        for k in range(steps + 1):
+            if k:
+                y = e.T @ y
+            op[k] = np.max(y / w)
+            for curve, v in zip(curves, vectors):
+                curve[k] = float(y @ v)
+        return op, curves
+    m = np.eye(model.cells)
+    for k in range(steps + 1):
+        if k:
+            m = e @ m
+        op[k] = induced_operator_norm(m, model.space)
+        for curve, v in zip(curves, vectors):
+            curve[k] = weighted_l1(m @ v, model.space)
+    return op, curves
 
 
 def default_method(model: GeneratorModel) -> str:
@@ -256,9 +288,8 @@ def _uniform_spacing(t_grid: np.ndarray) -> Optional[float]:
 def operator_norm_trajectory(model: GeneratorModel, t_grid, method: Optional[str] = None) -> np.ndarray:
     """||T(t)|| in the induced weighted-l1 norm for each t in the grid.
 
-    For a uniform grid and a nonnegative step matrix the curve comes from the
-    adjoint recursion on the weight vector; otherwise it falls back to a
-    dense exponential per grid point.
+    A uniform grid (possibly offset by whole steps) takes `norm_curves`;
+    any other grid takes a dense exponential per grid point.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if len(t_grid) == 0:
@@ -268,30 +299,12 @@ def operator_norm_trajectory(model: GeneratorModel, t_grid, method: Optional[str
     method = method or default_method(model)
 
     dt = _uniform_spacing(t_grid)
-    offset = t_grid[0]
-    if dt is not None and (offset == 0.0 or abs(round(offset / dt) * dt - offset) <= _GRID_TOL):
-        e = step_operator(model, dt, method)
-        if _nonnegative(e):
-            w = model.space.weights
-            out = np.empty(len(t_grid))
-            y = w.copy()
-            lead = round(offset / dt)
-            for _ in range(lead):
-                y = e.T @ y
-            out[0] = np.max(y / w)
-            for k in range(1, len(t_grid)):
-                y = e.T @ y
-                out[k] = np.max(y / w)
-            return out
-        # signed steps: accumulate the full matrix power
-        e = e.toarray() if isinstance(e, BidiagonalStep) else e
-        m = np.linalg.matrix_power(e, round(t_grid[0] / dt)) if offset else np.eye(model.cells)
-        out = np.empty(len(t_grid))
-        out[0] = induced_operator_norm(m, model.space)
-        for k in range(1, len(t_grid)):
-            m = e @ m
-            out[k] = induced_operator_norm(m, model.space)
-        return out
+    if dt is not None:
+        # the grid starts `lead` steps in: step through them and drop them
+        lead = round(t_grid[0] / dt)
+        if abs(lead * dt - t_grid[0]) <= _GRID_TOL:
+            op, _ = norm_curves(model, step_operator(model, dt, method), method, lead + len(t_grid) - 1)
+            return op[lead:]
 
     return np.array(
         [induced_operator_norm(step_matrix(model, float(t), "exact_exponential"), model.space)
@@ -300,22 +313,29 @@ def operator_norm_trajectory(model: GeneratorModel, t_grid, method: Optional[str
     )
 
 
-def growth_estimate(model: GeneratorModel, window: Optional[float] = None, steps: int = 400) -> float:
+def decay_horizon(s: float) -> float:
+    """Window of a decay-rate fit for a rate near s: 20 / max(|s|, 0.05),
+    clamped to [10, 1000]."""
+    return min(max(20.0 / max(abs(s), 0.05), 10.0), 1000.0)
+
+
+def tail_slope(times: np.ndarray, norms: np.ndarray, horizon: float) -> float:
+    """Least-squares slope of log(norms) over the tail half of the window,
+    times >= horizon / 2."""
+    tail = times >= horizon / 2
+    return float(np.polyfit(times[tail], np.log(np.maximum(norms[tail], 1e-300)), 1)[0])
+
+
+def growth_estimate(model: GeneratorModel, window: Optional[float] = None, steps: int = FIT_STEPS) -> float:
     """Log-slope of ||T(t)|| over the tail half of a window.
 
-    The window defaults to 20 / max(|s(A)|, 0.1), clamped to [5, 200]; the
-    estimate approaches s(A) from above as the window grows.
+    The window defaults to `decay_horizon(s(A))`; the estimate approaches
+    s(A) from above as the window grows.
     """
-    s = spectral_bound(model)
     if window is None:
-        window = min(max(20.0 / max(abs(s), 0.1), 5.0), 200.0)
-    dt = window / steps
-    grid = np.arange(steps + 1) * dt
-    norms = operator_norm_trajectory(model, grid)
-    tail = grid >= window / 2
-    logs = np.log(np.maximum(norms[tail], 1e-300))
-    slope = np.polyfit(grid[tail], logs, 1)[0]
-    return float(slope)
+        window = decay_horizon(spectral_bound(model))
+    grid = np.arange(steps + 1) * (window / steps)
+    return tail_slope(grid, operator_norm_trajectory(model, grid), window)
 
 
 @dataclass(frozen=True)
@@ -362,7 +382,7 @@ def left_invertibility_audit(
     x = np.hstack(cols)
     x = x / (model.space.spacing * np.sum(np.abs(x), axis=0))
 
-    e = step_operator(model, dt, "exact_exponential" if n <= DENSE_EXPM_LIMIT else "implicit_euler")
+    e = step_operator(model, dt, default_method(model))
     lower = np.empty(len(t_grid))
     lower[0] = 1.0
     for k in range(1, len(t_grid)):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import possys as ps
 from possys import cli
@@ -194,6 +195,22 @@ class TestPerronMode:
         model = ps.ring_transport_scenario(2.0, length=1.0, cells=60)
         rate = self.check(model)
         assert rate == pytest.approx(60.0 * (2.0 ** (1.0 / 60.0) - 1.0), abs=1e-8)
+
+    @pytest.mark.parametrize("cells", [2400, 5000])
+    @pytest.mark.parametrize("beta", [0.5, 1.5])
+    def test_large_spectral_bound_is_the_lotka_root(self, cells, beta):
+        # above the dense eigensolve limit s(A_S) comes from perron_mode on
+        # the bands; the discrete Euler-Lotka equation sum_j beta h d_j = 1,
+        # d_j = (1 + h (lam + q))^-(j + 1), is its exact characteristic root
+        rs = ps.renewal_scenario(1.0, beta, length=20.0, cells=cells)
+        h = 20.0 / cells
+
+        def lotka(lam):
+            return beta * h * np.sum(np.cumprod(np.full(cells, 1.0 / (1.0 + h * (lam + 1.0))))) - 1.0
+
+        root = scipy.optimize.brentq(lotka, -0.9, 5.0, xtol=1e-14)
+        assert ps.spectral_bound(rs.system.perturbed) == pytest.approx(root, abs=1e-9)
+        assert_no_dense_view(rs.system.perturbed)
 
     def test_banded_path_builds_no_dense_view(self):
         rs = ps.renewal_scenario(1.0, 1.5, length=20.0, cells=3000)

@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import possys as ps
 from possys import cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -59,6 +62,13 @@ class TestConfigErrors:
     def test_bad_sweep_values(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["sweep", "--config", cfg, "--param", "beta0", "--values", "0.1,zebra"]) == 2
+
+    def test_residual_tolerance_is_not_a_key(self, tmp_path, capsys):
+        # every solve check reads generators.RESIDUAL_TOL; no profile key
+        # pretends to govern it
+        cfg = write_config(tmp_path, tolerances={"residual": 1e-9})
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        assert "residual" not in cli.TOLERANCE_PROFILES["default"]
 
     def test_unknown_sweep_param(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -232,6 +242,20 @@ class TestSweep:
             "--out", str(tmp_path / "n.csv"),
         ]) == 0
 
+    def test_row_verdict_is_iss_verdict(self, tmp_path):
+        # loop gain r = 0.86 beta here; a 0.05 guard band puts beta = 1.16
+        # inside it and the other two on either side
+        cfg = cli.RunConfig.from_file(write_config(tmp_path, tolerances={"guard_band": 0.05}))
+        verdicts = []
+        for beta in (1.0, 1.16, 1.4):
+            row = cli._sweep_row(cfg, "beta0", beta)
+            rs = ps.renewal_scenario(1.0, beta, length=2.0, cells=30)
+            rep = ps.iss_verdict(rs.system, guard=0.05)
+            assert (row["verdict"], row["r"]) == (rep.verdict, rep.small_gain_radius)
+            assert (row["mu"] is not None) == (rep.verdict == ps.EISS)
+            verdicts.append(row["verdict"])
+        assert verdicts == [ps.EISS, ps.INCONCLUSIVE, ps.NOT_EISS]
+
     def test_a_sweep_needs_ring(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["sweep", "--config", cfg, "--param", "a", "--values", "1.0"]) == 2
@@ -244,6 +268,50 @@ class TestSweep:
         rows = out.read_text().splitlines()[2:]
         s_values = [float(r.split(",")[2]) for r in rows]
         assert s_values[0] < 0 < s_values[1]
+
+
+def assert_report_matches(got, want, where="report"):
+    """Numbers at rel 1e-9 (values that are zero in exact arithmetic may
+    carry roundoff up to 1e-15), strings, booleans and nulls exactly."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_report_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_report_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-9, abs=1e-15), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+class TestCommittedReports:
+    """All eight audits and a beta0 sweep at 60 cells against committed
+    values, so that refactors cannot drift reports silently."""
+
+    def test_audit(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", str(DATA / "renewal-n60.json"), "--out", str(out)]) == 0
+        want = json.loads((DATA / "renewal-n60-audit.json").read_text())
+        assert_report_matches(json.loads(out.read_text()), want)
+
+    def test_sweep(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert cli.main([
+            "sweep", "--config", str(DATA / "renewal-n60.json"), "--param", "beta0",
+            "--values", "0.25,0.5,1.5,2.0", "--out", str(out),
+        ]) == 0
+        got = out.read_text().splitlines()
+        want = (DATA / "renewal-n60-sweep-beta0.csv").read_text().splitlines()
+        assert got[:2] == want[:2] and len(got) == len(want)
+        for got_row, want_row in zip(got[2:], want[2:]):
+            parsed = [
+                [float(f) if f not in ("", "eISS", "not_eISS", "inconclusive") else f for f in row.split(",")]
+                for row in (got_row, want_row)
+            ]
+            assert_report_matches(*parsed, where=want_row)
 
 
 def test_jsonable_handles_numpy_and_inf():

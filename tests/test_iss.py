@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import possys as ps
-from possys import iss
+from possys import iss, semigroup
 from possys.errors import GainValidationError
 from possys.iss import EISS, GUARD_BAND, INCONCLUSIVE, NOT_EISS, ISSReport
 
@@ -82,7 +82,7 @@ class TestGainFit:
         def refuse(*args, **kwargs):
             raise AssertionError("signed fallback taken")
 
-        monkeypatch.setattr(iss, "induced_operator_norm", refuse)
+        monkeypatch.setattr(semigroup, "induced_operator_norm", refuse)
         rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400)
         n_amp, mu, g = iss.iss_gain_fit(rs.system, rs.boundary_input, trials=5)
         assert n_amp >= 1.0 and mu > 0.0 and g > 0.0

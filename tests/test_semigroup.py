@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import possys as ps
+from possys import semigroup
 from possys.control import step_input_operators
 from possys.semigroup import (
     DENSE_EXPM_LIMIT,
@@ -14,6 +15,7 @@ from possys.semigroup import (
     default_method,
     growth_estimate,
     left_invertibility_audit,
+    norm_curves,
     operator_norm_trajectory,
     step_matrix,
     step_operator,
@@ -133,6 +135,28 @@ class TestBidiagonalStep:
         # nonnegative, so its sign is read against its own scale
         assert op.nonnegative == bool(np.min(dense) >= -1e-12 * float(np.max(np.abs(dense))))
 
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        dt=_dt,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_explicit_bordered_metzler_against_dense(self, n, dt, seed):
+        # random Metzler bordered A, some with a positive diagonal: where the
+        # bidiagonal part of I - dt A is not row-dominant the O(n) step loses
+        # accuracy, so step_operator must route those to the dense inverse
+        rng = np.random.default_rng(seed)
+        a = np.diag(rng.uniform(-3.0, 1.0, n)) + np.diag(rng.uniform(0.0, 3.0, n - 1), -1)
+        a[0, 1:] = np.where(rng.random(n - 1) < 0.5, rng.uniform(0.0, 2.0, n - 1), 0.0)
+        assume(np.linalg.cond(np.eye(n) - dt * a) < 1e8)
+        model = ps.GeneratorModel.from_matrix(ps.GridSpace(length=float(n), cells=n), a)
+        dense = step_matrix(model, dt, "implicit_euler")
+        op = step_operator(model, dt, "implicit_euler")
+        dominant = np.all(np.abs(1.0 - dt * np.diag(a)[1:]) >= dt * np.diag(a, -1))
+        assert isinstance(op, BidiagonalStep) == dominant
+        got = op.toarray() if dominant else op
+        assert np.max(np.abs(got - dense)) <= 1e-9 * np.max(np.abs(dense))
+
     def test_certificate_positive_for_metzler_presets(self):
         rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400)
         for model in (rs.generator, rs.system.perturbed, ps.markov_cycle_scenario(9),
@@ -213,11 +237,13 @@ class TestEvolve:
 class TestOperatorNormCurve:
     def test_against_dense_exponentials(self, toy):
         _, model, _ = toy
-        grid = np.linspace(0.0, 2.0, 9)
-        curve = operator_norm_trajectory(model, grid)
-        for t, val in zip(grid, curve):
-            ref = ps.induced_operator_norm(scipy.linalg.expm(t * model.matrix), model.space)
-            assert val == pytest.approx(ref, abs=1e-12)
+        # a grid offset by whole steps is stepped through, then dropped
+        for start in (0.0, 0.75):
+            grid = start + np.linspace(0.0, 2.0, 9)
+            curve = operator_norm_trajectory(model, grid)
+            for t, val in zip(grid, curve):
+                ref = ps.induced_operator_norm(scipy.linalg.expm(t * model.matrix), model.space)
+                assert val == pytest.approx(ref, abs=1e-12)
 
     def test_non_uniform_grid_allowed(self, toy):
         _, model, _ = toy
@@ -236,10 +262,63 @@ class TestOperatorNormCurve:
             ref = ps.induced_operator_norm(np.linalg.matrix_power(e, k), model.space)
             assert val == pytest.approx(ref, rel=1e-12)
 
+    def test_exponential_gate_reads_structure(self, monkeypatch):
+        # expm of a Metzler generator may carry roundoff of either sign; the
+        # adjoint route is chosen from A being Metzler, not from those signs
+        model = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30).generator
+        grid = np.linspace(0.0, 2.0, 21)
+        clean = operator_norm_trajectory(model, grid, method="exact_exponential")
+        exact_step = semigroup.step_matrix
+
+        def signed_step(model, dt, method="exact_exponential"):
+            e = exact_step(model, dt, method).copy()
+            assert e[0, -1] == 0.0  # lower triangular
+            e[0, -1] = -1e-18
+            return e
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("signed fallback taken")
+
+        monkeypatch.setattr(semigroup, "step_matrix", signed_step)
+        monkeypatch.setattr(semigroup, "induced_operator_norm", refuse)
+        curve = operator_norm_trajectory(model, grid, method="exact_exponential")
+        np.testing.assert_allclose(curve, clean, rtol=1e-14)
+
     def test_markov_norm_constant(self):
         model = ps.markov_cycle_scenario(5)
         curve = operator_norm_trajectory(model, np.linspace(0.0, 3.0, 7))
         np.testing.assert_allclose(curve, 1.0, atol=1e-12)
+
+
+class TestNormCurves:
+    """The shared kernel against dense matrix powers."""
+
+    @staticmethod
+    def check(model, method, dt, vectors, steps=12):
+        e = step_operator(model, dt, method)
+        dense = e.toarray() if isinstance(e, BidiagonalStep) else e
+        op, curves = norm_curves(model, e, method, steps, vectors)
+        for k in range(steps + 1):
+            power = np.linalg.matrix_power(dense, k)
+            assert op[k] == pytest.approx(ps.induced_operator_norm(power, model.space), rel=1e-12)
+            for curve, v in zip(curves, vectors):
+                assert curve[k] == pytest.approx(ps.weighted_l1(power @ v, model.space), rel=1e-12)
+
+    def test_signed_explicit_matrix(self, rng):
+        space = ps.GridSpace(length=3.0, cells=3)
+        model = ps.GeneratorModel.from_matrix(
+            space, [[-1.0, -0.5, 0.0], [0.3, -2.0, 0.4], [-0.2, 0.6, -1.5]]
+        )
+        assert model.off_diagonal_min() < 0
+        self.check(model, "exact_exponential", 0.2, (rng.random(3), rng.standard_normal(3)))
+
+    @pytest.mark.parametrize("method", ["exact_exponential", "implicit_euler"])
+    def test_closed_loop(self, rng, method):
+        # nonnegative vectors take the adjoint route, a signed one the powers
+        rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30)
+        model = rs.system.perturbed
+        self.check(model, method, 0.1, (rng.random(30), rs.boundary_input.column))
+        self.check(model, method, 0.1, (rng.standard_normal(30),))
 
 
 class TestGrowthEstimate:
