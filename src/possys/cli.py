@@ -13,7 +13,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .control import (
     ControlOperator,
     InputSignal,
     admissibility_constant,
-    composition_law_check,
+    composition_probe,
+    default_alpha,
     mild_solution,
     positivity_equivalence_audit,
     resolvent_bound_audit,
@@ -52,8 +53,6 @@ TOLERANCE_PROFILES = {
     "strict": {"positivity": 1e-13, "guard_band": 1e-10},
     "loose": {"positivity": 1e-10, "guard_band": 1e-8},
 }
-DEFAULT_AUDITS = ("inverse_estimate", "admissibility", "resolvent_bound", "small_gain", "iss")
-KNOWN_AUDITS = DEFAULT_AUDITS + ("gain_fit", "left_invertibility", "domination")
 # sweep parameter -> (the scenario key it sets, the scenario kind it needs)
 SWEEP_PARAMS = {
     "beta0": ("beta", "renewal"),
@@ -61,6 +60,18 @@ SWEEP_PARAMS = {
     "a": ("a", "ring_transport"),
     "n": ("cells", "renewal"),
 }
+
+
+def _number(value, what: str, integer: bool = False, positive: bool = False, nullable: bool = False):
+    """A config value that must be a JSON integer (`integer`) or a finite JSON
+    number, returned as float; > 0 when `positive`, null when `nullable`."""
+    if value is None and nullable:
+        return None
+    ok = type(value) is int if integer else type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if not ok or (positive and value <= 0):
+        kind = ("positive " if positive else "") + ("integer" if integer else "finite number")
+        raise ConfigError(f"{what} must be a {kind}, got {json.dumps(value)}")
+    return value if integer else float(value)
 
 
 def _fmt(x: float) -> str:
@@ -102,7 +113,6 @@ class RunConfig:
     gain_fit: dict
     tolerances: dict
     tolerance_profile: str
-    raw: dict = field(repr=False, default_factory=dict)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -123,6 +133,8 @@ class RunConfig:
         plan = raw.get("plan", {})
         if not isinstance(plan, dict):
             raise ConfigError("plan must be an object")
+        plan = {k: _number(v, f"plan.{k}", positive=True) if k in ("t_end", "dt") else v
+                for k, v in plan.items()}
 
         signal = None
         inp = raw.get("input")
@@ -156,13 +168,10 @@ class RunConfig:
         if not isinstance(audits, list) or any(a not in KNOWN_AUDITS for a in audits):
             raise ConfigError(f"audits must be a list drawn from {sorted(KNOWN_AUDITS)}")
 
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
-
-        tau = float(raw.get("tau", 1.0))
-        if tau <= 0:
-            raise ConfigError("tau must be positive")
+        seed = _number(raw.get("seed", 0), "seed", integer=True)
+        if seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+        tau = _number(raw.get("tau", 1.0), "tau", positive=True)
 
         p_raw = raw.get("p", 1)
         if p_raw in (1, 2):
@@ -172,8 +181,12 @@ class RunConfig:
         else:
             raise ConfigError("p must be 1, 2, or 'inf'")
 
-        gain_fit = {"trials": 100, "horizon": None, "dt": None}
-        gain_fit.update(raw.get("gain_fit", {}))
+        fit = raw.get("gain_fit", {})
+        if not isinstance(fit, dict) or any(k not in ("trials", "horizon", "dt") for k in fit):
+            raise ConfigError("gain_fit must be an object with keys drawn from ['dt', 'horizon', 'trials']")
+        gain_fit = {"trials": _number(fit.get("trials", 100), "gain_fit.trials", integer=True, positive=True)}
+        for k in ("horizon", "dt"):
+            gain_fit[k] = _number(fit.get(k), f"gain_fit.{k}", positive=True, nullable=True)
 
         profile = os.environ.get("POSSYS_TOLERANCE_PROFILE", "default")
         if profile not in TOLERANCE_PROFILES:
@@ -184,10 +197,8 @@ class RunConfig:
         overrides = raw.get("tolerances", {})
         if not isinstance(overrides, dict) or any(k not in tolerances for k in overrides):
             raise ConfigError(f"tolerances overrides must be drawn from {sorted(tolerances)}")
-        tolerances.update({k: float(v) for k, v in overrides.items()})
+        tolerances.update({k: _number(v, f"tolerances.{k}") for k, v in overrides.items()})
 
-        lam0 = raw.get("lambda0")
-        alpha = raw.get("alpha")
         return cls(
             scenario=scenario,
             plan=plan,
@@ -196,13 +207,12 @@ class RunConfig:
             audits=audits,
             seed=seed,
             tau=tau,
-            lambda0=None if lam0 is None else float(lam0),
-            alpha=None if alpha is None else float(alpha),
+            lambda0=_number(raw.get("lambda0"), "lambda0", nullable=True),
+            alpha=_number(raw.get("alpha"), "alpha", nullable=True),
             p=p,
             gain_fit=gain_fit,
             tolerances=tolerances,
             tolerance_profile=profile,
-            raw=raw,
         )
 
 
@@ -286,8 +296,8 @@ def _initial_vector(cfg: RunConfig, space: GridSpace) -> GridVector:
 
 def _plan(cfg: RunConfig, model: GeneratorModel) -> EvolutionPlan:
     plan = cfg.plan
-    t_end = float(plan.get("t_end", 10.0))
-    dt = float(plan.get("dt", t_end / 200))
+    t_end = plan.get("t_end", 10.0)
+    dt = plan.get("dt", t_end / 200)
     method = plan.get("method", default_method(model))
     try:
         return EvolutionPlan(t_end=t_end, dt=dt, method=method)
@@ -338,8 +348,115 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     return 0
 
 
-def _empty_report(cfg: RunConfig, built: BuiltScenario) -> dict:
-    return {
+def _inverse_estimate(cfg, built, rng, report):
+    lam0 = cfg.lambda0 if cfg.lambda0 is not None else max(report["s_A"], 0.0) + 1.0
+    report["lambda0"] = lam0
+    try:
+        report["c"] = inverse_estimate_constant(built.model, lam0)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _admissibility(cfg, built, rng, report):
+    model, col, tau = built.model, built.injection.column, cfg.tau
+    report["kappa"] = admissibility_constant(model, col, tau, p=cfg.p)
+    eq = positivity_equivalence_audit(model, col)
+    report["positive_admissible"] = bool(eq.input_map_nonneg and eq.consistent)
+    report["composition_residual"] = composition_probe(model, col, tau)
+    taus = tau * np.array([1 / 8, 1 / 4, 1 / 2, 1.0])
+    report["uniform_decay"] = {
+        "tau": [float(t) for t in taus],
+        "kappa_inf": [float(v) for v in uniform_decay_curve(model, col, taus)],
+    }
+
+
+def _resolvent_bound(cfg, built, rng, report):
+    alpha = cfg.alpha if cfg.alpha is not None else default_alpha(report["s_A"], cfg.tau)
+    report["alpha"] = alpha
+    report["m_alpha"] = resolvent_bound_audit(built.model, built.injection.column, alpha, p=cfg.p)
+
+
+def _small_gain(cfg, built, rng, report):
+    report["r"] = small_gain_radius(built.system, rng=rng)
+
+
+def _verdict(cfg, built, rng):
+    return iss_verdict(built.system, p=cfg.p, guard=cfg.tolerances["guard_band"], rng=rng)
+
+
+def _iss(cfg, built, rng, report):
+    rep = _verdict(cfg, built, rng)
+    report.update(verdict=rep.verdict, r=rep.small_gain_radius, witness=rep.witness)
+
+
+def _gain_fit(cfg, built, rng, report):
+    # the iss audit's verdict when it ran first
+    verdict = report["verdict"] or _verdict(cfg, built, rng).verdict
+    if verdict != EISS:
+        return f"gain fit requires an eISS verdict, got {verdict}"
+    report["N"], report["mu"], report["G"] = iss_gain_fit(
+        built.system, built.injection.column, rng=rng, **cfg.gain_fit
+    )
+    return None
+
+
+def _left_invertibility(cfg, built, rng, report):
+    t_end = cfg.plan.get("t_end", 2.0)
+    audit = left_invertibility_audit(built.model, np.linspace(0.0, t_end, 65), rng=rng)
+    report["left_invertibility"] = {
+        "holds": audit.holds,
+        "amplitude": audit.amplitude,
+        "rate": audit.rate if math.isfinite(audit.rate) else None,
+    }
+
+
+def _domination(cfg, built, rng, report):
+    if built.model.cells > 500:
+        return "dense exponential comparison limited to 500 cells"
+    s_pert = spectral_bound(built.system.perturbed)
+    dom = domination_check(built.system, (0.1, 1.0, 10.0), s_pert + np.array([0.5, 1.0, 2.0, 5.0, 10.0]))
+    report["domination_ok"] = dom.ok
+    return None
+
+
+class Audit(NamedTuple):
+    """One audit.  `run(cfg, built, rng, report)` writes `keys` into the report
+    and returns None, or returns why it skipped; the audits of a run share
+    one rng, in `cfg.audits` order.  `needs`: the BuiltScenario fields it
+    cannot run without, and the skip reason when one of them is None."""
+
+    run: Callable[[RunConfig, BuiltScenario, np.random.Generator, dict], Optional[str]]
+    keys: tuple
+    default: bool = False
+    needs: tuple = ((), "")
+
+
+_INJECTION = (("injection",), "scenario has no injection column")
+_PERTURBATION = (("system",), "scenario has no perturbation")
+_LOOP_AND_INJECTION = (("system", "injection"), "gain fit needs a perturbed system with an injection column")
+# the audits in the order DEFAULT_AUDITS and KNOWN_AUDITS list them
+AUDITS = {
+    "inverse_estimate": Audit(_inverse_estimate, ("lambda0", "c"), default=True),
+    "admissibility": Audit(
+        _admissibility, ("kappa", "positive_admissible", "composition_residual", "uniform_decay"),
+        default=True, needs=_INJECTION,
+    ),
+    "resolvent_bound": Audit(_resolvent_bound, ("alpha", "m_alpha"), default=True, needs=_INJECTION),
+    "small_gain": Audit(_small_gain, ("r",), default=True, needs=_PERTURBATION),
+    "iss": Audit(_iss, ("verdict", "r", "witness"), default=True, needs=_PERTURBATION),
+    "gain_fit": Audit(_gain_fit, ("N", "mu", "G"), needs=_LOOP_AND_INJECTION),
+    "left_invertibility": Audit(_left_invertibility, ("left_invertibility",)),
+    "domination": Audit(_domination, ("domination_ok",), needs=_PERTURBATION),
+}
+DEFAULT_AUDITS = tuple(name for name, audit in AUDITS.items() if audit.default)
+KNOWN_AUDITS = tuple(AUDITS)
+
+
+def cmd_audit(cfg: RunConfig, out_path: str) -> int:
+    built = build_scenario(cfg)
+    spec = spectral_report(built.model)
+    report = {
         "version": __version__,
         "seed": cfg.seed,
         "tolerance_profile": cfg.tolerance_profile,
@@ -349,143 +466,23 @@ def _empty_report(cfg: RunConfig, built: BuiltScenario) -> dict:
         "skipped": [],
         "p": cfg.p if math.isfinite(cfg.p) else "inf",
         "tau": cfg.tau,
-        "lambda0": None,
-        "alpha": None,
-        "s_A": None,
-        "growth_estimate": None,
-        "resolvent_positive_from": None,
-        "c": None,
-        "kappa": None,
-        "m_alpha": None,
-        "positive_admissible": None,
-        "composition_residual": None,
-        "uniform_decay": None,
-        "r": None,
-        "verdict": None,
-        "N": None,
-        "mu": None,
-        "G": None,
-        "witness": None,
-        "left_invertibility": None,
-        "domination_ok": None,
+        "s_A": spec.spectral_bound,
+        "growth_estimate": spec.growth_estimate,
+        "resolvent_positive_from": (
+            spec.resolvent_positive_from if math.isfinite(spec.resolvent_positive_from) else None
+        ),
     }
-
-
-def cmd_audit(cfg: RunConfig, out_path: str) -> int:
-    built = build_scenario(cfg)
-    model = built.model
-    report = _empty_report(cfg, built)
+    report.update((key, None) for audit in AUDITS.values() for key in audit.keys)
     rng = np.random.default_rng(cfg.seed)
-    guard = cfg.tolerances["guard_band"]
-
-    spec = spectral_report(model)
-    report["s_A"] = spec.spectral_bound
-    report["growth_estimate"] = spec.growth_estimate
-    report["resolvent_positive_from"] = (
-        spec.resolvent_positive_from if math.isfinite(spec.resolvent_positive_from) else None
-    )
-
-    def skip(name: str, reason: str):
-        report["skipped"].append([name, reason])
-
-    col = built.injection.column if built.injection is not None else None
-
     for name in cfg.audits:
-        if name == "inverse_estimate":
-            lam0 = cfg.lambda0 if cfg.lambda0 is not None else max(spec.spectral_bound, 0.0) + 1.0
-            report["lambda0"] = lam0
-            try:
-                report["c"] = inverse_estimate_constant(model, lam0)
-                report["audits_run"].append(name)
-            except ValueError as exc:
-                skip(name, str(exc))
-        elif name == "admissibility":
-            if col is None:
-                skip(name, "scenario has no injection column")
-                continue
-            report["kappa"] = admissibility_constant(model, col, cfg.tau, p=cfg.p)
-            eq = positivity_equivalence_audit(model, col)
-            report["positive_admissible"] = bool(eq.input_map_nonneg and eq.consistent)
-            probe = InputSignal.constant(1.0, cfg.tau / 2)
-            report["composition_residual"] = composition_law_check(
-                model, col, probe, cfg.tau / 2, cfg.tau / 2, dt=cfg.tau / 64
-            )
-            taus = cfg.tau * np.array([1 / 8, 1 / 4, 1 / 2, 1.0])
-            report["uniform_decay"] = {
-                "tau": [float(t) for t in taus],
-                "kappa_inf": [float(v) for v in uniform_decay_curve(model, col, taus)],
-            }
+        audit = AUDITS[name]
+        fields, reason = audit.needs
+        if all(getattr(built, f) is not None for f in fields):
+            reason = audit.run(cfg, built, rng, report)
+        if reason is None:
             report["audits_run"].append(name)
-        elif name == "resolvent_bound":
-            if col is None:
-                skip(name, "scenario has no injection column")
-                continue
-            alpha = cfg.alpha if cfg.alpha is not None else max(
-                spec.spectral_bound + 0.1, -1.0 / cfg.tau
-            )
-            report["alpha"] = alpha
-            grid = alpha + np.logspace(-1, 2, 25)
-            report["m_alpha"] = resolvent_bound_audit(model, col, alpha, grid, p=cfg.p)
-            report["audits_run"].append(name)
-        elif name == "small_gain":
-            if built.system is None:
-                skip(name, "scenario has no perturbation")
-                continue
-            report["r"] = small_gain_radius(built.system, rng=rng)
-            report["audits_run"].append(name)
-        elif name == "iss":
-            if built.system is None:
-                skip(name, "scenario has no perturbation")
-                continue
-            rep = iss_verdict(built.system, p=cfg.p, guard=guard, rng=rng)
-            report["verdict"] = rep.verdict
-            report["r"] = rep.small_gain_radius
-            report["witness"] = rep.witness
-            report["audits_run"].append(name)
-        elif name == "gain_fit":
-            if built.system is None or col is None:
-                skip(name, "gain fit needs a perturbed system with an injection column")
-                continue
-            verdict = report["verdict"]
-            if verdict is None:
-                verdict = iss_verdict(built.system, p=cfg.p, guard=guard, rng=rng).verdict
-            if verdict != EISS:
-                skip(name, f"gain fit requires an eISS verdict, got {verdict}")
-                continue
-            n_fit, mu, g = iss_gain_fit(
-                built.system,
-                col,
-                trials=int(cfg.gain_fit["trials"]),
-                horizon=cfg.gain_fit["horizon"],
-                dt=cfg.gain_fit["dt"],
-                rng=rng,
-            )
-            report["N"], report["mu"], report["G"] = n_fit, mu, g
-            report["audits_run"].append(name)
-        elif name == "left_invertibility":
-            t_end = float(cfg.plan.get("t_end", 2.0))
-            audit = left_invertibility_audit(
-                model, np.linspace(0.0, t_end, 65), rng=rng
-            )
-            report["left_invertibility"] = {
-                "holds": audit.holds,
-                "amplitude": audit.amplitude,
-                "rate": audit.rate if math.isfinite(audit.rate) else None,
-            }
-            report["audits_run"].append(name)
-        elif name == "domination":
-            if built.system is None:
-                skip(name, "scenario has no perturbation")
-                continue
-            if model.cells > 500:
-                skip(name, "dense exponential comparison limited to 500 cells")
-                continue
-            s_pert = spectral_bound(built.system.perturbed)
-            dom = domination_check(
-                built.system, (0.1, 1.0, 10.0), s_pert + np.array([0.5, 1.0, 2.0, 5.0, 10.0])
-            )
-            report["domination_ok"] = dom.ok
-            report["audits_run"].append(name)
+        else:
+            report["skipped"].append([name, reason])
 
     payload = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     with open(out_path, "w", newline="") as fh:
@@ -504,7 +501,7 @@ def _sweep_row(cfg: RunConfig, param: str, value: float) -> dict:
     key, kind = SWEEP_PARAMS[param]
     if cfg.scenario.get("kind") != kind:
         raise ConfigError(f"sweep over {param} needs a {kind} scenario")
-    if param == "n" and (value <= 0 or value != int(value)):
+    if param == "n" and not (value > 0 and float(value).is_integer()):
         raise ConfigError(f"n sweep values must be positive integers, got {value}")
     built = build_scenario(replace(cfg, scenario={**cfg.scenario, key: value}))
     if built.system is None:

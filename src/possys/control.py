@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -236,6 +236,15 @@ def step_input_operators(
     )
 
 
+def input_recursion(e: Step, f: np.ndarray, z: np.ndarray, u) -> Iterator[np.ndarray]:
+    """z, then z_{k+1} = E z_k + F u_k for each u_k in u.  The columns of a
+    2-D z step as separate trajectories, u_k holding one input per column."""
+    yield z
+    for uk in u:
+        z = e @ z + np.multiply.outer(f, uk)
+        yield z
+
+
 def _block_exponential(model: GeneratorModel, col: np.ndarray, t: float) -> np.ndarray:
     """exp(t [[A, col], [0, 0]]), subnormals flushed: exp(t A) in the top
     left block and int_0^t exp(A s) col ds in the last column."""
@@ -310,10 +319,8 @@ def input_map(
     if not u.aligned(dt):
         warnings.warn(f"input breakpoints resampled onto the dt = {dt} grid")
     e, f = step_input_operators(model, col, dt, method)
-    uk = u.sample_left(steps, dt)
-    z = np.zeros(model.cells)
-    for k in range(steps):
-        z = e @ z + f * uk[k]
+    for z in input_recursion(e, f, np.zeros(model.cells), u.sample_left(steps, dt)):
+        pass
     return model.space.vector(z)
 
 
@@ -327,11 +334,9 @@ def mild_solution(
     if not u.aligned(plan.dt):
         warnings.warn(f"input breakpoints resampled onto the dt = {plan.dt} grid")
     e, f = step_input_operators(model, col, plan.dt, plan.method)
-    uk = u.sample_left(plan.steps, plan.dt)
     states = np.empty((plan.steps + 1, model.cells))
-    states[0] = x.values
-    for k in range(plan.steps):
-        states[k + 1] = e @ states[k] + f * uk[k]
+    for k, z in enumerate(input_recursion(e, f, x.values, u.sample_left(plan.steps, plan.dt))):
+        states[k] = z
     return Trajectory(space=model.space, times=plan.times, states=states)
 
 
@@ -407,14 +412,25 @@ def sampled_input_gain(
     return best
 
 
+def default_alpha(s: float, tau: float) -> float:
+    """The resolvent-bound abscissa for s = s(A) when none is given: anchored
+    to the decay resolvable on the audit window, not to s(A), since for stiff
+    upwind grids s(A) ~ -1/h sits in a pseudospectral zone where ||R(lam)B||
+    blows up with refinement."""
+    return max(s + 0.1, -1.0 / tau)
+
+
 def resolvent_bound_audit(
-    model: GeneratorModel, b, alpha: float, lambda_grid, p: float = 1
+    model: GeneratorModel, b, alpha: float, lambda_grid=None, p: float = 1
 ) -> float:
-    """Smallest m with ||R(lam, A) b|| <= m / (lam - alpha)^(1/p) on the grid."""
+    """Smallest m with ||R(lam, A) b|| <= m / (lam - alpha)^(1/p) on the grid,
+    by default the 25 points alpha + logspace(-1, 2)."""
     s = spectral_bound(model)
     if alpha <= s:
         raise ValueError(f"alpha = {alpha} must exceed the spectral bound {s}")
     col = _as_column(b, model.space)
+    if lambda_grid is None:
+        lambda_grid = alpha + np.logspace(-1, 2, 25)
     lams = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if np.any(lams <= alpha):
         raise ValueError("lambda grid must lie strictly above alpha")
@@ -449,6 +465,15 @@ def composition_law_check(
         head = e @ head
     tail = input_map(model, col, u.shifted(t), tau, dt=dt, method=method).values
     return weighted_l1(lhs - head - tail, model.space)
+
+
+def composition_probe(model: GeneratorModel, b, tau: float, method: Optional[str] = None) -> float:
+    """The composition-law residual the audits report: the unit step on
+    [0, tau/2), split at tau/2, on the tau/64 grid."""
+    half = tau / 2
+    return composition_law_check(
+        model, b, InputSignal.constant(1.0, half), half, half, dt=tau / 64, method=method
+    )
 
 
 def additivity_check(
@@ -591,19 +616,12 @@ def admissibility_report(
     method: Optional[str] = None,
 ) -> AdmissibilityReport:
     """Bundle the admissibility audit quantities at one (tau, p)."""
-    s = spectral_bound(model)
     if alpha is None:
-        # anchor to the decay resolvable on the audit window, not to s(A):
-        # for stiff upwind grids s(A) ~ -1/h sits in a pseudospectral zone
-        # where ||R(lam)B|| blows up with refinement
-        alpha = max(s + 0.1, -1.0 / tau)
-    if lambda_grid is None:
-        lambda_grid = alpha + np.logspace(-1, 2, 25)
+        alpha = default_alpha(spectral_bound(model), tau)
     kappa = admissibility_constant(model, b, tau, p=p, dt=dt, method=method)
     m_alpha = resolvent_bound_audit(model, b, alpha, lambda_grid, p=p)
     eq = positivity_equivalence_audit(model, b)
-    probe = InputSignal.constant(1.0, tau / 2)
-    residual = composition_law_check(model, b, probe, tau / 2, tau / 2, dt=tau / 64, method=method)
+    residual = composition_probe(model, b, tau, method)
     return AdmissibilityReport(
         tau=tau,
         p=p,

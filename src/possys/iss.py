@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import InputSignal, step_input_operators, _as_column
+from .control import InputSignal, _as_column, input_recursion, step_input_operators
 from .errors import GainValidationError
 from .generators import perron_mode, spectral_bound
 from .lattice import weighted_l1
@@ -23,6 +23,7 @@ from .semigroup import (
     FIT_STEPS,
     decay_horizon,
     default_method,
+    grid_steps,
     growth_estimate,
     norm_curves,
     tail_slope,
@@ -132,7 +133,7 @@ def iss_gain_fit(
         horizon = decay_horizon(spectral_bound(model))
     if dt is None:
         dt = horizon / FIT_STEPS
-    steps = round(horizon / dt)
+    steps = grid_steps(horizon, dt, "horizon")
     method = default_method(model)
     e, f = step_input_operators(model, col, dt, method)
 
@@ -145,7 +146,7 @@ def iss_gain_fit(
             trial=-1,
         )
     amplitude = float(np.max(op_norms * np.exp(mu * times)))
-    gain = float(max(np.max(inj_norms), np.max(imp_norms[:-1]) / dt if steps else 0.0))
+    gain = float(max(np.max(inj_norms), np.max(imp_norms[:-1]) / dt))
 
     # validation: z_{k+1} = E z_k + F u_k for all trials at once
     n = model.cells
@@ -162,18 +163,15 @@ def iss_gain_fit(
 
     x_norm = model.space.spacing * np.sum(np.abs(x0), axis=0)
     u_norm = dt * np.sum(u_mat, axis=0)
-    z = x0.copy()
     worst_gap = math.inf
     worst = (0, 0)
-    for k in range(steps + 1):
+    for k, z in enumerate(input_recursion(e, f, x0, u_mat)):
         z_norm = model.space.spacing * np.sum(np.abs(z), axis=0)
         envelope = amplitude * math.exp(-mu * times[k]) * x_norm + gain * u_norm
         gaps = envelope - z_norm
         i = int(np.argmin(gaps))
         if gaps[i] < worst_gap:
             worst_gap, worst = float(gaps[i]), (k, i)
-        if k < steps:
-            z = e @ z + np.outer(f, u_mat[k])
     if worst_gap < -slack:
         k, i = worst
         raise GainValidationError(
@@ -217,35 +215,21 @@ def iss_equivalence_sweep(
     for label, system in family:
         report = iss_verdict(system, p=p, rng=rng)
         s_pert = spectral_bound(system.perturbed)
-        if report.verdict == INCONCLUSIVE:
-            rows.append(
-                SweepEntry(
-                    label=str(label),
-                    small_gain_radius=report.small_gain_radius,
-                    s_perturbed=s_pert,
-                    verdict=report.verdict,
-                    trajectory_stable=None,
-                    agree=None,
-                    skipped=True,
-                )
+        skipped = report.verdict == INCONCLUSIVE
+        evidence = None
+        if not skipped:
+            h = horizon if horizon is not None else decay_horizon(s_pert)
+            slope = growth_estimate(system.perturbed, window=h)
+
+            col = _as_column(b, system.base.space) if b is not None else (
+                system.injection if system.injection is not None else np.zeros(system.base.cells)
             )
-            continue
-        h = horizon if horizon is not None else decay_horizon(s_pert)
-        slope = growth_estimate(system.perturbed, window=h)
-
-        col = _as_column(b, system.base.space) if b is not None else (
-            system.injection if system.injection is not None else np.zeros(system.base.cells)
-        )
-        e, f = step_input_operators(system.perturbed, col, h / FIT_STEPS)
-        z = np.zeros(system.base.cells)
-        response = np.empty(FIT_STEPS + 1)
-        for k in range(FIT_STEPS + 1):
-            response[k] = weighted_l1(z, system.base.space)
-            z = e @ z + f
-        half = FIT_STEPS // 2
-        bounded = bool(np.max(response[half:]) <= 2.0 * np.max(response[:half]) + 1.0)
-
-        evidence = bool(slope < 0) and bounded
+            e, f = step_input_operators(system.perturbed, col, h / FIT_STEPS)
+            states = input_recursion(e, f, np.zeros(system.base.cells), np.ones(FIT_STEPS))
+            response = np.array([weighted_l1(z, system.base.space) for z in states])
+            half = FIT_STEPS // 2
+            bounded = bool(np.max(response[half:]) <= 2.0 * np.max(response[:half]) + 1.0)
+            evidence = bool(slope < 0) and bounded
         rows.append(
             SweepEntry(
                 label=str(label),
@@ -253,8 +237,8 @@ def iss_equivalence_sweep(
                 s_perturbed=s_pert,
                 verdict=report.verdict,
                 trajectory_stable=evidence,
-                agree=evidence == (report.verdict == EISS),
-                skipped=False,
+                agree=None if skipped else evidence == (report.verdict == EISS),
+                skipped=skipped,
             )
         )
     return rows

@@ -74,6 +74,28 @@ class TestConfigErrors:
         cfg = write_config(tmp_path)
         assert cli.main(["sweep", "--config", cfg, "--param", "length", "--values", "1.0"]) == 2
 
+    @pytest.mark.parametrize("bad", [
+        {"tau": None},
+        {"tau": "x"},
+        {"tau": 10**400},
+        {"alpha": [1]},
+        {"seed": True},
+        {"seed": -1},
+        {"gain_fit": 5},
+        {"gain_fit": {"trials": "x"}},
+        {"gain_fit": {"trails": 20}},
+        {"tolerances": {"positivity": "x"}},
+        {"plan": {"t_end": "x"}},
+        {"plan": {"t_end": -1.0}},
+    ], ids=lambda bad: json.dumps(bad)[:40])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
+        doc = {"audits": ["gain_fit", "left_invertibility"], "gain_fit": {"trials": 5}, **bad}
+        cfg = write_config(tmp_path, **doc)
+        for command in ("audit", "simulate"):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
+
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
@@ -179,6 +201,59 @@ class TestAudit:
         assert "small_gain" in skipped_names and "iss" in skipped_names
         assert report["c"] is not None  # inverse estimate still runs
 
+    @pytest.mark.parametrize("fit", [{"horizon": 1, "dt": 5}, {"horizon": 10, "dt": 0.3}])
+    def test_gain_fit_horizon_off_the_dt_grid(self, tmp_path, capsys, fit):
+        cfg = write_config(tmp_path, audits=["gain_fit"], gain_fit=fit)
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: horizon = ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", cli.KNOWN_AUDITS)
+    @pytest.mark.parametrize("scenario", ["ring", "renewal-n60"])
+    def test_each_audit_alone(self, tmp_path, capsys, scenario, name):
+        # the ring has neither an injection column nor a feedback loop;
+        # the 60-cell renewal system has both and every audit runs on it
+        doc = json.loads((DATA / "renewal-n60.json").read_text())
+        doc["audits"] = [name]
+        reasons = {}
+        if scenario == "ring":
+            doc["scenario"] = {"kind": "ring_transport", "a": 0.5, "length": 1.0, "cells": 30}
+            reasons = {
+                "admissibility": "scenario has no injection column",
+                "resolvent_bound": "scenario has no injection column",
+                "small_gain": "scenario has no perturbation",
+                "iss": "scenario has no perturbation",
+                "gain_fit": "gain fit needs a perturbed system with an injection column",
+                "domination": "scenario has no perturbation",
+            }
+        path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["audit", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        if name in reasons:
+            assert report["audits_run"] == [] and report["skipped"] == [[name, reasons[name]]]
+        else:
+            assert report["audits_run"] == [name] and report["skipped"] == []
+        # the key set is fixed, whichever audits ran
+        assert sorted(report) == sorted(json.loads((DATA / "renewal-n60-audit.json").read_text()))
+
+    def test_skips_found_while_running(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            scenario={"kind": "renewal", "q": 1.0, "beta": 0.5, "length": 2.0, "cells": 501},
+            audits=["inverse_estimate", "domination"],
+            lambda0=-1000.0,
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["audits_run"] == []
+        (inv, reason), dom = report["skipped"]
+        assert inv == "inverse_estimate" and reason.startswith("lambda0 = -1000.0 must exceed")
+        assert dom == ["domination", "dense exponential comparison limited to 500 cells"]
+        # the abscissa that was refused is still reported
+        assert report["lambda0"] == -1000.0 and report["c"] is None
+
     def test_tolerance_profile_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POSSYS_TOLERANCE_PROFILE", "loose")
         cfg = write_config(tmp_path, audits=[])
@@ -236,7 +311,8 @@ class TestSweep:
 
     def test_n_sweep_requires_integers(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert cli.main(["sweep", "--config", cfg, "--param", "n", "--values", "10.5"]) == 2
+        for value in ("10.5", "inf", "nan"):
+            assert cli.main(["sweep", "--config", cfg, "--param", "n", "--values", value]) == 2
         assert cli.main([
             "sweep", "--config", cfg, "--param", "n", "--values", "10,20",
             "--out", str(tmp_path / "n.csv"),
