@@ -33,7 +33,6 @@ from .generators import (
     build_upwind_generator,
     check_resolvent_positive,
     inverse_estimate_constant,
-    inverse_estimate_curve,
     perron_mode,
     resolvent_apply,
     resolvent_matrix,
@@ -46,7 +45,6 @@ from .semigroup import (
     evolve,
     growth_estimate,
     left_invertibility_audit,
-    operator_norm_trajectory,
     step_matrix,
 )
 from .control import (
@@ -61,7 +59,6 @@ from .control import (
     mild_solution,
     positivity_equivalence_audit,
     resolvent_bound_audit,
-    sampled_input_gain,
     uniform_decay_curve,
 )
 from .perturbation import (
@@ -80,7 +77,6 @@ from .iss import (
     INCONCLUSIVE,
     ISSReport,
     NOT_EISS,
-    iss_equivalence_sweep,
     iss_gain_fit,
     iss_verdict,
 )

@@ -37,21 +37,15 @@ from .generators import (
     spectral_report,
 )
 from .iss import EISS, iss_gain_fit, iss_verdict
-from .lattice import GridSpace, GridVector
+from .lattice import POSITIVITY_TOL, GridSpace, GridVector
 from .perturbation import PerturbedSystem, assemble_perturbed, domination_check, small_gain_radius
 from .scenarios import markov_cycle_scenario, renewal_scenario, ring_transport_scenario
-from .semigroup import (
-    EvolutionPlan,
-    decay_horizon,
-    default_method,
-    growth_estimate,
-    left_invertibility_audit,
-)
+from .semigroup import EvolutionPlan, decay_horizon, growth_estimate, left_invertibility_audit
 
 TOLERANCE_PROFILES = {
-    "default": {"positivity": 1e-12, "guard_band": 1e-9},
-    "strict": {"positivity": 1e-13, "guard_band": 1e-10},
-    "loose": {"positivity": 1e-10, "guard_band": 1e-8},
+    "default": {"guard_band": 1e-9},
+    "strict": {"guard_band": 1e-10},
+    "loose": {"guard_band": 1e-8},
 }
 # sweep parameter -> (the scenario key it sets, the scenario kind it needs)
 SWEEP_PARAMS = {
@@ -294,13 +288,14 @@ def _initial_vector(cfg: RunConfig, space: GridSpace) -> GridVector:
     return space.vector(vals)
 
 
-def _plan(cfg: RunConfig, model: GeneratorModel) -> EvolutionPlan:
+def _plan(cfg: RunConfig) -> EvolutionPlan:
     plan = cfg.plan
     t_end = plan.get("t_end", 10.0)
     dt = plan.get("dt", t_end / 200)
-    method = plan.get("method", default_method(model))
+    # without a method the plan keeps EvolutionPlan's default stepper
+    method = {"method": plan["method"]} if "method" in plan else {}
     try:
-        return EvolutionPlan(t_end=t_end, dt=dt, method=method)
+        return EvolutionPlan(t_end=t_end, dt=dt, **method)
     except ValueError as exc:
         raise ConfigError(f"bad plan: {exc}") from exc
 
@@ -308,7 +303,7 @@ def _plan(cfg: RunConfig, model: GeneratorModel) -> EvolutionPlan:
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     built = build_scenario(cfg)
     model = built.system.perturbed if built.system is not None else built.model
-    plan = _plan(cfg, model)
+    plan = _plan(cfg)
     x0 = _initial_vector(cfg, model.space)
     u = cfg.signal if cfg.signal is not None else InputSignal.zero()
     if built.injection is not None:
@@ -338,7 +333,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
         "rows": len(traj.times),
         "cells": n,
         "final_norm": float(norms[-1]),
-        "positivity_violations": int(np.sum(traj.states < -cfg.tolerances["positivity"])),
+        "positivity_violations": int(np.sum(traj.states < -POSITIVITY_TOL)),
         "checkpoints": {
             "t": [float(traj.times[k]) for k in marks],
             "l1_norm": [float(norms[k]) for k in marks],

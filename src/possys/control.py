@@ -1,17 +1,20 @@
 """Input signals, input maps, and admissibility audits.
 
 The input map is the convolution of the semigroup with an injection column b
-against a piecewise-constant signal.  On a uniform grid each step applies the
-pair (E, F) with E = exp(A dt) and F = int_0^dt exp(A s) b ds, both read off
-one block exponential, so aligned signals are integrated exactly and the
-algebraic control-system laws hold to roundoff.
+against a piecewise-constant signal.  On a uniform grid each step applies a
+pair (E, F): by default the implicit-Euler E = (I - dt A)^{-1} with
+F = dt E b, O(n) per step on the presets and first-order accurate in dt; with
+exact_exponential, E = exp(A dt) and F = int_0^dt exp(A s) b ds read off one
+block exponential, so aligned signals are integrated exactly.  Either way the
+algebraic control-system laws hold to roundoff, since both sides run the same
+recursion.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy.linalg
@@ -26,11 +29,11 @@ from .lattice import (
 )
 from .semigroup import (
     _GRID_TOL,
+    DEFAULT_METHOD,
     EvolutionPlan,
     Step,
     Trajectory,
     _flush_subnormals,
-    default_method,
     grid_steps,
     step_operator,
 )
@@ -219,7 +222,7 @@ def _as_column(b, space: GridSpace) -> np.ndarray:
 
 
 def step_input_operators(
-    model: GeneratorModel, b, dt: float, method: Optional[str] = None
+    model: GeneratorModel, b, dt: float, method: str = DEFAULT_METHOD
 ) -> tuple[Step, np.ndarray]:
     """One-step pair (E, F): z_{k+1} = E z_k + F u_k.
 
@@ -229,7 +232,6 @@ def step_input_operators(
     model's own store under (method, dt, column), since the audits and the
     gain fit reuse the same stepper.
     """
-    method = method or default_method(model)
     col = _as_column(b, model.space)
     return model.cached(
         (method, float(dt), col.tobytes()), lambda: _step_pair(model, col, dt, method)
@@ -300,21 +302,20 @@ def input_map(
     u: InputSignal,
     tau: float,
     dt: Optional[float] = None,
-    method: Optional[str] = None,
+    method: str = DEFAULT_METHOD,
 ) -> GridVector:
     """Phi_tau u = int_0^tau T(tau - s) b u(s) ds.
 
-    With dt = None the integral is taken exactly segment by segment; with a
-    dt grid it runs through the (E, F) stepper, which is still exact when
-    the breakpoints align with the grid.
+    With dt = None the integral is taken exactly, segment by segment, and
+    `method` plays no part; with a dt grid it runs through the `method`
+    (E, F) stepper, which for exact_exponential is still exact when the
+    breakpoints align with the grid.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     col = _as_column(b, model.space)
-    if dt is None and (method is None or method == "exact_exponential"):
-        return model.space.vector(_segment_input_map(model, col, u, tau))
     if dt is None:
-        dt = tau / 1024
+        return model.space.vector(_segment_input_map(model, col, u, tau))
     steps = grid_steps(tau, dt, "tau")
     if not u.aligned(dt):
         warnings.warn(f"input breakpoints resampled onto the dt = {dt} grid")
@@ -341,7 +342,7 @@ def mild_solution(
 
 
 def impulse_response_norms(
-    model: GeneratorModel, b, tau: float, dt: float, method: Optional[str] = None
+    model: GeneratorModel, b, tau: float, dt: float, method: str = DEFAULT_METHOD
 ) -> np.ndarray:
     """||T(s) b|| for s on the uniform grid over [0, tau]."""
     col = _as_column(b, model.space)
@@ -362,13 +363,16 @@ def admissibility_constant(
     tau: float,
     p: float = 1,
     dt: Optional[float] = None,
-    method: Optional[str] = None,
+    method: str = DEFAULT_METHOD,
 ) -> float:
-    """The constant kappa(tau) with ||Phi_tau u|| <= kappa ||u||_{L^p}.
+    """kappa(tau) with ||Phi_tau u|| <= kappa ||u||_{L^p}: the L^{p'} norm of
+    the impulse-response curve ||T(s) b|| on [0, tau], that is its supremum
+    for p = 1, its L^2 norm for p = 2 and its integral for p = inf (the last
+    two by the trapezoid rule on the dt grid).
 
-    p = 1 uses the impulse supremum max_{s <= tau} ||T(s) b||, exact for
-    positive systems in the weighted-l1 norm; p = 2 and p = inf return the
-    Hoelder upper bounds from the same impulse-response curve.
+    For a positive system the weighted-l1 norm is additive on the cone, so
+    ||Phi_tau u|| = int_0^tau ||T(s) b|| u(tau - s) ds for u >= 0, and this
+    kappa is the smallest constant for every p, not a Hoelder upper bound.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -382,34 +386,6 @@ def admissibility_constant(
     if math.isinf(p):
         return float(np.trapezoid(norms, dx=dt))
     raise ValueError(f"p must be 1, 2, or inf, got {p}")
-
-
-def sampled_input_gain(
-    model: GeneratorModel,
-    b,
-    tau: float,
-    p: float = 1,
-    trials: int = 200,
-    dt: Optional[float] = None,
-    rng=None,
-) -> float:
-    """Lower bound for kappa(tau): max ||Phi_tau u|| over random unit-norm
-    nonnegative step signals on the dt grid."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if dt is None:
-        dt = tau / 128
-    steps = grid_steps(tau, dt, "tau")
-    col = _as_column(b, model.space)
-    best = 0.0
-    for _ in range(trials):
-        uk = rng.exponential(size=steps) * (rng.random(steps) < 0.5)
-        sig = InputSignal(np.arange(steps + 1) * dt, uk)
-        norm = sig.lp_norm(p)
-        if norm == 0.0:
-            continue
-        phi = input_map(model, col, sig, tau, dt=dt).values
-        best = max(best, weighted_l1(phi, model.space) / norm)
-    return best
 
 
 def default_alpha(s: float, tau: float) -> float:
@@ -449,7 +425,7 @@ def composition_law_check(
     t: float,
     tau: float,
     dt: Optional[float] = None,
-    method: Optional[str] = None,
+    method: str = DEFAULT_METHOD,
 ) -> float:
     """Residual of Phi_{tau+t} u = T(tau) Phi_t (u|_{[0,t)}) + Phi_tau (u shifted by t)."""
     if t <= 0 or tau <= 0:
@@ -467,7 +443,7 @@ def composition_law_check(
     return weighted_l1(lhs - head - tail, model.space)
 
 
-def composition_probe(model: GeneratorModel, b, tau: float, method: Optional[str] = None) -> float:
+def composition_probe(model: GeneratorModel, b, tau: float, method: str = DEFAULT_METHOD) -> float:
     """The composition-law residual the audits report: the unit step on
     [0, tau/2), split at tau/2, on the tau/64 grid."""
     half = tau / 2
@@ -483,7 +459,7 @@ def additivity_check(
     v: InputSignal,
     tau: float,
     dt: Optional[float] = None,
-    method: Optional[str] = None,
+    method: str = DEFAULT_METHOD,
 ) -> float:
     """Residual of Phi_tau(u + v) = Phi_tau u + Phi_tau v."""
     if dt is None:
@@ -492,22 +468,6 @@ def additivity_check(
     one = input_map(model, b, u, tau, dt=dt, method=method).values
     two = input_map(model, b, v, tau, dt=dt, method=method).values
     return weighted_l1(both - one - two, model.space)
-
-
-def cone_decomposition_check(
-    model: GeneratorModel,
-    b,
-    u: InputSignal,
-    tau: float,
-    dt: Optional[float] = None,
-) -> float:
-    """Residual of Phi_tau u = Phi_tau u_+ - Phi_tau u_-."""
-    if dt is None:
-        dt = _derive_dt(u, tau)
-    whole = input_map(model, b, u, tau, dt=dt).values
-    plus = input_map(model, b, u.positive_part(), tau, dt=dt).values
-    minus = input_map(model, b, u.negative_part(), tau, dt=dt).values
-    return weighted_l1(whole - plus + minus, model.space)
 
 
 def _derive_dt(u: InputSignal, *times: float, max_refine: int = 64) -> float:
@@ -613,7 +573,7 @@ def admissibility_report(
     alpha: Optional[float] = None,
     lambda_grid=None,
     dt: Optional[float] = None,
-    method: Optional[str] = None,
+    method: str = DEFAULT_METHOD,
 ) -> AdmissibilityReport:
     """Bundle the admissibility audit quantities at one (tau, p)."""
     if alpha is None:

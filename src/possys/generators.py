@@ -36,6 +36,9 @@ RESIDUAL_TOL = 1e-10
 DENSE_EIG_LIMIT = 2000
 # step operators kept per model (see GeneratorModel.cached)
 _STORE_MAX = 8
+# largest |-1/h - q| an upwind diagonal may take: the audits shift the
+# generator by up to 100 (1 + max|A|) and sum such terms, which must not overflow
+MAX_DIAGONAL = np.finfo(float).max / 1e3
 
 
 @dataclass(frozen=True)
@@ -269,6 +272,10 @@ def build_upwind_generator(space: GridSpace, q, boundary=None) -> GeneratorModel
         raise ValueError("absorption profile must be nonnegative")
 
     diag = -1.0 / h - q
+    if not np.max(np.abs(diag)) <= MAX_DIAGONAL:
+        raise ValueError(
+            f"diagonal -1/h - q reaches {np.max(np.abs(diag)):.3e}, beyond {MAX_DIAGONAL:.3e}"
+        )
     row0 = np.zeros(n)
     row0[0] = diag[0]
 
@@ -407,8 +414,9 @@ def perron_mode(model: GeneratorModel, tol: float = 1e-10, max_iter: int = 10_00
 
     Metzler matrices use power iteration on one implicit-Euler step, whose
     dominant eigenvalue is 1/(1 - dt s(A)); the step is `step_operator`'s,
-    O(n) per sweep on bordered-bidiagonal generators.  Other matrices fall
-    back to a dense eigensolve.
+    O(n) per sweep on bordered-bidiagonal generators, until the unit-l1
+    iterate v has ||A v - rate v||_1 <= tol (1 + |rate|).  Other matrices
+    fall back to a dense eigensolve.
     """
     from .semigroup import step_operator
 
@@ -432,7 +440,7 @@ def perron_mode(model: GeneratorModel, tol: float = 1e-10, max_iter: int = 10_00
         rate = (1.0 - 1.0 / rho) / dt
         if k % 4 == 3:
             resid = float(np.sum(np.abs(model.matvec(v) - rate * v)))
-            if resid <= 100.0 * tol * (1.0 + abs(rate)):
+            if resid <= tol * (1.0 + abs(rate)):
                 return rate, v
     raise EigensolverError("Perron mode iteration did not converge")
 
@@ -470,12 +478,6 @@ def inverse_estimate_constant(model: GeneratorModel, lambda0: float) -> float:
             f"resolvent at lambda0 = {lambda0} is not entrywise nonnegative"
         )
     return float(np.min(positive_column_scores(r, model.space)))
-
-
-def inverse_estimate_curve(model: GeneratorModel, lambda_grid) -> np.ndarray:
-    return np.array(
-        [inverse_estimate_constant(model, float(lam)) for lam in np.atleast_1d(lambda_grid)]
-    )
 
 
 @dataclass(frozen=True)

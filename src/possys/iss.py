@@ -3,31 +3,22 @@
 The spectral route decides eISS from two numbers: the spectral bound of the
 unperturbed generator and the small-gain radius of the loop operator.  The
 trajectory route fits an envelope ||z(t)|| <= N exp(-mu t) ||x|| + G ||u||_L1
-and validates it on random positive (x, u) pairs.  Both routes are kept and
-compared; neither is allowed to stand in for the other.
+and validates it on random positive (x, u) pairs.  Both routes are kept;
+neither is allowed to stand in for the other.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .control import InputSignal, _as_column, input_recursion, step_input_operators
 from .errors import GainValidationError
 from .generators import perron_mode, spectral_bound
-from .lattice import weighted_l1
 from .perturbation import PerturbedSystem, small_gain_radius
-from .semigroup import (
-    FIT_STEPS,
-    decay_horizon,
-    default_method,
-    grid_steps,
-    growth_estimate,
-    norm_curves,
-    tail_slope,
-)
+from .semigroup import DEFAULT_METHOD, FIT_STEPS, decay_horizon, grid_steps, norm_curves, tail_slope
 
 EISS = "eISS"
 NOT_EISS = "not_eISS"
@@ -134,10 +125,9 @@ def iss_gain_fit(
     if dt is None:
         dt = horizon / FIT_STEPS
     steps = grid_steps(horizon, dt, "horizon")
-    method = default_method(model)
-    e, f = step_input_operators(model, col, dt, method)
+    e, f = step_input_operators(model, col, dt)
 
-    op_norms, (imp_norms, inj_norms) = norm_curves(model, e, method, steps, (f, col))
+    op_norms, (imp_norms, inj_norms) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, col))
     times = np.arange(steps + 1) * dt
     mu = -tail_slope(times, op_norms, horizon)
     if mu <= 0:
@@ -183,62 +173,3 @@ def iss_gain_fit(
             gap=worst_gap,
         )
     return amplitude, mu, gain
-
-
-@dataclass(frozen=True)
-class SweepEntry:
-    """One family member: spectral verdict vs trajectory evidence."""
-
-    label: str
-    small_gain_radius: float
-    s_perturbed: float
-    verdict: str
-    trajectory_stable: Optional[bool]
-    agree: Optional[bool]
-    skipped: bool
-
-
-def iss_equivalence_sweep(
-    family: Sequence[tuple[str, PerturbedSystem]],
-    b=None,
-    p: float = 1,
-    horizon: Optional[float] = None,
-    rng=None,
-) -> list[SweepEntry]:
-    """Run the spectral verdict against simulated evidence for each member.
-
-    Evidence for stability: the fitted slope of ||S(t)|| is negative and the
-    response to a constant input stays bounded.  Guard-band members are
-    skipped, not judged.
-    """
-    rows = []
-    for label, system in family:
-        report = iss_verdict(system, p=p, rng=rng)
-        s_pert = spectral_bound(system.perturbed)
-        skipped = report.verdict == INCONCLUSIVE
-        evidence = None
-        if not skipped:
-            h = horizon if horizon is not None else decay_horizon(s_pert)
-            slope = growth_estimate(system.perturbed, window=h)
-
-            col = _as_column(b, system.base.space) if b is not None else (
-                system.injection if system.injection is not None else np.zeros(system.base.cells)
-            )
-            e, f = step_input_operators(system.perturbed, col, h / FIT_STEPS)
-            states = input_recursion(e, f, np.zeros(system.base.cells), np.ones(FIT_STEPS))
-            response = np.array([weighted_l1(z, system.base.space) for z in states])
-            half = FIT_STEPS // 2
-            bounded = bool(np.max(response[half:]) <= 2.0 * np.max(response[:half]) + 1.0)
-            evidence = bool(slope < 0) and bounded
-        rows.append(
-            SweepEntry(
-                label=str(label),
-                small_gain_radius=report.small_gain_radius,
-                s_perturbed=s_pert,
-                verdict=report.verdict,
-                trajectory_stable=evidence,
-                agree=None if skipped else evidence == (report.verdict == EISS),
-                skipped=skipped,
-            )
-        )
-    return rows

@@ -1,14 +1,18 @@
 """Time evolution for generator models.
 
-Two steppers: the exact matrix exponential (dense, scaling-and-squaring) and
-implicit Euler, which preserves positivity at O(dt) accuracy.  Every preset
-generator is lower bidiagonal except row 0, and for those implicit Euler is a
-bidiagonal solve plus a rank-one correction, O(n) per step; other matrices
-take a dense inverse.  Operator norms along a trajectory use the adjoint
-trick: for an entrywise-nonnegative step the weighted column sums evolve
-under E^T, so the whole norm curve costs K adjoint applications
-(`norm_curves`).  Decay rates are tail-half log-slopes of such curves
-(`tail_slope`) over one window rule (`decay_horizon`, `FIT_STEPS` steps).
+Two steppers: implicit Euler, the default at every grid size, which
+preserves positivity at O(dt) accuracy, and the exact matrix exponential
+(dense, scaling-and-squaring), kept as an explicit choice and as the
+reference of the tests, `left_invertibility_audit`, `domination_check` and
+`variation_of_constants_check`.
+Every preset generator is lower bidiagonal except row 0, and for those
+implicit Euler is a bidiagonal solve plus a rank-one correction, O(n) per
+step; other matrices take a dense inverse.  Operator norms along a
+trajectory use the adjoint trick: for an entrywise-nonnegative step the
+weighted column sums evolve under E^T, so the whole norm curve costs K
+adjoint applications (`norm_curves`).  Decay rates are tail-half log-slopes
+of such curves (`tail_slope`) over one window rule (`decay_horizon`,
+`FIT_STEPS` steps).
 """
 from __future__ import annotations
 
@@ -30,8 +34,8 @@ from .generators import (
 from .lattice import GridSpace, GridVector, induced_operator_norm, weighted_l1
 
 METHODS = ("exact_exponential", "implicit_euler")
-# above this size dense expm is avoided by default
-DENSE_EXPM_LIMIT = 500
+# the stepper of every time-stepping default, at every grid size
+DEFAULT_METHOD = "implicit_euler"
 _GRID_TOL = 1e-9
 # pivots and Sherman-Morrison denominators at or below this (relative) are singular
 _PIVOT_TOL = 1e-12
@@ -54,7 +58,7 @@ class EvolutionPlan:
 
     t_end: float
     dt: float
-    method: str = "exact_exponential"
+    method: str = DEFAULT_METHOD
 
     def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end > 0):
@@ -123,6 +127,20 @@ class _Applied:
         return self._apply(np.asarray(y, dtype=float))
 
 
+def _band_lu(ab: np.ndarray, kl: int, ku: int, dt: float) -> tuple:
+    """gbtrf of the banded matrix `ab` with kl sub- and ku superdiagonals."""
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku)
+    if info != 0:
+        raise SingularSystemError(f"implicit Euler step singular at dt = {dt}: gbtrf info {info}")
+    return kl, ku, lu, piv
+
+
+def _band_solve(factored: tuple, y: np.ndarray) -> np.ndarray:
+    kl, ku, lu, piv = factored
+    x, _ = scipy.linalg.lapack.dgbtrs(lu, kl, ku, y, piv)
+    return x
+
+
 class BidiagonalStep:
     """Implicit-Euler step (I - dt A)^{-1} for A given by its bands.
 
@@ -149,8 +167,11 @@ class BidiagonalStep:
         if np.any(np.abs(diag) <= _PIVOT_TOL * scale):
             raise SingularSystemError(f"implicit Euler step singular at dt = {dt}: zero pivot")
         self.shape = (n, n)
-        self._lower = np.vstack((diag, np.append(sub, 0.0)))
-        self._upper = np.vstack((np.insert(sub, 0, 0.0), diag))
+        # T and T^T in LAPACK band storage, factored once (the first row of
+        # T's array is gbtrf's fill-in space); each solve is then one gbtrs,
+        # the same arithmetic as solve_banded's gbsv without refactoring
+        self._lower = _band_lu(np.vstack((np.zeros(n), diag, np.append(sub, 0.0))), 1, 0, dt)
+        self._upper = _band_lu(np.vstack((np.insert(sub, 0, 0.0), diag)), 0, 1, dt)
         self._r = dt * bands.row0
         self._r[0] = 0.0
         e0 = np.zeros(n)
@@ -162,7 +183,7 @@ class BidiagonalStep:
             raise SingularSystemError(
                 f"implicit Euler step singular at dt = {dt}: Sherman-Morrison denominator {self._denom:.3e}"
             )
-        self._p = scipy.linalg.solve_banded((0, 1), self._upper, self._r, check_finite=False)
+        self._p = _band_solve(self._upper, self._r)
         self.nonnegative = bool(
             np.all(diag > 0) and np.all(sub <= 0) and np.all(self._r >= 0) and self._denom > 0
         )
@@ -173,14 +194,14 @@ class BidiagonalStep:
         )
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_banded((1, 0), self._lower, y, check_finite=False)
+        return _band_solve(self._lower, y)
 
     def _apply(self, y: np.ndarray) -> np.ndarray:
         z = self._solve(y)
         return z + np.multiply.outer(self._g, self._r @ z) / self._denom
 
     def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        z = scipy.linalg.solve_banded((0, 1), self._upper, y, check_finite=False)
+        z = _band_solve(self._upper, y)
         return z + np.multiply.outer(self._p, z[0]) / self._denom
 
     def __matmul__(self, y):
@@ -197,7 +218,7 @@ class BidiagonalStep:
 Step = Union[np.ndarray, BidiagonalStep]
 
 
-def step_operator(model: GeneratorModel, dt: float, method: str = "exact_exponential") -> Step:
+def step_operator(model: GeneratorModel, dt: float, method: str = DEFAULT_METHOD) -> Step:
     """One-step propagator for time stepping.
 
     Implicit Euler on a generator with bands is the O(n)-per-column
@@ -260,10 +281,6 @@ def norm_curves(
     return op, curves
 
 
-def default_method(model: GeneratorModel) -> str:
-    return "exact_exponential" if model.cells <= DENSE_EXPM_LIMIT else "implicit_euler"
-
-
 def evolve(model: GeneratorModel, x: GridVector, plan: EvolutionPlan) -> Trajectory:
     """Propagate x along the plan's grid; states[k] approximates T(k dt) x."""
     if x.space != model.space:
@@ -285,34 +302,6 @@ def _uniform_spacing(t_grid: np.ndarray) -> Optional[float]:
     return None
 
 
-def operator_norm_trajectory(model: GeneratorModel, t_grid, method: Optional[str] = None) -> np.ndarray:
-    """||T(t)|| in the induced weighted-l1 norm for each t in the grid.
-
-    A uniform grid (possibly offset by whole steps) takes `norm_curves`;
-    any other grid takes a dense exponential per grid point.
-    """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if len(t_grid) == 0:
-        return np.zeros(0)
-    if np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be nonnegative and strictly increasing")
-    method = method or default_method(model)
-
-    dt = _uniform_spacing(t_grid)
-    if dt is not None:
-        # the grid starts `lead` steps in: step through them and drop them
-        lead = round(t_grid[0] / dt)
-        if abs(lead * dt - t_grid[0]) <= _GRID_TOL:
-            op, _ = norm_curves(model, step_operator(model, dt, method), method, lead + len(t_grid) - 1)
-            return op[lead:]
-
-    return np.array(
-        [induced_operator_norm(step_matrix(model, float(t), "exact_exponential"), model.space)
-         if t > 0 else 1.0
-         for t in t_grid]
-    )
-
-
 def decay_horizon(s: float) -> float:
     """Window of a decay-rate fit for a rate near s: 20 / max(|s|, 0.05),
     clamped to [10, 1000]."""
@@ -326,16 +315,23 @@ def tail_slope(times: np.ndarray, norms: np.ndarray, horizon: float) -> float:
     return float(np.polyfit(times[tail], np.log(np.maximum(norms[tail], 1e-300)), 1)[0])
 
 
-def growth_estimate(model: GeneratorModel, window: Optional[float] = None, steps: int = FIT_STEPS) -> float:
-    """Log-slope of ||T(t)|| over the tail half of a window.
+def growth_estimate(
+    model: GeneratorModel,
+    window: Optional[float] = None,
+    steps: int = FIT_STEPS,
+    method: str = DEFAULT_METHOD,
+) -> float:
+    """Log-slope of ||T(t)|| over the tail half of a window, the norms read
+    off `norm_curves` of one `method` step of width window / steps.
 
     The window defaults to `decay_horizon(s(A))`; the estimate approaches
     s(A) from above as the window grows.
     """
     if window is None:
         window = decay_horizon(spectral_bound(model))
-    grid = np.arange(steps + 1) * (window / steps)
-    return tail_slope(grid, operator_norm_trajectory(model, grid), window)
+    dt = window / steps
+    op, _ = norm_curves(model, step_operator(model, dt, method), method, steps)
+    return tail_slope(np.arange(steps + 1) * dt, op, window)
 
 
 @dataclass(frozen=True)
@@ -366,7 +362,10 @@ def left_invertibility_audit(
 
     Samples the nonnegative cone (all basis vectors plus random unit
     vectors); signed samples are opt-in because the upwind truncation damps
-    sign changes that the continuous shift semigroup would keep.
+    sign changes that the continuous shift semigroup would keep.  Steps with
+    the exact exponential: implicit Euler damps the outflow mode by
+    (1 + dt a)^-k instead of exp(-a k dt), which can keep a ratio that the
+    semigroup sends under `zero_tol` above it.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     dt = _uniform_spacing(t_grid)
@@ -382,7 +381,7 @@ def left_invertibility_audit(
     x = np.hstack(cols)
     x = x / (model.space.spacing * np.sum(np.abs(x), axis=0))
 
-    e = step_operator(model, dt, default_method(model))
+    e = step_operator(model, dt, "exact_exponential")
     lower = np.empty(len(t_grid))
     lower[0] = 1.0
     for k in range(1, len(t_grid)):

@@ -209,7 +209,7 @@ class TestPerronMode:
             return beta * h * np.sum(np.cumprod(np.full(cells, 1.0 / (1.0 + h * (lam + 1.0))))) - 1.0
 
         root = scipy.optimize.brentq(lotka, -0.9, 5.0, xtol=1e-14)
-        assert ps.spectral_bound(rs.system.perturbed) == pytest.approx(root, abs=1e-9)
+        assert ps.spectral_bound(rs.system.perturbed) == pytest.approx(root, abs=1e-11)
         assert_no_dense_view(rs.system.perturbed)
 
     def test_banded_path_builds_no_dense_view(self):

@@ -1,5 +1,8 @@
 """CLI contract: config validation, output formats, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +73,19 @@ class TestConfigErrors:
         assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
         assert "residual" not in cli.TOLERANCE_PROFILES["default"]
 
+    def test_overflowing_absorption_exits_2(self, tmp_path):
+        # its own process, so that a numpy warning would reach stderr
+        scenario = {"kind": "renewal", "q": 1e308, "beta": 0.5, "length": 20.0, "cells": 60}
+        cfg = write_config(tmp_path, scenario=scenario)
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "possys.cli", "audit", "--config", cfg, "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+
     def test_unknown_sweep_param(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["sweep", "--config", cfg, "--param", "length", "--values", "1.0"]) == 2
@@ -85,6 +101,8 @@ class TestConfigErrors:
         {"gain_fit": {"trials": "x"}},
         {"gain_fit": {"trails": 20}},
         {"tolerances": {"positivity": "x"}},
+        # every positivity check reads lattice.POSITIVITY_TOL; no profile key
+        {"tolerances": {"positivity": 1e-12}},
         {"plan": {"t_end": "x"}},
         {"plan": {"t_end": -1.0}},
     ], ids=lambda bad: json.dumps(bad)[:40])

@@ -9,16 +9,16 @@ import possys as ps
 from possys import semigroup
 from possys.control import step_input_operators
 from possys.semigroup import (
-    DENSE_EXPM_LIMIT,
+    FIT_STEPS,
     BidiagonalStep,
     EvolutionPlan,
-    default_method,
+    decay_horizon,
     growth_estimate,
     left_invertibility_audit,
     norm_curves,
-    operator_norm_trajectory,
     step_matrix,
     step_operator,
+    tail_slope,
 )
 
 
@@ -196,15 +196,17 @@ class TestBidiagonalStep:
     def test_exact_method_stays_dense(self, toy):
         _, model, _ = toy
         np.testing.assert_array_equal(
-            step_operator(model, 0.3), step_matrix(model, 0.3, "exact_exponential")
+            step_operator(model, 0.3, "exact_exponential"), step_matrix(model, 0.3, "exact_exponential")
         )
 
 
-def test_default_method_switches_on_size():
-    small = ps.renewal_scenario(1.0, 0.0, length=1.0, cells=10).generator
-    assert default_method(small) == "exact_exponential"
-    big = ps.renewal_scenario(1.0, 0.0, length=1.0, cells=DENSE_EXPM_LIMIT + 1).generator
-    assert default_method(big) == "implicit_euler"
+def test_implicit_euler_is_the_default_at_every_size():
+    assert EvolutionPlan(1.0, 0.5).method == "implicit_euler"
+    for cells in (10, 501):
+        model = ps.renewal_scenario(1.0, 0.0, length=1.0, cells=cells).generator
+        assert isinstance(step_operator(model, 0.1), BidiagonalStep)
+        e, _ = step_input_operators(model, model.space.basis(0), 0.1)
+        assert isinstance(e, BidiagonalStep)
 
 
 class TestEvolve:
@@ -237,56 +239,41 @@ class TestEvolve:
 class TestOperatorNormCurve:
     def test_against_dense_exponentials(self, toy):
         _, model, _ = toy
-        # a grid offset by whole steps is stepped through, then dropped
-        for start in (0.0, 0.75):
-            grid = start + np.linspace(0.0, 2.0, 9)
-            curve = operator_norm_trajectory(model, grid)
-            for t, val in zip(grid, curve):
-                ref = ps.induced_operator_norm(scipy.linalg.expm(t * model.matrix), model.space)
-                assert val == pytest.approx(ref, abs=1e-12)
-
-    def test_non_uniform_grid_allowed(self, toy):
-        _, model, _ = toy
-        grid = np.array([0.0, 0.1, 0.5, 0.6])
-        curve = operator_norm_trajectory(model, grid)
-        assert curve[0] == pytest.approx(1.0)
-        assert np.all(np.diff(curve) < 0)
+        dt = 0.25
+        curve, _ = norm_curves(model, step_operator(model, dt, "exact_exponential"), "exact_exponential", 11)
+        for k, val in enumerate(curve):
+            ref = ps.induced_operator_norm(scipy.linalg.expm(k * dt * model.matrix), model.space)
+            assert val == pytest.approx(ref, abs=1e-12)
 
     def test_implicit_euler_curve_against_dense_powers(self):
+        # growth_estimate is the tail slope of the implicit-Euler power norms
         rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30)
         model = rs.system.perturbed
-        grid = np.linspace(0.0, 2.0, 21)
-        curve = operator_norm_trajectory(model, grid, method="implicit_euler")
         e = step_matrix(model, 0.1, "implicit_euler")
-        for k, val in enumerate(curve):
-            ref = ps.induced_operator_norm(np.linalg.matrix_power(e, k), model.space)
-            assert val == pytest.approx(ref, rel=1e-12)
+        norms = [ps.induced_operator_norm(np.linalg.matrix_power(e, k), model.space) for k in range(21)]
+        ref = tail_slope(np.arange(21) * 0.1, np.array(norms), 2.0)
+        assert growth_estimate(model, window=2.0, steps=20) == pytest.approx(ref, abs=1e-10)
 
     def test_exponential_gate_reads_structure(self, monkeypatch):
         # expm of a Metzler generator may carry roundoff of either sign; the
         # adjoint route is chosen from A being Metzler, not from those signs
         model = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30).generator
-        grid = np.linspace(0.0, 2.0, 21)
-        clean = operator_norm_trajectory(model, grid, method="exact_exponential")
-        exact_step = semigroup.step_matrix
-
-        def signed_step(model, dt, method="exact_exponential"):
-            e = exact_step(model, dt, method).copy()
-            assert e[0, -1] == 0.0  # lower triangular
-            e[0, -1] = -1e-18
-            return e
+        e = step_matrix(model, 0.1, "exact_exponential")
+        clean, _ = norm_curves(model, e, "exact_exponential", 20)
+        signed = e.copy()
+        assert signed[0, -1] == 0.0  # lower triangular
+        signed[0, -1] = -1e-18
 
         def refuse(*args, **kwargs):
             raise AssertionError("signed fallback taken")
 
-        monkeypatch.setattr(semigroup, "step_matrix", signed_step)
         monkeypatch.setattr(semigroup, "induced_operator_norm", refuse)
-        curve = operator_norm_trajectory(model, grid, method="exact_exponential")
+        curve, _ = norm_curves(model, signed, "exact_exponential", 20)
         np.testing.assert_allclose(curve, clean, rtol=1e-14)
 
     def test_markov_norm_constant(self):
         model = ps.markov_cycle_scenario(5)
-        curve = operator_norm_trajectory(model, np.linspace(0.0, 3.0, 7))
+        curve, _ = norm_curves(model, step_operator(model, 0.5), "implicit_euler", 6)
         np.testing.assert_allclose(curve, 1.0, atol=1e-12)
 
 
@@ -330,7 +317,14 @@ class TestGrowthEstimate:
     def test_tracks_decay_for_normal_matrix(self):
         space = ps.GridSpace(length=3.0, cells=3)
         model = ps.GeneratorModel.from_matrix(space, np.diag([-1.0, -2.0, -3.0]))
-        assert growth_estimate(model) == pytest.approx(-1.0, abs=1e-3)
+        assert growth_estimate(model, method="exact_exponential") == pytest.approx(-1.0, abs=1e-3)
+
+    def test_implicit_euler_rate_for_normal_matrix(self):
+        # ||E^k|| = (1 + dt)^-k for E = (I - dt A)^-1, A = diag(-1, -2, -3)
+        space = ps.GridSpace(length=3.0, cells=3)
+        model = ps.GeneratorModel.from_matrix(space, np.diag([-1.0, -2.0, -3.0]))
+        dt = decay_horizon(-1.0) / FIT_STEPS
+        assert growth_estimate(model) == pytest.approx(-np.log1p(dt) / dt, abs=1e-12)
 
     def test_window_override(self, toy):
         _, model, _ = toy
@@ -366,6 +360,16 @@ class TestLeftInvertibility:
                 x = rng.random(2)
                 x /= ps.weighted_l1(x, model.space) if ps.weighted_l1(x, model.space) else 1.0
                 assert ps.weighted_l1(e @ x, model.space) >= low - 1e-12
+
+    def test_outflow_mode_decays_as_the_semigroup_does(self):
+        # h = 1/16, q = 1: the last cell's mass decays like exp(-17 t), about
+        # 2e-15 at t = 2, while implicit Euler at dt = 1/32 keeps 1.4e-12 of it
+        rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=80)
+        audit = left_invertibility_audit(
+            rs.generator, np.linspace(0.0, 2.0, 65), rng=np.random.default_rng(7)
+        )
+        assert not audit.holds
+        assert audit.lower_bounds[-1] < 1e-13
 
     def test_requires_uniform_grid_from_zero(self, toy, rng):
         _, model, _ = toy
