@@ -319,9 +319,10 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     header = "t," + ",".join(f"x{j}" for j in range(n))
     with open(out_path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for k in range(len(traj.times)):
-            row = ",".join(_fmt(v) for v in traj.states[k])
-            fh.write(f"{_fmt(traj.times[k])},{row}\n")
+        # repr of a Python float is _fmt's shortest round trip; one row of
+        # floats at a time keeps the whole table out of Python objects
+        for t, state in zip(traj.times, traj.states):
+            fh.write(f"{_fmt(t)},{','.join(map(repr, state.tolist()))}\n")
 
     norms = traj.norms()
     marks = sorted(set(np.linspace(0, len(traj.times) - 1, 5).astype(int).tolist()))

@@ -32,8 +32,8 @@ from .lattice import (
 SINGULARITY_TOL = 1e-12
 # relative residual allowed on a resolvent solve
 RESIDUAL_TOL = 1e-10
-# largest n for a dense eigensolve; beyond it only Metzler matrices are handled
-DENSE_EIG_LIMIT = 2000
+# Newton steps allowed to the characteristic root
+_ROOT_MAX_ITER = 100
 # step operators kept per model (see GeneratorModel.cached)
 _STORE_MAX = 8
 # largest |-1/h - q| an upwind diagonal may take: the audits shift the
@@ -389,60 +389,117 @@ def spectral_bound(model: GeneratorModel) -> float:
     """max Re(spectrum).
 
     Triangular matrices read it off the diagonal (exact for the zero-inflow
-    upwind generator).  Dense eigensolve up to n = DENSE_EIG_LIMIT; above
-    that Metzler matrices take `perron_mode`, O(n) per sweep on bands, and
-    no dense view is built.
+    upwind generator).  Metzler matrices with bands take the characteristic
+    root (`_characteristic_root`), O(n) per evaluation and no dense view;
+    everything else takes a dense eigensolve.
     """
     if _triangular(model):
         return float(np.max(model.bands.diag if model.bands is not None else np.diag(model.matrix)))
-    n = model.cells
-    if n <= DENSE_EIG_LIMIT:
-        try:
-            ev = np.linalg.eigvals(model.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
-        return float(np.max(ev.real))
-    if not model.metzler:
-        raise EigensolverError(
-            f"n = {n} exceeds the dense eigensolve limit and the matrix is not Metzler"
-        )
-    return perron_mode(model)[0]
+    if model.bands is not None and model.off_diagonal_min() >= 0:
+        return _characteristic_root(model.bands)[0]
+    try:
+        ev = np.linalg.eigvals(model.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
+    return float(np.max(ev.real))
 
 
-def perron_mode(model: GeneratorModel, tol: float = 1e-10, max_iter: int = 10_000) -> tuple[float, np.ndarray]:
-    """Rightmost eigenvalue with a nonnegative eigenvector.
+def _log_phi(bands: BorderedBidiagonal, loop: np.ndarray, lam: float) -> tuple[float, float, np.ndarray]:
+    """log phi(lam), its derivative in lam, and log g(lam), for lam > max diag
+    (see `_characteristic_root`); `loop` indexes the nonzero row0[1:] entries.
 
-    Metzler matrices use power iteration on one implicit-Euler step, whose
-    dominant eigenvalue is 1/(1 - dt s(A)); the step is `step_operator`'s,
-    O(n) per sweep on bordered-bidiagonal generators, until the unit-l1
-    iterate v has ||A v - rate v||_1 <= tol (1 + |rate|).  Other matrices
-    fall back to a dense eigensolve.
+    g_0 = 1 / (lam - diag_0) and g_j = g_{j-1} sub_{j-1} / (lam - diag_j):
+    the logs of the ratios are summed, so no product overflows near max
+    diag, and a zero subdiagonal entry gives log g = -inf downstream of it.
+    Each log ratio is -log1p((lam - (diag_j + sub_{j-1})) / sub_{j-1}): for
+    an upwind stencil diag_j + sub_{j-1} is exact (it is -q_j), so the
+    ratios carry no error of size eps / h that n equal cells would add up.
     """
-    from .semigroup import step_operator
+    gap = lam - bands.diag
+    with np.errstate(divide="ignore"):
+        log_ratio = -np.log1p((lam - (bands.diag[1:] + bands.sub)) / bands.sub)
+    log_g = np.concatenate(([0.0], np.cumsum(log_ratio))) - math.log(gap[0])
+    terms = np.log(bands.row0[loop]) + log_g[loop]
+    top = float(np.max(terms))
+    if top == -math.inf:
+        return -math.inf, 0.0, log_g
+    weights = np.exp(terms - top)
+    total = float(np.sum(weights))
+    # d/dlam log g_j = -sum_{k <= j} 1 / (lam - diag_k)
+    slope = -float(weights @ np.cumsum(1.0 / gap)[loop]) / total
+    return top + math.log(total), slope, log_g
 
-    n = model.cells
-    if not model.metzler:
-        ev, vecs = np.linalg.eig(model.matrix)
-        i = int(np.argmax(ev.real))
-        v = np.abs(vecs[:, i].real)
-        total = float(np.sum(v))
-        return float(ev[i].real), v / total if total else v
-    # column sums bound s(A) from above for Metzler A, so 1/dt stays in the
-    # resolvent set; dt of order one keeps the eigenvalue contrast usable
-    col_bound = max(0.0, float(np.max(model.column_sums())))
-    dt = 1.0 / (1.0 + col_bound)
-    e = step_operator(model, dt, "implicit_euler")
-    v = np.full(n, 1.0 / n)
-    for k in range(max_iter):
-        w = e @ v
-        rho = float(np.sum(np.abs(w)))
-        v = np.abs(w) / rho
-        rate = (1.0 - 1.0 / rho) / dt
-        if k % 4 == 3:
-            resid = float(np.sum(np.abs(model.matvec(v) - rate * v)))
-            if resid <= tol * (1.0 + abs(rate)):
-                return rate, v
-    raise EigensolverError("Perron mode iteration did not converge")
+
+def _characteristic_root(bands: BorderedBidiagonal) -> tuple[float, Optional[np.ndarray]]:
+    """s(A) of a Metzler A given by its bands and, when s(A) is the root below,
+    its nonnegative eigenvector with unit sum (None otherwise).
+
+    Write A = B + e_0 c^T with B the lower bidiagonal part (`diag`, `sub`)
+    and c = row0 with c_0 = 0.  Then det(lam - A) = det(lam - B) (1 - phi(lam))
+    with phi(lam) = c^T g(lam), g(lam) = (lam - B)^{-1} e_0.  For
+    lam > max diag, phi is positive, decreasing and log-convex, so s(A) is
+    the root of phi = 1 when phi exceeds 1 just above max diag (always so
+    when the largest diagonal entry lies on the feedback loop) and max diag
+    otherwise; (lam - A) g = e_0 (1 - phi) makes g the eigenvector at the
+    root.  For renewal phi = 1 is the discrete Lotka equation, for the ring
+    (1 + h lam)^{-n} gain = 1.
+
+    The root is bracketed by max diag and the largest column sum (an upper
+    bound on s(A) for Metzler A) and found by Newton's method on log phi,
+    with bisection whenever a step leaves the bracket.  On the convex,
+    decreasing log phi a Newton step from either side lands at or left of
+    the root, and from the left the iterates rise to it monotonically.
+    """
+    eps = np.finfo(float).eps
+    diag_max = float(np.max(bands.diag))
+    loop = np.flatnonzero(bands.row0[1:]) + 1
+    hi = float(np.max(bands.column_sums()))
+    # phi just above max diag: an offset of roundoff size in units of max|A|
+    scale = float(np.max(bands.column_sums(absolute=True)))
+    lo = diag_max + 8.0 * eps * scale
+    if not len(loop) or hi <= lo or _log_phi(bands, loop, lo)[0] <= 0.0:
+        return diag_max, None
+    lam = hi
+    for _ in range(_ROOT_MAX_ITER):
+        f, slope, _ = _log_phi(bands, loop, lam)
+        if f == 0.0:
+            break
+        if f > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        nxt = lam - f / slope
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - lam) <= 4.0 * eps * (abs(lam) + eps * scale)
+        lam = nxt
+        if done:
+            break
+    else:
+        raise EigensolverError(f"characteristic root not found in {_ROOT_MAX_ITER} Newton steps")
+    log_g = _log_phi(bands, loop, lam)[2]
+    g = np.exp(log_g - np.max(log_g))
+    return lam, g / np.sum(g)
+
+
+def perron_mode(model: GeneratorModel) -> tuple[float, np.ndarray]:
+    """Rightmost eigenvalue with a nonnegative eigenvector of unit sum.
+
+    Metzler matrices with bands whose s(A) is the characteristic root take
+    its eigenvector g = (s - B)^{-1} e_0 (`_characteristic_root`), O(n) and no
+    dense view.  Everything else, including a reducible banded matrix whose
+    bound is a diagonal entry off the feedback loop, takes a dense
+    eigensolve.
+    """
+    if model.bands is not None and model.off_diagonal_min() >= 0:
+        rate, vec = _characteristic_root(model.bands)
+        if vec is not None:
+            return rate, vec
+    ev, vecs = np.linalg.eig(model.matrix)
+    i = int(np.argmax(ev.real))
+    v = np.abs(vecs[:, i].real)
+    total = float(np.sum(v))
+    return float(ev[i].real), v / total if total else v
 
 
 def check_resolvent_positive(model: GeneratorModel, lambda_grid, tol: float = POSITIVITY_TOL) -> np.ndarray:

@@ -18,7 +18,15 @@ from .control import InputSignal, _as_column, input_recursion, step_input_operat
 from .errors import GainValidationError
 from .generators import perron_mode, spectral_bound
 from .perturbation import PerturbedSystem, small_gain_radius
-from .semigroup import DEFAULT_METHOD, FIT_STEPS, decay_horizon, grid_steps, norm_curves, tail_slope
+from .semigroup import (
+    DEFAULT_METHOD,
+    FIT_STEPS,
+    NORM_FLOOR,
+    decay_horizon,
+    grid_steps,
+    norm_curves,
+    tail_slope,
+)
 
 EISS = "eISS"
 NOT_EISS = "not_eISS"
@@ -109,8 +117,9 @@ def iss_gain_fit(
     """Fit (N, mu, G) for the perturbed system and validate on random pairs.
 
     The horizon defaults to `decay_horizon(s(A_S))` on FIT_STEPS steps.
-    mu is the log-slope of ||S(t)|| over the tail half of the horizon, N
-    lifts the envelope over the whole measured norm curve, and G combines
+    mu is the log-slope of ||S(t)|| over the tail half of the horizon
+    (`tail_slope`), N lifts the envelope over the measured norm curve above
+    NORM_FLOOR, and G combines
     max_k ||S(t_k) b|| with the per-step input operator so the estimate
     holds exactly on the grid.  `trials` random nonnegative (x, u) pairs are
     then checked; any violation beyond the slack raises GainValidationError.
@@ -129,13 +138,15 @@ def iss_gain_fit(
 
     op_norms, (imp_norms, inj_norms) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, col))
     times = np.arange(steps + 1) * dt
-    mu = -tail_slope(times, op_norms, horizon)
+    mu = -tail_slope(times, op_norms)
     if mu <= 0:
         raise GainValidationError(
             f"fit window produced nonpositive decay rate {mu}; lengthen the horizon",
             trial=-1,
         )
-    amplitude = float(np.max(op_norms * np.exp(mu * times)))
+    # lift over the curve above the floor; beyond it exp(mu t) may overflow
+    above = op_norms > NORM_FLOOR
+    amplitude = float(np.max(op_norms[above] * np.exp(mu * times[above])))
     gain = float(max(np.max(inj_norms), np.max(imp_norms[:-1]) / dt))
 
     # validation: z_{k+1} = E z_k + F u_k for all trials at once

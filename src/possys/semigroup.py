@@ -31,7 +31,7 @@ from .generators import (
     _solve,
     spectral_bound,
 )
-from .lattice import GridSpace, GridVector, induced_operator_norm, weighted_l1
+from .lattice import GridSpace, GridVector, induced_operator_norm
 
 METHODS = ("exact_exponential", "implicit_euler")
 # the stepper of every time-stepping default, at every grid size
@@ -41,6 +41,8 @@ _GRID_TOL = 1e-9
 _PIVOT_TOL = 1e-12
 # steps on the grid of every decay-rate fit
 FIT_STEPS = 800
+# a norm at or below this has underflowed; decay fits stop before it
+NORM_FLOOR = 1e-300
 
 
 def grid_steps(t: float, dt: float, what: str = "t") -> int:
@@ -250,34 +252,34 @@ def _nonnegative(model: GeneratorModel, e: Step, method: str) -> bool:
 
 def norm_curves(
     model: GeneratorModel, e: Step, method: str, steps: int, vectors=()
-) -> tuple[np.ndarray, list]:
-    """||E^k|| for k = 0..steps and, for each v in `vectors`, ||E^k v||, in
-    the weighted l1 norm of the model's grid; E is a `method` step of it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """||E^k|| for k = 0..steps and, as row i of a second array, ||E^k v_i||
+    for the vectors v_i (a sequence, or the rows of an array), in the
+    weighted l1 norm of the model's grid; E is a `method` step of it.
 
     A nonnegative E with nonnegative vectors rides the adjoint recursion
     y <- E^T y from the weights: ||E^k|| = max_j y_j / w_j and
-    ||E^k v|| = y . v, `steps` adjoint applications in all.  Anything signed
-    accumulates the powers E^k.
+    ||E^k v|| = y . v, `steps` adjoint applications and one product with
+    the vectors per step.  Anything signed accumulates the powers E^k.
     """
     w = model.space.weights
+    vecs = np.asarray(vectors, dtype=float).reshape(-1, model.cells)
     op = np.empty(steps + 1)
-    curves = [np.empty(steps + 1) for _ in vectors]
-    if _nonnegative(model, e, method) and all(np.min(v) >= 0 for v in vectors):
+    curves = np.empty((len(vecs), steps + 1))
+    if _nonnegative(model, e, method) and np.all(vecs >= 0):
         y = w.copy()
         for k in range(steps + 1):
             if k:
                 y = e.T @ y
             op[k] = np.max(y / w)
-            for curve, v in zip(curves, vectors):
-                curve[k] = float(y @ v)
+            curves[:, k] = vecs @ y
         return op, curves
     m = np.eye(model.cells)
     for k in range(steps + 1):
         if k:
             m = e @ m
         op[k] = induced_operator_norm(m, model.space)
-        for curve, v in zip(curves, vectors):
-            curve[k] = weighted_l1(m @ v, model.space)
+        curves[:, k] = model.space.spacing * np.sum(np.abs(m @ vecs.T), axis=0)
     return op, curves
 
 
@@ -308,11 +310,22 @@ def decay_horizon(s: float) -> float:
     return min(max(20.0 / max(abs(s), 0.05), 10.0), 1000.0)
 
 
-def tail_slope(times: np.ndarray, norms: np.ndarray, horizon: float) -> float:
-    """Least-squares slope of log(norms) over the tail half of the window,
-    times >= horizon / 2."""
-    tail = times >= horizon / 2
-    return float(np.polyfit(times[tail], np.log(np.maximum(norms[tail], 1e-300)), 1)[0])
+def tail_slope(times: np.ndarray, norms: np.ndarray) -> float:
+    """Least-squares slope of log(norms) over the tail half of a norm curve,
+    its points from index ceil(K / 2) on, K + 1 points in all.
+
+    The curve is cut before its first norm <= NORM_FLOOR, whose log would
+    measure underflow, not decay, and the tail half of what is left is fitted
+    (at least its last two points).  Fewer than two points left is refused
+    with ValueError.  The half is chosen by index, so roundoff in the grid
+    times cannot move a point in or out of it.
+    """
+    under = np.flatnonzero(norms <= NORM_FLOOR)
+    end = int(under[0]) if len(under) else len(norms)
+    if end < 2:
+        raise ValueError(f"norm curve reaches {NORM_FLOOR} within {end} point(s); nothing to fit")
+    start = min(end // 2, end - 2)
+    return float(np.polyfit(times[start:end], np.log(norms[start:end]), 1)[0])
 
 
 def growth_estimate(
@@ -331,7 +344,7 @@ def growth_estimate(
         window = decay_horizon(spectral_bound(model))
     dt = window / steps
     op, _ = norm_curves(model, step_operator(model, dt, method), method, steps)
-    return tail_slope(np.arange(steps + 1) * dt, op, window)
+    return tail_slope(np.arange(steps + 1) * dt, op)
 
 
 @dataclass(frozen=True)
@@ -365,7 +378,10 @@ def left_invertibility_audit(
     sign changes that the continuous shift semigroup would keep.  Steps with
     the exact exponential: implicit Euler damps the outflow mode by
     (1 + dt a)^-k instead of exp(-a k dt), which can keep a ratio that the
-    semigroup sends under `zero_tol` above it.
+    semigroup sends under `zero_tol` above it.  The ratios are `norm_curves`
+    of the samples: for Metzler A and nonnegative samples the adjoint
+    recursion, O(n^2) per step after the one `expm`; signed samples take its
+    matrix powers.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     dt = _uniform_spacing(t_grid)
@@ -382,11 +398,9 @@ def left_invertibility_audit(
     x = x / (model.space.spacing * np.sum(np.abs(x), axis=0))
 
     e = step_operator(model, dt, "exact_exponential")
-    lower = np.empty(len(t_grid))
+    _, curves = norm_curves(model, e, "exact_exponential", len(t_grid) - 1, x.T)
+    lower = np.min(curves, axis=0)
     lower[0] = 1.0
-    for k in range(1, len(t_grid)):
-        x = e @ x
-        lower[k] = np.min(model.space.spacing * np.sum(np.abs(x), axis=0))
 
     holds = bool(np.all(lower > zero_tol))
     if holds:

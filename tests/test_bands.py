@@ -1,10 +1,13 @@
 """Band-stored generators against the dense assembly they replace."""
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import possys as ps
 from possys import cli
@@ -172,7 +175,7 @@ def test_large_simulation_stays_banded():
 
 
 class TestPerronMode:
-    """The banded implicit-Euler power iteration against a dense eigensolve."""
+    """The characteristic root on the bands against a dense eigensolve."""
 
     @staticmethod
     def check(model):
@@ -199,9 +202,9 @@ class TestPerronMode:
     @pytest.mark.parametrize("cells", [2400, 5000])
     @pytest.mark.parametrize("beta", [0.5, 1.5])
     def test_large_spectral_bound_is_the_lotka_root(self, cells, beta):
-        # above the dense eigensolve limit s(A_S) comes from perron_mode on
-        # the bands; the discrete Euler-Lotka equation sum_j beta h d_j = 1,
-        # d_j = (1 + h (lam + q))^-(j + 1), is its exact characteristic root
+        # s(A_S) comes from the characteristic root on the bands; the
+        # discrete Euler-Lotka equation sum_j beta h d_j = 1,
+        # d_j = (1 + h (lam + q))^-(j + 1), is the same equation written out
         rs = ps.renewal_scenario(1.0, beta, length=20.0, cells=cells)
         h = 20.0 / cells
 
@@ -217,3 +220,61 @@ class TestPerronMode:
         rate, _ = perron_mode(rs.system.perturbed)
         assert rate > 0.0
         assert_no_dense_view(rs.system.perturbed)
+
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        off_loop=st.sampled_from(["", "cut", "no_feedback"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_bordered_metzler_against_eigvals(self, n, seed, off_loop):
+        # some subdiagonal entries zero; with `off_loop` the largest diagonal
+        # entry sits on a cell the feedback row cannot reach ("cut") or that
+        # feeds nothing back ("no_feedback"), so s(A) is either that entry or
+        # the root, depending on phi just above it
+        rng = np.random.default_rng(seed)
+        diag = rng.uniform(-3.0, 1.0, n)
+        sub = np.where(rng.random(n - 1) < 0.2, 0.0, rng.uniform(0.0, 3.0, n - 1))
+        row0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+        if off_loop:
+            j = int(rng.integers(1, n))
+            diag[j] = np.max(diag) + rng.uniform(0.0, 1.0)
+            if off_loop == "cut":
+                sub[j - 1] = 0.0
+            else:
+                row0[j:] = 0.0
+        row0[0] = diag[0]
+        bands = BorderedBidiagonal(diag, sub, row0)
+        model = ps.GeneratorModel(ps.GridSpace(length=float(n), cells=n), bands=bands)
+        a = bands.toarray()
+        ref = float(np.max(np.linalg.eigvals(a).real))
+        s = ps.spectral_bound(model)
+        assert abs(s - ref) <= 1e-10 * (1.0 + abs(ref))
+        rate, vec = perron_mode(model)
+        assert abs(rate - s) <= 1e-10 * (1.0 + abs(s))
+        assert np.all(vec >= 0.0) and np.sum(vec) == pytest.approx(1.0, abs=1e-12)
+        resid = np.sum(np.abs(a @ vec - rate * vec))
+        assert resid <= 1e-10 * (np.sum(np.abs(a) @ vec) + abs(rate))
+
+    @pytest.mark.parametrize("cells", [60, 400, 2400, 20000])
+    @pytest.mark.parametrize("gain", [0.5, 2.0, 7.0])
+    def test_ring_closed_form(self, monkeypatch, cells, gain):
+        # (1 + h lam)^-n gain = 1: s = (gain^(1/n) - 1) / h, h = 1 / n; the
+        # power iteration this replaced did not converge on the ring
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        model = ps.ring_transport_scenario(gain, length=1.0, cells=cells)
+        exact = math.expm1(math.log(gain) / cells) * cells
+        assert ps.spectral_bound(model) == pytest.approx(exact, rel=1e-11)
+        rate, vec = perron_mode(model)
+        assert rate == ps.spectral_bound(model)
+        # eigenvector entries fall by 1 / (1 + h s) = gain^(-1/n) per cell
+        ref = np.exp(-np.arange(cells) * math.log(gain) / cells)
+        np.testing.assert_allclose(vec, ref / np.sum(ref), rtol=1e-9)
+        assert_no_dense_view(model)
+
+    @pytest.mark.parametrize("cells", [2, 3, 17, 500])
+    def test_markov_cycle_bound_is_zero(self, cells):
+        model = ps.markov_cycle_scenario(cells)
+        assert ps.spectral_bound(model) == pytest.approx(0.0, abs=1e-13)
+        rate, vec = perron_mode(model)
+        np.testing.assert_allclose(vec, 1.0 / cells, rtol=1e-12)

@@ -10,6 +10,7 @@ import pytest
 
 import possys as ps
 from possys import cli
+from possys.semigroup import FIT_STEPS, decay_horizon
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,6 +154,23 @@ class TestSimulate:
         cfg2 = write_config(tmp_path, name="c2.json", initial_state=[1.0, 2.0])
         assert cli.main(["simulate", "--config", cfg2]) == 2
 
+    def test_csv_fields_are_shortest_round_trip(self, tmp_path, capsys):
+        # each field is repr(float(v)): signed zero, subnormals, tiny normals
+        # and integers stored as floats included
+        values = [-0.0, 5e-324, 2.5e-310, 1e-300, 3.0, -7.0]
+        cfg = write_config(
+            tmp_path,
+            scenario={"kind": "explicit", "matrix": (-np.eye(6)).tolist()},
+            plan={"t_end": 1.0, "dt": 0.5},
+            initial_state=values,
+        )
+        out = tmp_path / "t.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_bytes().split(b"\n")
+        assert lines[1] == ("0.0," + ",".join(repr(float(v)) for v in values)).encode()
+        assert lines[-1] == b"" and len(lines) == 5
+        for line in lines[1:-1]:
+            assert all(repr(float(f)) == f for f in line.decode().split(","))
 
     def test_twenty_thousand_cells(self, tmp_path, capsys):
         # the config the memory-capped CI step runs
@@ -196,6 +214,22 @@ class TestAudit:
         assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["N"] >= 1.0 and report["mu"] > 0 and report["G"] > 0
+
+    @pytest.mark.parametrize("q", [100.0, 1000.0])
+    def test_fast_decay_fits_the_stepper_rate(self, tmp_path, capsys, q):
+        # at q = 1000 the norm curves fall under NORM_FLOOR inside the 10-unit
+        # window; the fits stop there and report the implicit-Euler rate of
+        # their 800-step grid, -log(1 - dt s) / dt
+        scenario = {"kind": "renewal", "q": q, "beta": 0.5, "length": 20.0, "cells": 60}
+        cfg = write_config(tmp_path, scenario=scenario, audits=["gain_fit"], gain_fit={"trials": 20})
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        dt = decay_horizon(report["s_A"]) / FIT_STEPS
+        assert report["growth_estimate"] == pytest.approx(-np.log1p(q * dt) / dt, rel=1e-3)
+        s = ps.spectral_bound(ps.renewal_scenario(q, 0.5, length=20.0, cells=60).system.perturbed)
+        dt = decay_horizon(s) / FIT_STEPS
+        assert report["mu"] == pytest.approx(np.log1p(-s * dt) / dt, rel=1e-3)
 
     def test_gain_fit_skipped_when_not_eiss(self, tmp_path, capsys):
         cfg = write_config(

@@ -251,7 +251,7 @@ class TestOperatorNormCurve:
         model = rs.system.perturbed
         e = step_matrix(model, 0.1, "implicit_euler")
         norms = [ps.induced_operator_norm(np.linalg.matrix_power(e, k), model.space) for k in range(21)]
-        ref = tail_slope(np.arange(21) * 0.1, np.array(norms), 2.0)
+        ref = tail_slope(np.arange(21) * 0.1, np.array(norms))
         assert growth_estimate(model, window=2.0, steps=20) == pytest.approx(ref, abs=1e-10)
 
     def test_exponential_gate_reads_structure(self, monkeypatch):
@@ -331,6 +331,48 @@ class TestGrowthEstimate:
         est = growth_estimate(model, window=4.0)
         assert np.isfinite(est)
 
+    def test_tail_half_is_chosen_by_index(self):
+        # 400 (w / 800) lands on either side of w / 2 by roundoff; windows
+        # 1e-12 apart must fit the same points
+        model = ps.renewal_scenario(1.0, 0.25, length=20.0, cells=60).system.perturbed
+        s = ps.spectral_bound(model)
+        windows = [decay_horizon(s * (1.0 + k * 1e-12)) for k in range(-3, 4)]
+        assert any(400 * (w / FIT_STEPS) < w / 2 for w in windows)
+        assert any(400 * (w / FIT_STEPS) >= w / 2 for w in windows)
+        rates = [growth_estimate(model, window=w) for w in windows]
+        np.testing.assert_allclose(rates, rates[3], rtol=1e-9)
+
+    @pytest.mark.parametrize("q", [100.0, 1000.0])
+    def test_fast_decay_is_fitted_above_the_floor(self, q):
+        # exp(-q t) falls under NORM_FLOOR inside the 10-unit window; the fit
+        # stops there instead of fitting the floor
+        rs = ps.renewal_scenario(q, 0.5, length=20.0, cells=60)
+        est = growth_estimate(rs.generator, method="exact_exponential")
+        assert est == pytest.approx(-q, rel=1e-2)
+        s = ps.spectral_bound(rs.system.perturbed)
+        est = growth_estimate(rs.system.perturbed, method="exact_exponential")
+        assert est == pytest.approx(s, rel=1e-2)
+
+
+class TestTailSlope:
+    def test_cut_before_the_floor(self):
+        times = np.arange(801) * 0.0125
+        norms = 3.0 * np.exp(-1000.0 * times)
+        assert np.min(norms) == 0.0
+        assert tail_slope(times, norms) == pytest.approx(-1000.0, rel=1e-12)
+
+    def test_curve_above_the_floor_fits_its_tail_half(self):
+        times = np.arange(9) * 0.5
+        norms = np.exp(-times) * (1.0 + 0.1 * np.sin(7.0 * times))
+        ref = np.polyfit(times[4:], np.log(norms[4:]), 1)[0]
+        assert tail_slope(times, norms) == ref
+
+    def test_two_points_are_fitted_one_is_refused(self):
+        times = np.arange(5) * 1.0
+        assert tail_slope(times, np.array([1.0, 0.5, 0.0, 0.0, 0.0])) == pytest.approx(-np.log(2.0))
+        with pytest.raises(ValueError):
+            tail_slope(times, np.array([1.0, 1e-301, 0.0, 0.0, 0.0]))
+
 
 class TestLeftInvertibility:
     def test_markov_holds_with_unit_amplitude(self):
@@ -375,3 +417,48 @@ class TestLeftInvertibility:
         _, model, _ = toy
         with pytest.raises(ValueError):
             left_invertibility_audit(model, np.array([0.5, 1.0]), rng=rng)
+
+    @staticmethod
+    def forward_products(model, t_grid, seed, include_signed):
+        """The samples stepped forward with dense exp(A dt), worst ratio per step."""
+        rng = np.random.default_rng(seed)
+        n, h = model.cells, model.space.spacing
+        cols = [np.eye(n), rng.exponential(size=(n, 100))]
+        if include_signed:
+            cols.append(rng.standard_normal((n, 100)))
+        x = np.hstack(cols)
+        x = x / (h * np.sum(np.abs(x), axis=0))
+        e = scipy.linalg.expm((t_grid[1] - t_grid[0]) * model.matrix)
+        lower = [1.0]
+        for _ in t_grid[1:]:
+            x = e @ x
+            lower.append(np.min(h * np.sum(np.abs(x), axis=0)))
+        return np.array(lower)
+
+    @pytest.mark.parametrize("name", ["renewal", "closed_loop", "ring", "markov"])
+    def test_adjoint_route_matches_forward_products(self, monkeypatch, name):
+        rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=50)
+        model = {
+            "renewal": rs.generator,
+            "closed_loop": rs.system.perturbed,
+            "ring": ps.ring_transport_scenario(2.0, length=1.0, cells=50),
+            "markov": ps.markov_cycle_scenario(7),
+        }[name]
+        grid = np.linspace(0.0, 2.0, 65)
+        ref = self.forward_products(model, grid, 11, include_signed=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix powers taken")
+
+        monkeypatch.setattr(semigroup, "induced_operator_norm", refuse)
+        audit = left_invertibility_audit(model, grid, rng=np.random.default_rng(11))
+        np.testing.assert_allclose(audit.lower_bounds, ref, rtol=1e-12)
+
+    def test_signed_samples_match_forward_products(self):
+        model = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=50).system.perturbed
+        grid = np.linspace(0.0, 1.0, 17)
+        ref = self.forward_products(model, grid, 5, include_signed=True)
+        audit = left_invertibility_audit(
+            model, grid, rng=np.random.default_rng(5), include_signed=True
+        )
+        np.testing.assert_allclose(audit.lower_bounds, ref, rtol=1e-12)
