@@ -514,7 +514,7 @@ def positivity_equivalence_audit(
 
     # lambda large enough that R(lam) b ~ b/lam keeps the sign of b
     s = spectral_bound(model)
-    lam_base = max(s, 0.0) + 10.0 * (1.0 + float(np.max(np.abs(model.matrix))))
+    lam_base = max(s, 0.0) + 10.0 * (1.0 + model.max_abs())
     res_ok = True
     for lam in (lam_base, 10.0 * lam_base):
         g = resolvent_apply(model, lam, model.space.vector(col)).values

@@ -14,22 +14,17 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
 
 from .errors import EigensolverError, SingularSystemError
-from .lattice import (
-    POSITIVITY_TOL,
-    GridSpace,
-    GridVector,
-    _readonly,
-    positive_column_scores,
-)
+from .lattice import POSITIVITY_TOL, GridSpace, GridVector, _readonly
 
-# eigenvalue proximity below which a resolvent solve is refused
-SINGULARITY_TOL = 1e-12
+# pivots and Sherman-Morrison denominators at or below this, relative to the
+# terms they are formed from, are singular
+PIVOT_TOL = 1e-12
 # relative residual allowed on a resolvent solve
 RESIDUAL_TOL = 1e-10
 # Newton steps allowed to the characteristic root
@@ -224,6 +219,12 @@ class GeneratorModel:
             return self.bands.column_sums(absolute)
         return np.sum(np.abs(self.matrix) if absolute else self.matrix, axis=0)
 
+    def max_abs(self) -> float:
+        """Largest |A_ij|; from the bands when the model has them."""
+        b = self.bands
+        entries = self.matrix if b is None else np.concatenate((b.diag, b.sub, b.row0))
+        return float(np.max(np.abs(entries)))
+
     def cached(self, key, build):
         """The value this model stores under `key`, made by `build()` on a
         miss.  The store keeps the _STORE_MAX most recently used entries."""
@@ -311,43 +312,141 @@ def _triangular(model: GeneratorModel) -> bool:
     return _lower_triangular(model.matrix) or _upper_triangular(model.matrix)
 
 
-def _solve(m, rhs: np.ndarray, what: str) -> np.ndarray:
-    """m^{-1} rhs, refused with SingularSystemError naming `what`.
+def _check_pivots(pivots, scale, what: str) -> None:
+    """Refuse with SingularSystemError unless every |pivot| exceeds PIVOT_TOL
+    times `scale`, the size of the terms the pivot was formed from."""
+    if np.any(np.abs(pivots) <= PIVOT_TOL * scale):
+        gap = float(np.min(np.abs(pivots)))
+        raise SingularSystemError(f"{what} is singular: a pivot is within {gap:.3e} of zero")
 
-    `m` is a dense matrix or the (diagonal, subdiagonal) pair of a lower
-    bidiagonal one.  Triangular m are refused on a pivot within
-    SINGULARITY_TOL of zero and solved by substitution (banded, O(n) per
-    column, for a pair); anything else takes LU.  LAPACK's own singularity
-    report is refused the same way.
-    """
-    banded = isinstance(m, tuple)
-    lower = banded or _lower_triangular(m)
+
+def _dense_inverse(model: GeneratorModel, sigma: float, tau: float) -> np.ndarray:
+    """Dense (sigma I - tau A)^{-1}: substitution when the matrix is
+    triangular (refused on a pivot that `_check_pivots` calls zero), LU
+    otherwise; LAPACK's own singularity report is refused the same way."""
+    n = model.cells
+    a = model.matrix
+    what = f"{sigma!r} I - {tau!r} A"
+    m = sigma * np.eye(n) - tau * a
+    lower = _lower_triangular(m)
     triangular = lower or _upper_triangular(m)
     if triangular:
-        gap = float(np.min(np.abs(m[0] if banded else np.diag(m))))
-        if gap <= SINGULARITY_TOL:
-            raise SingularSystemError(f"{what} is singular: a pivot is within {gap:.3e} of zero")
+        _check_pivots(np.diag(m), abs(sigma) + tau * np.abs(np.diag(a)), what)
     try:
-        if banded:
-            ab = np.vstack((m[0], np.append(m[1], 0.0)))
-            return scipy.linalg.solve_banded((1, 0), ab, rhs, check_finite=False)
         if triangular:
-            return scipy.linalg.solve_triangular(m, rhs, lower=lower)
-        return np.linalg.solve(m, rhs)
+            return scipy.linalg.solve_triangular(m, np.eye(n), lower=lower)
+        return np.linalg.solve(m, np.eye(n))
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise SingularSystemError(f"{what} is singular: {exc}") from exc
 
 
-def _solve_shifted(model: GeneratorModel, lam: float, rhs: np.ndarray, dense: bool = False) -> np.ndarray:
-    """(lam I - A)^{-1} rhs through `_solve`: on the bands when A is lower
-    bidiagonal, unless `dense` asks for the dense matrix (the resolvent
-    audits, whose reported values keep LAPACK's triangular arithmetic)."""
+class _Applied:
+    """`op @ y` for a function of y."""
+
+    def __init__(self, apply):
+        self._apply = apply
+
+    def __matmul__(self, y):
+        return self._apply(np.asarray(y, dtype=float))
+
+
+def _band_lu(ab: np.ndarray, kl: int, ku: int, what: str) -> tuple:
+    """gbtrf of the banded matrix `ab` with kl sub- and ku superdiagonals."""
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku)
+    if info != 0:
+        raise SingularSystemError(f"{what} is singular: gbtrf info {info}")
+    return kl, ku, lu, piv
+
+
+def _band_solve(factored: tuple, y: np.ndarray) -> np.ndarray:
+    kl, ku, lu, piv = factored
+    x, _ = scipy.linalg.lapack.dgbtrs(lu, kl, ku, y, piv)
+    return x
+
+
+class ShiftedInverse:
+    """(sigma I - tau A)^{-1}, tau > 0, for A given by its bands: the
+    implicit-Euler step is (1, dt), the resolvent R(lam, A) is (lam, 1).
+
+    sigma I - tau A = T - e_0 r^T with T lower bidiagonal and r = tau A[0, 1:]
+    (r_0 = 0).  By Sherman-Morrison, with g = T^{-1} e_0 and the denominator
+    1 - r^T g,
+
+        (sigma I - tau A)^{-1} y = T^{-1} y + g (r^T T^{-1} y) / (1 - r^T g),
+
+    one banded solve per right-hand side, O(n) per column.  `.T @ y` applies
+    the adjoint through the upper-bidiagonal T^T and the same denominator.
+    `nonnegative` certifies the inverse >= 0 from structure: T has a
+    positive diagonal and a nonpositive subdiagonal (so T^{-1} >= 0), r >= 0
+    and the denominator is positive.
+    """
+
+    def __init__(self, bands: BorderedBidiagonal, sigma: float, tau: float):
+        n = bands.cells
+        what = f"{sigma!r} I - {tau!r} A"
+        diag = sigma - tau * bands.diag
+        sub = -tau * bands.sub
+        _check_pivots(diag, abs(sigma) + tau * np.abs(bands.diag), what)
+        # T and T^T in LAPACK band storage, factored once (the first row of
+        # T's array is gbtrf's fill-in space); each solve is then one gbtrs,
+        # the same arithmetic as solve_banded's gbsv without refactoring
+        self._lower = _band_lu(np.vstack((np.zeros(n), diag, np.append(sub, 0.0))), 1, 0, what)
+        self._upper = _band_lu(np.vstack((np.insert(sub, 0, 0.0), diag)), 0, 1, what)
+        self._r = tau * bands.row0
+        self._r[0] = 0.0
+        e0 = np.zeros(n)
+        e0[0] = 1.0
+        self._g = _band_solve(self._lower, e0)
+        if not np.all(np.isfinite(self._g)):
+            raise SingularSystemError(f"{what} is singular: T^-1 e_0 overflows")
+        rg = float(self._r @ self._g)
+        self._denom = 1.0 - rg
+        _check_pivots(self._denom, 1.0 + abs(rg), f"{what} (Sherman-Morrison denominator)")
+        self._p = _band_solve(self._upper, self._r)
+        self.nonnegative = bool(
+            np.all(diag > 0) and np.all(sub <= 0) and np.all(self._r >= 0) and self._denom > 0
+        )
+        # probe: tau (sigma I - tau A)^{-1} 1 = R(sigma / tau, A) 1, checked in
+        # O(n) on the bands
+        ones = np.ones(n)
+        _check_backward_error(bands, sigma / tau, tau * self._apply(ones), ones, what)
+
+    def _apply(self, y: np.ndarray) -> np.ndarray:
+        z = _band_solve(self._lower, y)
+        return z + np.multiply.outer(self._g, self._r @ z) / self._denom
+
+    def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        z = _band_solve(self._upper, y)
+        return z + np.multiply.outer(self._p, z[0]) / self._denom
+
+    def __matmul__(self, y):
+        return self._apply(np.asarray(y, dtype=float))
+
+    @property
+    def T(self) -> _Applied:
+        return _Applied(self._apply_adjoint)
+
+    def toarray(self) -> np.ndarray:
+        return self._apply(np.eye(len(self._r)))
+
+
+def shifted_inverse(model: GeneratorModel, sigma: float, tau: float) -> Union[np.ndarray, ShiftedInverse]:
+    """(sigma I - tau A)^{-1}, tau > 0, as an operator with `@` and `.T @`.
+
+    Bands take `ShiftedInverse` when A is lower bidiagonal (no
+    Sherman-Morrison term) or its bidiagonal part T has
+    |sigma - tau a_jj| >= tau |a_j,j-1| in every row j >= 1, as the presets
+    do at the audits' steps and shifts.
+    Otherwise T^{-1} grows along the diagonal, the Sherman-Morrison term
+    cancels and the probe misses the error, so such shifts, like matrices
+    without bands, take the dense inverse.
+    """
     bands = model.bands
-    if not dense and bands is not None and bands.lower:
-        m = (lam - bands.diag, -bands.sub)
-    else:
-        m = lam * np.eye(model.cells) - model.matrix
-    return _solve(m, rhs, f"lam I - A at lambda = {lam}")
+    if bands is not None and (
+        bands.lower or np.all(np.abs(sigma - tau * bands.diag[1:]) >= tau * np.abs(bands.sub))
+    ):
+        return ShiftedInverse(bands, sigma, tau)
+    return _dense_inverse(model, sigma, tau)
 
 
 def _check_backward_error(a, lam: float, g: np.ndarray, rhs: np.ndarray, what: str) -> None:
@@ -370,7 +469,8 @@ def _check_backward_error(a, lam: float, g: np.ndarray, rhs: np.ndarray, what: s
 
 def resolvent_matrix(model: GeneratorModel, lam: float) -> np.ndarray:
     """Dense (lam I - A)^{-1}, with a probe check on the solve residual."""
-    r = _solve_shifted(model, lam, np.eye(model.cells), dense=True)
+    r = shifted_inverse(model, lam, 1.0)
+    r = r.toarray() if isinstance(r, ShiftedInverse) else r
     # probe the solve with a single vector; a full matrix residual is O(n^3)
     ones = np.ones(model.cells)
     _check_backward_error(model, lam, r @ ones, ones, f"resolvent at lambda = {lam}")
@@ -380,7 +480,7 @@ def resolvent_matrix(model: GeneratorModel, lam: float) -> np.ndarray:
 def resolvent_apply(model: GeneratorModel, lam: float, f) -> GridVector:
     """g = (lam I - A)^{-1} f, refused unless the backward error is <= 1e-10."""
     vals = f.values if isinstance(f, GridVector) else np.asarray(f, dtype=float)
-    g = _solve_shifted(model, lam, vals, dense=True)
+    g = shifted_inverse(model, lam, 1.0) @ vals
     _check_backward_error(model, lam, g, vals, f"resolvent solve at lambda = {lam}")
     return model.space.vector(g)
 
@@ -505,17 +605,29 @@ def perron_mode(model: GeneratorModel) -> tuple[float, np.ndarray]:
 def check_resolvent_positive(model: GeneratorModel, lambda_grid, tol: float = POSITIVITY_TOL) -> np.ndarray:
     """Entrywise nonnegativity of (lam I - A)^{-1} for each lam in the grid.
 
-    A lam whose solve fails the backward-error check cannot be certified
-    and is reported False.
+    Metzler A with bands is certified from structure, with no solve: with
+    lam I - A = T - e_0 c^T (`_characteristic_root`), the pivots lam - diag
+    are positive, c >= 0, and 1 - phi(lam) > 0 is read as log phi(lam) < 0
+    (`_log_phi`), which does not overflow where T^{-1} does.  That holds
+    exactly when lam > s(A), as a Z-matrix with a nonnegative inverse is an
+    M-matrix.  Other matrices are read off the smallest entry of
+    `resolvent_matrix`; a lam whose solve is refused cannot be certified and
+    is reported False.
     """
+    bands = model.bands
+    certified = bands is not None and model.off_diagonal_min() >= 0
+    if certified:
+        loop = np.flatnonzero(bands.row0[1:]) + 1
+        diag_max = np.max(bands.diag)
     flags = []
     for lam in np.atleast_1d(np.asarray(lambda_grid, dtype=float)):
+        if certified:
+            flags.append(lam > diag_max and (not len(loop) or _log_phi(bands, loop, lam)[0] < 0.0))
+            continue
         try:
-            r = resolvent_matrix(model, float(lam))
+            flags.append(np.min(resolvent_matrix(model, float(lam))) >= -tol)
         except SingularSystemError:
             flags.append(False)
-            continue
-        flags.append(bool(np.min(r) >= -tol))
     return np.array(flags, dtype=bool)
 
 
@@ -524,17 +636,17 @@ def inverse_estimate_constant(model: GeneratorModel, lambda0: float) -> float:
 
     Only defined when the resolvent is entrywise nonnegative; then the bound
     is attained on a basis direction, so c is the smallest weighted column
-    score of the resolvent matrix.
+    score (w^T R e_j) / w_j, read off one adjoint solve R^T w.
     """
     s = spectral_bound(model)
     if lambda0 <= s:
         raise ValueError(f"lambda0 = {lambda0} must exceed the spectral bound {s}")
-    r = resolvent_matrix(model, lambda0)
-    if np.min(r) < -POSITIVITY_TOL:
+    if not check_resolvent_positive(model, lambda0)[0]:
         raise ValueError(
             f"resolvent at lambda0 = {lambda0} is not entrywise nonnegative"
         )
-    return float(np.min(positive_column_scores(r, model.space)))
+    w = model.space.weights
+    return float(np.min((shifted_inverse(model, lambda0, 1.0).T @ w) / w))
 
 
 @dataclass(frozen=True)

@@ -128,14 +128,3 @@ def induced_operator_norm(matrix: np.ndarray, space: GridSpace) -> float:
     w = space.weights
     return float(np.max((w @ np.abs(matrix)) / w))
 
-
-def positive_column_scores(matrix: np.ndarray, space: GridSpace) -> np.ndarray:
-    """Per-column values (sum_i w_i M_ij) / w_j for an entrywise-nonnegative M.
-
-    Column j scores exactly ||M e_j|| / ||e_j||; on positive matrices the
-    minimum over j is the largest c with ||M x|| >= c ||x|| on the cone.
-    """
-    if np.min(matrix) < -POSITIVITY_TOL:
-        raise ValueError("column scores are only meaningful for nonnegative matrices")
-    w = space.weights
-    return (w @ matrix) / w

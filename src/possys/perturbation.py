@@ -22,8 +22,8 @@ from .errors import PowerIterationError, SingularSystemError
 from .generators import (
     BorderedBidiagonal,
     GeneratorModel,
-    _solve_shifted,
     resolvent_matrix,
+    shifted_inverse,
     spectral_bound,
 )
 from .lattice import POSITIVITY_TOL, GridSpace, GridVector, _readonly, weighted_l1
@@ -130,6 +130,12 @@ class PerturbedSystem:
                 self._dense = p
             return self._dense
 
+    def perturb(self, v: np.ndarray) -> np.ndarray:
+        """P v; from the rank-one factors when the system has them."""
+        if self.injection is None:
+            return self.perturbation @ v
+        return self.injection * np.dot(self.feedback * self.base.space.spacing, v)
+
     @classmethod
     def from_matrix(cls, base: GeneratorModel, perturbation) -> "PerturbedSystem":
         p = np.asarray(perturbation, dtype=float)
@@ -150,8 +156,7 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
 
     When A has bands and b lives in cell 0 (the boundary injection), P only
     adds to row 0 and A_S keeps the bands; the loop gain then comes from
-    `_solve_shifted`, on the bands when A is lower bidiagonal.  Nothing n x n
-    is built.
+    `shifted_inverse`, on the bands.  Nothing n x n is built.
     """
     col = b.column if isinstance(b, ControlOperator) else np.asarray(b, dtype=float)
     if col.shape != (model.cells,):
@@ -180,7 +185,7 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
         )
     scalar = None
     try:
-        d0 = _solve_shifted(model, 0.0, col)
+        d0 = shifted_inverse(model, 0.0, 1.0) @ col
         # rank-one K = d0 (beta h)^T has spectral radius |sum beta_j h d0_j|
         scalar = float(abs(np.dot(w, d0)))
     except SingularSystemError:
@@ -204,18 +209,19 @@ def small_gain_radius(
 
     K is entrywise nonnegative for nonnegative P, so a positive start
     converges to the Perron value; the iterate history travels with the
-    non-convergence error.  Rank-one assemblies are cross-checked against
-    the exact scalar.
+    non-convergence error.  R(0, A) is factored once and P applied through
+    `PerturbedSystem.perturb`.  Rank-one assemblies are cross-checked
+    against the exact scalar.
     """
     base = system.base
-    p = system.perturbation
+    r0 = shifted_inverse(base, 0.0, 1.0)
     rng = rng if rng is not None else np.random.default_rng(0)
     v = rng.random(base.cells) + 0.5
     v /= np.sum(np.abs(v))
     history: list[float] = []
     rate = math.nan
     for _ in range(max_iter):
-        kv = _solve_shifted(base, 0.0, p @ v, dense=True)
+        kv = r0 @ system.perturb(v)
         rate = float(np.sum(np.abs(kv)))
         history.append(rate)
         if rate <= 1e-300:

@@ -6,11 +6,11 @@ preserves positivity at O(dt) accuracy, and the exact matrix exponential
 reference of the tests, `left_invertibility_audit`, `domination_check` and
 `variation_of_constants_check`.
 Every preset generator is lower bidiagonal except row 0, and for those
-implicit Euler is a bidiagonal solve plus a rank-one correction, O(n) per
-step; other matrices take a dense inverse.  Operator norms along a
-trajectory use the adjoint trick: for an entrywise-nonnegative step the
-weighted column sums evolve under E^T, so the whole norm curve costs K
-adjoint applications (`norm_curves`).  Decay rates are tail-half log-slopes
+implicit Euler is a bidiagonal solve plus a rank-one correction
+(`generators.ShiftedInverse`), O(n) per step; other matrices take a dense
+inverse.  Operator norms along a trajectory use the adjoint trick: for an
+entrywise-nonnegative step the weighted column sums evolve under E^T, so
+the whole norm curve costs K adjoint applications (`norm_curves`).  Decay rates are tail-half log-slopes
 of such curves (`tail_slope`) over one window rule (`decay_horizon`,
 `FIT_STEPS` steps).
 """
@@ -23,12 +23,11 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularSystemError
 from .generators import (
-    BorderedBidiagonal,
     GeneratorModel,
-    _check_backward_error,
-    _solve,
+    ShiftedInverse,
+    _dense_inverse,
+    shifted_inverse,
     spectral_bound,
 )
 from .lattice import GridSpace, GridVector, induced_operator_norm
@@ -37,8 +36,6 @@ METHODS = ("exact_exponential", "implicit_euler")
 # the stepper of every time-stepping default, at every grid size
 DEFAULT_METHOD = "implicit_euler"
 _GRID_TOL = 1e-9
-# pivots and Sherman-Morrison denominators at or below this (relative) are singular
-_PIVOT_TOL = 1e-12
 # steps on the grid of every decay-rate fit
 FIT_STEPS = 800
 # a norm at or below this has underflowed; decay fits stop before it
@@ -110,140 +107,31 @@ def _flush_subnormals(m: np.ndarray) -> np.ndarray:
 
 def step_matrix(model: GeneratorModel, dt: float, method: str = "exact_exponential") -> np.ndarray:
     """Dense one-step propagator: exp(A dt) or (I - dt A)^{-1}."""
-    a = model.matrix
     if method == "exact_exponential":
-        return _flush_subnormals(scipy.linalg.expm(a * dt))
+        return _flush_subnormals(scipy.linalg.expm(model.matrix * dt))
     if method == "implicit_euler":
-        n = model.cells
-        return _solve(np.eye(n) - dt * a, np.eye(n), f"the implicit Euler step at dt = {dt}")
+        return _dense_inverse(model, 1.0, dt)
     raise ValueError(f"unknown method {method!r}")
 
 
-class _Applied:
-    """`op @ y` for a function of y."""
-
-    def __init__(self, apply):
-        self._apply = apply
-
-    def __matmul__(self, y):
-        return self._apply(np.asarray(y, dtype=float))
-
-
-def _band_lu(ab: np.ndarray, kl: int, ku: int, dt: float) -> tuple:
-    """gbtrf of the banded matrix `ab` with kl sub- and ku superdiagonals."""
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku)
-    if info != 0:
-        raise SingularSystemError(f"implicit Euler step singular at dt = {dt}: gbtrf info {info}")
-    return kl, ku, lu, piv
-
-
-def _band_solve(factored: tuple, y: np.ndarray) -> np.ndarray:
-    kl, ku, lu, piv = factored
-    x, _ = scipy.linalg.lapack.dgbtrs(lu, kl, ku, y, piv)
-    return x
-
-
-class BidiagonalStep:
-    """Implicit-Euler step (I - dt A)^{-1} for A given by its bands.
-
-    I - dt A = T - e_0 r^T with T lower bidiagonal and r = dt A[0, 1:] (r_0 =
-    0).  By Sherman-Morrison, with g = T^{-1} e_0 and the denominator
-    1 - r^T g,
-
-        (I - dt A)^{-1} y = T^{-1} y + g (r^T T^{-1} y) / (1 - r^T g),
-
-    one banded solve per right-hand side, O(n) per column.  `.T @ y` applies
-    the adjoint through the upper-bidiagonal T^T and the same denominator.
-    `nonnegative` certifies (I - dt A)^{-1} >= 0 from structure: T has a
-    positive diagonal and a nonpositive subdiagonal (so T^{-1} >= 0), r >= 0
-    and the denominator is positive.
-    """
-
-    def __init__(self, bands: BorderedBidiagonal, dt: float):
-        n = bands.cells
-        a_diag = bands.diag
-        a_sub = bands.sub
-        diag = 1.0 - dt * a_diag
-        sub = -dt * a_sub
-        scale = 1.0 + dt * np.abs(a_diag)
-        if np.any(np.abs(diag) <= _PIVOT_TOL * scale):
-            raise SingularSystemError(f"implicit Euler step singular at dt = {dt}: zero pivot")
-        self.shape = (n, n)
-        # T and T^T in LAPACK band storage, factored once (the first row of
-        # T's array is gbtrf's fill-in space); each solve is then one gbtrs,
-        # the same arithmetic as solve_banded's gbsv without refactoring
-        self._lower = _band_lu(np.vstack((np.zeros(n), diag, np.append(sub, 0.0))), 1, 0, dt)
-        self._upper = _band_lu(np.vstack((np.insert(sub, 0, 0.0), diag)), 0, 1, dt)
-        self._r = dt * bands.row0
-        self._r[0] = 0.0
-        e0 = np.zeros(n)
-        e0[0] = 1.0
-        self._g = self._solve(e0)
-        rg = float(self._r @ self._g)
-        self._denom = 1.0 - rg
-        if abs(self._denom) <= _PIVOT_TOL * (1.0 + abs(rg)):
-            raise SingularSystemError(
-                f"implicit Euler step singular at dt = {dt}: Sherman-Morrison denominator {self._denom:.3e}"
-            )
-        self._p = _band_solve(self._upper, self._r)
-        self.nonnegative = bool(
-            np.all(diag > 0) and np.all(sub <= 0) and np.all(self._r >= 0) and self._denom > 0
-        )
-        # probe: dt (I - dt A)^{-1} 1 = R(1/dt, A) 1, checked in O(n) on the bands
-        ones = np.ones(n)
-        _check_backward_error(
-            bands, 1.0 / dt, dt * self._apply(ones), ones, f"implicit Euler step at dt = {dt}"
-        )
-
-    def _solve(self, y: np.ndarray) -> np.ndarray:
-        return _band_solve(self._lower, y)
-
-    def _apply(self, y: np.ndarray) -> np.ndarray:
-        z = self._solve(y)
-        return z + np.multiply.outer(self._g, self._r @ z) / self._denom
-
-    def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        z = _band_solve(self._upper, y)
-        return z + np.multiply.outer(self._p, z[0]) / self._denom
-
-    def __matmul__(self, y):
-        return self._apply(np.asarray(y, dtype=float))
-
-    @property
-    def T(self) -> _Applied:
-        return _Applied(self._apply_adjoint)
-
-    def toarray(self) -> np.ndarray:
-        return self._apply(np.eye(self.shape[0]))
-
-
-Step = Union[np.ndarray, BidiagonalStep]
+Step = Union[np.ndarray, ShiftedInverse]
 
 
 def step_operator(model: GeneratorModel, dt: float, method: str = DEFAULT_METHOD) -> Step:
-    """One-step propagator for time stepping.
-
-    Implicit Euler on a generator with bands is the O(n)-per-column
-    `BidiagonalStep` when the bidiagonal part T of I - dt A has
-    |1 - dt a_jj| >= dt |a_j,j-1| for every row j >= 1, as every preset
-    does.  Without that T^{-1} grows along the diagonal, the Sherman-Morrison
-    correction cancels and its probe does not see the error, so such
-    matrices, like everything else, take `step_matrix`.
-    """
-    bands = model.bands
-    if method == "implicit_euler" and bands is not None and np.all(
-        np.abs(1.0 - dt * bands.diag[1:]) >= dt * np.abs(bands.sub)
-    ):
-        return BidiagonalStep(bands, dt)
+    """One-step propagator for time stepping: implicit Euler is
+    `shifted_inverse(model, 1, dt)`, O(n) per column on the presets' bands;
+    the exact exponential is `step_matrix`."""
+    if method == "implicit_euler":
+        return shifted_inverse(model, 1.0, dt)
     return step_matrix(model, dt, method)
 
 
 def _nonnegative(model: GeneratorModel, e: Step, method: str) -> bool:
     """Entrywise nonnegativity of a step of `model`, from structure where
-    there is one: a BidiagonalStep carries its certificate, and exp(dt A) >= 0
+    there is one: a ShiftedInverse carries its certificate, and exp(dt A) >= 0
     exactly when A is Metzler, whatever signs roundoff leaves in expm's
     output.  A dense implicit-Euler inverse is read off its smallest entry."""
-    if isinstance(e, BidiagonalStep):
+    if isinstance(e, ShiftedInverse):
         return e.nonnegative
     if method == "exact_exponential":
         return model.off_diagonal_min() >= 0

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import possys as ps
 from possys import cli
 from possys.control import mild_solution
-from possys.generators import BorderedBidiagonal, perron_mode
-from possys.semigroup import BidiagonalStep, EvolutionPlan, step_matrix, step_operator
+from possys.generators import BorderedBidiagonal, ShiftedInverse, perron_mode, shifted_inverse
+from possys.semigroup import EvolutionPlan, step_matrix, step_operator
 
 
 def dense_upwind(space, q, boundary):
@@ -110,7 +110,7 @@ class TestAgainstDenseAssembly:
         model = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.5, 1.0], [1.0, -2.0, 0.0], [0.0, 1.0, -3.0]])
         op = step_operator(model, dt, "implicit_euler")
         dense = step_matrix(model, dt, "implicit_euler")
-        assert isinstance(op, BidiagonalStep) and op.nonnegative
+        assert isinstance(op, ShiftedInverse) and op.nonnegative
         x = rng.standard_normal(3)
         np.testing.assert_allclose(op.toarray(), dense, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(op.T @ x, dense.T @ x, rtol=1e-13, atol=1e-15)
@@ -171,6 +171,78 @@ def test_large_simulation_stays_banded():
     for m in (rs.generator, model):
         assert_no_dense_view(m)
     assert rs.system._dense is None
+    assert peak < 64e6
+
+
+def _renewal_pair(cells=40):
+    rs = ps.renewal_scenario(1.0, 0.5, length=6.0, cells=cells)
+    return rs.generator, rs.system.perturbed
+
+
+@pytest.mark.parametrize("which, lam, banded", [
+    # renewal A, h = 0.15: lam = -4 is not dominant (|lam + 1/h + 1| < 1/h),
+    # but A is lower bidiagonal, so it stays on the bands
+    ("renewal", 1.0, True),
+    ("renewal", -4.0, True),
+    ("closed_loop", 1.0, True),
+    ("closed_loop", -4.0, False),
+    ("ring", 2.0, True),
+    ("markov", 0.5, True),
+])
+def test_resolvent_solves_against_dense(which, lam, banded, rng):
+    """resolvent_apply, the adjoint and inverse_estimate_constant against
+    np.linalg.solve of the dense lam I - A."""
+    model = {
+        "renewal": lambda: _renewal_pair()[0],
+        "closed_loop": lambda: _renewal_pair()[1],
+        "ring": lambda: ps.ring_transport_scenario(2.0, length=1.0, cells=30),
+        "markov": lambda: ps.GeneratorModel(
+            ps.GridSpace(length=8.0, cells=8), bands=BorderedBidiagonal.detect(dense_markov(8))
+        ),
+    }[which]()
+    n = model.cells
+    m = lam * np.eye(n) - model.bands.toarray()
+    op = shifted_inverse(model, lam, 1.0)
+    assert isinstance(op, ShiftedInverse) == banded
+    f = rng.standard_normal(n)
+    ref = np.linalg.solve(m, f)
+    tol = dict(rtol=1e-10, atol=1e-13 * np.max(np.abs(ref)))
+    np.testing.assert_allclose(ps.resolvent_apply(model, lam, f).values, ref, **tol)
+    ref_t = np.linalg.solve(m.T, f)
+    np.testing.assert_allclose(op.T @ f, ref_t, rtol=1e-10, atol=1e-13 * np.max(np.abs(ref_t)))
+    if lam > ps.spectral_bound(model):
+        w = model.space.weights
+        c_ref = np.min((w @ np.linalg.inv(m)) / w)
+        assert ps.inverse_estimate_constant(model, lam) == pytest.approx(c_ref, rel=1e-12)
+    assert (model._dense is None) == banded
+
+
+def test_default_audit_stays_banded(tmp_path, monkeypatch):
+    """The five default audits at 3000 cells build no n x n array (72 MB)."""
+    built = []
+    real = cli.build_scenario
+
+    def keep(cfg):
+        built.append(real(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_scenario", keep)
+    doc = {"scenario": {"kind": "renewal", "q": 1.0, "beta": 0.5, "length": 20.0, "cells": 3000}}
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert cli.main(["audit", "--config", str(path), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    report = json.loads(out.read_text())
+    assert report["audits_run"] == list(cli.DEFAULT_AUDITS)
+    assert report["resolvent_positive_from"] == report["s_A"] + 0.01
+    (b,) = built
+    for m in (b.model, b.system.perturbed):
+        assert_no_dense_view(m)
+    assert b.system._dense is None
     assert peak < 64e6
 
 

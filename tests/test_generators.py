@@ -1,6 +1,8 @@
 """Upwind generators, resolvents, spectral bounds, inverse estimates."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import possys as ps
 from possys.errors import EigensolverError, SingularSystemError
@@ -84,6 +86,8 @@ class TestResolvent:
     def test_signed_matrix_can_lose_positivity(self):
         space = ps.GridSpace(length=2.0, cells=2)
         m = ps.GeneratorModel.from_matrix(space, np.array([[-1.0, -2.0], [0.0, -1.0]]))
+        # bands, but not Metzler: the dense entrywise check decides
+        assert m.bands is not None and not m.metzler
         flags = check_resolvent_positive(m, [0.5])
         assert not flags[0]
 
@@ -162,6 +166,15 @@ class TestSpectralReport:
         assert rep.growth_estimate >= rep.spectral_bound - 0.05
         assert rep.resolvent_positive_from <= -1.9
 
+    @pytest.mark.parametrize("cells", [60, 400, 2000])
+    def test_positive_from_the_first_scan_point(self, cells):
+        # R(s + 0.01, A) has entries near (1 / (0.01 h))^n, beyond any float;
+        # the certificate reads its sign without forming it
+        rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=cells)
+        rep = spectral_report(rs.generator)
+        assert rep.resolvent_positive_from == rep.spectral_bound + 0.01
+        assert rs.generator._dense is None
+
     def test_large_n_stays_cheap(self):
         rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=2000)
         assert ps.spectral_bound(rs.generator) == pytest.approx(-101.0)
@@ -181,3 +194,32 @@ def test_perron_mode_signed_fallback():
     rate, vec = perron_mode(model)
     assert rate == pytest.approx(np.max(np.linalg.eigvals(model.matrix).real), abs=1e-9)
     assert vec.shape == (2,)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offset=st.sampled_from([-1.0, -0.3, 0.3, 1.0, 5.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_positivity_certificate_against_dense_entries(n, seed, offset):
+    # random Metzler bands, some subdiagonal and feedback entries zero, at
+    # lam on both sides of s(A): the certificate agrees with the sign of the
+    # entries of the dense inverse
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(-3.0, 1.0, n)
+    sub = np.where(rng.random(n - 1) < 0.2, 0.0, rng.uniform(0.0, 3.0, n - 1))
+    row0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+    row0[0] = diag[0]
+    bands = ps.BorderedBidiagonal(diag, sub, row0)
+    model = ps.GeneratorModel(ps.GridSpace(length=float(n), cells=n), bands=bands)
+    a = bands.toarray()
+    ev = np.linalg.eigvals(a)
+    s = float(np.max(ev.real))
+    lam = s + offset * (1.0 + abs(s))
+    if np.min(np.abs(lam - ev)) < 1e-6 * (1.0 + abs(lam)):
+        return
+    r = np.linalg.solve(lam * np.eye(n) - a, np.eye(n))
+    assert check_resolvent_positive(model, [lam])[0] == bool(np.min(r) >= -1e-12 * np.max(np.abs(r)))
+    assert check_resolvent_positive(model, [lam])[0] == (offset > 0)
+    assert model._dense is None

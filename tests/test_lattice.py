@@ -10,7 +10,6 @@ from possys.lattice import (
     induced_operator_norm,
     is_positive,
     negative_part,
-    positive_column_scores,
     positive_part,
     weighted_l1,
 )
@@ -112,8 +111,3 @@ class TestOperatorNorm:
         assert induced_operator_norm(m, space) == pytest.approx(
             np.max(np.sum(np.abs(m), axis=0))
         )
-
-    def test_column_scores_reject_negative(self):
-        space = space_of(2)
-        with pytest.raises(ValueError):
-            positive_column_scores(np.array([[1.0, -0.5], [0.0, 1.0]]), space)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import possys as ps
 from possys import semigroup
 from possys.control import step_input_operators
+from possys.generators import ShiftedInverse
 from possys.semigroup import (
     FIT_STEPS,
-    BidiagonalStep,
     EvolutionPlan,
     decay_horizon,
     growth_estimate,
@@ -121,7 +121,7 @@ class TestBidiagonalStep:
         assume(np.linalg.cond(np.eye(model.cells) - dt * model.matrix) < 1e8)
         dense = step_matrix(model, dt, "implicit_euler")
         op = step_operator(model, dt, "implicit_euler")
-        assert isinstance(op, BidiagonalStep)
+        assert isinstance(op, ShiftedInverse)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(model.cells)
         block = rng.standard_normal((model.cells, 3))
@@ -143,8 +143,9 @@ class TestBidiagonalStep:
     @settings(max_examples=300, deadline=None)
     def test_explicit_bordered_metzler_against_dense(self, n, dt, seed):
         # random Metzler bordered A, some with a positive diagonal: where the
-        # bidiagonal part of I - dt A is not row-dominant the O(n) step loses
-        # accuracy, so step_operator must route those to the dense inverse
+        # bidiagonal part of I - dt A is not row-dominant the Sherman-Morrison
+        # term loses accuracy, so step_operator must route those to the dense
+        # inverse unless A is lower bidiagonal and has no such term
         rng = np.random.default_rng(seed)
         a = np.diag(rng.uniform(-3.0, 1.0, n)) + np.diag(rng.uniform(0.0, 3.0, n - 1), -1)
         a[0, 1:] = np.where(rng.random(n - 1) < 0.5, rng.uniform(0.0, 2.0, n - 1), 0.0)
@@ -152,9 +153,9 @@ class TestBidiagonalStep:
         model = ps.GeneratorModel.from_matrix(ps.GridSpace(length=float(n), cells=n), a)
         dense = step_matrix(model, dt, "implicit_euler")
         op = step_operator(model, dt, "implicit_euler")
-        dominant = np.all(np.abs(1.0 - dt * np.diag(a)[1:]) >= dt * np.diag(a, -1))
-        assert isinstance(op, BidiagonalStep) == dominant
-        got = op.toarray() if dominant else op
+        banded = not np.any(a[0, 1:]) or np.all(np.abs(1.0 - dt * np.diag(a)[1:]) >= dt * np.diag(a, -1))
+        assert isinstance(op, ShiftedInverse) == banded
+        got = op.toarray() if banded else op
         assert np.max(np.abs(got - dense)) <= 1e-9 * np.max(np.abs(dense))
 
     def test_certificate_positive_for_metzler_presets(self):
@@ -204,9 +205,9 @@ def test_implicit_euler_is_the_default_at_every_size():
     assert EvolutionPlan(1.0, 0.5).method == "implicit_euler"
     for cells in (10, 501):
         model = ps.renewal_scenario(1.0, 0.0, length=1.0, cells=cells).generator
-        assert isinstance(step_operator(model, 0.1), BidiagonalStep)
+        assert isinstance(step_operator(model, 0.1), ShiftedInverse)
         e, _ = step_input_operators(model, model.space.basis(0), 0.1)
-        assert isinstance(e, BidiagonalStep)
+        assert isinstance(e, ShiftedInverse)
 
 
 class TestEvolve:
@@ -283,7 +284,7 @@ class TestNormCurves:
     @staticmethod
     def check(model, method, dt, vectors, steps=12):
         e = step_operator(model, dt, method)
-        dense = e.toarray() if isinstance(e, BidiagonalStep) else e
+        dense = e.toarray() if isinstance(e, ShiftedInverse) else e
         op, curves = norm_curves(model, e, method, steps, vectors)
         for k in range(steps + 1):
             power = np.linalg.matrix_power(dense, k)
