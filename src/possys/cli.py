@@ -29,7 +29,7 @@ from .control import (
     resolvent_bound_audit,
     uniform_decay_curve,
 )
-from .errors import ConfigError, PossysError
+from .errors import ConfigError, PossysError, SingularSystemError
 from .generators import (
     GeneratorModel,
     inverse_estimate_constant,
@@ -370,7 +370,11 @@ def _admissibility(cfg, built, rng, report):
 def _resolvent_bound(cfg, built, rng, report):
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(report["s_A"], cfg.tau)
     report["alpha"] = alpha
-    report["m_alpha"] = resolvent_bound_audit(built.model, built.injection.column, alpha, p=cfg.p)
+    try:
+        report["m_alpha"] = resolvent_bound_audit(built.model, built.injection.column, alpha, p=cfg.p)
+    except SingularSystemError as exc:
+        return str(exc)
+    return None
 
 
 def _small_gain(cfg, built, rng, report):

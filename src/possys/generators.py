@@ -350,20 +350,6 @@ class _Applied:
         return self._apply(np.asarray(y, dtype=float))
 
 
-def _band_lu(ab: np.ndarray, kl: int, ku: int, what: str) -> tuple:
-    """gbtrf of the banded matrix `ab` with kl sub- and ku superdiagonals."""
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku)
-    if info != 0:
-        raise SingularSystemError(f"{what} is singular: gbtrf info {info}")
-    return kl, ku, lu, piv
-
-
-def _band_solve(factored: tuple, y: np.ndarray) -> np.ndarray:
-    kl, ku, lu, piv = factored
-    x, _ = scipy.linalg.lapack.dgbtrs(lu, kl, ku, y, piv)
-    return x
-
-
 class ShiftedInverse:
     """(sigma I - tau A)^{-1}, tau > 0, for A given by its bands: the
     implicit-Euler step is (1, dt), the resolvent R(lam, A) is (lam, 1).
@@ -374,8 +360,9 @@ class ShiftedInverse:
 
         (sigma I - tau A)^{-1} y = T^{-1} y + g (r^T T^{-1} y) / (1 - r^T g),
 
-    one banded solve per right-hand side, O(n) per column.  `.T @ y` applies
-    the adjoint through the upper-bidiagonal T^T and the same denominator.
+    one LAPACK tbtrs call per solve, on a vector or a whole block, O(n) per
+    column.  `.T @ y` applies the adjoint through one tbtrs with the upper
+    band of T^T and the same denominator.
     `nonnegative` certifies the inverse >= 0 from structure: T has a
     positive diagonal and a nonpositive subdiagonal (so T^{-1} >= 0), r >= 0
     and the denominator is positive.
@@ -387,22 +374,23 @@ class ShiftedInverse:
         diag = sigma - tau * bands.diag
         sub = -tau * bands.sub
         _check_pivots(diag, abs(sigma) + tau * np.abs(bands.diag), what)
-        # T and T^T in LAPACK band storage, factored once (the first row of
-        # T's array is gbtrf's fill-in space); each solve is then one gbtrs,
-        # the same arithmetic as solve_banded's gbsv without refactoring
-        self._lower = _band_lu(np.vstack((np.zeros(n), diag, np.append(sub, 0.0))), 1, 0, what)
-        self._upper = _band_lu(np.vstack((np.insert(sub, 0, 0.0), diag)), 0, 1, what)
+        # T = L D, the LU of T without pivoting (multipliers sub_j * (1 / diag_j));
+        # |L| |D| = |T|, so it is backward stable at every shift (Higham,
+        # Accuracy and Stability of Numerical Algorithms, ch. 9)
+        self._d = diag
+        self._lower = np.vstack((np.ones(n), np.append(sub * (1.0 / diag[:-1]), 0.0)))
+        self._upper = np.vstack((np.insert(sub, 0, 0.0), diag))
         self._r = tau * bands.row0
         self._r[0] = 0.0
         e0 = np.zeros(n)
         e0[0] = 1.0
-        self._g = _band_solve(self._lower, e0)
+        self._g = self._solve_t(e0)
         if not np.all(np.isfinite(self._g)):
             raise SingularSystemError(f"{what} is singular: T^-1 e_0 overflows")
         rg = float(self._r @ self._g)
         self._denom = 1.0 - rg
         _check_pivots(self._denom, 1.0 + abs(rg), f"{what} (Sherman-Morrison denominator)")
-        self._p = _band_solve(self._upper, self._r)
+        self._p = scipy.linalg.lapack.dtbtrs(self._upper, self._r, uplo="U")[0]
         self.nonnegative = bool(
             np.all(diag > 0) and np.all(sub <= 0) and np.all(self._r >= 0) and self._denom > 0
         )
@@ -411,12 +399,20 @@ class ShiftedInverse:
         ones = np.ones(n)
         _check_backward_error(bands, sigma / tau, tau * self._apply(ones), ones, what)
 
+    def _solve_t(self, y: np.ndarray) -> np.ndarray:
+        """T^{-1} y: one tbtrs with L, then the division by D."""
+        z = scipy.linalg.lapack.dtbtrs(self._lower, y, uplo="L", diag="U")[0]
+        return z / self._d.reshape((-1,) + (1,) * (z.ndim - 1))
+
     def _apply(self, y: np.ndarray) -> np.ndarray:
-        z = _band_solve(self._lower, y)
-        return z + np.multiply.outer(self._g, self._r @ z) / self._denom
+        z = self._solve_t(y)
+        # r^T z column by column: a block's columns come out bit for bit as
+        # they do alone, which one BLAS product over the block does not give
+        rz = self._r.dot(z) if z.ndim == 1 else np.fromiter(map(self._r.dot, z.T), float, z.shape[1])
+        return z + np.multiply.outer(self._g, rz) / self._denom
 
     def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        z = _band_solve(self._upper, y)
+        z = scipy.linalg.lapack.dtbtrs(self._upper, y, uplo="U")[0]
         return z + np.multiply.outer(self._p, z[0]) / self._denom
 
     def __matmul__(self, y):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,6 +216,64 @@ def test_resolvent_solves_against_dense(which, lam, banded, rng):
         c_ref = np.min((w @ np.linalg.inv(m)) / w)
         assert ps.inverse_estimate_constant(model, lam) == pytest.approx(c_ref, rel=1e-12)
     assert (model._dense is None) == banded
+
+
+# preset models and the steps (1, dt) and shifts (lam, 1) the audits take on
+# them; at each, sigma - tau a_jj >= tau a_j+1,j in every column
+PRESETS = {
+    "renewal": lambda: ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400).system.perturbed,
+    "renewal_per_cell_q": lambda: ps.renewal_scenario(
+        np.linspace(0.2, 2.0, 300), np.linspace(0.5, 0.0, 300), length=20.0, cells=300
+    ).system.perturbed,
+    "ring": lambda: ps.ring_transport_scenario(2.0, length=1.0, cells=300),
+    "zero_inflow": lambda: ps.build_upwind_generator(ps.GridSpace(length=20.0, cells=400), 1.0),
+}
+SHIFTS = [(1.0, 0.05), (1.0, 0.0125), (1.0, 1.0), (0.5, 1.0), (10.0, 1.0), (1e3, 1.0)]
+
+
+@pytest.mark.parametrize("which", sorted(PRESETS))
+@pytest.mark.parametrize("sigma, tau", SHIFTS)
+def test_forward_solve_is_solve_banded_bit_for_bit(which, sigma, tau, rng):
+    """On column-dominant T the unpivoted factor is the LU that
+    solve_banded's banded LAPACK solver forms, so the T-solve equals it bit
+    for bit; the simulate CSV and the reports rest on this."""
+    bands = PRESETS[which]().bands
+    diag, sub = sigma - tau * bands.diag, -tau * bands.sub
+    assert np.all(np.abs(diag[:-1]) >= np.abs(sub))
+    op = ShiftedInverse(bands, sigma, tau)
+    ab = np.vstack((diag, np.append(sub, 0.0)))
+    for y in (rng.standard_normal(bands.cells), rng.standard_normal((bands.cells, 100))):
+        assert np.array_equal(op._solve_t(y), scipy.linalg.solve_banded((1, 0), ab, y))
+
+
+@pytest.mark.parametrize("which", sorted(PRESETS))
+@pytest.mark.parametrize("sigma, tau", [(1.0, 0.05), (2.0, 1.0)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_block_apply_is_column_applies(which, sigma, tau, order, rng):
+    """A trajectory stepped in a block comes out as it does alone."""
+    model = PRESETS[which]()
+    op = shifted_inverse(model, sigma, tau)
+    block = np.asarray(rng.standard_normal((model.cells, 100)), order=order)
+    for apply in (op.__matmul__, op.T.__matmul__):
+        cols = np.column_stack([apply(block[:, j]) for j in range(block.shape[1])])
+        assert np.array_equal(apply(block), cols)
+
+
+@pytest.mark.parametrize("lam", [-1.5, -4.0, -7.0])
+def test_solves_off_column_dominance(lam, rng):
+    """Renewal A at 60 cells, h = 0.1: for lam < -q, |a_j+1,j| > |lam - a_jj|,
+    where a pivoting LU swaps rows.  The unpivoted factor of the bidiagonal
+    T has |L| |D| = |T| and solves as accurately."""
+    model = ps.renewal_scenario(1.0, 0.5, length=6.0, cells=60).generator
+    bands = model.bands
+    assert np.all(np.abs(lam - bands.diag[:-1]) < np.abs(bands.sub))
+    m = lam * np.eye(60) - bands.toarray()
+    op = shifted_inverse(model, lam, 1.0)
+    assert isinstance(op, ShiftedInverse)
+    for f in (rng.standard_normal(60), rng.standard_normal((60, 5))):
+        for got, mat in ((op @ f, m), (op.T @ f, m.T)):
+            ref = np.linalg.solve(mat, f)
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13 * np.max(np.abs(ref)))
 
 
 def test_default_audit_stays_banded(tmp_path, monkeypatch):

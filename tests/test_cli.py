@@ -306,6 +306,23 @@ class TestAudit:
         # the abscissa that was refused is still reported
         assert report["lambda0"] == -1000.0 and report["c"] is None
 
+    def test_overflowing_resolvent_bound_is_skipped(self, tmp_path, capsys):
+        # at 2000 cells and alpha = -50, T^-1 e_0 of R(lam, A) overflows on
+        # the lower part of the grid; the audit is skipped, the others report
+        cfg = write_config(
+            tmp_path,
+            scenario={"kind": "renewal", "q": 1.0, "beta": 0.5, "length": 20.0, "cells": 2000},
+            alpha=-50.0,
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["audits_run"] == [a for a in cli.DEFAULT_AUDITS if a != "resolvent_bound"]
+        ((name, reason),) = report["skipped"]
+        assert name == "resolvent_bound" and reason.endswith("T^-1 e_0 overflows")
+        assert report["alpha"] == -50.0 and report["m_alpha"] is None
+        assert report["c"] is not None and report["kappa"] is not None and report["r"] is not None
+
     def test_tolerance_profile_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POSSYS_TOLERANCE_PROFILE", "loose")
         cfg = write_config(tmp_path, audits=[])
