@@ -3,8 +3,9 @@
 Two steppers: implicit Euler, the default at every grid size, which
 preserves positivity at O(dt) accuracy, and the exact matrix exponential
 (dense, scaling-and-squaring), kept as an explicit choice and as the
-reference of the tests, `left_invertibility_audit`, `domination_check` and
-`variation_of_constants_check`.
+reference of the tests, `left_invertibility_audit`,
+`variation_of_constants_check` and `domination_check` on a base generator
+that is not Metzler.
 Every preset generator is lower bidiagonal except row 0, and for those
 implicit Euler is a bidiagonal solve plus a rank-one correction
 (`generators.ShiftedInverse`), O(n) per step; other matrices take a dense

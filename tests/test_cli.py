@@ -299,12 +299,31 @@ class TestAudit:
         out = tmp_path / "report.json"
         assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["audits_run"] == []
-        (inv, reason), dom = report["skipped"]
+        # domination is certified from structure on the Metzler preset, at any size
+        assert report["audits_run"] == ["domination"] and report["domination_ok"] is True
+        [(inv, reason)] = report["skipped"]
         assert inv == "inverse_estimate" and reason.startswith("lambda0 = -1000.0 must exceed")
-        assert dom == ["domination", "dense exponential comparison limited to 500 cells"]
         # the abscissa that was refused is still reported
         assert report["lambda0"] == -1000.0 and report["c"] is None
+
+    def test_non_metzler_domination_skipped_above_500_cells(self, tmp_path, capsys):
+        # a negative subdiagonal entry leaves the exponential half to the
+        # dense comparison, which is limited to 500 cells
+        n = 501
+        a = np.diag(np.full(n, -2.0))
+        a[1, 0] = -1.0
+        b = np.zeros(n)
+        b[0] = 1.0
+        cfg = write_config(
+            tmp_path,
+            scenario={"kind": "explicit", "matrix": a.tolist(), "b": b.tolist(), "beta": 0.5},
+            audits=["domination"],
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["audits_run"] == [] and report["domination_ok"] is None
+        assert report["skipped"] == [["domination", "dense exponential comparison limited to 500 cells"]]
 
     def test_overflowing_resolvent_bound_is_skipped(self, tmp_path, capsys):
         # at 2000 cells and alpha = -50, T^-1 e_0 of R(lam, A) overflows on

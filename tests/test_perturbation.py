@@ -1,18 +1,50 @@
 """Boundary feedback assembly, small-gain radius, domination."""
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import possys as ps
+from possys import perturbation
 from possys.errors import SingularSystemError
+from possys.generators import BorderedBidiagonal, resolvent_matrix
 from possys.perturbation import (
     DirichletOperator,
     assemble_perturbed,
     boundary_control_operator,
     dirichlet_operator,
     domination_check,
+    resolvent_gap_factors,
     small_gain_radius,
     variation_of_constants_check,
 )
+from possys.semigroup import step_matrix
+
+T_GRID = (0.1, 1.0, 10.0)
+
+
+def dense_domination(system, lambda_grid, tol=1e-10):
+    """The dense comparison domination_check replaced: exp(tA) - exp(tA_S)
+    and R(lam, A) - R(lam, A_S) as n x n matrices, violations listed the
+    way the report lists them."""
+    def violations(grid, gaps):
+        out = []
+        for x, gap in zip(grid, gaps):
+            worst = float(np.max(gap))
+            if worst > tol:
+                i, j = np.unravel_index(np.argmax(gap), gap.shape)
+                out.append((float(x), int(i), int(j), worst))
+        return tuple(out)
+
+    exp_gaps = [step_matrix(system.base, t) - step_matrix(system.perturbed, t) for t in T_GRID]
+    res_gaps = [
+        resolvent_matrix(system.base, lam) - resolvent_matrix(system.perturbed, lam)
+        for lam in lambda_grid
+    ]
+    return violations(T_GRID, exp_gaps), violations(lambda_grid, res_gaps), res_gaps
 
 
 class TestDirichletColumn:
@@ -158,6 +190,87 @@ class TestDomination:
         system = assemble_perturbed(model, b, 0.8)
         with pytest.raises(ValueError):
             domination_check(system, (1.0,), np.array([-2.0]))
+
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        boundary=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_metzler_bands_against_dense(self, n, seed, boundary):
+        # Metzler bands, some subdiagonal entries zero, and a rank-one P >= 0
+        # injected at cell 0 (A_S keeps the bands) or anywhere (A_S dense);
+        # column sums of A_S stay near or below zero, so the dense oracle's
+        # roundoff sits far below tol
+        rng = np.random.default_rng(seed)
+        sub = np.where(rng.random(n - 1) < 0.2, 0.0, rng.uniform(0.0, 3.0, n - 1))
+        row0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+        b = np.zeros(n)
+        if boundary:
+            b[0] = rng.uniform(0.0, 2.0)
+        else:
+            b = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+        beta = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 2.0, n))
+        space = ps.GridSpace(length=float(n), cells=n)
+        off_sums = np.append(sub, 0.0) + np.insert(row0[1:], 0, 0.0)
+        diag = -(off_sums + np.sum(b) * beta * space.spacing + rng.uniform(-0.2, 1.0, n))
+        row0[0] = diag[0]
+        model = ps.GeneratorModel(space, bands=BorderedBidiagonal(diag, sub, row0))
+        system = assemble_perturbed(model, b, beta)
+        lams = ps.spectral_bound(system.perturbed) + np.array([0.5, 1.0, 2.0, 5.0, 10.0])
+
+        rep = domination_check(system, T_GRID, lams)
+        exp_bad, res_bad, res_gaps = dense_domination(system, lams)
+        assert rep.exponential_certified
+        assert rep.exponential_violations == exp_bad == ()
+        assert rep.resolvent_violations == res_bad == ()
+        # s is monotone in the Metzler order: s(A) <= s(A + P) for P >= 0
+        assert rep.spectral_ok and rep.ok
+        for lam, dense_gap in zip(lams, res_gaps):
+            u, v = resolvent_gap_factors(system, lam)
+            # the roundoff of a difference scales with both terms
+            scale = np.max(np.abs(resolvent_matrix(model, lam))) + np.max(
+                np.abs(resolvent_matrix(system.perturbed, lam))
+            )
+            assert np.max(np.abs(-np.outer(u, v) - dense_gap)) <= 1e-15 * scale
+
+    def test_non_metzler_takes_the_dense_exponential(self):
+        # a negative subdiagonal entry: more mass in cell 0 drains cell 1, so
+        # S(t) < T(t) there and neither order relation holds
+        space = ps.GridSpace(length=3.0, cells=3)
+        a = np.array([[-1.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        model = ps.GeneratorModel.from_matrix(space, a)
+        system = assemble_perturbed(model, np.array([1.0, 0.0, 0.0]), 0.5)
+        lams = ps.spectral_bound(system.perturbed) + np.array([0.5, 1.0, 2.0, 5.0, 10.0])
+        rep = domination_check(system, T_GRID, lams)
+        exp_bad, res_bad, _ = dense_domination(system, lams)
+        assert not rep.exponential_certified and not rep.ok
+        assert rep.exponential_violations == exp_bad and len(exp_bad) == len(T_GRID)
+        assert [v[:3] for v in rep.resolvent_violations] == [v[:3] for v in res_bad]
+        for got, want in zip(rep.resolvent_violations, res_bad):
+            assert got[3] == pytest.approx(want[3], rel=1e-12)
+
+    def test_large_renewal_stays_banded(self, monkeypatch):
+        """3000 cells: no expm, no resolvent matrix, no n x n array."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense call in the banded domination check")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        monkeypatch.setattr(perturbation, "resolvent_matrix", refuse)
+        rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=3000)
+        lams = ps.spectral_bound(rs.system.perturbed) + np.array([0.5, 1.0, 2.0, 5.0, 10.0])
+        tracemalloc.start()
+        try:
+            rep = domination_check(rs.system, T_GRID, lams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.ok and rep.exponential_certified
+        for m in (rs.system.base, rs.system.perturbed):
+            assert m._dense is None
+        assert rs.system._dense is None
+        # one 3000 x 3000 array is 72 MB
+        assert peak < 4e6
 
 
 class TestVariationOfConstants:
