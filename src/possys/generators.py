@@ -363,6 +363,10 @@ class ShiftedInverse:
     one LAPACK tbtrs call per solve, on a vector or a whole block, O(n) per
     column.  `.T @ y` applies the adjoint through one tbtrs with the upper
     band of T^T and the same denominator.
+    `@` gives a block's columns bit for bit as it gives them alone, which
+    the simulate CSV and the input maps rest on; `advance` steps a block of
+    trajectories z <- E z + f u^T with one gemv and one rank-2 gemm in place
+    of the column-by-column products, equal to `@` to roundoff.
     `nonnegative` certifies the inverse >= 0 from structure: T has a
     positive diagonal and a nonpositive subdiagonal (so T^{-1} >= 0), r >= 0
     and the denominator is positive.
@@ -384,7 +388,9 @@ class ShiftedInverse:
         self._r[0] = 0.0
         e0 = np.zeros(n)
         e0[0] = 1.0
-        self._g = self._solve_t(e0)
+        # an overflowing T^-1 e_0 is refused just below, not warned about
+        with np.errstate(over="ignore"):
+            self._g = self._solve_t(e0)
         if not np.all(np.isfinite(self._g)):
             raise SingularSystemError(f"{what} is singular: T^-1 e_0 overflows")
         rg = float(self._r @ self._g)
@@ -402,7 +408,9 @@ class ShiftedInverse:
     def _solve_t(self, y: np.ndarray) -> np.ndarray:
         """T^{-1} y: one tbtrs with L, then the division by D."""
         z = scipy.linalg.lapack.dtbtrs(self._lower, y, uplo="L", diag="U")[0]
-        return z / self._d.reshape((-1,) + (1,) * (z.ndim - 1))
+        # tbtrs returns a fresh array (overwrite_b is off), so divide in place
+        z /= self._d.reshape((-1,) + (1,) * (z.ndim - 1))
+        return z
 
     def _apply(self, y: np.ndarray) -> np.ndarray:
         z = self._solve_t(y)
@@ -410,6 +418,22 @@ class ShiftedInverse:
         # they do alone, which one BLAS product over the block does not give
         rz = self._r.dot(z) if z.ndim == 1 else np.fromiter(map(self._r.dot, z.T), float, z.shape[1])
         return z + np.multiply.outer(self._g, rz) / self._denom
+
+    def advance(self, z: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """E z + f u^T for E = self, an n x m block z and m inputs u, as a
+        new Fortran-ordered block; z is not written.
+
+        With W = T^{-1} z this is W + [g | f] [(r^T W) / denom ; u^T]: one
+        tbtrs over the block, which solves in a Fortran-ordered copy of z
+        (a plain copy when z is Fortran-ordered already, as every block this
+        returns is), one gemv for r^T W and one rank-2 gemm that adds into
+        W.  The columns agree with `self @ z` to roundoff, not bit for bit:
+        the gemv and gemm sum in their own order.
+        """
+        w = self._solve_t(z)
+        coef = np.vstack((self._r @ w / self._denom, u))
+        gf = np.column_stack((self._g, f))
+        return scipy.linalg.blas.dgemm(1.0, gf, coef, beta=1.0, c=w, overwrite_c=1)
 
     def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         z = scipy.linalg.lapack.dtbtrs(self._upper, y, uplo="U")[0]

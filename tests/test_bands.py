@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import possys as ps
 from possys import cli
-from possys.control import mild_solution
+from possys.control import input_recursion, mild_solution
 from possys.generators import BorderedBidiagonal, ShiftedInverse, perron_mode, shifted_inverse
 from possys.semigroup import EvolutionPlan, step_matrix, step_operator
 
@@ -257,6 +257,33 @@ def test_block_apply_is_column_applies(which, sigma, tau, order, rng):
     for apply in (op.__matmul__, op.T.__matmul__):
         cols = np.column_stack([apply(block[:, j]) for j in range(block.shape[1])])
         assert np.array_equal(apply(block), cols)
+
+
+@pytest.mark.parametrize("which", sorted(PRESETS))
+@pytest.mark.parametrize("sigma, tau", [(1.0, 0.05), (1.0, 1.0)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_block_recursion_is_column_recursion(which, sigma, tau, order, rng):
+    """input_recursion steps a block through ShiftedInverse.advance; over 200
+    steps it agrees with e @ z + F u_k to roundoff, and it writes neither the
+    caller's block nor a block it has already yielded."""
+    model = PRESETS[which]()
+    e = shifted_inverse(model, sigma, tau)
+    assert isinstance(e, ShiftedInverse)
+    n, m = model.cells, 24
+    f = tau * (e @ rng.exponential(size=n))
+    start = np.asarray(rng.standard_normal((n, m)), order=order)
+    kept = start.copy()
+    u = rng.exponential(size=(200, m))
+    u[:, ::5] = 0.0
+    ref, yielded = start, []
+    for k, z in enumerate(input_recursion(e, f, start, u)):
+        if k:
+            ref = e @ ref + np.multiply.outer(f, u[k - 1])
+        assert np.max(np.abs(z - ref)) <= 1e-13 * np.max(np.abs(ref))
+        yielded.append((z, z.copy()))
+    assert len(yielded) == 201
+    assert np.array_equal(start, kept)
+    assert all(np.array_equal(z, snap) for z, snap in yielded)
 
 
 @pytest.mark.parametrize("lam", [-1.5, -4.0, -7.0])

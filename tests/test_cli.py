@@ -27,6 +27,13 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+def run_cli(*args):
+    """possys.cli in its own process, so that a numpy warning reaches stderr."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "possys.cli", *args], capture_output=True, text=True, env=env)
+
+
 class TestConfigErrors:
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = cli.main(["audit", "--config", str(tmp_path / "absent.json")])
@@ -75,17 +82,25 @@ class TestConfigErrors:
         assert "residual" not in cli.TOLERANCE_PROFILES["default"]
 
     def test_overflowing_absorption_exits_2(self, tmp_path):
-        # its own process, so that a numpy warning would reach stderr
         scenario = {"kind": "renewal", "q": 1e308, "beta": 0.5, "length": 20.0, "cells": 60}
         cfg = write_config(tmp_path, scenario=scenario)
-        src = str(Path(__file__).parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "possys.cli", "audit", "--config", cfg, "--out", str(tmp_path / "r.json")],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_cli("audit", "--config", cfg, "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+
+    def test_overflowing_shifted_solve_warns_nothing(self, tmp_path):
+        # lower bidiagonal, diagonal -2, subdiagonal 1 but A[1, 0] = -1: at
+        # lambda = s(A) + 0.01 the solve T^-1 e_0 grows by 100 per cell and
+        # overflows past cell 154; it is refused as singular, with no numpy
+        # warning
+        n = 200
+        matrix = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), -1)
+        matrix[1, 0] = -1.0
+        scenario = {"kind": "explicit", "matrix": matrix.tolist(), "length": float(n), "b": np.eye(n)[0].tolist()}
+        cfg = write_config(tmp_path, scenario=scenario, audits=["inverse_estimate"])
+        proc = run_cli("audit", "--config", cfg, "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_unknown_sweep_param(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,11 +1,16 @@
 """ISS verdicts and the fitted (N, mu, G) envelope."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import possys as ps
-from possys import iss, semigroup
+from possys import cli, iss, semigroup
 from possys.errors import GainValidationError
+from possys.generators import ShiftedInverse
 from possys.iss import EISS, GUARD_BAND, INCONCLUSIVE, NOT_EISS, ISSReport
+
+DATA = Path(__file__).parent / "data"
 
 
 def closed_loop(toy, beta0):
@@ -104,6 +109,28 @@ class TestGainFit:
         _, model, b = toy
         with pytest.raises(GainValidationError):
             ps.iss_gain_fit(system, b, trials=10, rng=np.random.default_rng(5))
+
+    def test_block_route_catches_an_understated_gain(self, monkeypatch):
+        """With G halved on renewal-n60 the random pairs violate the
+        envelope, and the block route of the validation finds the same worst
+        violation as the column recursion e @ z + F u_k."""
+        built = cli.build_scenario(cli.RunConfig.from_file(str(DATA / "renewal-n60.json")))
+        real = iss.norm_curves
+
+        def halved(*args):
+            op, (imp, inj) = real(*args)
+            return op, (imp / 2, inj / 2)
+
+        monkeypatch.setattr(iss, "norm_curves", halved)
+        caught = []
+        for advance in (ShiftedInverse.advance, lambda e, z, f, u: e @ z + np.multiply.outer(f, u)):
+            monkeypatch.setattr(ShiftedInverse, "advance", advance)
+            with pytest.raises(GainValidationError) as exc:
+                iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(3))
+            caught.append(exc.value)
+        block, column = caught
+        assert (block.trial, block.time) == (column.trial, column.time)
+        assert block.gap == pytest.approx(column.gap, rel=1e-12)
 
     def test_report_with_envelope(self, toy):
         system = closed_loop(toy, 1.0)
