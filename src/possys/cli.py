@@ -225,6 +225,10 @@ class BuiltScenario:
     echo: dict = field(default_factory=dict)
 
 
+def _cells(sc: dict, default: int) -> int:
+    return _number(sc.get("cells", default), "scenario.cells", integer=True, positive=True)
+
+
 def build_scenario(cfg: RunConfig) -> BuiltScenario:
     sc = cfg.scenario
     kind = sc["kind"]
@@ -234,7 +238,7 @@ def build_scenario(cfg: RunConfig) -> BuiltScenario:
                 sc.get("q", 1.0),
                 sc.get("beta", 0.0),
                 length=sc.get("length"),
-                cells=int(sc.get("cells", 2000)),
+                cells=_cells(sc, 2000),
             )
             echo = dict(rs.spec.parameters)
             echo["flags"] = {
@@ -252,12 +256,12 @@ def build_scenario(cfg: RunConfig) -> BuiltScenario:
             echo = {
                 "a": float(sc.get("a", 2.0)),
                 "length": float(sc.get("length", 1.0)),
-                "cells": int(sc.get("cells", 100)),
+                "cells": _cells(sc, 100),
             }
             model = ring_transport_scenario(gain=echo["a"], length=echo["length"], cells=echo["cells"])
             return BuiltScenario(kind=kind, model=model, echo=echo)
         if kind == "markov_cycle":
-            cells = int(sc.get("cells", 8))
+            cells = _cells(sc, 8)
             return BuiltScenario(kind=kind, model=markov_cycle_scenario(cells), echo={"cells": cells})
         if kind == "explicit":
             matrix = np.asarray(sc.get("matrix"), dtype=float)
@@ -397,6 +401,8 @@ def _iss(cfg, built, rng, report):
 
 
 def _gain_fit(cfg, built, rng, report):
+    if cfg.p != 1:
+        return "gain fit is implemented for p = 1 only"
     # the iss audit's verdict when it ran first
     verdict = report["verdict"] or _verdict(cfg, built, rng).verdict
     if verdict != EISS:
@@ -409,7 +415,7 @@ def _gain_fit(cfg, built, rng, report):
 
 def _left_invertibility(cfg, built, rng, report):
     t_end = cfg.plan.get("t_end", 2.0)
-    audit = left_invertibility_audit(built.model, np.linspace(0.0, t_end, 65), rng=rng)
+    audit = left_invertibility_audit(built.model, np.linspace(0.0, t_end, 65))
     report["left_invertibility"] = {
         "holds": audit.holds,
         "amplitude": audit.amplitude,
@@ -508,9 +514,9 @@ def _sweep_row(cfg: RunConfig, param: str, value: float) -> dict:
     key, kind = SWEEP_PARAMS[param]
     if cfg.scenario.get("kind") != kind:
         raise ConfigError(f"sweep over {param} needs a {kind} scenario")
-    if param == "n" and not (value > 0 and float(value).is_integer()):
-        raise ConfigError(f"n sweep values must be positive integers, got {value}")
-    built = build_scenario(replace(cfg, scenario={**cfg.scenario, key: value}))
+    # build_scenario refuses a cells value that is not a positive integer
+    setting = int(value) if param == "n" and float(value).is_integer() else value
+    built = build_scenario(replace(cfg, scenario={**cfg.scenario, key: setting}))
     if built.system is None:
         return {"value": value, "r": None, "s_perturbed": spectral_bound(built.model),
                 "verdict": None, "mu": None}

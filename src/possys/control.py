@@ -56,6 +56,8 @@ class InputSignal:
         vals = _readonly(self.values)
         if bp.ndim != 1 or len(bp) < 1 or bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
+        if not np.all(np.isfinite(bp)):
+            raise ValueError("breakpoints must be finite")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if vals.shape != (len(bp) - 1,):

@@ -136,7 +136,7 @@ def iss_gain_fit(
     steps = grid_steps(horizon, dt, "horizon")
     e, f = step_input_operators(model, col, dt)
 
-    op_norms, (imp_norms, inj_norms) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, col))
+    op_norms, _, (imp_norms, inj_norms) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, col))
     times = np.arange(steps + 1) * dt
     mu = -tail_slope(times, op_norms)
     if mu <= 0:

@@ -118,13 +118,17 @@ def is_positive(f: GridVector, tol: float = POSITIVITY_TOL) -> bool:
     return bool(np.min(f.values) >= -tol)
 
 
+def weighted_column_sums(matrix: np.ndarray, space: GridSpace) -> np.ndarray:
+    """||M e_j|| / ||e_j|| for every column j: (sum_i w_i |M_ij|) / w_j."""
+    w = space.weights
+    return (w @ np.abs(matrix)) / w
+
+
 def induced_operator_norm(matrix: np.ndarray, space: GridSpace) -> float:
     """Operator norm induced by the weighted l1 norm.
 
-    For M acting on grid vectors this is max_j (sum_i w_i |M_ij|) / w_j,
-    a weighted maximum column sum.  Uniform weights reduce it to the plain
+    For M acting on grid vectors this is the largest weighted column sum,
+    max_j (sum_i w_i |M_ij|) / w_j.  Uniform weights reduce it to the plain
     l1 matrix norm.
     """
-    w = space.weights
-    return float(np.max((w @ np.abs(matrix)) / w))
-
+    return float(np.max(weighted_column_sums(matrix, space)))

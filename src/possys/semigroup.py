@@ -11,9 +11,9 @@ implicit Euler is a bidiagonal solve plus a rank-one correction
 (`generators.ShiftedInverse`), O(n) per step; other matrices take a dense
 inverse.  Operator norms along a trajectory use the adjoint trick: for an
 entrywise-nonnegative step the weighted column sums evolve under E^T, so
-the whole norm curve costs K adjoint applications (`norm_curves`).  Decay rates are tail-half log-slopes
-of such curves (`tail_slope`) over one window rule (`decay_horizon`,
-`FIT_STEPS` steps).
+the norm curve and the cone lower bound cost K adjoint applications
+(`norm_curves`).  Decay rates are tail-half log-slopes of such curves
+(`tail_slope`) over one window rule (`decay_horizon`, `FIT_STEPS` steps).
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .generators import (
     shifted_inverse,
     spectral_bound,
 )
-from .lattice import GridSpace, GridVector, induced_operator_norm
+from .lattice import GridSpace, GridVector, weighted_column_sums
 
 METHODS = ("exact_exponential", "implicit_euler")
 # the stepper of every time-stepping default, at every grid size
@@ -41,6 +41,8 @@ _GRID_TOL = 1e-9
 FIT_STEPS = 800
 # a norm at or below this has underflowed; decay fits stop before it
 NORM_FLOOR = 1e-300
+# a cone lower bound at or below this has collapsed: left invertibility fails
+ZERO_TOL = 1e-12
 
 
 def grid_steps(t: float, dt: float, what: str = "t") -> int:
@@ -141,35 +143,41 @@ def _nonnegative(model: GeneratorModel, e: Step, method: str) -> bool:
 
 def norm_curves(
     model: GeneratorModel, e: Step, method: str, steps: int, vectors=()
-) -> tuple[np.ndarray, np.ndarray]:
-    """||E^k|| for k = 0..steps and, as row i of a second array, ||E^k v_i||
-    for the vectors v_i (a sequence, or the rows of an array), in the
-    weighted l1 norm of the model's grid; E is a `method` step of it.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """||E^k||, min_j ||E^k e_j|| / ||e_j|| and, as row i of a third array,
+    ||E^k v_i|| for the vectors v_i (a sequence, or the rows of an array),
+    k = 0..steps, in the weighted l1 norm of the model's grid; E is a
+    `method` step of it.  The first two are the largest and the smallest
+    weighted column sum of E^k; for E >= 0 the norm is linear on the cone,
+    so the smallest is the cone lower bound min ||E^k x|| / ||x||, x >= 0.
 
     A nonnegative E with nonnegative vectors rides the adjoint recursion
-    y <- E^T y from the weights: ||E^k|| = max_j y_j / w_j and
+    y <- E^T y from the weights: the column sums are y / w and
     ||E^k v|| = y . v, `steps` adjoint applications and one product with
     the vectors per step.  Anything signed accumulates the powers E^k.
     """
     w = model.space.weights
     vecs = np.asarray(vectors, dtype=float).reshape(-1, model.cells)
     op = np.empty(steps + 1)
+    low = np.empty(steps + 1)
     curves = np.empty((len(vecs), steps + 1))
     if _nonnegative(model, e, method) and np.all(vecs >= 0):
         y = w.copy()
         for k in range(steps + 1):
             if k:
                 y = e.T @ y
-            op[k] = np.max(y / w)
+            sums = y / w
+            op[k], low[k] = np.max(sums), np.min(sums)
             curves[:, k] = vecs @ y
-        return op, curves
+        return op, low, curves
     m = np.eye(model.cells)
     for k in range(steps + 1):
         if k:
             m = e @ m
-        op[k] = induced_operator_norm(m, model.space)
+        sums = weighted_column_sums(m, model.space)
+        op[k], low[k] = np.max(sums), np.min(sums)
         curves[:, k] = model.space.spacing * np.sum(np.abs(m @ vecs.T), axis=0)
-    return op, curves
+    return op, low, curves
 
 
 def evolve(model: GeneratorModel, x: GridVector, plan: EvolutionPlan) -> Trajectory:
@@ -232,16 +240,17 @@ def growth_estimate(
     if window is None:
         window = decay_horizon(spectral_bound(model))
     dt = window / steps
-    op, _ = norm_curves(model, step_operator(model, dt, method), method, steps)
+    op, _, _ = norm_curves(model, step_operator(model, dt, method), method, steps)
     return tail_slope(np.arange(steps + 1) * dt, op)
 
 
 @dataclass(frozen=True)
 class LeftInvertibilityAudit:
-    """Outcome of sampling ||T(t)x|| / ||x|| over unit samples.
+    """Lower norm estimate of T(t) on the positive cone.
 
-    `lower_bounds[k]` is the worst ratio seen at t_grid[k]; `holds` means no
-    ratio collapsed to zero; (amplitude, rate) fit lower_bounds[k] >=
+    `lower_bounds[k]` is min_j ||T(t_k) e_j|| / ||e_j||, the smallest ratio
+    ||T(t_k) x|| / ||x|| over x >= 0 when A is Metzler; `holds` means all of
+    them exceed ZERO_TOL; (amplitude, rate) fit lower_bounds[k] >=
     amplitude * exp(-rate * t_k) on the grid.
     """
 
@@ -252,51 +261,29 @@ class LeftInvertibilityAudit:
     rate: float
 
 
-def left_invertibility_audit(
-    model: GeneratorModel,
-    t_grid,
-    sample_count: int = 100,
-    rng=None,
-    include_signed: bool = False,
-    zero_tol: float = 1e-12,
-) -> LeftInvertibilityAudit:
-    """Probe how far T(t) is from annihilating states.
+def left_invertibility_audit(model: GeneratorModel, t_grid) -> LeftInvertibilityAudit:
+    """Probe how far T(t) is from annihilating states of the positive cone.
 
-    Samples the nonnegative cone (all basis vectors plus random unit
-    vectors); signed samples are opt-in because the upwind truncation damps
-    sign changes that the continuous shift semigroup would keep.  Steps with
-    the exact exponential: implicit Euler damps the outflow mode by
-    (1 + dt a)^-k instead of exp(-a k dt), which can keep a ratio that the
-    semigroup sends under `zero_tol` above it.  The ratios are `norm_curves`
-    of the samples: for Metzler A and nonnegative samples the adjoint
-    recursion, O(n^2) per step after the one `expm`; signed samples take its
-    matrix powers.
+    For Metzler A, ||T(t)x|| = <T(t)* w, x> is linear on the cone, so its
+    minimum over unit x >= 0 sits at a basis vector: the lower bounds are
+    the smallest weighted column sums of `norm_curves`, read off its adjoint
+    recursion, O(n^2) per step after the one `expm`.  A generator that is
+    not Metzler takes the matrix powers, and its basis minimum only bounds
+    the cone minimum from above.  Steps with the exact exponential: implicit
+    Euler damps the outflow mode by (1 + dt a)^-k instead of exp(-a k dt),
+    which can keep a ratio that the semigroup sends under ZERO_TOL above it.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     dt = _uniform_spacing(t_grid)
     if dt is None or t_grid[0] != 0.0:
         raise ValueError("left-invertibility audit needs a uniform grid starting at 0")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    n = model.cells
-
-    cols = [np.eye(n)]
-    cols.append(rng.exponential(size=(n, sample_count)))
-    if include_signed:
-        cols.append(rng.standard_normal((n, sample_count)))
-    x = np.hstack(cols)
-    x = x / (model.space.spacing * np.sum(np.abs(x), axis=0))
-
     e = step_operator(model, dt, "exact_exponential")
-    _, curves = norm_curves(model, e, "exact_exponential", len(t_grid) - 1, x.T)
-    lower = np.min(curves, axis=0)
-    lower[0] = 1.0
+    _, lower, _ = norm_curves(model, e, "exact_exponential", len(t_grid) - 1)
 
-    holds = bool(np.all(lower > zero_tol))
+    holds = bool(np.all(lower > ZERO_TOL))
     if holds:
-        logs = np.log(lower)
-        slope, intercept = np.polyfit(t_grid, logs, 1)
-        rate = -float(slope)
-        # lift the fit so the envelope sits below every sample point
+        rate = -float(np.polyfit(t_grid, np.log(lower), 1)[0])
+        # lift the fit so the envelope sits below every grid point
         amplitude = float(np.min(lower * np.exp(rate * t_grid)))
     else:
         rate = math.inf

@@ -332,6 +332,30 @@ def test_default_audit_stays_banded(tmp_path, monkeypatch):
     assert peak < 64e6
 
 
+def random_bordered_metzler(n, seed, off_loop=""):
+    """A random Metzler generator on bands: lower bidiagonal plus row 0.
+
+    Some subdiagonal entries are zero; with `off_loop` the largest diagonal
+    entry sits on a cell the feedback row cannot reach ("cut") or that
+    feeds nothing back ("no_feedback"), so s(A) is either that entry or the
+    characteristic root, depending on phi just above it.
+    """
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(-3.0, 1.0, n)
+    sub = np.where(rng.random(n - 1) < 0.2, 0.0, rng.uniform(0.0, 3.0, n - 1))
+    row0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+    if off_loop:
+        j = int(rng.integers(1, n))
+        diag[j] = np.max(diag) + rng.uniform(0.0, 1.0)
+        if off_loop == "cut":
+            sub[j - 1] = 0.0
+        else:
+            row0[j:] = 0.0
+    row0[0] = diag[0]
+    bands = BorderedBidiagonal(diag, sub, row0)
+    return ps.GeneratorModel(ps.GridSpace(length=float(n), cells=n), bands=bands)
+
+
 class TestPerronMode:
     """The characteristic root on the bands against a dense eigensolve."""
 
@@ -386,25 +410,8 @@ class TestPerronMode:
     )
     @settings(max_examples=300, deadline=None)
     def test_random_bordered_metzler_against_eigvals(self, n, seed, off_loop):
-        # some subdiagonal entries zero; with `off_loop` the largest diagonal
-        # entry sits on a cell the feedback row cannot reach ("cut") or that
-        # feeds nothing back ("no_feedback"), so s(A) is either that entry or
-        # the root, depending on phi just above it
-        rng = np.random.default_rng(seed)
-        diag = rng.uniform(-3.0, 1.0, n)
-        sub = np.where(rng.random(n - 1) < 0.2, 0.0, rng.uniform(0.0, 3.0, n - 1))
-        row0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
-        if off_loop:
-            j = int(rng.integers(1, n))
-            diag[j] = np.max(diag) + rng.uniform(0.0, 1.0)
-            if off_loop == "cut":
-                sub[j - 1] = 0.0
-            else:
-                row0[j:] = 0.0
-        row0[0] = diag[0]
-        bands = BorderedBidiagonal(diag, sub, row0)
-        model = ps.GeneratorModel(ps.GridSpace(length=float(n), cells=n), bands=bands)
-        a = bands.toarray()
+        model = random_bordered_metzler(n, seed, off_loop)
+        a = model.bands.toarray()
         ref = float(np.max(np.linalg.eigvals(a).real))
         s = ps.spectral_bound(model)
         assert abs(s - ref) <= 1e-10 * (1.0 + abs(ref))

@@ -70,6 +70,17 @@ class TestConfigErrors:
         )
         assert cli.main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("bp", [[0.0, float("nan"), 1.0], [0.0, 1.0, float("inf")]])
+    def test_non_finite_input_breakpoints_exit_2(self, tmp_path, capsys, bp):
+        # json writes and reads NaN and Infinity; simulate used to write an
+        # all-zero trajectory for the infinite end and exit 0
+        csv = tmp_path / "u.csv"
+        csv.write_text("t,u\n" + "".join(f"{t},{u}\n" for t, u in zip(bp, [1.0, 0.5, 0.0])))
+        for inp in ({"breakpoints": bp, "values": [1.0, 0.5]}, {"path": str(csv)}):
+            cfg = write_config(tmp_path, input=inp)
+            assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            assert "breakpoints must be finite" in capsys.readouterr().err
+
     def test_bad_sweep_values(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["sweep", "--config", cfg, "--param", "beta0", "--values", "0.1,zebra"]) == 2
@@ -121,6 +132,12 @@ class TestConfigErrors:
         {"tolerances": {"positivity": 1e-12}},
         {"plan": {"t_end": "x"}},
         {"plan": {"t_end": -1.0}},
+        # cells is a positive JSON integer: no truncation, no bool, no string
+        {"scenario": {"cells": 30.7, "kind": "renewal", "q": 1.0, "beta": 0.5, "length": 2.0}},
+        {"scenario": {"cells": True, "kind": "renewal", "q": 1.0, "beta": 0.5, "length": 2.0}},
+        {"scenario": {"cells": "12", "kind": "renewal", "q": 1.0, "beta": 0.5, "length": 2.0}},
+        {"scenario": {"cells": 0, "kind": "ring_transport"}},
+        {"scenario": {"cells": 4.0, "kind": "markov_cycle"}},
     ], ids=lambda bad: json.dumps(bad)[:40])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         doc = {"audits": ["gain_fit", "left_invertibility"], "gain_fit": {"trials": 5}, **bad}
@@ -258,6 +275,16 @@ class TestAudit:
         assert report["verdict"] == "not_eISS"
         assert report["N"] is None
         assert any(row[0] == "gain_fit" for row in report["skipped"])
+
+    def test_gain_fit_skipped_when_p_is_not_1(self, tmp_path, capsys):
+        # the fitted envelope is an L1 one; a p = 2 report must not carry it
+        cfg = write_config(tmp_path, p=2, audits=["iss", "gain_fit"], gain_fit={"trials": 5})
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["p"] == 2.0 and report["verdict"] == "eISS"
+        assert report["N"] is None and report["mu"] is None and report["G"] is None
+        assert report["skipped"] == [["gain_fit", "gain fit is implemented for p = 1 only"]]
 
     def test_audits_without_perturbation_are_skipped(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario={"kind": "markov_cycle", "cells": 4})

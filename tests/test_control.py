@@ -34,6 +34,11 @@ class TestInputSignal:
             ps.InputSignal(np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             ps.InputSignal(np.array([0.0, 1.0]), np.array([np.inf]))
+        # NaN passes the increasing check, and an infinite end makes
+        # value_at's tolerance infinite, which reads the signal as zero
+        for bp in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                ps.InputSignal(np.array(bp), np.array([1.0, 2.0]))
 
     def test_value_at_right_continuous(self):
         u = ps.InputSignal(np.array([0.0, 1.0, 2.0]), np.array([3.0, 5.0]))

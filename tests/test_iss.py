@@ -87,7 +87,7 @@ class TestGainFit:
         def refuse(*args, **kwargs):
             raise AssertionError("signed fallback taken")
 
-        monkeypatch.setattr(semigroup, "induced_operator_norm", refuse)
+        monkeypatch.setattr(semigroup, "weighted_column_sums", refuse)
         rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400)
         n_amp, mu, g = iss.iss_gain_fit(rs.system, rs.boundary_input, trials=5)
         assert n_amp >= 1.0 and mu > 0.0 and g > 0.0
@@ -118,8 +118,8 @@ class TestGainFit:
         real = iss.norm_curves
 
         def halved(*args):
-            op, (imp, inj) = real(*args)
-            return op, (imp / 2, inj / 2)
+            op, low, (imp, inj) = real(*args)
+            return op, low, (imp / 2, inj / 2)
 
         monkeypatch.setattr(iss, "norm_curves", halved)
         caught = []

@@ -20,6 +20,7 @@ from possys.semigroup import (
     step_operator,
     tail_slope,
 )
+from test_bands import random_bordered_metzler
 
 
 class TestEvolutionPlan:
@@ -241,7 +242,7 @@ class TestOperatorNormCurve:
     def test_against_dense_exponentials(self, toy):
         _, model, _ = toy
         dt = 0.25
-        curve, _ = norm_curves(model, step_operator(model, dt, "exact_exponential"), "exact_exponential", 11)
+        curve, _, _ = norm_curves(model, step_operator(model, dt, "exact_exponential"), "exact_exponential", 11)
         for k, val in enumerate(curve):
             ref = ps.induced_operator_norm(scipy.linalg.expm(k * dt * model.matrix), model.space)
             assert val == pytest.approx(ref, abs=1e-12)
@@ -260,7 +261,7 @@ class TestOperatorNormCurve:
         # adjoint route is chosen from A being Metzler, not from those signs
         model = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30).generator
         e = step_matrix(model, 0.1, "exact_exponential")
-        clean, _ = norm_curves(model, e, "exact_exponential", 20)
+        clean, _, _ = norm_curves(model, e, "exact_exponential", 20)
         signed = e.copy()
         assert signed[0, -1] == 0.0  # lower triangular
         signed[0, -1] = -1e-18
@@ -268,13 +269,13 @@ class TestOperatorNormCurve:
         def refuse(*args, **kwargs):
             raise AssertionError("signed fallback taken")
 
-        monkeypatch.setattr(semigroup, "induced_operator_norm", refuse)
-        curve, _ = norm_curves(model, signed, "exact_exponential", 20)
+        monkeypatch.setattr(semigroup, "weighted_column_sums", refuse)
+        curve, _, _ = norm_curves(model, signed, "exact_exponential", 20)
         np.testing.assert_allclose(curve, clean, rtol=1e-14)
 
     def test_markov_norm_constant(self):
         model = ps.markov_cycle_scenario(5)
-        curve, _ = norm_curves(model, step_operator(model, 0.5), "implicit_euler", 6)
+        curve, _, _ = norm_curves(model, step_operator(model, 0.5), "implicit_euler", 6)
         np.testing.assert_allclose(curve, 1.0, atol=1e-12)
 
 
@@ -285,10 +286,11 @@ class TestNormCurves:
     def check(model, method, dt, vectors, steps=12):
         e = step_operator(model, dt, method)
         dense = e.toarray() if isinstance(e, ShiftedInverse) else e
-        op, curves = norm_curves(model, e, method, steps, vectors)
+        op, low, curves = norm_curves(model, e, method, steps, vectors)
         for k in range(steps + 1):
             power = np.linalg.matrix_power(dense, k)
             assert op[k] == pytest.approx(ps.induced_operator_norm(power, model.space), rel=1e-12)
+            assert low[k] == pytest.approx(np.min(np.sum(np.abs(power), axis=0)), rel=1e-12)
             for curve, v in zip(curves, vectors):
                 assert curve[k] == pytest.approx(ps.weighted_l1(power @ v, model.space), rel=1e-12)
 
@@ -378,9 +380,7 @@ class TestTailSlope:
 class TestLeftInvertibility:
     def test_markov_holds_with_unit_amplitude(self):
         model = ps.markov_cycle_scenario(6)
-        audit = left_invertibility_audit(
-            model, np.linspace(0.0, 3.0, 13), rng=np.random.default_rng(4)
-        )
+        audit = left_invertibility_audit(model, np.linspace(0.0, 3.0, 13))
         assert audit.holds
         assert audit.amplitude == pytest.approx(1.0, abs=1e-9)
         assert abs(audit.rate) < 1e-9
@@ -388,53 +388,42 @@ class TestLeftInvertibility:
     def test_transport_fails_once_mass_exits(self):
         # zero-inflow transport empties the domain: no uniform lower bound
         rs = ps.renewal_scenario(1.0, 0.0, length=1.0, cells=40)
-        audit = left_invertibility_audit(
-            rs.generator, np.linspace(0.0, 4.0, 17), rng=np.random.default_rng(4)
-        )
+        audit = left_invertibility_audit(rs.generator, np.linspace(0.0, 4.0, 17))
         assert not audit.holds
-
-    def test_lower_bound_is_a_bound(self, toy, rng):
-        _, model, _ = toy
-        grid = np.linspace(0.0, 1.0, 5)
-        audit = left_invertibility_audit(model, grid, sample_count=50, rng=rng)
-        for t, low in zip(grid, audit.lower_bounds):
-            e = scipy.linalg.expm(t * model.matrix)
-            for _ in range(20):
-                x = rng.random(2)
-                x /= ps.weighted_l1(x, model.space) if ps.weighted_l1(x, model.space) else 1.0
-                assert ps.weighted_l1(e @ x, model.space) >= low - 1e-12
 
     def test_outflow_mode_decays_as_the_semigroup_does(self):
         # h = 1/16, q = 1: the last cell's mass decays like exp(-17 t), about
         # 2e-15 at t = 2, while implicit Euler at dt = 1/32 keeps 1.4e-12 of it
         rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=80)
-        audit = left_invertibility_audit(
-            rs.generator, np.linspace(0.0, 2.0, 65), rng=np.random.default_rng(7)
-        )
+        audit = left_invertibility_audit(rs.generator, np.linspace(0.0, 2.0, 65))
         assert not audit.holds
         assert audit.lower_bounds[-1] < 1e-13
 
-    def test_requires_uniform_grid_from_zero(self, toy, rng):
+    def test_requires_uniform_grid_from_zero(self, toy):
         _, model, _ = toy
         with pytest.raises(ValueError):
-            left_invertibility_audit(model, np.array([0.5, 1.0]), rng=rng)
+            left_invertibility_audit(model, np.array([0.5, 1.0]))
 
     @staticmethod
-    def forward_products(model, t_grid, seed, include_signed):
-        """The samples stepped forward with dense exp(A dt), worst ratio per step."""
-        rng = np.random.default_rng(seed)
-        n, h = model.cells, model.space.spacing
-        cols = [np.eye(n), rng.exponential(size=(n, 100))]
-        if include_signed:
-            cols.append(rng.standard_normal((n, 100)))
-        x = np.hstack(cols)
-        x = x / (h * np.sum(np.abs(x), axis=0))
-        e = scipy.linalg.expm((t_grid[1] - t_grid[0]) * model.matrix)
-        lower = [1.0]
-        for _ in t_grid[1:]:
-            x = e @ x
-            lower.append(np.min(h * np.sum(np.abs(x), axis=0)))
-        return np.array(lower)
+    def forward_products(model, t_grid):
+        """min_j ||exp(t_k A) e_j|| / ||e_j|| per grid time: the smallest
+        column sum of the dense exponential, the weights being uniform."""
+        return np.array([np.min(np.sum(np.abs(scipy.linalg.expm(t * model.matrix)), axis=0)) for t in t_grid])
+
+    @staticmethod
+    def assert_no_sample_below(model, t_grid, lower, rng):
+        for t, low in zip(t_grid, lower):
+            x = rng.exponential(size=(model.cells, 20)) * (rng.random((model.cells, 20)) < 0.5)
+            x[0] += 1e-3
+            ratios = np.sum(np.abs(scipy.linalg.expm(t * model.matrix) @ x), axis=0) / np.sum(x, axis=0)
+            assert np.all(ratios >= low * (1.0 - 1e-12))
+
+    def test_lower_bound_is_a_bound(self, toy, rng):
+        _, model, _ = toy
+        grid = np.linspace(0.0, 1.0, 5)
+        audit = left_invertibility_audit(model, grid)
+        np.testing.assert_allclose(audit.lower_bounds, self.forward_products(model, grid), rtol=1e-12)
+        self.assert_no_sample_below(model, grid, audit.lower_bounds, rng)
 
     @pytest.mark.parametrize("name", ["renewal", "closed_loop", "ring", "markov"])
     def test_adjoint_route_matches_forward_products(self, monkeypatch, name):
@@ -446,20 +435,32 @@ class TestLeftInvertibility:
             "markov": ps.markov_cycle_scenario(7),
         }[name]
         grid = np.linspace(0.0, 2.0, 65)
-        ref = self.forward_products(model, grid, 11, include_signed=False)
+        ref = self.forward_products(model, grid)
 
         def refuse(*args, **kwargs):
             raise AssertionError("matrix powers taken")
 
-        monkeypatch.setattr(semigroup, "induced_operator_norm", refuse)
-        audit = left_invertibility_audit(model, grid, rng=np.random.default_rng(11))
+        monkeypatch.setattr(semigroup, "weighted_column_sums", refuse)
+        audit = left_invertibility_audit(model, grid)
         np.testing.assert_allclose(audit.lower_bounds, ref, rtol=1e-12)
 
-    def test_signed_samples_match_forward_products(self):
-        model = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=50).system.perturbed
-        grid = np.linspace(0.0, 1.0, 17)
-        ref = self.forward_products(model, grid, 5, include_signed=True)
-        audit = left_invertibility_audit(
-            model, grid, rng=np.random.default_rng(5), include_signed=True
+    @given(n=st.integers(min_value=2, max_value=40), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_metzler_bands(self, n, seed):
+        model = random_bordered_metzler(n, seed)
+        grid = np.linspace(0.0, 1.0, 9)
+        audit = left_invertibility_audit(model, grid)
+        np.testing.assert_allclose(audit.lower_bounds, self.forward_products(model, grid), rtol=1e-12)
+        self.assert_no_sample_below(model, grid, audit.lower_bounds, np.random.default_rng(seed))
+
+    def test_signed_generator_takes_the_basis_minimum_of_its_powers(self):
+        # not Metzler: matrix powers, and the basis minimum bounds the cone
+        # minimum only from above
+        space = ps.GridSpace(length=3.0, cells=3)
+        model = ps.GeneratorModel.from_matrix(
+            space, [[-1.0, -0.5, 0.0], [0.3, -2.0, 0.4], [-0.2, 0.6, -1.5]]
         )
+        audit = left_invertibility_audit(model, np.linspace(0.0, 1.0, 5))
+        e = scipy.linalg.expm(0.25 * model.matrix)
+        ref = [np.min(np.sum(np.abs(np.linalg.matrix_power(e, k)), axis=0)) for k in range(5)]
         np.testing.assert_allclose(audit.lower_bounds, ref, rtol=1e-12)
