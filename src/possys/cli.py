@@ -7,11 +7,15 @@ formatting, JSON keys are sorted, and CSV uses LF line endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -310,6 +314,98 @@ def _plan(cfg: RunConfig) -> EvolutionPlan:
         raise ConfigError(f"bad plan: {exc}") from exc
 
 
+class OutputError(Exception):
+    """An output file could not be written; the CLI exits 2."""
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """`path` opened for writing; an OSError from opening, writing or closing
+    it becomes an OutputError naming the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_rows(fh, times, states) -> None:
+    # repr of a Python float is _fmt's shortest round trip; one row of
+    # floats at a time keeps the whole table out of Python objects
+    for t, state in zip(times, states):
+        fh.write(f"{_fmt(t)},{','.join(map(repr, state.tolist()))}\n")
+
+
+def _writers(rows: int) -> int:
+    """Processes that format a table of `rows` rows: one per CPU this process
+    may run on, at most one per row.  One where fork or the CPU set is
+    unavailable, or while other threads are alive, since a forked child
+    holds only the calling thread and could inherit a lock one of them
+    holds."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), rows)
+
+
+def _start_writer(files: contextlib.ExitStack, times, states):
+    """Fork a child that writes these rows to a temporary file, entered into
+    `files`, and exits: (pid, file), or None when no file or no process can
+    be had."""
+    try:
+        tmp = files.enter_context(tempfile.TemporaryFile("w+", newline=""))
+        with warnings.catch_warnings():
+            # on 3.12+ fork warns when BLAS threads exist; the child only
+            # formats floats, calling no BLAS and taking no lock
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            _write_rows(tmp, times, states)
+            tmp.flush()
+            code = 0
+        finally:
+            # never return into the caller's stack, atexit or buffers
+            os._exit(code)
+    return pid, tmp
+
+
+def _write_table(fh, times, states) -> None:
+    """Write one CSV row per time, `t` then the state, every field repr(float).
+
+    The rows are cut into one contiguous block per writer (`_writers`).  A
+    forked child formats each later block into a temporary file while this
+    process writes block 0; the files are then appended in order.  A block
+    whose child could not start or failed is formatted here: the work is
+    deterministic, so a real error raises as it would in one process, and
+    the bytes do not depend on the number of writers."""
+    rows = len(times)
+    k = _writers(rows)
+    cuts = [rows * i // k for i in range(k + 1)]
+    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    if k > 1:
+        # nothing buffered before the fork may be written twice
+        for stream in (fh, sys.stdout, sys.stderr):
+            stream.flush()
+    with contextlib.ExitStack() as files:
+        writers = []
+        try:
+            for block in blocks[1:]:
+                writers.append(_start_writer(files, times[block], states[block]))
+            _write_rows(fh, times[blocks[0]], states[blocks[0]])
+        finally:
+            # every child is reaped, whether or not block 0 was written
+            done = [w is not None and os.waitpid(w[0], 0)[1] == 0 for w in writers]
+        for block, writer, ok in zip(blocks[1:], writers, done):
+            if ok:
+                writer[1].seek(0)
+                shutil.copyfileobj(writer[1], fh)
+            else:
+                _write_rows(fh, times[block], states[block])
+
+
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     built = build_scenario(cfg)
     model = built.system.perturbed if built.system is not None else built.model
@@ -326,13 +422,9 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     traj = mild_solution(model, col, x0, u, plan)
 
     n = model.cells
-    header = "t," + ",".join(f"x{j}" for j in range(n))
-    with open(out_path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        # repr of a Python float is _fmt's shortest round trip; one row of
-        # floats at a time keeps the whole table out of Python objects
-        for t, state in zip(traj.times, traj.states):
-            fh.write(f"{_fmt(t)},{','.join(map(repr, state.tolist()))}\n")
+    with _output(out_path) as fh:
+        fh.write("t," + ",".join(f"x{j}" for j in range(n)) + "\n")
+        _write_table(fh, traj.times, traj.states)
 
     norms = traj.norms()
     marks = sorted(set(np.linspace(0, len(traj.times) - 1, 5).astype(int).tolist()))
@@ -414,6 +506,10 @@ def _gain_fit(cfg, built, rng, report):
 
 
 def _left_invertibility(cfg, built, rng, report):
+    # off the cone's linear norm the basis minimum only bounds the cone
+    # minimum from above
+    if not built.model.metzler:
+        return "cone lower bound needs a Metzler generator"
     t_end = cfg.plan.get("t_end", 2.0)
     audit = left_invertibility_audit(built.model, np.linspace(0.0, t_end, 65))
     report["left_invertibility"] = {
@@ -421,6 +517,7 @@ def _left_invertibility(cfg, built, rng, report):
         "amplitude": audit.amplitude,
         "rate": audit.rate if math.isfinite(audit.rate) else None,
     }
+    return None
 
 
 def _domination(cfg, built, rng, report):
@@ -498,7 +595,7 @@ def cmd_audit(cfg: RunConfig, out_path: str) -> int:
             report["skipped"].append([name, reason])
 
     payload = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-    with open(out_path, "w", newline="") as fh:
+    with _output(out_path) as fh:
         fh.write(payload)
     print(json.dumps(_jsonable({
         "command": "audit",
@@ -535,10 +632,10 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list, out_path: str) -> int:
         raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(cfg, param, v), values))
-    rows.sort(key=lambda row: row["value"])
-    with open(out_path, "w", newline="") as fh:
+    # one row at a time: the banded solves hold the GIL, so threads only
+    # add contention, and one scenario is alive at a time
+    rows = sorted((_sweep_row(cfg, param, v) for v in values), key=lambda row: row["value"])
+    with _output(out_path) as fh:
         fh.write(f"# seed={cfg.seed} version={__version__}\n")
         fh.write("value,r,s_perturbed,verdict,mu\n")
         for row in rows:
@@ -601,6 +698,9 @@ def main(argv=None) -> int:
         return cmd_sweep(cfg, args.param, values, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except (PossysError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

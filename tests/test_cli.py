@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,110 @@ class TestSimulate:
         assert summary["positivity_violations"] == 0
 
 
+class TestTableWriters:
+    """`cli._write_table` on k forked writers, with the CPU count faked."""
+
+    @staticmethod
+    def cpus(monkeypatch, k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    @staticmethod
+    def table(tmp_path, name, times, states):
+        out = tmp_path / name
+        with open(out, "w", newline="") as fh:
+            cli._write_table(fh, times, states)
+        return out.read_bytes()
+
+    def test_three_writers_write_the_bytes_of_one(self, tmp_path, monkeypatch):
+        # the later blocks hold signed zero, subnormals, a tiny normal and
+        # integers stored as floats
+        times = np.arange(9) * 0.125
+        states = np.linspace(-1.0, 1.0, 9 * 6).reshape(9, 6) / 3.0
+        states[3:] = [-0.0, 5e-324, 2.5e-310, 1e-300, 3.0, -7.0]
+        states[8, 0] = 2.0 ** 60
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        self.cpus(monkeypatch, 3)
+        three = self.table(tmp_path, "three.csv", times, states)
+        assert len(forks) == 2
+        self.cpus(monkeypatch, 1)
+        assert self.table(tmp_path, "one.csv", times, states) == three
+        assert len(forks) == 2
+        lines = three.decode().split("\n")
+        assert len(lines) == 10 and lines[-1] == ""
+        assert lines[3] == "0.375,-0.0,5e-324,2.5e-310,1e-300,3.0,-7.0"
+        for line in lines[:-1]:
+            assert all(repr(float(f)) == f for f in line.split(","))
+
+    def test_one_cpu_never_forks(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, initial_state="bump")
+        self.cpus(monkeypatch, 2)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "two.csv")]) == 0
+
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.cpus(monkeypatch, 1)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "one.csv")]) == 0
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+    @staticmethod
+    def failing_rows(monkeypatch, fails):
+        rows = cli._write_rows
+
+        def write_rows(fh, times, states):
+            if fails(times):
+                raise MemoryError("no room to format this block")
+            rows(fh, times, states)
+
+        monkeypatch.setattr(cli, "_write_rows", write_rows)
+
+    def test_failed_block_exits_as_one_process_would(self, tmp_path, capsys, monkeypatch):
+        # every block after the first fails, in its child and again here
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        self.cpus(monkeypatch, 3)
+        self.failing_rows(monkeypatch, lambda times: times[0] > 0)
+        cfg = write_config(tmp_path, initial_state="bump")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "out of memory: no room to format this block\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(temp.iterdir()) == []
+
+    def test_block_failed_in_its_child_is_formatted_again(self, tmp_path, capsys, monkeypatch):
+        # a child that fails only for itself (a full temporary directory,
+        # say) costs time, not bytes
+        cfg = write_config(tmp_path, initial_state="bump")
+        self.cpus(monkeypatch, 1)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "one.csv")]) == 0
+        parent = os.getpid()
+        self.cpus(monkeypatch, 3)
+        self.failing_rows(monkeypatch, lambda times: os.getpid() != parent)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "three.csv")]) == 0
+        assert (tmp_path / "three.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit", "sweep"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "absent" / "out"
+    args = ["--param", "beta0", "--values", "0.5"] if command == "sweep" else []
+    assert cli.main([command, "--config", write_config(tmp_path), *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cannot write {out}: No such file or directory\n"
+
+
 class TestAudit:
     def test_report_schema_complete(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -366,6 +471,25 @@ class TestAudit:
         report = json.loads(out.read_text())
         assert report["audits_run"] == [] and report["domination_ok"] is None
         assert report["skipped"] == [["domination", "dense exponential comparison limited to 500 cells"]]
+
+    @pytest.mark.parametrize("metzler", [False, True])
+    def test_left_invertibility_needs_a_metzler_generator(self, tmp_path, capsys, metzler):
+        # off the cone's linear norm the basis minimum overstates the cone
+        # minimum: 0.342 at t = 1 here, where cone samples reach 0.217
+        matrix = np.array([[-1.0, -0.5, 0.0], [0.3, -2.0, 0.4], [-0.2, 0.6, -1.5]])
+        if metzler:
+            matrix = np.abs(matrix) * np.where(np.eye(3), -1.0, 1.0)
+        cfg = write_config(tmp_path, scenario={"kind": "explicit", "matrix": matrix.tolist()},
+                           audits=["left_invertibility"])
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        if metzler:
+            assert report["audits_run"] == ["left_invertibility"] and report["skipped"] == []
+            assert isinstance(report["left_invertibility"]["holds"], bool)
+        else:
+            assert report["audits_run"] == [] and report["left_invertibility"] is None
+            assert report["skipped"] == [["left_invertibility", "cone lower bound needs a Metzler generator"]]
 
     def test_overflowing_resolvent_bound_is_skipped(self, tmp_path, capsys):
         # at 2000 cells and alpha = -50, T^-1 e_0 of R(lam, A) overflows on
