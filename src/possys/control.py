@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 import numpy as np
 import scipy.linalg
 
-from .generators import GeneratorModel, ShiftedInverse, resolvent_apply, spectral_bound
+from .generators import GeneratorModel, resolvent_apply, spectral_bound
 from .lattice import (
     POSITIVITY_TOL,
     GridSpace,
@@ -242,17 +242,10 @@ def step_input_operators(
 
 def input_recursion(e: Step, f: np.ndarray, z: np.ndarray, u) -> Iterator[np.ndarray]:
     """z, then z_{k+1} = E z_k + F u_k for each u_k in u.  The columns of a
-    2-D z step as separate trajectories, u_k holding one input per column.
-
-    A block stepped by a `ShiftedInverse` takes `ShiftedInverse.advance`,
-    one banded solve and one rank-2 BLAS update per step, equal to the
-    column recursion to roundoff.  Vectors and dense E keep e @ z + F u_k:
-    the simulate CSV and the input maps rest on its bits.
-    """
+    2-D z step as separate trajectories, u_k holding one input per column."""
     yield z
-    block = isinstance(e, ShiftedInverse) and np.ndim(z) == 2
     for uk in u:
-        z = e.advance(z, f, uk) if block else e @ z + np.multiply.outer(f, uk)
+        z = e @ z + np.multiply.outer(f, uk)
         yield z
 
 

@@ -364,9 +364,7 @@ class ShiftedInverse:
     column.  `.T @ y` applies the adjoint through one tbtrs with the upper
     band of T^T and the same denominator.
     `@` gives a block's columns bit for bit as it gives them alone, which
-    the simulate CSV and the input maps rest on; `advance` steps a block of
-    trajectories z <- E z + f u^T with one gemv and one rank-2 gemm in place
-    of the column-by-column products, equal to `@` to roundoff.
+    the simulate CSV and the input maps rest on.
     `nonnegative` certifies the inverse >= 0 from structure: T has a
     positive diagonal and a nonpositive subdiagonal (so T^{-1} >= 0), r >= 0
     and the denominator is positive.
@@ -418,22 +416,6 @@ class ShiftedInverse:
         # they do alone, which one BLAS product over the block does not give
         rz = self._r.dot(z) if z.ndim == 1 else np.fromiter(map(self._r.dot, z.T), float, z.shape[1])
         return z + np.multiply.outer(self._g, rz) / self._denom
-
-    def advance(self, z: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """E z + f u^T for E = self, an n x m block z and m inputs u, as a
-        new Fortran-ordered block; z is not written.
-
-        With W = T^{-1} z this is W + [g | f] [(r^T W) / denom ; u^T]: one
-        tbtrs over the block, which solves in a Fortran-ordered copy of z
-        (a plain copy when z is Fortran-ordered already, as every block this
-        returns is), one gemv for r^T W and one rank-2 gemm that adds into
-        W.  The columns agree with `self @ z` to roundoff, not bit for bit:
-        the gemv and gemm sum in their own order.
-        """
-        w = self._solve_t(z)
-        coef = np.vstack((self._r @ w / self._denom, u))
-        gf = np.column_stack((self._g, f))
-        return scipy.linalg.blas.dgemm(1.0, gf, coef, beta=1.0, c=w, overwrite_c=1)
 
     def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         z = scipy.linalg.lapack.dtbtrs(self._upper, y, uplo="U")[0]

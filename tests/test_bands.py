@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import possys as ps
-from possys import cli
+from possys import cli, iss
 from possys.control import input_recursion, mild_solution
 from possys.generators import BorderedBidiagonal, ShiftedInverse, perron_mode, shifted_inverse
-from possys.semigroup import EvolutionPlan, step_matrix, step_operator
+from possys.semigroup import EvolutionPlan, norm_curves, step_matrix, step_operator
 
 
 def dense_upwind(space, q, boundary):
@@ -263,9 +263,9 @@ def test_block_apply_is_column_applies(which, sigma, tau, order, rng):
 @pytest.mark.parametrize("sigma, tau", [(1.0, 0.05), (1.0, 1.0)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_block_recursion_is_column_recursion(which, sigma, tau, order, rng):
-    """input_recursion steps a block through ShiftedInverse.advance; over 200
-    steps it agrees with e @ z + F u_k to roundoff, and it writes neither the
-    caller's block nor a block it has already yielded."""
+    """input_recursion steps a block's columns bit for bit as it steps each
+    column alone, over 200 steps, and writes neither the caller's block nor
+    a block it has already yielded."""
     model = PRESETS[which]()
     e = shifted_inverse(model, sigma, tau)
     assert isinstance(e, ShiftedInverse)
@@ -275,11 +275,10 @@ def test_block_recursion_is_column_recursion(which, sigma, tau, order, rng):
     kept = start.copy()
     u = rng.exponential(size=(200, m))
     u[:, ::5] = 0.0
-    ref, yielded = start, []
+    columns = [list(input_recursion(e, f, start[:, i], u[:, i])) for i in range(m)]
+    yielded = []
     for k, z in enumerate(input_recursion(e, f, start, u)):
-        if k:
-            ref = e @ ref + np.multiply.outer(f, u[k - 1])
-        assert np.max(np.abs(z - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(z, np.column_stack([col[k] for col in columns]))
         yielded.append((z, z.copy()))
     assert len(yielded) == 201
     assert np.array_equal(start, kept)
@@ -354,6 +353,44 @@ def random_bordered_metzler(n, seed, off_loop=""):
     row0[0] = diag[0]
     bands = BorderedBidiagonal(diag, sub, row0)
     return ps.GeneratorModel(ps.GridSpace(length=float(n), cells=n), bands=bands)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    chunk=st.integers(min_value=1, max_value=80),
+)
+@settings(max_examples=100, deadline=None)
+def test_cone_trial_norms_are_column_recursion_norms(n, seed, chunk):
+    """The gain-fit validation's trial norms off the adjoint curves and the
+    input segments, block by block, against the column recursion
+    e @ z + F u_k; zero initial states and zero inputs included."""
+    model = random_bordered_metzler(n, seed)
+    dt, steps, trials = 0.05, 60, 12
+    e = shifted_inverse(model, 1.0, dt)
+    assert isinstance(e, ShiftedInverse) and e.nonnegative
+    rng = np.random.default_rng(seed)
+    f = dt * (e @ rng.exponential(size=n))
+    x0 = rng.exponential(size=(n, trials))
+    x0[:, ::3] = 0.0
+    u = np.zeros((steps, trials))
+    for i in range(trials):
+        if i % 4 == 3:
+            continue
+        for _ in range(rng.integers(1, 6)):
+            a, b = np.sort(rng.integers(0, steps + 1, size=2))
+            u[a:b, i] += rng.exponential()
+    _, _, curves = norm_curves(model, e, "implicit_euler", steps, np.vstack((f, x0.T)))
+    times = np.arange(steps + 1) * dt
+    cone = np.vstack(list(iss._cone_trial_norms(model, e, f, curves, x0, u, times, chunk)))
+    z, ref = x0, [model.space.spacing * np.sum(x0, axis=0)]
+    for uk in u:
+        z = e @ z + np.outer(f, uk)
+        ref.append(model.space.spacing * np.sum(np.abs(z), axis=0))
+    ref = np.array(ref)
+    # every term is nonnegative, so each norm is accurate to its own size
+    assert cone.shape == ref.shape
+    assert np.all(np.abs(cone - ref) <= 1e-12 * ref)
 
 
 class TestPerronMode:

@@ -1,4 +1,5 @@
 """ISS verdicts and the fitted (N, mu, G) envelope."""
+import json
 from pathlib import Path
 
 import numpy as np
@@ -110,27 +111,117 @@ class TestGainFit:
         with pytest.raises(GainValidationError):
             ps.iss_gain_fit(system, b, trials=10, rng=np.random.default_rng(5))
 
-    def test_block_route_catches_an_understated_gain(self, monkeypatch):
-        """With G halved on renewal-n60 the random pairs violate the
-        envelope, and the block route of the validation finds the same worst
-        violation as the column recursion e @ z + F u_k."""
-        built = cli.build_scenario(cli.RunConfig.from_file(str(DATA / "renewal-n60.json")))
+    @staticmethod
+    def renewal_n60():
+        return cli.build_scenario(cli.RunConfig.from_file(str(DATA / "renewal-n60.json")))
+
+    @staticmethod
+    def fit_dt(model):
+        return semigroup.decay_horizon(ps.spectral_bound(model)) / semigroup.FIT_STEPS
+
+    @staticmethod
+    def scale_first_curves(monkeypatch, op=1.0, curves=1.0):
+        """Scale the fit's norm curves, the first `norm_curves` call, and
+        leave the validation's own call alone."""
         real = iss.norm_curves
+        calls = []
 
-        def halved(*args):
-            op, low, (imp, inj) = real(*args)
-            return op, low, (imp / 2, inj / 2)
+        def scaled(*args):
+            got_op, low, got = real(*args)
+            calls.append(args)
+            return (got_op * op, low, got * curves) if len(calls) == 1 else (got_op, low, got)
 
-        monkeypatch.setattr(iss, "norm_curves", halved)
+        monkeypatch.setattr(iss, "norm_curves", scaled)
+
+    def test_cone_route_catches_an_understated_gain(self, monkeypatch):
+        """With the fit's G halved on renewal-n60 the random pairs violate
+        the envelope, and the cone route of the validation finds the same
+        worst violation as the forward column recursion e @ z + F u_k."""
+        built = self.renewal_n60()
         caught = []
-        for advance in (ShiftedInverse.advance, lambda e, z, f, u: e @ z + np.multiply.outer(f, u)):
-            monkeypatch.setattr(ShiftedInverse, "advance", advance)
-            with pytest.raises(GainValidationError) as exc:
-                iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(3))
+        for forward in (False, True):
+            with monkeypatch.context() as m:
+                self.scale_first_curves(m, curves=0.5)
+                if forward:
+                    m.setattr(iss, "_nonnegative", lambda *args: False)
+                with pytest.raises(GainValidationError) as exc:
+                    iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(3))
             caught.append(exc.value)
-        block, column = caught
-        assert (block.trial, block.time) == (column.trial, column.time)
-        assert block.gap == pytest.approx(column.gap, rel=1e-12)
+        cone, column = caught
+        assert cone.trial >= 0
+        assert (cone.trial, cone.time) == (column.trial, column.time)
+        assert cone.gap == pytest.approx(column.gap, rel=1e-12)
+        assert np.array_equal(cone.state, column.state)
+        assert np.array_equal(cone.signal.values, column.signal.values)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_unit_pulse_catches_a_gain_the_trials_miss(self, monkeypatch, seed):
+        """G x 0.9 on renewal-n60 passes the 100 random pairs; a unit pulse
+        on the first step, whose norm reaches max_m ||E^m F|| / dt, does not."""
+        built = self.renewal_n60()
+        _, _, gain = iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(seed))
+        self.scale_first_curves(monkeypatch, curves=0.9)
+        with pytest.raises(GainValidationError) as exc:
+            iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(seed))
+        err = exc.value
+        model = built.system.perturbed
+        dt = self.fit_dt(model)
+        e, f = iss.step_input_operators(model, built.injection.column, dt)
+        _, _, (imp,) = semigroup.norm_curves(model, e, semigroup.DEFAULT_METHOD, semigroup.FIT_STEPS, (f,))
+        m = int(np.argmax(imp[:-1]))
+        assert err.trial == -1
+        assert err.gap == pytest.approx(0.9 * gain - imp[m] / dt, rel=1e-12)
+        assert err.gap < -0.07  # max c / dt = 0.9756 against G = 1
+        assert err.time == pytest.approx((m + 1) * dt, rel=1e-12)
+        assert not np.any(err.state)
+        assert np.array_equal(err.signal.breakpoints, [0.0, dt])
+        assert np.array_equal(err.signal.values, [1.0 / dt])
+
+    def test_unit_basis_state_catches_an_understated_amplitude(self, monkeypatch):
+        """One trial that starts at x = 0 cannot see N x 0.99; the basis
+        state where ||E^k|| is attained can, and it is the witness."""
+        built = self.renewal_n60()
+        self.scale_first_curves(monkeypatch, op=0.99)
+        with pytest.raises(GainValidationError) as exc:
+            iss.iss_gain_fit(built.system, built.injection, trials=1, rng=np.random.default_rng(3))
+        err = exc.value
+        model = built.system.perturbed
+        w = model.space.weights
+        (j,) = np.flatnonzero(err.state)
+        assert err.trial == -1 and err.gap < 0
+        assert err.state[j] * w[j] == pytest.approx(1.0, rel=1e-15)
+        assert len(err.signal.values) == 0
+        dt = self.fit_dt(model)
+        k = round(err.time / dt)
+        e, _ = iss.step_input_operators(model, built.injection.column, dt)
+        column = np.linalg.matrix_power(e.toarray(), k)[:, j]
+        op, _, _ = semigroup.norm_curves(model, e, semigroup.DEFAULT_METHOD, k)
+        assert w @ column / w[j] == pytest.approx(op[k], rel=1e-12)
+
+    def test_cross_check_catches_a_wrong_adjoint(self, monkeypatch):
+        """An adjoint solve off by 1e-6 moves every cone norm, and the
+        forward trajectory of the summed trial no longer matches them."""
+        built = self.renewal_n60()
+        real = ShiftedInverse._apply_adjoint
+        monkeypatch.setattr(ShiftedInverse, "_apply_adjoint", lambda op, y: real(op, y) * (1 + 1e-6))
+        with pytest.raises(GainValidationError) as exc:
+            iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(3))
+        assert exc.value.trial == -1
+        # off from the first adjoint step on
+        assert exc.value.time == self.fit_dt(built.system.perturbed)
+
+    def test_cross_check_failure_exits_3(self, monkeypatch, tmp_path, capsys):
+        doc = json.loads((DATA / "renewal-n60.json").read_text())
+        doc["audits"] = ["iss", "gain_fit"]
+        cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps(doc))
+        real = ShiftedInverse._apply_adjoint
+        monkeypatch.setattr(ShiftedInverse, "_apply_adjoint", lambda op, y: real(op, y) * (1 + 1e-6))
+        assert cli.main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("numerical failure: forward and adjoint norms")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_report_with_envelope(self, toy):
         system = closed_loop(toy, 1.0)
