@@ -3,19 +3,19 @@
 The spectral route decides eISS from two numbers: the spectral bound of the
 unperturbed generator and the small-gain radius of the loop operator.  The
 trajectory route fits an envelope ||z(t)|| <= N exp(-mu t) ||x|| + G ||u||_L1
-and validates it on random positive (x, u) pairs.  Both routes are kept;
-neither is allowed to stand in for the other.
+and validates it.  Both routes are kept; neither is allowed to stand in for
+the other.
 
-On a nonnegative step the weighted l1 norm is additive on the cone, so the
-validation reads every trial's norm off one adjoint recursion,
-||z_k|| = y_k . x0 + sum_{j<k} (y_{k-1-j} . F) u_j with y_k = (E^T)^k w, and
-checks those numbers against one forward trajectory of the summed trial.
-On the cone the worst unit-norm pairs are a basis state and a one-step
-pulse, and both are checked as well.  Other steps step the trials forward.
+On a nonnegative step with F >= 0 the weighted l1 norm is additive on the
+cone, ||z_k|| = y_k . x0 + sum_{j<k} (y_{k-1-j} . F) u_j with
+y_k = (E^T)^k w, so the envelope holds for every nonnegative (x, u) on the
+grid once it holds for the worst unit-norm pairs, a basis state and a
+one-step pulse.  Those are checked on the validation's own adjoint curves,
+after one forward trajectory of the pair x0 = 1, u = 1 has matched them.
+Other steps check the envelope on random positive pairs stepped forward.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -43,8 +43,6 @@ NOT_EISS = "not_eISS"
 INCONCLUSIVE = "inconclusive"
 # spectral comparisons within this band are refused, not decided
 GUARD_BAND = 1e-9
-# steps per block of the gain-fit validation's trial norms
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -126,29 +124,27 @@ def iss_gain_fit(
     rng=None,
     slack: float = 1e-8,
 ) -> tuple[float, float, float]:
-    """Fit (N, mu, G) for the perturbed system and validate on random pairs.
+    """Fit (N, mu, G) for the perturbed system and validate the envelope.
 
     The horizon defaults to `decay_horizon(s(A_S))` on FIT_STEPS steps.
     mu is the log-slope of ||S(t)|| over the tail half of the horizon
     (`tail_slope`), N lifts the envelope over the measured norm curve above
     NORM_FLOOR, and G combines
     max_k ||S(t_k) b|| with the per-step input operator so the estimate
-    holds exactly on the grid.  `trials` random nonnegative (x, u) pairs are
-    then checked; any violation beyond the slack raises GainValidationError
-    naming the worst trial.
+    holds exactly on the grid.  A violation beyond the slack raises
+    GainValidationError naming its witness.
 
-    On a nonnegative step with F >= 0 the trial norms come from a second
-    `norm_curves` call of the validation's own (`_cone_trial_norms`), and a
-    forward trajectory of the summed trial that disagrees with them raises
-    with trial -1.  After the trials pass, the envelope is checked on the
-    worst unit-norm pairs of the cone (`_check_extremal_pairs`), which
-    catches an understated N or G that the trials miss; an overstated mu is
-    absorbed by N's lift and is not caught.  Other steps step the trials
-    forward through `input_recursion` and get no extremal check.
+    On a nonnegative step with F >= 0 (`_check_cone`) the validation makes
+    its own `norm_curves` call, cross-checks it against one forward
+    trajectory (trial -1 on a mismatch) and checks the worst unit-norm
+    pairs of the cone (`_check_extremal_pairs`), which bound every
+    nonnegative pair on the grid; `trials` and `rng` are not read.  An
+    understated N or G is caught; an overstated mu is absorbed by N's lift
+    and is not.  Other steps draw `trials` random nonnegative (x, u) pairs,
+    step them forward through `input_recursion` and name the worst trial.
     """
     if p != 1:
         raise ValueError("gain fitting is implemented for the L1 input norm only")
-    rng = rng if rng is not None else np.random.default_rng(0)
     model = system.perturbed
     col = _as_column(b, model.space)
     if horizon is None:
@@ -171,8 +167,12 @@ def iss_gain_fit(
     amplitude = float(np.max(op_norms[above] * np.exp(mu * times[above])))
     gain = float(max(np.max(inj_norms), np.max(imp_norms[:-1]) / dt))
 
-    n = model.cells
-    x0 = rng.exponential(size=(n, trials)) * (10.0 ** rng.uniform(-1, 1, size=trials))
+    if _nonnegative(model, e, DEFAULT_METHOD) and bool(np.all(f >= 0)):
+        _check_cone(model, e, f, amplitude, mu, gain, times, slack)
+        return amplitude, mu, gain
+
+    rng = rng if rng is not None else np.random.default_rng(0)
+    x0 = rng.exponential(size=(model.cells, trials)) * (10.0 ** rng.uniform(-1, 1, size=trials))
     x0[:, ::7] = 0.0
     u_mat = np.zeros((steps, trials))
     for i in range(trials):
@@ -183,29 +183,18 @@ def iss_gain_fit(
         for a, bnd in zip(marks[::2], marks[1::2]):
             u_mat[a:bnd, i] += rng.exponential() * (10.0 ** rng.uniform(-1, 1))
 
-    cone = _nonnegative(model, e, DEFAULT_METHOD) and bool(np.all(f >= 0))
-    if cone:
-        op_check, _, curves = norm_curves(model, e, DEFAULT_METHOD, steps, np.vstack((f, x0.T)))
-        blocks = _cone_trial_norms(model, e, f, curves, x0, u_mat, times)
-    else:
-        blocks = (
-            model.space.spacing * np.sum(np.abs(z), axis=0)[None]
-            for z in input_recursion(e, f, x0, u_mat)
-        )
     x_norm = model.space.spacing * np.sum(np.abs(x0), axis=0)
     u_norm = dt * np.sum(u_mat, axis=0)
+    decay = amplitude * np.exp(-mu * times)
     worst_gap = math.inf
     worst = (0, 0)
-    k0 = 0
-    for z_norm in blocks:
-        decay = amplitude * np.exp(-mu * times[k0 : k0 + len(z_norm)])
-        gaps = np.multiply.outer(decay, x_norm)
+    for k, z in enumerate(input_recursion(e, f, x0, u_mat)):
+        gaps = decay[k] * x_norm
         gaps += gain * u_norm
-        gaps -= z_norm
-        k, i = np.unravel_index(np.argmin(gaps), gaps.shape)
-        if gaps[k, i] < worst_gap:
-            worst_gap, worst = float(gaps[k, i]), (k0 + int(k), int(i))
-        k0 += len(z_norm)
+        gaps -= model.space.spacing * np.sum(np.abs(z), axis=0)
+        i = int(np.argmin(gaps))
+        if gaps[i] < worst_gap:
+            worst_gap, worst = float(gaps[i]), (k, i)
     if worst_gap < -slack:
         k, i = worst
         raise GainValidationError(
@@ -216,83 +205,40 @@ def iss_gain_fit(
             time=float(times[k]),
             gap=worst_gap,
         )
-    if cone:
-        _check_extremal_pairs(model, e, op_check, curves[0], amplitude, mu, gain, times, slack)
     return amplitude, mu, gain
 
 
-def _cone_trial_norms(model, e, f, curves, x0, u_mat, times, chunk: int = _CHUNK):
-    """||z_k|| of every trial, in blocks of up to `chunk` steps k, from the
-    cone identity; each block is checked against one forward trajectory.
+def _check_cone(model, e, f, amplitude, mu, gain, times, slack):
+    """The envelope on a nonnegative step with F >= 0, from the
+    validation's own norm curves of F and of x0 = 1.
 
-    curves holds c_m = y_m . f and then y_m . x0_i, y_m = (E^T)^m w, from
-    `norm_curves`.  For E >= 0, f >= 0 and nonnegative trials,
-    ||z_k|| = y_k . x0 + sum_{j<k} c_{k-1-j} u_j.  A piecewise-constant input
-    is a sum of segments, level v on steps s <= j < t, and a segment adds
-    v (c_{max(k-t, 0)} + ... + c_{k-1-s}) for k > s: O(steps log steps) per
-    segment and no array of steps x steps entries.  Every term is >= 0, so
-    no sum cancels: the running sums of c for k <= t and sums of
-    power-of-two windows (`_window_sums`) for k > t.  A difference of two
-    running sums would lose all relative accuracy once the window has
-    decayed far below the running sum.
-    By linearity the trajectory of the summed trial (sum x0, sum u) has the
-    sum of the trial norms as its norm; a step where the two differ by more
-    than RESIDUAL_TOL relative raises GainValidationError with trial -1.
+    On the cone ||z_k|| = y_k . x0 + sum_{j<k} c_{k-1-j} u_j with
+    y_k = (E^T)^k w and c_m = y_m . F, so the fixed pair x0 = 1, u = 1 has
+    the norm y_k . x0 + c_0 + ... + c_{k-1}, a sum of nonnegative terms.
+    A forward trajectory of that pair whose norm differs from it by more
+    than RESIDUAL_TOL relative raises GainValidationError with trial -1;
+    then the extremal pairs are checked on the curves it certified.
     """
-    steps, trials = u_mat.shape
-    c = curves[0, :-1]
-    ramp = np.zeros(steps + 1)
-    np.cumsum(c, out=ramp[1:])
-    # table[j][m] = c_m + ... + c_{m + 2^j - 1}
-    table = [c]
-    while 1 << len(table) <= steps:
-        half = 1 << (len(table) - 1)
-        table.append(table[-1][:-half] + table[-1][half:])
-    segments = []
-    for i in range(trials):
-        u = u_mat[:, i]
-        edges = np.flatnonzero(np.diff(u, prepend=0.0, append=0.0))
-        segments.extend((i, int(s), int(t), u[s]) for s, t in zip(edges[:-1], edges[1:]) if u[s])
-    summed = input_recursion(e, f, x0.sum(axis=1), u_mat.sum(axis=1))
-    for k0 in range(0, steps + 1, chunk):
-        k1 = min(k0 + chunk, steps + 1)
-        block = curves[1:, k0:k1].copy()
-        for i, s, t, v in segments:
-            lo, hi = max(s + 1, k0), min(t + 1, k1)
-            if lo < hi:
-                block[i, lo - k0 : hi - k0] += v * ramp[lo - s : hi - s]
-            lo = max(t + 1, k0)
-            if lo < k1:
-                block[i, lo - k0 :] += v * _window_sums(table, lo - t, k1 - lo, t - s)
-        total = block.sum(axis=0)
-        stepped = np.fromiter(
-            (weighted_l1(z, model.space) for z in itertools.islice(summed, k1 - k0)), float, k1 - k0
+    steps = len(times) - 1
+    x0 = np.ones(model.cells)
+    op, _, (impulse, free) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, x0))
+    total = free.copy()
+    total[1:] += np.cumsum(impulse[:-1])
+    stepped = np.fromiter(
+        (weighted_l1(z, model.space) for z in input_recursion(e, f, x0, np.ones(steps))), float, steps + 1
+    )
+    # norms underflowed below NORM_FLOOR are compared in absolute terms
+    off = np.abs(stepped - total) / np.maximum(np.maximum(stepped, total), NORM_FLOOR)
+    bad = np.flatnonzero(off > RESIDUAL_TOL)
+    if len(bad):
+        k = int(bad[0])
+        raise GainValidationError(
+            f"forward and adjoint norms of the pair x0 = 1, u = 1 differ by {off[k]:.3e} "
+            f"relative at t = {times[k]}",
+            trial=-1,
+            time=float(times[k]),
         )
-        # norms underflowed below NORM_FLOOR are compared in absolute terms
-        scale = np.maximum(np.maximum(stepped, total), NORM_FLOOR)
-        off = np.abs(stepped - total) / scale
-        bad = np.flatnonzero(off > RESIDUAL_TOL)
-        if len(bad):
-            k = k0 + int(bad[0])
-            raise GainValidationError(
-                f"forward and adjoint norms of the summed trials differ by {off[bad[0]]:.3e} "
-                f"relative at t = {times[k]}",
-                trial=-1,
-                time=float(times[k]),
-            )
-        yield block.T
-
-
-def _window_sums(table, start: int, count: int, width: int) -> np.ndarray:
-    """c_m + ... + c_{m + width - 1} for m = start .. start + count - 1, one
-    power-of-two window of `table` per set bit of width."""
-    acc = np.zeros(count)
-    offset = 0
-    for j in range(width.bit_length()):
-        if width >> j & 1:
-            acc += table[j][start + offset : start + offset + count]
-            offset += 1 << j
-    return acc
+    _check_extremal_pairs(model, e, op, impulse, amplitude, mu, gain, times, slack)
 
 
 def _check_extremal_pairs(model, e, op, impulse, amplitude, mu, gain, times, slack):

@@ -1,5 +1,6 @@
 """ISS verdicts and the fitted (N, mu, G) envelope."""
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -134,10 +135,12 @@ class TestGainFit:
         monkeypatch.setattr(iss, "norm_curves", scaled)
 
     def test_cone_route_catches_an_understated_gain(self, monkeypatch):
-        """With the fit's G halved on renewal-n60 the random pairs violate
-        the envelope, and the cone route of the validation finds the same
-        worst violation as the forward column recursion e @ z + F u_k."""
+        """With the fit's G halved on renewal-n60 the cone route raises on
+        the unit pulse, and the forward route, which steps the random pairs
+        through e @ z + F u_k, still finds the same worst trial as before."""
         built = self.renewal_n60()
+        model = built.system.perturbed
+        _, _, gain = iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(3))
         caught = []
         for forward in (False, True):
             with monkeypatch.context() as m:
@@ -148,11 +151,18 @@ class TestGainFit:
                     iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(3))
             caught.append(exc.value)
         cone, column = caught
-        assert cone.trial >= 0
-        assert (cone.trial, cone.time) == (column.trial, column.time)
-        assert cone.gap == pytest.approx(column.gap, rel=1e-12)
-        assert np.array_equal(cone.state, column.state)
-        assert np.array_equal(cone.signal.values, column.signal.values)
+        dt = self.fit_dt(model)
+        e, f = iss.step_input_operators(model, built.injection.column, dt)
+        _, _, (imp,) = semigroup.norm_curves(model, e, semigroup.DEFAULT_METHOD, semigroup.FIT_STEPS, (f,))
+        m = int(np.argmax(imp[:-1]))
+        assert cone.trial == -1
+        assert cone.gap == pytest.approx(0.5 * gain - imp[m] / dt, rel=1e-12)
+        assert cone.gap == pytest.approx(-0.4756120469785379, rel=1e-12)
+        assert cone.time == pytest.approx((m + 1) * dt, rel=1e-12)
+        assert not np.any(cone.state)
+        assert np.array_equal(cone.signal.values, [1.0 / dt])
+        assert (column.trial, column.time) == (65, 11.99884471143604)
+        assert column.gap == pytest.approx(-1.772546990928908, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_unit_pulse_catches_a_gain_the_trials_miss(self, monkeypatch, seed):
@@ -200,7 +210,7 @@ class TestGainFit:
 
     def test_cross_check_catches_a_wrong_adjoint(self, monkeypatch):
         """An adjoint solve off by 1e-6 moves every cone norm, and the
-        forward trajectory of the summed trial no longer matches them."""
+        forward trajectory of x0 = 1, u = 1 no longer matches them."""
         built = self.renewal_n60()
         real = ShiftedInverse._apply_adjoint
         monkeypatch.setattr(ShiftedInverse, "_apply_adjoint", lambda op, y: real(op, y) * (1 + 1e-6))
@@ -222,6 +232,20 @@ class TestGainFit:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("numerical failure: forward and adjoint norms")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_cone_route_holds_no_trials_by_steps_array(self):
+        """Over 5000 steps the cone route keeps a few (steps + 1)-vectors;
+        a 101 x 5001 array of trial norms alone would take 4 MB."""
+        built = self.renewal_n60()
+        args = (built.system, built.injection)
+        iss.iss_gain_fit(*args, horizon=10.0, dt=0.002)
+        tracemalloc.start()
+        try:
+            iss.iss_gain_fit(*args, horizon=10.0, dt=0.002)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
     def test_report_with_envelope(self, toy):
         system = closed_loop(toy, 1.0)
