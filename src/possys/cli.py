@@ -186,11 +186,11 @@ class RunConfig:
             raise ConfigError("p must be 1, 2, or 'inf'")
 
         fit = raw.get("gain_fit", {})
-        if not isinstance(fit, dict) or any(k not in ("trials", "horizon", "dt") for k in fit):
-            raise ConfigError("gain_fit must be an object with keys drawn from ['dt', 'horizon', 'trials']")
-        gain_fit = {"trials": _number(fit.get("trials", 100), "gain_fit.trials", integer=True, positive=True)}
-        for k in ("horizon", "dt"):
-            gain_fit[k] = _number(fit.get(k), f"gain_fit.{k}", positive=True, nullable=True)
+        if not isinstance(fit, dict) or any(k not in ("horizon", "dt") for k in fit):
+            raise ConfigError("gain_fit must be an object with keys drawn from ['dt', 'horizon']")
+        gain_fit = {
+            k: _number(fit.get(k), f"gain_fit.{k}", positive=True, nullable=True) for k in ("horizon", "dt")
+        }
 
         profile = os.environ.get("POSSYS_TOLERANCE_PROFILE", "default")
         if profile not in TOLERANCE_PROFILES:
@@ -499,9 +499,7 @@ def _gain_fit(cfg, built, rng, report):
     verdict = report["verdict"] or _verdict(cfg, built, rng).verdict
     if verdict != EISS:
         return f"gain fit requires an eISS verdict, got {verdict}"
-    report["N"], report["mu"], report["G"] = iss_gain_fit(
-        built.system, built.injection.column, rng=rng, **cfg.gain_fit
-    )
+    report["N"], report["mu"], report["G"] = iss_gain_fit(built.system, built.injection.column, **cfg.gain_fit)
     return None
 
 

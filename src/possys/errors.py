@@ -31,14 +31,15 @@ class PowerIterationError(PossysError):
 
 
 class GainValidationError(PossysError):
-    """A fitted ISS envelope was violated by a sampled trajectory.
+    """A fitted ISS envelope was violated by a worst-case pair, or its norm
+    curves disagree with a forward trajectory.
 
-    The offending trial is attached so the failure is reproducible.
+    The witness pair (state, signal), the time and the gap are attached,
+    where there is one, so the failure is reproducible.
     """
 
-    def __init__(self, message: str, trial: int, state=None, signal=None, time=None, gap=None):
+    def __init__(self, message: str, state=None, signal=None, time=None, gap=None):
         super().__init__(message)
-        self.trial = trial
         self.state = state
         self.signal = signal
         self.time = time

@@ -6,17 +6,17 @@ trajectory route fits an envelope ||z(t)|| <= N exp(-mu t) ||x|| + G ||u||_L1
 and validates it.  Both routes are kept; neither is allowed to stand in for
 the other.
 
-On a nonnegative step with F >= 0 the weighted l1 norm is additive on the
-cone, ||z_k|| = y_k . x0 + sum_{j<k} (y_{k-1-j} . F) u_j with
-y_k = (E^T)^k w, so the envelope holds for every nonnegative (x, u) on the
-grid once it holds for the worst unit-norm pairs, a basis state and a
-one-step pulse.  Those are checked on the validation's own adjoint curves,
-after one forward trajectory of the pair x0 = 1, u = 1 has matched them.
-Other steps check the envelope on random positive pairs stepped forward.
+On every step the triangle inequality gives
+||z_k|| <= ||E^k|| ||x0|| + max_m ||E^m F|| / dt ||u||_L1, so the envelope
+holds for every pair (x, u) on the grid, signed or not, once it holds for
+the worst unit-norm pairs, a basis state and a one-step pulse.  Those are
+checked on the fit's own norm curves, after one forward trajectory of the
+pair x0 = 1, u = 1 has matched them: exactly on a nonnegative step with
+F >= 0, where the norm is additive on the cone, and as an upper bound
+elsewhere.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +25,7 @@ import numpy as np
 from .control import InputSignal, _as_column, input_recursion, step_input_operators
 from .errors import GainValidationError
 from .generators import RESIDUAL_TOL, perron_mode, spectral_bound
-from .lattice import weighted_l1
+from .lattice import weighted_column_sums, weighted_l1
 from .perturbation import PerturbedSystem, small_gain_radius
 from .semigroup import (
     DEFAULT_METHOD,
@@ -43,6 +43,8 @@ NOT_EISS = "not_eISS"
 INCONCLUSIVE = "inconclusive"
 # spectral comparisons within this band are refused, not decided
 GUARD_BAND = 1e-9
+# an envelope may fall short of a norm by this much before it is refused
+SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,8 @@ def iss_verdict(system: PerturbedSystem, p: float = 1, guard: float = GUARD_BAND
 def iss_gain_fit(
     system: PerturbedSystem,
     b,
-    trials: int = 100,
     horizon: Optional[float] = None,
     dt: Optional[float] = None,
-    p: float = 1,
-    rng=None,
-    slack: float = 1e-8,
 ) -> tuple[float, float, float]:
     """Fit (N, mu, G) for the perturbed system and validate the envelope.
 
@@ -131,20 +129,15 @@ def iss_gain_fit(
     (`tail_slope`), N lifts the envelope over the measured norm curve above
     NORM_FLOOR, and G combines
     max_k ||S(t_k) b|| with the per-step input operator so the estimate
-    holds exactly on the grid.  A violation beyond the slack raises
-    GainValidationError naming its witness.
+    holds exactly on the grid.  The fit is for the L1 input norm.
 
-    On a nonnegative step with F >= 0 (`_check_cone`) the validation makes
-    its own `norm_curves` call, cross-checks it against one forward
-    trajectory (trial -1 on a mismatch) and checks the worst unit-norm
-    pairs of the cone (`_check_extremal_pairs`), which bound every
-    nonnegative pair on the grid; `trials` and `rng` are not read.  An
-    understated N or G is caught; an overstated mu is absorbed by N's lift
-    and is not.  Other steps draw `trials` random nonnegative (x, u) pairs,
-    step them forward through `input_recursion` and name the worst trial.
+    One `norm_curves` call serves the fit and its validation
+    (`_check_envelope`), which matches the curves against one forward
+    trajectory and checks the worst unit-norm pairs; those bound every pair
+    on the grid, signed or not.  A violation beyond SLACK raises
+    GainValidationError naming its witness.  An understated N or G is
+    caught; an overstated mu is absorbed by N's lift and is not.
     """
-    if p != 1:
-        raise ValueError("gain fitting is implemented for the L1 input norm only")
     model = system.perturbed
     col = _as_column(b, model.space)
     if horizon is None:
@@ -154,117 +147,86 @@ def iss_gain_fit(
     steps = grid_steps(horizon, dt, "horizon")
     e, f = step_input_operators(model, col, dt)
 
-    op_norms, _, (imp_norms, inj_norms) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, col))
+    x0 = np.ones(model.cells)
+    op_norms, _, (imp_norms, inj_norms, free) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, col, x0))
     times = np.arange(steps + 1) * dt
     mu = -tail_slope(times, op_norms)
     if mu <= 0:
-        raise GainValidationError(
-            f"fit window produced nonpositive decay rate {mu}; lengthen the horizon",
-            trial=-1,
-        )
+        raise GainValidationError(f"fit window produced nonpositive decay rate {mu}; lengthen the horizon")
     # lift over the curve above the floor; beyond it exp(mu t) may overflow
     above = op_norms > NORM_FLOOR
     amplitude = float(np.max(op_norms[above] * np.exp(mu * times[above])))
     gain = float(max(np.max(inj_norms), np.max(imp_norms[:-1]) / dt))
 
-    if _nonnegative(model, e, DEFAULT_METHOD) and bool(np.all(f >= 0)):
-        _check_cone(model, e, f, amplitude, mu, gain, times, slack)
-        return amplitude, mu, gain
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    x0 = rng.exponential(size=(model.cells, trials)) * (10.0 ** rng.uniform(-1, 1, size=trials))
-    x0[:, ::7] = 0.0
-    u_mat = np.zeros((steps, trials))
-    for i in range(trials):
-        if i % 5 == 4:
-            continue
-        pieces = rng.integers(1, 6)
-        marks = np.sort(rng.integers(0, steps + 1, size=2 * pieces))
-        for a, bnd in zip(marks[::2], marks[1::2]):
-            u_mat[a:bnd, i] += rng.exponential() * (10.0 ** rng.uniform(-1, 1))
-
-    x_norm = model.space.spacing * np.sum(np.abs(x0), axis=0)
-    u_norm = dt * np.sum(u_mat, axis=0)
-    decay = amplitude * np.exp(-mu * times)
-    worst_gap = math.inf
-    worst = (0, 0)
-    for k, z in enumerate(input_recursion(e, f, x0, u_mat)):
-        gaps = decay[k] * x_norm
-        gaps += gain * u_norm
-        gaps -= model.space.spacing * np.sum(np.abs(z), axis=0)
-        i = int(np.argmin(gaps))
-        if gaps[i] < worst_gap:
-            worst_gap, worst = float(gaps[i]), (k, i)
-    if worst_gap < -slack:
-        k, i = worst
-        raise GainValidationError(
-            f"envelope violated by {-worst_gap:.3e} at t = {times[k]}",
-            trial=i,
-            state=x0[:, i].copy(),
-            signal=InputSignal(times, u_mat[:, i].copy()),
-            time=float(times[k]),
-            gap=worst_gap,
-        )
+    cone = _nonnegative(model, e, DEFAULT_METHOD) and bool(np.all(f >= 0))
+    _check_envelope(model, e, f, (op_norms, imp_norms, free), amplitude, mu, gain, times, cone)
     return amplitude, mu, gain
 
 
-def _check_cone(model, e, f, amplitude, mu, gain, times, slack):
-    """The envelope on a nonnegative step with F >= 0, from the
-    validation's own norm curves of F and of x0 = 1.
+def _check_envelope(model, e, f, curves, amplitude, mu, gain, times, cone):
+    """The envelope on every pair (x, u) on the grid, from the norm curves
+    (||E^k||, c_k, ||E^k x0||) of the fit, c_k = ||E^k F||, x0 = 1.
 
-    On the cone ||z_k|| = y_k . x0 + sum_{j<k} c_{k-1-j} u_j with
-    y_k = (E^T)^k w and c_m = y_m . F, so the fixed pair x0 = 1, u = 1 has
-    the norm y_k . x0 + c_0 + ... + c_{k-1}, a sum of nonnegative terms.
-    A forward trajectory of that pair whose norm differs from it by more
-    than RESIDUAL_TOL relative raises GainValidationError with trial -1;
-    then the extremal pairs are checked on the curves it certified.
+    The pair x0 = 1, u = 1 has z_k = E^k x0 + sum_{j<k} E^{k-1-j} F, so by
+    the triangle inequality ||z_k|| <= ||E^k x0|| + c_0 + ... + c_{k-1}; on
+    the cone (`cone`: E >= 0 and F >= 0) the norm is additive and the two
+    are equal.  A forward trajectory of that pair above the bound, or off
+    it on the cone, by more than RESIDUAL_TOL relative raises
+    GainValidationError; then the extremal pairs are checked on the curves
+    it certified.
     """
+    op, impulse, free = curves
     steps = len(times) - 1
-    x0 = np.ones(model.cells)
-    op, _, (impulse, free) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, x0))
     total = free.copy()
     total[1:] += np.cumsum(impulse[:-1])
     stepped = np.fromiter(
-        (weighted_l1(z, model.space) for z in input_recursion(e, f, x0, np.ones(steps))), float, steps + 1
+        (weighted_l1(z, model.space) for z in input_recursion(e, f, np.ones(model.cells), np.ones(steps))),
+        float, steps + 1,
     )
     # norms underflowed below NORM_FLOOR are compared in absolute terms
-    off = np.abs(stepped - total) / np.maximum(np.maximum(stepped, total), NORM_FLOOR)
-    bad = np.flatnonzero(off > RESIDUAL_TOL)
+    off = (stepped - total) / np.maximum(np.maximum(stepped, total), NORM_FLOOR)
+    bad = np.flatnonzero((np.abs(off) if cone else off) > RESIDUAL_TOL)
     if len(bad):
         k = int(bad[0])
         raise GainValidationError(
-            f"forward and adjoint norms of the pair x0 = 1, u = 1 differ by {off[k]:.3e} "
+            f"forward and adjoint norms of the pair x0 = 1, u = 1 differ by {abs(off[k]):.3e} "
             f"relative at t = {times[k]}",
-            trial=-1,
             time=float(times[k]),
         )
-    _check_extremal_pairs(model, e, op, impulse, amplitude, mu, gain, times, slack)
+    _check_extremal_pairs(model, e, op, impulse, amplitude, mu, gain, times, cone)
 
 
-def _check_extremal_pairs(model, e, op, impulse, amplitude, mu, gain, times, slack):
-    """The envelope on the worst unit-norm pairs of the cone, raising
-    GainValidationError with trial -1 and that pair as the witness.
+def _check_extremal_pairs(model, e, op, impulse, amplitude, mu, gain, times, cone):
+    """The envelope on the worst unit-norm pairs, raising
+    GainValidationError with that pair as the witness.
 
-    For E >= 0, ||z_k|| <= max_j (y_k)_j / w_j ||x|| + max_m c_m / dt ||u||_L1
-    with c_m = ||E^m f||, so the envelope holds for every nonnegative pair
-    on the grid once it holds for a unit basis state (ratio ||E^k||, `op`)
-    and for a one-step unit pulse (ratio c_m / dt, `impulse`).  An understated
-    N or G is caught here; an overstated mu is not, since N is lifted over
-    the same norm curve it was fitted to.
+    By the triangle inequality ||z_k|| <= ||E^k|| ||x|| + max_m c_m / dt ||u||_L1
+    with c_m = ||E^m F||, so the envelope holds for every pair on the grid
+    once it holds for a unit basis state (ratio ||E^k||, `op`) and for a
+    one-step unit pulse (ratio c_m / dt, `impulse`).  The basis state is
+    read off the adjoint recursion on the cone and off the powers E^k
+    elsewhere.  An understated N or G is caught here; an overstated mu is
+    not, since N is lifted over the same norm curve it was fitted to.
     """
     dt = times[1]
     above = op > NORM_FLOOR
     basis_gaps = np.where(above, amplitude * np.exp(-mu * times) - op, np.inf)
     k = int(np.argmin(basis_gaps))
-    if basis_gaps[k] < -slack:
+    if basis_gaps[k] < -SLACK:
         w = model.space.weights
-        y = w
-        for _ in range(k):
-            y = e.T @ y
-        j = int(np.argmax(y / w))
+        if cone:
+            y = w
+            for _ in range(k):
+                y = e.T @ y
+            sums = y / w
+        else:
+            m = np.eye(model.cells)
+            for _ in range(k):
+                m = e @ m
+            sums = weighted_column_sums(m, model.space)
+        j = int(np.argmax(sums))
         raise GainValidationError(
             f"envelope violated by {-basis_gaps[k]:.3e} at t = {times[k]} from the unit basis state {j}",
-            trial=-1,
             state=model.space.basis(j).values / w[j],
             signal=InputSignal.zero(),
             time=float(times[k]),
@@ -272,11 +234,10 @@ def _check_extremal_pairs(model, e, op, impulse, amplitude, mu, gain, times, sla
         )
     pulse_gaps = gain - impulse[:-1] / dt
     m = int(np.argmin(pulse_gaps))
-    if pulse_gaps[m] < -slack:
+    if pulse_gaps[m] < -SLACK:
         raise GainValidationError(
             f"envelope violated by {-pulse_gaps[m]:.3e} at t = {times[m + 1]} "
             "from a unit pulse on the first step",
-            trial=-1,
             state=np.zeros(model.cells),
             signal=InputSignal.constant(1.0 / dt, dt),
             time=float(times[m + 1]),

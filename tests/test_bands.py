@@ -15,7 +15,7 @@ from possys import cli, iss
 from possys.control import input_recursion, mild_solution
 from possys.errors import GainValidationError
 from possys.generators import BorderedBidiagonal, ShiftedInverse, perron_mode, shifted_inverse
-from possys.semigroup import EvolutionPlan, step_matrix, step_operator
+from possys.semigroup import DEFAULT_METHOD, EvolutionPlan, norm_curves, step_matrix, step_operator
 
 
 def dense_upwind(space, q, boundary):
@@ -361,24 +361,42 @@ def random_bordered_metzler(n, seed, off_loop=""):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_cone_check_cross_checks_forward_and_adjoint(n, seed):
+def test_envelope_check_cross_checks_forward_and_adjoint(n, seed):
     """On random bands the gain-fit validation's forward trajectory of
     x0 = 1, u = 1 matches its adjoint curves, so an envelope too loose to
-    fail passes; an adjoint solve off by 1e-6 raises with trial -1."""
+    fail passes; curves from an adjoint solve off by 1e-6 raise at the
+    first step.  Off the cone the curves only bound the forward norm from
+    above: a halved ||E^k x0|| raises on both routes, a doubled one on the
+    cone only."""
     model = random_bordered_metzler(n, seed)
     dt, steps = 0.05, 60
     e = shifted_inverse(model, 1.0, dt)
     assert isinstance(e, ShiftedInverse) and e.nonnegative
     f = dt * (e @ np.random.default_rng(seed).exponential(size=n))
     times = np.arange(steps + 1) * dt
-    loose = dict(amplitude=1e30, mu=0.0, gain=1e30, times=times, slack=1e-8)
-    iss._check_cone(model, e, f, **loose)
+    loose = dict(amplitude=1e30, mu=0.0, gain=1e30, times=times)
+
+    def curves():
+        op, _, (impulse, free) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, np.ones(n)))
+        return op, impulse, free
+
+    op, impulse, free = curves()
+    for cone in (True, False):
+        iss._check_envelope(model, e, f, (op, impulse, free), **loose, cone=cone)
+        with pytest.raises(GainValidationError) as exc:
+            iss._check_envelope(model, e, f, (op, impulse, 0.5 * free), **loose, cone=cone)
+        assert exc.value.time == 0.0
+    iss._check_envelope(model, e, f, (op, impulse, 2.0 * free), **loose, cone=False)
+    with pytest.raises(GainValidationError) as exc:
+        iss._check_envelope(model, e, f, (op, impulse, 2.0 * free), **loose, cone=True)
+    assert exc.value.time == 0.0
     real = ShiftedInverse._apply_adjoint
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ShiftedInverse, "_apply_adjoint", lambda op, y: real(op, y) * (1 + 1e-6))
-        with pytest.raises(GainValidationError) as exc:
-            iss._check_cone(model, e, f, **loose)
-    assert exc.value.trial == -1 and exc.value.time == dt
+        wrong = curves()
+    with pytest.raises(GainValidationError) as exc:
+        iss._check_envelope(model, e, f, wrong, **loose, cone=True)
+    assert exc.value.time == dt
 
 
 class TestPerronMode:

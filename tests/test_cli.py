@@ -141,12 +141,19 @@ class TestConfigErrors:
         {"scenario": {"cells": 4.0, "kind": "markov_cycle"}},
     ], ids=lambda bad: json.dumps(bad)[:40])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
-        doc = {"audits": ["gain_fit", "left_invertibility"], "gain_fit": {"trials": 5}, **bad}
+        doc = {"audits": ["gain_fit", "left_invertibility"], **bad}
         cfg = write_config(tmp_path, **doc)
         for command in ("audit", "simulate"):
             assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_gain_fit_trials_is_an_unknown_key(self, tmp_path, capsys):
+        # the gain fit samples no random pairs, so it takes no trial count
+        cfg = write_config(tmp_path, audits=["iss", "gain_fit"], gain_fit={"trials": 100})
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: gain_fit must be an object with keys drawn from ['dt', 'horizon']\n"
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -344,9 +351,7 @@ class TestAudit:
         assert report["r"] is None and report["kappa"] is None
 
     def test_gain_fit_populates_envelope(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, audits=["iss", "gain_fit"], gain_fit={"trials": 20}
-        )
+        cfg = write_config(tmp_path, audits=["iss", "gain_fit"])
         out = tmp_path / "report.json"
         assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
@@ -358,7 +363,7 @@ class TestAudit:
         # window; the fits stop there and report the implicit-Euler rate of
         # their 800-step grid, -log(1 - dt s) / dt
         scenario = {"kind": "renewal", "q": q, "beta": 0.5, "length": 20.0, "cells": 60}
-        cfg = write_config(tmp_path, scenario=scenario, audits=["gain_fit"], gain_fit={"trials": 20})
+        cfg = write_config(tmp_path, scenario=scenario, audits=["gain_fit"])
         out = tmp_path / "report.json"
         assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
@@ -383,7 +388,7 @@ class TestAudit:
 
     def test_gain_fit_skipped_when_p_is_not_1(self, tmp_path, capsys):
         # the fitted envelope is an L1 one; a p = 2 report must not carry it
-        cfg = write_config(tmp_path, p=2, audits=["iss", "gain_fit"], gain_fit={"trials": 5})
+        cfg = write_config(tmp_path, p=2, audits=["iss", "gain_fit"])
         out = tmp_path / "report.json"
         assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())

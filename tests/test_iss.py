@@ -2,6 +2,7 @@
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,11 +74,61 @@ class TestReportInvariants:
             )
 
 
+def fitted(built):
+    """The gain fit of a built scenario's loop, with the step, the norm
+    curves and the route it is validated on."""
+    system, col = built.system, built.injection.column
+    model = system.perturbed
+    steps = semigroup.FIT_STEPS
+    dt = semigroup.decay_horizon(ps.spectral_bound(model)) / steps
+    e, f = iss.step_input_operators(model, col, dt)
+    op, _, (imp, _, free) = semigroup.norm_curves(
+        model, e, semigroup.DEFAULT_METHOD, steps, (f, col, np.ones(model.cells))
+    )
+    return SimpleNamespace(
+        model=model, fit=iss.iss_gain_fit(system, col), e=e, f=f, dt=dt,
+        times=np.arange(steps + 1) * dt, curves=(op, imp, free),
+        cone=semigroup._nonnegative(model, e, semigroup.DEFAULT_METHOD) and bool(np.all(f >= 0)),
+    )
+
+
+def validate(v, amplitude=1.0, gain=1.0, cone=None):
+    """Validate the fit of `v` with N x amplitude and G x gain on its own
+    curves, on its own route unless `cone` names one."""
+    n_amp, mu, g = v.fit
+    cone = v.cone if cone is None else cone
+    iss._check_envelope(v.model, v.e, v.f, v.curves, n_amp * amplitude, mu, g * gain, v.times, cone)
+
+
+def assert_basis_witness(v, err):
+    """The witness is a unit basis state whose column of E^k attains ||E^k||."""
+    w = v.model.space.weights
+    (j,) = np.flatnonzero(err.state)
+    assert err.gap < 0 and err.state[j] * w[j] == pytest.approx(1.0, rel=1e-15)
+    assert len(err.signal.values) == 0
+    k = round(err.time / v.dt)
+    e = v.e.toarray() if hasattr(v.e, "toarray") else np.asarray(v.e)
+    column = np.linalg.matrix_power(e, k)[:, j]
+    assert w @ np.abs(column) / w[j] == pytest.approx(v.curves[0][k], rel=1e-12)
+
+
+def assert_pulse_witness(v, err, gain_scale):
+    """The witness is a unit pulse on the first step, and the gap is the
+    scaled G against the largest pulse norm c_m / dt."""
+    imp = v.curves[1][:-1]
+    m = int(np.argmax(imp))
+    assert err.gap == pytest.approx(gain_scale * v.fit[2] - imp[m] / v.dt, rel=1e-12)
+    assert err.time == pytest.approx((m + 1) * v.dt, rel=1e-12)
+    assert not np.any(err.state)
+    assert np.array_equal(err.signal.breakpoints, [0.0, v.dt])
+    assert np.array_equal(err.signal.values, [1.0 / v.dt])
+
+
 class TestGainFit:
     def test_envelope_validates_on_fresh_samples(self, toy):
         system = closed_loop(toy, 1.0)
         _, model, b = toy
-        n_amp, mu, g = ps.iss_gain_fit(system, b, trials=80, rng=np.random.default_rng(5))
+        n_amp, mu, g = ps.iss_gain_fit(system, b)
         assert n_amp >= 1.0 and mu > 0.0 and g > 0.0
         # decay rate tracks the closed-loop spectral bound
         s = ps.spectral_bound(system.perturbed)
@@ -91,7 +142,7 @@ class TestGainFit:
 
         monkeypatch.setattr(semigroup, "weighted_column_sums", refuse)
         rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400)
-        n_amp, mu, g = iss.iss_gain_fit(rs.system, rs.boundary_input, trials=5)
+        n_amp, mu, g = iss.iss_gain_fit(rs.system, rs.boundary_input)
         assert n_amp >= 1.0 and mu > 0.0 and g > 0.0
 
     def test_no_step_between_500_and_501_cells(self):
@@ -100,7 +151,7 @@ class TestGainFit:
         fits = []
         for cells in (500, 501):
             rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=cells)
-            _, mu, _ = ps.iss_gain_fit(rs.system, rs.boundary_input, trials=5)
+            _, mu, _ = ps.iss_gain_fit(rs.system, rs.boundary_input)
             fits.append((mu, ps.growth_estimate(rs.system.perturbed)))
         (mu_a, est_a), (mu_b, est_b) = fits
         assert abs(mu_a - mu_b) <= 1e-6
@@ -110,103 +161,83 @@ class TestGainFit:
         system = closed_loop(toy, 1.5)
         _, model, b = toy
         with pytest.raises(GainValidationError):
-            ps.iss_gain_fit(system, b, trials=10, rng=np.random.default_rng(5))
+            ps.iss_gain_fit(system, b)
 
     @staticmethod
     def renewal_n60():
         return cli.build_scenario(cli.RunConfig.from_file(str(DATA / "renewal-n60.json")))
 
-    @staticmethod
-    def fit_dt(model):
-        return semigroup.decay_horizon(ps.spectral_bound(model)) / semigroup.FIT_STEPS
-
-    @staticmethod
-    def scale_first_curves(monkeypatch, op=1.0, curves=1.0):
-        """Scale the fit's norm curves, the first `norm_curves` call, and
-        leave the validation's own call alone."""
+    def test_scaled_curves_fail_the_forward_check(self, monkeypatch):
+        """The fit and its validation read one `norm_curves` call, so
+        halving its curves halves the fit's G too; the forward trajectory
+        of x0 = 1, u = 1 then no longer matches them, from t = 0 on."""
+        built = self.renewal_n60()
         real = iss.norm_curves
-        calls = []
 
         def scaled(*args):
-            got_op, low, got = real(*args)
-            calls.append(args)
-            return (got_op * op, low, got * curves) if len(calls) == 1 else (got_op, low, got)
+            op, low, curves = real(*args)
+            return op, low, 0.5 * curves
 
         monkeypatch.setattr(iss, "norm_curves", scaled)
+        with pytest.raises(GainValidationError, match="^forward and adjoint norms") as exc:
+            iss.iss_gain_fit(built.system, built.injection)
+        assert exc.value.time == 0.0
 
-    def test_cone_route_catches_an_understated_gain(self, monkeypatch):
-        """With the fit's G halved on renewal-n60 the cone route raises on
-        the unit pulse, and the forward route, which steps the random pairs
-        through e @ z + F u_k, still finds the same worst trial as before."""
-        built = self.renewal_n60()
-        model = built.system.perturbed
-        _, _, gain = iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(3))
-        caught = []
-        for forward in (False, True):
-            with monkeypatch.context() as m:
-                self.scale_first_curves(m, curves=0.5)
-                if forward:
-                    m.setattr(iss, "_nonnegative", lambda *args: False)
-                with pytest.raises(GainValidationError) as exc:
-                    iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(3))
-            caught.append(exc.value)
-        cone, column = caught
-        dt = self.fit_dt(model)
-        e, f = iss.step_input_operators(model, built.injection.column, dt)
-        _, _, (imp,) = semigroup.norm_curves(model, e, semigroup.DEFAULT_METHOD, semigroup.FIT_STEPS, (f,))
-        m = int(np.argmax(imp[:-1]))
-        assert cone.trial == -1
-        assert cone.gap == pytest.approx(0.5 * gain - imp[m] / dt, rel=1e-12)
-        assert cone.gap == pytest.approx(-0.4756120469785379, rel=1e-12)
-        assert cone.time == pytest.approx((m + 1) * dt, rel=1e-12)
-        assert not np.any(cone.state)
-        assert np.array_equal(cone.signal.values, [1.0 / dt])
-        assert (column.trial, column.time) == (65, 11.99884471143604)
-        assert column.gap == pytest.approx(-1.772546990928908, rel=1e-12)
+    def test_cone_route_catches_an_understated_gain(self):
+        """With G halved on renewal-n60 the validation raises on the unit
+        pulse, on the cone route it takes and on the forward route alike:
+        the triangle inequality bounds both by the same pair."""
+        v = fitted(self.renewal_n60())
+        assert v.cone
+        for cone in (True, False):
+            with pytest.raises(GainValidationError) as exc:
+                validate(v, gain=0.5, cone=cone)
+            assert_pulse_witness(v, exc.value, 0.5)
+            assert exc.value.gap == pytest.approx(-0.4756120469785379, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_unit_pulse_catches_a_gain_the_trials_miss(self, monkeypatch, seed):
-        """G x 0.9 on renewal-n60 passes the 100 random pairs; a unit pulse
-        on the first step, whose norm reaches max_m ||E^m F|| / dt, does not."""
-        built = self.renewal_n60()
-        _, _, gain = iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(seed))
-        self.scale_first_curves(monkeypatch, curves=0.9)
-        with pytest.raises(GainValidationError) as exc:
-            iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(seed))
-        err = exc.value
-        model = built.system.perturbed
-        dt = self.fit_dt(model)
-        e, f = iss.step_input_operators(model, built.injection.column, dt)
-        _, _, (imp,) = semigroup.norm_curves(model, e, semigroup.DEFAULT_METHOD, semigroup.FIT_STEPS, (f,))
-        m = int(np.argmax(imp[:-1]))
-        assert err.trial == -1
-        assert err.gap == pytest.approx(0.9 * gain - imp[m] / dt, rel=1e-12)
-        assert err.gap < -0.07  # max c / dt = 0.9756 against G = 1
-        assert err.time == pytest.approx((m + 1) * dt, rel=1e-12)
-        assert not np.any(err.state)
-        assert np.array_equal(err.signal.breakpoints, [0.0, dt])
-        assert np.array_equal(err.signal.values, [1.0 / dt])
+    def test_unit_pulse_catches_a_gain_the_trials_miss(self, seed):
+        """G x 0.9 on renewal-n60 passes 100 random nonnegative pairs, drawn
+        and measured as earlier versions drew their trials, u in L1 over the
+        whole horizon; a unit pulse on the first step, whose norm reaches
+        max_m ||E^m F|| / dt, does not, on either route."""
+        v = fitted(self.renewal_n60())
+        n_amp, mu, gain = v.fit
+        h, steps, trials = v.model.space.spacing, len(v.times) - 1, 100
+        rng = np.random.default_rng(seed)
+        z = rng.exponential(size=(v.model.cells, trials)) * 10.0 ** rng.uniform(-1, 1, size=trials)
+        z[:, ::7] = 0.0
+        u = np.zeros((steps, trials))
+        for i in range(trials):
+            if i % 5 == 4:
+                continue
+            marks = np.sort(rng.integers(0, steps + 1, size=2 * rng.integers(1, 6)))
+            for a, b in zip(marks[::2], marks[1::2]):
+                u[a:b, i] += rng.exponential() * 10.0 ** rng.uniform(-1, 1)
+        x_norm, u_norm = h * z.sum(axis=0), v.dt * u.sum(axis=0)
+        for k in range(steps + 1):
+            gaps = n_amp * np.exp(-mu * v.times[k]) * x_norm + 0.9 * gain * u_norm - h * np.abs(z).sum(axis=0)
+            assert np.min(gaps) >= -iss.SLACK, (k, int(np.argmin(gaps)), np.min(gaps))
+            if k < steps:
+                z = v.e @ z + np.outer(v.f, u[k])
+        for cone in (True, False):
+            with pytest.raises(GainValidationError) as exc:
+                validate(v, gain=0.9, cone=cone)
+            assert_pulse_witness(v, exc.value, 0.9)
+            assert exc.value.gap < -0.07  # max c / dt = 0.9756 against G = 1
 
-    def test_unit_basis_state_catches_an_understated_amplitude(self, monkeypatch):
-        """One trial that starts at x = 0 cannot see N x 0.99; the basis
-        state where ||E^k|| is attained can, and it is the witness."""
-        built = self.renewal_n60()
-        self.scale_first_curves(monkeypatch, op=0.99)
-        with pytest.raises(GainValidationError) as exc:
-            iss.iss_gain_fit(built.system, built.injection, trials=1, rng=np.random.default_rng(3))
-        err = exc.value
-        model = built.system.perturbed
-        w = model.space.weights
-        (j,) = np.flatnonzero(err.state)
-        assert err.trial == -1 and err.gap < 0
-        assert err.state[j] * w[j] == pytest.approx(1.0, rel=1e-15)
-        assert len(err.signal.values) == 0
-        dt = self.fit_dt(model)
-        k = round(err.time / dt)
-        e, _ = iss.step_input_operators(model, built.injection.column, dt)
-        column = np.linalg.matrix_power(e.toarray(), k)[:, j]
-        op, _, _ = semigroup.norm_curves(model, e, semigroup.DEFAULT_METHOD, k)
-        assert w @ column / w[j] == pytest.approx(op[k], rel=1e-12)
+    def test_unit_basis_state_catches_an_understated_amplitude(self):
+        """One pair that starts at x = 0 cannot see N x 0.99; the basis
+        state where ||E^k|| is attained can, and it is the witness, read off
+        the adjoint recursion on the cone and off E^k on the forward route."""
+        v = fitted(self.renewal_n60())
+        caught = []
+        for cone in (True, False):
+            with pytest.raises(GainValidationError) as exc:
+                validate(v, amplitude=0.99, cone=cone)
+            assert_basis_witness(v, exc.value)
+            caught.append((exc.value.time, exc.value.gap))
+        assert caught[0] == caught[1]
 
     def test_cross_check_catches_a_wrong_adjoint(self, monkeypatch):
         """An adjoint solve off by 1e-6 moves every cone norm, and the
@@ -214,11 +245,11 @@ class TestGainFit:
         built = self.renewal_n60()
         real = ShiftedInverse._apply_adjoint
         monkeypatch.setattr(ShiftedInverse, "_apply_adjoint", lambda op, y: real(op, y) * (1 + 1e-6))
-        with pytest.raises(GainValidationError) as exc:
-            iss.iss_gain_fit(built.system, built.injection, rng=np.random.default_rng(3))
-        assert exc.value.trial == -1
+        with pytest.raises(GainValidationError, match="^forward and adjoint norms") as exc:
+            iss.iss_gain_fit(built.system, built.injection)
         # off from the first adjoint step on
-        assert exc.value.time == self.fit_dt(built.system.perturbed)
+        model = built.system.perturbed
+        assert exc.value.time == semigroup.decay_horizon(ps.spectral_bound(model)) / semigroup.FIT_STEPS
 
     def test_cross_check_failure_exits_3(self, monkeypatch, tmp_path, capsys):
         doc = json.loads((DATA / "renewal-n60.json").read_text())
@@ -250,10 +281,67 @@ class TestGainFit:
     def test_report_with_envelope(self, toy):
         system = closed_loop(toy, 1.0)
         _, model, b = toy
-        n_amp, mu, g = ps.iss_gain_fit(system, b, trials=40, rng=np.random.default_rng(6))
+        n_amp, mu, g = ps.iss_gain_fit(system, b)
         rep = ps.iss_verdict(system).with_envelope(n_amp, mu, g)
         assert rep.verdict == EISS
         assert rep.amplitude >= 1.0 and rep.decay_rate > 0 and rep.gain > 0
+
+
+class TestSignedGainFit:
+    """signed-n40: A[5, 20] = -0.3 takes the loop off the cone, so its
+    implicit-Euler step has negative entries and the forward pair only
+    meets its norm curves as an upper bound."""
+
+    @staticmethod
+    def signed_n40():
+        return fitted(cli.build_scenario(cli.RunConfig.from_file(str(DATA / "signed-n40.json"))))
+
+    def test_fit_takes_the_signed_route(self):
+        v = self.signed_n40()
+        assert not v.cone and np.min(v.e) < 0
+        assert v.fit == pytest.approx((1.1020506385235431, 0.6723793975889425, 1.0), rel=1e-12)
+
+    def test_envelope_holds_on_random_signed_pairs(self):
+        """200 random signed (x0, u) pairs, stepped with a dense inverse of
+        the fit's implicit-Euler grid, stay under the envelope, u measured in
+        L1 up to each grid time."""
+        v = self.signed_n40()
+        n_amp, mu, gain = v.fit
+        model, dt = v.model, v.dt
+        n, h, steps = model.cells, model.space.spacing, len(v.times) - 1
+        e = np.linalg.inv(np.eye(n) - dt * model.matrix)
+        f = dt * e[:, 0]  # b = e_0
+        rng = np.random.default_rng(40)
+        pairs = 200
+        z = rng.standard_normal((n, pairs)) * 10.0 ** rng.uniform(-1, 1, size=pairs)
+        z[:, ::7] = 0.0
+        u = np.zeros((steps, pairs))
+        for i in range(pairs):
+            for _ in range(rng.integers(0, 6)):
+                lo, hi = np.sort(rng.integers(0, steps + 1, size=2))
+                u[lo:hi, i] += rng.standard_normal() * 10.0 ** rng.uniform(-1, 1)
+        x_norm, u_norm = h * np.abs(z).sum(axis=0), np.zeros(pairs)
+        for k in range(steps + 1):
+            gaps = n_amp * np.exp(-mu * k * dt) * x_norm + gain * u_norm - h * np.abs(z).sum(axis=0)
+            assert np.min(gaps) >= -1e-8, (k, int(np.argmin(gaps)), np.min(gaps))
+            if k < steps:
+                z = e @ z + np.outer(f, u[k])
+                u_norm += dt * np.abs(u[k])
+
+    def test_understated_gain_and_amplitude_raise(self):
+        """G x 0.9 and N x 0.99 passed the 100 random pairs that earlier
+        versions drew on a signed step; the extremal pairs bound every
+        signed pair too, and name the unit pulse and a basis state."""
+        v = self.signed_n40()
+        with pytest.raises(GainValidationError) as exc:
+            validate(v, gain=0.9)
+        assert_pulse_witness(v, exc.value, 0.9)
+        assert exc.value.gap == pytest.approx(-0.07494, abs=1e-5)
+        with pytest.raises(GainValidationError) as exc:
+            validate(v, amplitude=0.99)
+        assert_basis_witness(v, exc.value)
+        assert exc.value.time == pytest.approx(1.6526, abs=1e-4)
+        assert exc.value.gap == pytest.approx(-0.00327, abs=1e-5)
 
 
 def test_guard_band_constant():
