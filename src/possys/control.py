@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .generators import GeneratorModel, resolvent_apply, spectral_bound
 from .lattice import (
@@ -252,6 +251,8 @@ def input_recursion(e: Step, f: np.ndarray, z: np.ndarray, u) -> Iterator[np.nda
 def _block_exponential(model: GeneratorModel, col: np.ndarray, t: float) -> np.ndarray:
     """exp(t [[A, col], [0, 0]]), subnormals flushed: exp(t A) in the top
     left block and int_0^t exp(A s) col ds in the last column."""
+    import scipy.linalg
+
     n = model.cells
     blk = np.zeros((n + 1, n + 1))
     blk[:n, :n] = model.matrix

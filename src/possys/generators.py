@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigensolverError, SingularSystemError
 from .lattice import POSITIVITY_TOL, GridSpace, GridVector, _readonly
@@ -334,9 +333,11 @@ def _dense_inverse(model: GeneratorModel, sigma: float, tau: float) -> np.ndarra
         _check_pivots(np.diag(m), abs(sigma) + tau * np.abs(np.diag(a)), what)
     try:
         if triangular:
+            import scipy.linalg
+
             return scipy.linalg.solve_triangular(m, np.eye(n), lower=lower)
         return np.linalg.solve(m, np.eye(n))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"{what} is singular: {exc}") from exc
 
 
@@ -365,12 +366,17 @@ class ShiftedInverse:
     band of T^T and the same denominator.
     `@` gives a block's columns bit for bit as it gives them alone, which
     the simulate CSV and the input maps rest on.
+    The first construction imports scipy.linalg for tbtrs; `import possys`
+    and the scenario builds never solve, so they load numpy alone.
     `nonnegative` certifies the inverse >= 0 from structure: T has a
     positive diagonal and a nonpositive subdiagonal (so T^{-1} >= 0), r >= 0
     and the denominator is positive.
     """
 
     def __init__(self, bands: BorderedBidiagonal, sigma: float, tau: float):
+        from scipy.linalg.lapack import dtbtrs
+
+        self._tbtrs = dtbtrs
         n = bands.cells
         what = f"{sigma!r} I - {tau!r} A"
         diag = sigma - tau * bands.diag
@@ -394,7 +400,7 @@ class ShiftedInverse:
         rg = float(self._r @ self._g)
         self._denom = 1.0 - rg
         _check_pivots(self._denom, 1.0 + abs(rg), f"{what} (Sherman-Morrison denominator)")
-        self._p = scipy.linalg.lapack.dtbtrs(self._upper, self._r, uplo="U")[0]
+        self._p = self._tbtrs(self._upper, self._r, uplo="U")[0]
         self.nonnegative = bool(
             np.all(diag > 0) and np.all(sub <= 0) and np.all(self._r >= 0) and self._denom > 0
         )
@@ -405,7 +411,7 @@ class ShiftedInverse:
 
     def _solve_t(self, y: np.ndarray) -> np.ndarray:
         """T^{-1} y: one tbtrs with L, then the division by D."""
-        z = scipy.linalg.lapack.dtbtrs(self._lower, y, uplo="L", diag="U")[0]
+        z = self._tbtrs(self._lower, y, uplo="L", diag="U")[0]
         # tbtrs returns a fresh array (overwrite_b is off), so divide in place
         z /= self._d.reshape((-1,) + (1,) * (z.ndim - 1))
         return z
@@ -418,7 +424,7 @@ class ShiftedInverse:
         return z + np.multiply.outer(self._g, rz) / self._denom
 
     def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        z = scipy.linalg.lapack.dtbtrs(self._upper, y, uplo="U")[0]
+        z = self._tbtrs(self._upper, y, uplo="U")[0]
         return z + np.multiply.outer(self._p, z[0]) / self._denom
 
     def __matmul__(self, y):

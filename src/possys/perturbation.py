@@ -92,6 +92,10 @@ def boundary_control_operator(
     return exact
 
 
+# `PerturbedSystem._gain` before the loop gain is first read
+_UNREAD = object()
+
+
 def _min_product(u: np.ndarray, v: np.ndarray) -> tuple[float, int, int]:
     """The smallest u_i v_j and its (i, j), in O(n): a product is monotone
     in each factor, so the minimum sits on a pair of extremes of u and v."""
@@ -107,8 +111,8 @@ class PerturbedSystem:
     Assembled systems keep P as its rank-one factors, the injection column
     and the feedback row beta (P = outer(injection, beta h)); `perturbation`
     is then a dense view built on first use and cached.  `small_gain_radius`
-    holds the rank-one scalar when the system was assembled from those
-    factors; matrix-built systems leave it None and rely on power iteration.
+    is the rank-one scalar of those factors, computed on first read;
+    matrix-built systems read None and rely on power iteration.
     """
 
     def __init__(
@@ -118,7 +122,6 @@ class PerturbedSystem:
         perturbed: Optional[GeneratorModel] = None,
         injection=None,
         feedback=None,
-        small_gain_radius: Optional[float] = None,
     ):
         if perturbed is None:
             raise TypeError("the perturbed generator is required")
@@ -128,9 +131,26 @@ class PerturbedSystem:
         self.perturbed = perturbed
         self.injection = None if injection is None else _readonly(injection)
         self.feedback = None if feedback is None else _readonly(feedback)
-        self.small_gain_radius = small_gain_radius
+        self._gain = None if injection is None else _UNREAD
         self._dense = None if perturbation is None else _readonly(perturbation)
+        # guards the dense view and the loop gain; not re-entrant, so neither
+        # is built from the other
         self._lock = threading.Lock()
+
+    @property
+    def small_gain_radius(self) -> Optional[float]:
+        """The rank-one loop gain |sum_j beta_j h (R(0, A) b)_j|, computed on
+        first read; None for a matrix-built system or a singular R(0, A)."""
+        with self._lock:
+            if self._gain is _UNREAD:
+                self._gain = None
+                try:
+                    d0 = shifted_inverse(self.base, 0.0, 1.0) @ self.injection
+                    # rank-one K = d0 (beta h)^T has spectral radius |sum beta_j h d0_j|
+                    self._gain = float(abs(np.dot(self.feedback * self.base.space.spacing, d0)))
+                except SingularSystemError:
+                    pass
+            return self._gain
 
     @property
     def perturbation(self) -> np.ndarray:
@@ -173,8 +193,9 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
     injection column b.  P = outer(b, beta h).
 
     When A has bands and b lives in cell 0 (the boundary injection), P only
-    adds to row 0 and A_S keeps the bands; the loop gain then comes from
-    `shifted_inverse`, on the bands.  Nothing n x n is built.
+    adds to row 0 and A_S keeps the bands; nothing n x n is built.  Nothing
+    is solved either: the loop gain waits for the first read of
+    `PerturbedSystem.small_gain_radius`.
     """
     col = b.column if isinstance(b, ControlOperator) else np.asarray(b, dtype=float)
     if col.shape != (model.cells,):
@@ -201,20 +222,7 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
             space=model.space, matrix=model.matrix + np.outer(col, w), boundary=boundary,
             absorption=model.absorption,
         )
-    scalar = None
-    try:
-        d0 = shifted_inverse(model, 0.0, 1.0) @ col
-        # rank-one K = d0 (beta h)^T has spectral radius |sum beta_j h d0_j|
-        scalar = float(abs(np.dot(w, d0)))
-    except SingularSystemError:
-        pass
-    return PerturbedSystem(
-        base=model,
-        perturbed=perturbed,
-        injection=col,
-        feedback=beta,
-        small_gain_radius=scalar,
-    )
+    return PerturbedSystem(base=model, perturbed=perturbed, injection=col, feedback=beta)
 
 
 def small_gain_radius(

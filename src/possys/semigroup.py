@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .generators import (
     GeneratorModel,
@@ -111,6 +110,8 @@ def _flush_subnormals(m: np.ndarray) -> np.ndarray:
 def step_matrix(model: GeneratorModel, dt: float, method: str = "exact_exponential") -> np.ndarray:
     """Dense one-step propagator: exp(A dt) or (I - dt A)^{-1}."""
     if method == "exact_exponential":
+        import scipy.linalg
+
         return _flush_subnormals(scipy.linalg.expm(model.matrix * dt))
     if method == "implicit_euler":
         return _dense_inverse(model, 1.0, dt)

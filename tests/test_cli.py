@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import possys as ps
 from possys import cli
 from possys.semigroup import FIT_STEPS, decay_horizon
 
 DATA = Path(__file__).parent / "data"
+ROOT = DATA.parents[1]
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -28,11 +30,16 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+def run_python(*args):
+    """A fresh interpreter that imports possys from src."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def run_cli(*args):
     """possys.cli in its own process, so that a numpy warning reaches stderr."""
-    src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "possys.cli", *args], capture_output=True, text=True, env=env)
+    return run_python("-m", "possys.cli", *args)
 
 
 class TestConfigErrors:
@@ -647,6 +654,76 @@ class TestCommittedReports:
                 for row in (got_row, want_row)
             ]
             assert_report_matches(*parsed, where=want_row)
+
+
+STARTUP = """
+import sys
+import numpy as np
+import possys
+from possys import cli
+from possys.generators import shifted_inverse
+
+def loaded():
+    return "scipy.linalg" in sys.modules
+
+assert not loaded(), "import possys"
+try:
+    cli.main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert not loaded(), "possys --version"
+for path in sys.argv[1:]:
+    built = cli.build_scenario(cli.RunConfig.from_file(path))
+    assert not loaded(), path
+shifted_inverse(built.model, 1.0, 1.0) @ np.ones(built.model.cells)
+assert loaded(), "first solve"
+"""
+
+
+def test_startup_loads_numpy_alone():
+    """import possys, --version and every committed scenario build leave
+    scipy.linalg unloaded; the first solve loads it.  A fresh interpreter,
+    since this one has scipy.linalg already."""
+    configs = sorted(DATA.glob("*.json")) + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
+    proc = run_python("-c", STARTUP, *map(str, configs))
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestKernelLookups:
+    """The dense scipy.linalg kernels are looked up on the module at each
+    call, so a wrapper set on scipy.linalg (the benchmark's kernel spans)
+    sees every call."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        real = getattr(scipy.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+        return calls
+
+    def test_expm_in_left_invertibility(self, tmp_path, capsys, monkeypatch):
+        calls = self.count(monkeypatch, "expm")
+        doc = json.loads((DATA / "renewal-n60.json").read_text())
+        doc["audits"] = ["left_invertibility"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+        assert calls
+
+    def test_solve_triangular_in_dense_inverse(self, monkeypatch):
+        calls = self.count(monkeypatch, "solve_triangular")
+        space = ps.GridSpace(length=2.0, cells=2)
+        model = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0], [1.0, -2.0]])
+        step = ps.step_matrix(model, 0.5, "implicit_euler")
+        np.testing.assert_allclose(step, np.linalg.inv(np.eye(2) - 0.5 * model.matrix), rtol=1e-15)
+        assert calls == ["solve_triangular"]
+        # `_dense_inverse` catches scipy's singular report as numpy's class
+        assert scipy.linalg.LinAlgError is np.linalg.LinAlgError
 
 
 def test_jsonable_handles_numpy_and_inf():

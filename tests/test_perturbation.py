@@ -1,4 +1,6 @@
 """Boundary feedback assembly, small-gain radius, domination."""
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 import possys as ps
 from possys import perturbation
-from possys.errors import SingularSystemError
-from possys.generators import BorderedBidiagonal, resolvent_matrix
+from possys.errors import PowerIterationError, SingularSystemError
+from possys.generators import BorderedBidiagonal, resolvent_matrix, shifted_inverse
 from possys.perturbation import (
     DirichletOperator,
     assemble_perturbed,
@@ -167,6 +169,56 @@ class TestSmallGainRadius:
         rs = ps.renewal_scenario(2.0, 1.0, length=10.0, cells=1000)
         r = small_gain_radius(rs.system)
         assert r == pytest.approx(0.5 * (1 - np.exp(-20.0)), abs=1e-3)
+
+
+class TestDeferredLoopGain:
+    """`PerturbedSystem.small_gain_radius`: the rank-one scalar, solved on
+    first read rather than at assembly."""
+
+    def test_equals_the_rank_one_scalar(self):
+        system = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400).system
+        d0 = shifted_inverse(system.base, 0.0, 1.0) @ system.injection
+        assert system.small_gain_radius == abs(np.dot(system.feedback * system.base.space.spacing, d0))
+
+    def test_threads_share_one_solve(self, monkeypatch):
+        calls = []
+        real = perturbation.shifted_inverse
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(perturbation, "shifted_inverse", counted)
+        system = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400).system
+        assert calls == []
+        barrier = threading.Barrier(8, timeout=30)
+        values = []
+
+        def read():
+            barrier.wait()
+            values.append(system.small_gain_radius)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(values) == 8 and len(set(values)) == 1 and values[0] is not None
+        assert calls == [(0.0, 1.0)]
+
+    def test_corrupted_scalar_is_refused(self, toy):
+        _, model, b = toy
+        system = assemble_perturbed(model, b, 1.0)
+        assert system.small_gain_radius == pytest.approx(0.75, abs=1e-12)
+        system._gain = 0.7
+        with pytest.raises(PowerIterationError, match="rank-one scalar"):
+            small_gain_radius(system)
 
 
 class TestDomination:
