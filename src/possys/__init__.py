@@ -12,7 +12,6 @@ from .errors import (
     EigensolverError,
     GainValidationError,
     PossysError,
-    PowerIterationError,
     SingularSystemError,
 )
 from .lattice import (

@@ -1,8 +1,9 @@
 """Command-line front end: simulate, audit, sweep.
 
 Configuration is a single JSON document.  Outputs are deterministic for a
-fixed config and seed: floats are serialized with shortest round-trip
-formatting, JSON keys are sorted, and CSV uses LF line endings.
+fixed config: nothing draws from its seed, which is only echoed; floats are
+serialized with shortest round-trip formatting, JSON keys are sorted, and
+CSV uses LF line endings.
 """
 from __future__ import annotations
 
@@ -57,6 +58,17 @@ TOLERANCE_PROFILES = {
     "strict": {"guard_band": 1e-10},
     "loose": {"guard_band": 1e-8},
 }
+CONFIG_KEYS = (
+    "scenario", "plan", "input", "initial_state", "audits", "seed", "tau", "lambda0", "alpha", "p",
+    "gain_fit", "tolerances",
+)
+# scenario kind -> the keys its scenario object may have
+SCENARIO_KEYS = {
+    "renewal": ("kind", "q", "beta", "length", "cells"),
+    "ring_transport": ("kind", "a", "length", "cells"),
+    "markov_cycle": ("kind", "cells"),
+    "explicit": ("kind", "matrix", "length", "b", "beta"),
+}
 # sweep parameter -> (the scenario key it sets, the scenario kind it needs)
 SWEEP_PARAMS = {
     "beta0": ("beta", "renewal"),
@@ -76,6 +88,13 @@ def _number(value, what: str, integer: bool = False, positive: bool = False, nul
         kind = ("positive " if positive else "") + ("integer" if integer else "finite number")
         raise ConfigError(f"{what} must be a {kind}, got {json.dumps(value)}")
     return value if integer else float(value)
+
+
+def _known_keys(obj: dict, keys, what: str) -> None:
+    """Refuse the first key of `obj`, in sorted order, that is not in `keys`."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}; known keys are {sorted(keys)}")
 
 
 def _fmt(x: float) -> str:
@@ -129,14 +148,20 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        _known_keys(raw, CONFIG_KEYS, "config")
 
         scenario = raw.get("scenario")
         if not isinstance(scenario, dict) or "kind" not in scenario:
             raise ConfigError("config needs a scenario object with a 'kind'")
+        kind = scenario["kind"]
+        if not isinstance(kind, str) or kind not in SCENARIO_KEYS:
+            raise ConfigError(f"unknown scenario kind {kind!r}")
+        _known_keys(scenario, SCENARIO_KEYS[kind], f"{kind} scenario")
 
         plan = raw.get("plan", {})
         if not isinstance(plan, dict):
             raise ConfigError("plan must be an object")
+        _known_keys(plan, ("t_end", "dt", "method"), "plan")
         plan = {k: _number(v, f"plan.{k}", positive=True) if k in ("t_end", "dt") else v
                 for k, v in plan.items()}
 
@@ -145,6 +170,7 @@ class RunConfig:
         if inp is not None:
             if not isinstance(inp, dict):
                 raise ConfigError("input must be an object or null")
+            _known_keys(inp, ("path", "breakpoints", "values"), "input")
             if "path" in inp:
                 if not os.path.exists(inp["path"]):
                     raise ConfigError(f"input file not found: {inp['path']}")
@@ -446,7 +472,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     return 0
 
 
-def _inverse_estimate(cfg, built, rng, report):
+def _inverse_estimate(cfg, built, report):
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else max(report["s_A"], 0.0) + 1.0
     report["lambda0"] = lam0
     try:
@@ -456,7 +482,7 @@ def _inverse_estimate(cfg, built, rng, report):
     return None
 
 
-def _admissibility(cfg, built, rng, report):
+def _admissibility(cfg, built, report):
     model, col, tau = built.model, built.injection.column, cfg.tau
     report["kappa"] = admissibility_constant(model, col, tau, p=cfg.p)
     eq = positivity_equivalence_audit(model, col)
@@ -469,7 +495,7 @@ def _admissibility(cfg, built, rng, report):
     }
 
 
-def _resolvent_bound(cfg, built, rng, report):
+def _resolvent_bound(cfg, built, report):
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(report["s_A"], cfg.tau)
     report["alpha"] = alpha
     try:
@@ -479,31 +505,31 @@ def _resolvent_bound(cfg, built, rng, report):
     return None
 
 
-def _small_gain(cfg, built, rng, report):
-    report["r"] = small_gain_radius(built.system, rng=rng)
+def _small_gain(cfg, built, report):
+    report["r"] = small_gain_radius(built.system)
 
 
-def _verdict(cfg, built, rng):
-    return iss_verdict(built.system, p=cfg.p, guard=cfg.tolerances["guard_band"], rng=rng)
+def _verdict(cfg, built):
+    return iss_verdict(built.system, p=cfg.p, guard=cfg.tolerances["guard_band"])
 
 
-def _iss(cfg, built, rng, report):
-    rep = _verdict(cfg, built, rng)
+def _iss(cfg, built, report):
+    rep = _verdict(cfg, built)
     report.update(verdict=rep.verdict, r=rep.small_gain_radius, witness=rep.witness)
 
 
-def _gain_fit(cfg, built, rng, report):
+def _gain_fit(cfg, built, report):
     if cfg.p != 1:
         return "gain fit is implemented for p = 1 only"
     # the iss audit's verdict when it ran first
-    verdict = report["verdict"] or _verdict(cfg, built, rng).verdict
+    verdict = report["verdict"] or _verdict(cfg, built).verdict
     if verdict != EISS:
         return f"gain fit requires an eISS verdict, got {verdict}"
     report["N"], report["mu"], report["G"] = iss_gain_fit(built.system, built.injection.column, **cfg.gain_fit)
     return None
 
 
-def _left_invertibility(cfg, built, rng, report):
+def _left_invertibility(cfg, built, report):
     # off the cone's linear norm the basis minimum only bounds the cone
     # minimum from above
     if not built.model.metzler:
@@ -518,7 +544,7 @@ def _left_invertibility(cfg, built, rng, report):
     return None
 
 
-def _domination(cfg, built, rng, report):
+def _domination(cfg, built, report):
     # a certified exponential half needs no n x n array, at any size
     if built.model.cells > 500 and not exponential_domination_certified(built.system):
         return "dense exponential comparison limited to 500 cells"
@@ -529,12 +555,12 @@ def _domination(cfg, built, rng, report):
 
 
 class Audit(NamedTuple):
-    """One audit.  `run(cfg, built, rng, report)` writes `keys` into the report
-    and returns None, or returns why it skipped; the audits of a run share
-    one rng, in `cfg.audits` order.  `needs`: the BuiltScenario fields it
-    cannot run without, and the skip reason when one of them is None."""
+    """One audit.  `run(cfg, built, report)` writes `keys` into the report
+    and returns None, or returns why it skipped.  `needs`: the BuiltScenario
+    fields it cannot run without, and the skip reason when one of them is
+    None."""
 
-    run: Callable[[RunConfig, BuiltScenario, np.random.Generator, dict], Optional[str]]
+    run: Callable[[RunConfig, BuiltScenario, dict], Optional[str]]
     keys: tuple
     default: bool = False
     needs: tuple = ((), "")
@@ -581,12 +607,11 @@ def cmd_audit(cfg: RunConfig, out_path: str) -> int:
         ),
     }
     report.update((key, None) for audit in AUDITS.values() for key in audit.keys)
-    rng = np.random.default_rng(cfg.seed)
     for name in cfg.audits:
         audit = AUDITS[name]
         fields, reason = audit.needs
         if all(getattr(built, f) is not None for f in fields):
-            reason = audit.run(cfg, built, rng, report)
+            reason = audit.run(cfg, built, report)
         if reason is None:
             report["audits_run"].append(name)
         else:

@@ -18,18 +18,6 @@ class EigensolverError(PossysError):
     """Spectral bound could not be computed for this matrix."""
 
 
-class PowerIterationError(PossysError):
-    """Power iteration failed to converge or disagreed with a cross-check.
-
-    Carries the iterate history so the caller can see whether the estimate
-    was oscillating or drifting.
-    """
-
-    def __init__(self, message: str, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
-
-
 class GainValidationError(PossysError):
     """A fitted ISS envelope was violated by a worst-case pair, or its norm
     curves disagree with a forward trajectory.

@@ -49,47 +49,24 @@ SLACK = 1e-8
 
 @dataclass(frozen=True)
 class ISSReport:
-    """Verdict with the two deciding scalars and, when fitted, the envelope.
-
-    amplitude/decay_rate/gain are the (N, mu, G) of the estimate; they stay
-    None until a gain fit runs.  witness carries a growing positive initial
-    state for not_eISS verdicts.
-    """
+    """Verdict with the two deciding scalars.  witness carries a growing
+    positive initial state for not_eISS verdicts; the (N, mu, G) envelope is
+    `iss_gain_fit`'s."""
 
     verdict: str
     spectral_bound: float
     small_gain_radius: float
     p: float = 1
-    amplitude: Optional[float] = None
-    decay_rate: Optional[float] = None
-    gain: Optional[float] = None
     witness: Optional[dict] = None
 
     def __post_init__(self):
         if self.verdict not in (EISS, NOT_EISS, INCONCLUSIVE):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == EISS:
-            if not (self.spectral_bound < 0 and self.small_gain_radius < 1):
-                raise ValueError("eISS verdict contradicts its own scalars")
-            if self.decay_rate is not None and self.decay_rate <= 0:
-                raise ValueError("eISS envelope needs a positive decay rate")
-        if self.amplitude is not None and self.amplitude < 1:
-            raise ValueError("envelope amplitude is >= 1 by T(0) = I")
-
-    def with_envelope(self, amplitude: float, decay_rate: float, gain: float) -> "ISSReport":
-        return ISSReport(
-            verdict=self.verdict,
-            spectral_bound=self.spectral_bound,
-            small_gain_radius=self.small_gain_radius,
-            p=self.p,
-            amplitude=amplitude,
-            decay_rate=decay_rate,
-            gain=gain,
-            witness=self.witness,
-        )
+        if self.verdict == EISS and not (self.spectral_bound < 0 and self.small_gain_radius < 1):
+            raise ValueError("eISS verdict contradicts its own scalars")
 
 
-def iss_verdict(system: PerturbedSystem, p: float = 1, guard: float = GUARD_BAND, rng=None) -> ISSReport:
+def iss_verdict(system: PerturbedSystem, p: float = 1, guard: float = GUARD_BAND) -> ISSReport:
     """Spectral eISS test: s(A) < 0 and loop radius < 1, with a guard band.
 
     Inside the band the verdict is inconclusive rather than a coin flip.
@@ -97,7 +74,7 @@ def iss_verdict(system: PerturbedSystem, p: float = 1, guard: float = GUARD_BAND
     trajectory grows; its growth rate is s(A_S).
     """
     s_a = spectral_bound(system.base)
-    r = small_gain_radius(system, rng=rng)
+    r = small_gain_radius(system)
     if s_a < -guard and r < 1.0 - guard:
         verdict = EISS
     elif r > 1.0 + guard or s_a > guard:

@@ -12,7 +12,6 @@ follows from A Metzler and P >= 0 alone.
 """
 from __future__ import annotations
 
-import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .control import ControlOperator
-from .errors import PowerIterationError, SingularSystemError
 from .generators import (
     BorderedBidiagonal,
     GeneratorModel,
@@ -92,10 +90,6 @@ def boundary_control_operator(
     return exact
 
 
-# `PerturbedSystem._gain` before the loop gain is first read
-_UNREAD = object()
-
-
 def _min_product(u: np.ndarray, v: np.ndarray) -> tuple[float, int, int]:
     """The smallest u_i v_j and its (i, j), in O(n): a product is monotone
     in each factor, so the minimum sits on a pair of extremes of u and v."""
@@ -111,8 +105,8 @@ class PerturbedSystem:
     Assembled systems keep P as its rank-one factors, the injection column
     and the feedback row beta (P = outer(injection, beta h)); `perturbation`
     is then a dense view built on first use and cached.  `small_gain_radius`
-    is the rank-one scalar of those factors, computed on first read;
-    matrix-built systems read None and rely on power iteration.
+    is computed on first read: the rank-one scalar of those factors, or the
+    dense spectral radius for a matrix-built system.
     """
 
     def __init__(
@@ -131,25 +125,27 @@ class PerturbedSystem:
         self.perturbed = perturbed
         self.injection = None if injection is None else _readonly(injection)
         self.feedback = None if feedback is None else _readonly(feedback)
-        self._gain = None if injection is None else _UNREAD
+        self._gain = None
         self._dense = None if perturbation is None else _readonly(perturbation)
         # guards the dense view and the loop gain; not re-entrant, so neither
         # is built from the other
         self._lock = threading.Lock()
 
     @property
-    def small_gain_radius(self) -> Optional[float]:
-        """The rank-one loop gain |sum_j beta_j h (R(0, A) b)_j|, computed on
-        first read; None for a matrix-built system or a singular R(0, A)."""
+    def small_gain_radius(self) -> float:
+        """The loop gain r, the spectral radius of K = R(0, A) P, computed on
+        first read.  Rank-one factors give K = (R(0, A) b)(beta h)^T, so r is
+        the scalar |sum_j beta_j h (R(0, A) b)_j|; a matrix-built system
+        takes max |eigvals(K)|, the spectral radius also of a signed K.  A
+        singular R(0, A) raises SingularSystemError."""
         with self._lock:
-            if self._gain is _UNREAD:
-                self._gain = None
-                try:
+            if self._gain is None:
+                if self.injection is None:
+                    k = resolvent_matrix(self.base, 0.0) @ self._dense
+                    self._gain = float(np.max(np.abs(np.linalg.eigvals(k))))
+                else:
                     d0 = shifted_inverse(self.base, 0.0, 1.0) @ self.injection
-                    # rank-one K = d0 (beta h)^T has spectral radius |sum beta_j h d0_j|
                     self._gain = float(abs(np.dot(self.feedback * self.base.space.spacing, d0)))
-                except SingularSystemError:
-                    pass
             return self._gain
 
     @property
@@ -225,51 +221,9 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
     return PerturbedSystem(base=model, perturbed=perturbed, injection=col, feedback=beta)
 
 
-def small_gain_radius(
-    system: PerturbedSystem,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    rng=None,
-) -> float:
-    """Spectral radius of K = R(0, A) P by power iteration.
-
-    K is entrywise nonnegative for nonnegative P, so a positive start
-    converges to the Perron value; the iterate history travels with the
-    non-convergence error.  R(0, A) is factored once and P applied through
-    `PerturbedSystem.perturb`.  Rank-one assemblies are cross-checked
-    against the exact scalar.
-    """
-    base = system.base
-    r0 = shifted_inverse(base, 0.0, 1.0)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    v = rng.random(base.cells) + 0.5
-    v /= np.sum(np.abs(v))
-    history: list[float] = []
-    rate = math.nan
-    for _ in range(max_iter):
-        kv = r0 @ system.perturb(v)
-        rate = float(np.sum(np.abs(kv)))
-        history.append(rate)
-        if rate <= 1e-300:
-            rate = 0.0
-            break
-        w = kv / rate
-        # direction settled (possibly up to sign, for signed perturbations)
-        if min(np.sum(np.abs(w - v)), np.sum(np.abs(w + v))) <= tol:
-            break
-        v = w
-    else:
-        raise PowerIterationError(
-            f"power iteration did not converge within {max_iter} iterations", history
-        )
-    if system.small_gain_radius is not None:
-        expected = system.small_gain_radius
-        if abs(rate - expected) > 1e-8 * max(1.0, abs(expected)):
-            raise PowerIterationError(
-                f"power iteration value {rate} disagrees with the rank-one scalar {expected}",
-                history,
-            )
-    return rate
+def small_gain_radius(system: PerturbedSystem) -> float:
+    """Spectral radius r of K = R(0, A) P: `PerturbedSystem.small_gain_radius`."""
+    return system.small_gain_radius
 
 
 @dataclass(frozen=True)

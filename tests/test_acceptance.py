@@ -70,9 +70,9 @@ def test_criterion_03_sup_norm_sufficient_condition():
             beta = factor * q0 * shape
             rs = ps.renewal_scenario(q0, beta, length=20.0 / q0, cells=n)
             assert np.max(beta) < q0
-            r = small_gain_radius(rs.system, rng=rng)
+            r = small_gain_radius(rs.system)
             assert r < 1.0, (r, q0, factor)
-            assert ps.iss_verdict(rs.system, rng=rng).verdict == "eISS"
+            assert ps.iss_verdict(rs.system).verdict == "eISS"
 
 
 def test_criterion_04_domination_suite():

@@ -162,6 +162,30 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err == "config error: gain_fit must be an object with keys drawn from ['dt', 'horizon']\n"
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"sead": 1}, "sead"),
+        ({"scenario": {"kind": "renewal", "bete": 0.5, "cells": 30}}, "bete"),
+        ({"scenario": {"kind": "ring_transport", "beta": 0.5, "cells": 30}}, "beta"),
+        ({"scenario": {"kind": "markov_cycle", "length": 2.0}}, "length"),
+        ({"scenario": {"kind": "explicit", "matrix": [[-1.0]], "q": 1.0}}, "q"),
+        ({"plan": {"t_end": 1.0, "step": 0.05}}, "step"),
+        ({"input": {"breakpoints": [0.0, 1.0], "value": [1.0]}}, "value"),
+    ], ids=lambda x: x if isinstance(x, str) else None)
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, doc, key):
+        # a misspelt key would otherwise take its default silently
+        cfg = write_config(tmp_path, **doc)
+        for command in ("audit", "simulate"):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: unknown ") and f"key {key!r}" in err and err.count("\n") == 1
+
+    def test_report_is_not_a_config(self, tmp_path, capsys):
+        # its parameters sit under scenario.parameters, where the renewal
+        # defaults would have stood in for them
+        assert cli.main(["audit", "--config", str(DATA / "renewal-n60-audit.json"), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown config key ")
+        assert not (tmp_path / "r.json").exists()
+
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
@@ -550,6 +574,28 @@ class TestAudit:
         report = json.loads(out.read_text())
         assert report["r"] == pytest.approx(0.75)
 
+    def test_singular_loop_exits_3(self, tmp_path):
+        # A 1 = 0: R(0, A) does not exist, so neither does the loop gain
+        scenario = {"kind": "explicit", "matrix": [[-1.0, 1.0], [1.0, -1.0]], "b": [1.0, 0.0], "beta": 0.5}
+        for audit in ("small_gain", "iss"):
+            cfg = write_config(tmp_path, scenario=scenario, audits=[audit])
+            proc = run_cli("audit", "--config", cfg, "--out", str(tmp_path / "r.json"))
+            assert proc.returncode == 3
+            assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+    def test_report_does_not_depend_on_the_seed(self, tmp_path, capsys):
+        # nothing draws from the seed: reports differ in its echo alone
+        scenario = {"kind": "renewal", "q": 1.0, "beta": 0.25, "length": 2.0, "cells": 20}
+        reports = []
+        for seed in range(20):
+            cfg = write_config(tmp_path, scenario=scenario, audits=["small_gain", "iss"], seed=seed)
+            out = tmp_path / "r.json"
+            assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report.pop("seed") == seed
+            reports.append(report)
+        assert all(report == reports[0] for report in reports)
+
 
 class TestSweep:
     def test_rows_sorted_by_value(self, tmp_path, capsys):
@@ -684,7 +730,8 @@ def test_startup_loads_numpy_alone():
     """import possys, --version and every committed scenario build leave
     scipy.linalg unloaded; the first solve loads it.  A fresh interpreter,
     since this one has scipy.linalg already."""
-    configs = sorted(DATA.glob("*.json")) + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
+    reports = {DATA / "renewal-n60-audit.json"}
+    configs = sorted(set(DATA.glob("*.json")) - reports) + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
     proc = run_python("-c", STARTUP, *map(str, configs))
     assert proc.returncode == 0, proc.stderr
 

@@ -59,19 +59,9 @@ class TestReportInvariants:
         with pytest.raises(ValueError):
             ISSReport(verdict="maybe", spectral_bound=-1.0, small_gain_radius=0.5)
 
-    def test_eiss_needs_positive_decay(self):
-        with pytest.raises(ValueError):
-            ISSReport(
-                verdict=EISS, spectral_bound=-1.0, small_gain_radius=0.5,
-                amplitude=2.0, decay_rate=-0.1, gain=1.0,
-            )
-
-    def test_amplitude_at_least_one(self):
-        with pytest.raises(ValueError):
-            ISSReport(
-                verdict=EISS, spectral_bound=-1.0, small_gain_radius=0.5,
-                amplitude=0.5, decay_rate=0.1, gain=1.0,
-            )
+    def test_eiss_needs_its_scalars(self):
+        with pytest.raises(ValueError, match="contradicts"):
+            ISSReport(verdict=EISS, spectral_bound=-1.0, small_gain_radius=1.5)
 
 
 def fitted(built):
@@ -279,12 +269,12 @@ class TestGainFit:
         assert peak < 2 * 2**20, peak
 
     def test_report_with_envelope(self, toy):
+        # an eISS verdict and its fitted envelope: N >= 1 by T(0) = I
         system = closed_loop(toy, 1.0)
         _, model, b = toy
         n_amp, mu, g = ps.iss_gain_fit(system, b)
-        rep = ps.iss_verdict(system).with_envelope(n_amp, mu, g)
-        assert rep.verdict == EISS
-        assert rep.amplitude >= 1.0 and rep.decay_rate > 0 and rep.gain > 0
+        assert ps.iss_verdict(system).verdict == EISS
+        assert n_amp >= 1.0 and mu > 0 and g > 0
 
 
 class TestSignedGainFit:
