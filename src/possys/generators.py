@@ -10,7 +10,11 @@ matrix is built only where a dense routine asks for it.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -134,6 +138,16 @@ class BorderedBidiagonal:
         y[1:] += self.sub.reshape(shape) * x[:-1]
         y[0] = self.row0 @ x
         return y
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T @ y for a vector or an n x k block, in O(n) per column."""
+        y = np.asarray(y, dtype=float)
+        shape = (-1,) + (1,) * (y.ndim - 1)
+        x = self.diag.reshape(shape) * y
+        x[:-1] += self.sub.reshape(shape) * y[1:]
+        # row0[0] is diag[0], counted just above
+        x[1:] += np.multiply.outer(self.row0[1:], y[0])
+        return x
 
     def column_sums(self, absolute: bool = False) -> np.ndarray:
         """Column sums of A, or of |A| when `absolute`."""
@@ -341,6 +355,33 @@ def _dense_inverse(model: GeneratorModel, sigma: float, tau: float) -> np.ndarra
         raise SingularSystemError(f"{what} is singular: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=None)
+def _lapack_tbtrs():
+    """LAPACK dtbtrs from scipy's compiled `linalg/_flapack` module, loaded
+    from its file so that `scipy.linalg/__init__` (about 0.25 s of imports,
+    most of them outside LAPACK) never runs; `find_spec` locates the scipy
+    package without executing it.  A scipy whose layout has no such file
+    takes the public `scipy.linalg.lapack.dtbtrs`, the same routine.
+    Call it under `_TBTRS_LOCK`, so that threads load the extension once."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None and scipy.submodule_search_locations:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec("scipy.linalg._flapack")
+        if spec is not None:
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            return flapack.dtbtrs
+    from scipy.linalg.lapack import dtbtrs
+
+    return dtbtrs
+
+
+_TBTRS_LOCK = threading.Lock()
+
+
 class _Applied:
     """`op @ y` for a function of y."""
 
@@ -366,17 +407,17 @@ class ShiftedInverse:
     band of T^T and the same denominator.
     `@` gives a block's columns bit for bit as it gives them alone, which
     the simulate CSV and the input maps rest on.
-    The first construction imports scipy.linalg for tbtrs; `import possys`
-    and the scenario builds never solve, so they load numpy alone.
+    tbtrs comes from `_lapack_tbtrs`, which loads one LAPACK extension
+    module and not scipy.linalg; `import possys` and the scenario builds
+    never solve, so they load numpy alone.
     `nonnegative` certifies the inverse >= 0 from structure: T has a
     positive diagonal and a nonpositive subdiagonal (so T^{-1} >= 0), r >= 0
     and the denominator is positive.
     """
 
     def __init__(self, bands: BorderedBidiagonal, sigma: float, tau: float):
-        from scipy.linalg.lapack import dtbtrs
-
-        self._tbtrs = dtbtrs
+        with _TBTRS_LOCK:
+            self._tbtrs = _lapack_tbtrs()
         n = bands.cells
         what = f"{sigma!r} I - {tau!r} A"
         diag = sigma - tau * bands.diag

@@ -1,19 +1,21 @@
 """Time evolution for generator models.
 
 Two steppers: implicit Euler, the default at every grid size, which
-preserves positivity at O(dt) accuracy, and the exact matrix exponential
-(dense, scaling-and-squaring), kept as an explicit choice and as the
-reference of the tests, `left_invertibility_audit`,
-`variation_of_constants_check` and `domination_check` on a base generator
-that is not Metzler.
+preserves positivity at O(dt) accuracy, and the exact matrix exponential,
+kept as an explicit choice and as the stepper of `left_invertibility_audit`.
 Every preset generator is lower bidiagonal except row 0, and for those
 implicit Euler is a bidiagonal solve plus a rank-one correction
 (`generators.ShiftedInverse`), O(n) per step; other matrices take a dense
-inverse.  Operator norms along a trajectory use the adjoint trick: for an
-entrywise-nonnegative step the weighted column sums evolve under E^T, so
-the norm curve and the cone lower bound cost K adjoint applications
-(`norm_curves`).  Decay rates are tail-half log-slopes of such curves
-(`tail_slope`) over one window rule (`decay_horizon`, `FIT_STEPS` steps).
+inverse.  On Metzler bands the exponential is a uniformization sum of band
+products (`BandExponential`), O(n) per term; other matrices take the dense
+scaling-and-squaring `expm` of `step_matrix`, which is also the reference of
+the tests, `variation_of_constants_check` and `domination_check` on a base
+generator that is not Metzler.  Operator norms along a trajectory use the
+adjoint trick: for an entrywise-nonnegative step the weighted column sums
+evolve under E^T, so the norm curve and the cone lower bound cost K adjoint
+applications (`norm_curves`).  Decay rates are tail-half log-slopes of such
+curves (`tail_slope`) over one window rule (`decay_horizon`, `FIT_STEPS`
+steps).
 """
 from __future__ import annotations
 
@@ -24,8 +26,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .generators import (
+    BorderedBidiagonal,
     GeneratorModel,
     ShiftedInverse,
+    _Applied,
+    _characteristic_root,
     _dense_inverse,
     shifted_inverse,
     spectral_bound,
@@ -42,6 +47,12 @@ FIT_STEPS = 800
 NORM_FLOOR = 1e-300
 # a cone lower bound at or below this has collapsed: left invertibility fails
 ZERO_TOL = 1e-12
+# largest c tau rho of one uniformization substep (see BandExponential):
+# e^-50 is far above underflow
+_SUBSTEP = 50.0
+# bound on the weight of the terms a uniformization sum leaves out, relative
+# to the norm of the vector it is applied to: a tenth of a unit roundoff
+_TAIL = 1e-17
 
 
 def grid_steps(t: float, dt: float, what: str = "t") -> int:
@@ -118,15 +129,105 @@ def step_matrix(model: GeneratorModel, dt: float, method: str = "exact_exponenti
     raise ValueError(f"unknown method {method!r}")
 
 
-Step = Union[np.ndarray, ShiftedInverse]
+def _poisson_weights(lam: float, rho: float, log_kappa: float) -> np.ndarray:
+    """e^-lam lam^k / k! for k = 0..K, lam > 0, scaled to sum to 1, where K
+    is the first k past the mode of Poisson(lam rho), rho >= 1, with
+    kappa e^(lam (rho - 1)) P(Poisson(lam rho) > k) <= _TAIL.
+
+    That product bounds sum_{j > k} e^-lam lam^j / j! ||P^j||, what the
+    terms past k can weigh, when ||P^j|| <= kappa rho^j.  Past the mode the
+    ratios of consecutive probabilities fall below lam rho / (k + 2), so the
+    tail is at most the next probability over 1 - lam rho / (k + 2); its log
+    is run from k = 0, so nothing underflows and no scipy.stats.  The
+    weights are built by a running product, whose rounding drifts with k in
+    one direction; the scaling takes that common drift out, which the
+    left-out tail, below _TAIL, cannot notice.
+    """
+    mean = lam * rho
+    log_cut = math.log(_TAIL) - log_kappa - lam * (rho - 1.0)
+    k = 0
+    log_next = math.log(mean) - mean  # log P(Poisson(mean) = k + 1)
+    while not (k + 2 > mean and log_next - math.log1p(-mean / (k + 2)) <= log_cut):
+        k += 1
+        log_next += math.log(mean / (k + 1))
+    weights = np.empty(k + 1)
+    weights[0] = math.exp(-lam)
+    for j in range(1, k + 1):
+        weights[j] = weights[j - 1] * lam / j
+    return weights / np.sum(weights)
+
+
+class BandExponential:
+    """exp(tau A) for a Metzler A given by its bands, with `@` and `.T @`
+    on a vector or a block in O(n) per term and no n x n array.
+
+    Uniformization (Jensen 1953; Stewart, Introduction to the Numerical
+    Solution of Markov Chains, 1994, ch. 8): with c = max|a_jj| (1 on a zero
+    diagonal), P = I + A / c >= 0 also where some a_jj > 0, and
+        exp(tau A) = sum_k e^(-c tau) (c tau)^k / k! P^k,
+    whose terms have one sign on the cone, so nothing cancels.  A growing P
+    shifts the weight of the sum to later terms, which `_poisson_weights`
+    counts from a bound ||P^k||_1 = ||(P^T)^k||_inf <= kappa rho^k, the
+    cheaper of two:
+      - kappa = 1 and rho = max(1, largest column sum of P);
+      - P u <= rho u for a vector u > 0, so P^k e_j <= rho^k u / u_j, with
+        kappa = sum(u) / min(u).  u is A's Perron vector from the
+        characteristic root (`generators._characteristic_root`), where A
+        has one, so rho = max(1, 1 + s(A) / c) up to rounding: on a ring
+        whose seam multiplies by g the column sums give rho near g, and the
+        sum would take g times the terms.
+    tau is split into m equal substeps with c tau rho / m <= _SUBSTEP, so
+    each substep applies the same weights.
+    """
+
+    def __init__(self, bands: BorderedBidiagonal, tau: float):
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"step tau must be positive and finite, got {tau}")
+        c = float(np.max(np.abs(bands.diag))) or 1.0
+        diag = 1.0 + bands.diag / c
+        row0 = bands.row0 / c
+        row0[0] = diag[0]
+        self._p = BorderedBidiagonal(diag, bands.sub / c, row0)
+        bounds = [(float(np.max(self._p.column_sums())), 0.0)]
+        u = _characteristic_root(bands)[1]
+        if u is not None and np.min(u) > 0:
+            bounds.append((float(np.max(self._p.matvec(u) / u)), math.log(np.sum(u) / np.min(u))))
+        plans = []
+        for rho, log_kappa in bounds:
+            rho = max(1.0, rho)
+            substeps = max(1, math.ceil(c * tau * rho / _SUBSTEP))
+            plans.append((substeps, _poisson_weights(c * tau / substeps, rho, log_kappa)))
+        self._substeps, self._weights = min(plans, key=lambda plan: plan[0] * len(plan[1]))
+
+    def _sum(self, y: np.ndarray, product) -> np.ndarray:
+        for _ in range(self._substeps):
+            term = y
+            y = self._weights[0] * term
+            for w in self._weights[1:]:
+                term = product(term)
+                y += w * term
+        return y
+
+    def __matmul__(self, y):
+        return self._sum(np.asarray(y, dtype=float), self._p.matvec)
+
+    @property
+    def T(self) -> _Applied:
+        return _Applied(lambda y: self._sum(y, self._p.rmatvec))
+
+
+Step = Union[np.ndarray, ShiftedInverse, BandExponential]
 
 
 def step_operator(model: GeneratorModel, dt: float, method: str = DEFAULT_METHOD) -> Step:
     """One-step propagator for time stepping: implicit Euler is
     `shifted_inverse(model, 1, dt)`, O(n) per column on the presets' bands;
-    the exact exponential is `step_matrix`."""
+    the exact exponential is a `BandExponential` on Metzler bands, O(n) per
+    term, and `step_matrix` otherwise."""
     if method == "implicit_euler":
         return shifted_inverse(model, 1.0, dt)
+    if method == "exact_exponential" and model.bands is not None and model.off_diagonal_min() >= 0:
+        return BandExponential(model.bands, dt)
     return step_matrix(model, dt, method)
 
 
@@ -268,7 +369,8 @@ def left_invertibility_audit(model: GeneratorModel, t_grid) -> LeftInvertibility
     For Metzler A, ||T(t)x|| = <T(t)* w, x> is linear on the cone, so its
     minimum over unit x >= 0 sits at a basis vector: the lower bounds are
     the smallest weighted column sums of `norm_curves`, read off its adjoint
-    recursion, O(n^2) per step after the one `expm`.  A generator that is
+    recursion: O(n) per uniformization term on bands, O(n^2) per step after
+    one dense `expm` otherwise.  A generator that is
     not Metzler takes the matrix powers, and its basis minimum only bounds
     the cone minimum from above.  Steps with the exact exponential: implicit
     Euler damps the outflow mode by (1 + dt a)^-k instead of exp(-a k dt),

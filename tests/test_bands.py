@@ -139,6 +139,10 @@ class TestAgainstDenseAssembly:
         tol = dict(rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(bands.matvec(x), a @ x, **tol)
         np.testing.assert_allclose(bands.matvec(block), a @ block, **tol)
+        # row0[0] is diag[0]: the adjoint counts it once
+        assert row0[0] != 0.0
+        np.testing.assert_allclose(bands.rmatvec(x), a.T @ x, **tol)
+        np.testing.assert_allclose(bands.rmatvec(block), a.T @ block, **tol)
         np.testing.assert_allclose(bands.column_sums(), a.sum(axis=0), **tol)
         np.testing.assert_allclose(bands.column_sums(absolute=True), np.abs(a).sum(axis=0), **tol)
 
@@ -332,13 +336,14 @@ def test_default_audit_stays_banded(tmp_path, monkeypatch):
     assert peak < 64e6
 
 
-def random_bordered_metzler(n, seed, off_loop=""):
+def random_bordered_metzler(n, seed, off_loop="", absorb=0.0):
     """A random Metzler generator on bands: lower bidiagonal plus row 0.
 
-    Some subdiagonal entries are zero; with `off_loop` the largest diagonal
-    entry sits on a cell the feedback row cannot reach ("cut") or that
-    feeds nothing back ("no_feedback"), so s(A) is either that entry or the
-    characteristic root, depending on phi just above it.
+    Some subdiagonal entries are zero and some diagonal entries positive;
+    with `off_loop` the largest diagonal entry sits on a cell the feedback
+    row cannot reach ("cut") or that feeds nothing back ("no_feedback"), so
+    s(A) is either that entry or the characteristic root, depending on phi
+    just above it.  Every third cell also absorbs at the rate `absorb`.
     """
     rng = np.random.default_rng(seed)
     diag = rng.uniform(-3.0, 1.0, n)
@@ -351,6 +356,7 @@ def random_bordered_metzler(n, seed, off_loop=""):
             sub[j - 1] = 0.0
         else:
             row0[j:] = 0.0
+    diag[::3] -= absorb
     row0[0] = diag[0]
     bands = BorderedBidiagonal(diag, sub, row0)
     return ps.GeneratorModel(ps.GridSpace(length=float(n), cells=n), bands=bands)

@@ -1,4 +1,5 @@
 """CLI contract: config validation, output formats, exit codes, determinism."""
+import importlib.machinery
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import possys as ps
-from possys import cli
+from possys import cli, generators
 from possys.semigroup import FIT_STEPS, decay_horizon
 
 DATA = Path(__file__).parent / "data"
@@ -659,8 +660,9 @@ class TestSweep:
 
 
 def assert_report_matches(got, want, where="report"):
-    """Numbers at rel 1e-9 (values that are zero in exact arithmetic may
-    carry roundoff up to 1e-15), strings, booleans and nulls exactly."""
+    """Numbers at rel 1e-12, above the last-digit drift of every refactor so
+    far (values that are zero in exact arithmetic may carry roundoff up to
+    1e-15), strings, booleans and nulls exactly."""
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), where
         for key in want:
@@ -670,7 +672,7 @@ def assert_report_matches(got, want, where="report"):
         for i, (g, w) in enumerate(zip(got, want)):
             assert_report_matches(g, w, f"{where}[{i}]")
     elif isinstance(want, float):
-        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-9, abs=1e-15), where
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-12, abs=1e-15), where
     else:
         assert type(got) is type(want) and got == want, where
 
@@ -703,6 +705,7 @@ class TestCommittedReports:
 
 
 STARTUP = """
+import os
 import sys
 import numpy as np
 import possys
@@ -712,28 +715,114 @@ from possys.generators import shifted_inverse
 def loaded():
     return "scipy.linalg" in sys.modules
 
+tmp, audit, simulate = sys.argv[1:4]
 assert not loaded(), "import possys"
 try:
     cli.main(["--version"])
 except SystemExit as exc:
     assert exc.code == 0
 assert not loaded(), "possys --version"
-for path in sys.argv[1:]:
+for path in sys.argv[4:]:
     built = cli.build_scenario(cli.RunConfig.from_file(path))
     assert not loaded(), path
-shifted_inverse(built.model, 1.0, 1.0) @ np.ones(built.model.cells)
-assert loaded(), "first solve"
+assert cli.main(["audit", "--config", audit, "--out", os.path.join(tmp, "report.json")]) == 0
+assert not loaded(), audit
+assert cli.main(["simulate", "--config", simulate, "--out", os.path.join(tmp, "trajectory.csv")]) == 0
+assert not loaded(), simulate
+# lower triangular with an entry off the two diagonals: no bands
+dense = possys.GeneratorModel.from_matrix(
+    possys.GridSpace(length=3.0, cells=3), [[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, -1.0]]
+)
+assert dense.bands is None
+shifted_inverse(dense, 1.0, 1.0) @ np.ones(3)
+assert loaded(), "dense solve"
 """
 
 
-def test_startup_loads_numpy_alone():
-    """import possys, --version and every committed scenario build leave
-    scipy.linalg unloaded; the first solve loads it.  A fresh interpreter,
-    since this one has scipy.linalg already."""
+def test_startup_loads_numpy_alone(tmp_path):
+    """import possys, --version, every committed scenario build, the audit
+    of all eight audits at 400 cells and the 2000-cell simulate leave
+    scipy.linalg unloaded: the band solves load LAPACK's extension alone and
+    the exact exponential on Metzler bands is a uniformization sum.  A dense
+    solve of a matrix without bands loads it.  A fresh interpreter, since
+    this one has scipy.linalg already."""
     reports = {DATA / "renewal-n60-audit.json"}
     configs = sorted(set(DATA.glob("*.json")) - reports) + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
-    proc = run_python("-c", STARTUP, *map(str, configs))
+    bench = ROOT / "perfbench" / "configs"
+    runs = (bench / "audit-all-n400.json", bench / "simulate-n2000.json")
+    proc = run_python("-c", STARTUP, str(tmp_path), *map(str, runs), *map(str, configs))
     assert proc.returncode == 0, proc.stderr
+
+
+THREADS = """
+import sys
+import threading
+import numpy as np
+import possys
+from possys.generators import shifted_inverse
+
+model = possys.renewal_scenario(1.0, 0.5, length=20.0, cells=400).system.perturbed
+y = np.linspace(0.0, 1.0, 400)
+barrier = threading.Barrier(8)
+out = [None] * 8
+
+def build(i):
+    barrier.wait(timeout=60)
+    op = shifted_inverse(model, 1.0, 0.05)
+    out[i] = (op @ y, op.T @ y)
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+finally:
+    sys.setswitchinterval(interval)
+assert not any(t.is_alive() for t in threads)
+assert all(o is not None for o in out), out
+for forward, adjoint in out[1:]:
+    assert np.array_equal(forward, out[0][0]) and np.array_equal(adjoint, out[0][1])
+assert "scipy.linalg" not in sys.modules
+"""
+
+
+class TestLapackLoader:
+    """`ShiftedInverse` takes LAPACK's dtbtrs from scipy's extension file."""
+
+    def test_threads_load_it_once(self):
+        """Eight threads behind a barrier build the first solvers of a fresh
+        interpreter and solve bit for bit alike."""
+        proc = run_python("-c", THREADS)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_public_import_without_the_extension_file(self, monkeypatch):
+        """A scipy layout without the file takes scipy.linalg.lapack's
+        dtbtrs, the same routine: the solves agree bit for bit."""
+
+        class FindsNothing:
+            def __init__(self, *args):
+                pass
+
+            def find_spec(self, name):
+                return None
+
+        model = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=300).system.perturbed
+        y = np.random.default_rng(5).standard_normal((300, 3))
+        generators._lapack_tbtrs.cache_clear()
+        from_file = generators.shifted_inverse(model, 1.0, 0.05)
+        monkeypatch.setattr(importlib.machinery, "FileFinder", FindsNothing)
+        generators._lapack_tbtrs.cache_clear()
+        try:
+            public = generators.shifted_inverse(model, 1.0, 0.05)
+            assert generators._lapack_tbtrs() is scipy.linalg.lapack.dtbtrs
+        finally:
+            monkeypatch.undo()
+            generators._lapack_tbtrs.cache_clear()
+        assert np.array_equal(from_file @ y, public @ y)
+        assert np.array_equal(from_file.T @ y, public.T @ y)
 
 
 class TestKernelLookups:
@@ -754,13 +843,12 @@ class TestKernelLookups:
         return calls
 
     def test_expm_in_left_invertibility(self, tmp_path, capsys, monkeypatch):
+        # a Metzler matrix without bands: Metzler bands sum a uniformization
         calls = self.count(monkeypatch, "expm")
-        doc = json.loads((DATA / "renewal-n60.json").read_text())
-        doc["audits"] = ["left_invertibility"]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        assert cli.main(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
-        assert calls
+        matrix = [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]
+        cfg = write_config(tmp_path, scenario={"kind": "explicit", "matrix": matrix}, audits=["left_invertibility"])
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == ["expm"]
 
     def test_solve_triangular_in_dense_inverse(self, monkeypatch):
         calls = self.count(monkeypatch, "solve_triangular")

@@ -2,15 +2,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import possys as ps
 from possys import semigroup
 from possys.control import step_input_operators
-from possys.generators import ShiftedInverse
+from possys.generators import BorderedBidiagonal, ShiftedInverse
 from possys.semigroup import (
     FIT_STEPS,
+    BandExponential,
     EvolutionPlan,
     decay_horizon,
     growth_estimate,
@@ -195,11 +197,56 @@ class TestBidiagonalStep:
         with pytest.raises(ps.SingularSystemError):
             step_operator(model, 0.5, "implicit_euler")
 
-    def test_exact_method_stays_dense(self, toy):
+    def test_exact_method_stays_dense(self):
+        # off Metzler bands the exponential is expm's dense matrix
+        space = ps.GridSpace(length=3.0, cells=3)
+        signed = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0, 0.0], [-1.0, -2.0, 0.0], [0.0, 1.0, -2.0]])
+        no_bands = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0, 0.0], [1.0, -2.0, 0.0], [1.0, 1.0, -2.0]])
+        assert signed.bands is not None and no_bands.bands is None
+        for model in (signed, no_bands):
+            np.testing.assert_array_equal(
+                step_operator(model, 0.3, "exact_exponential"), step_matrix(model, 0.3, "exact_exponential")
+            )
+
+    def test_exact_method_on_metzler_bands(self, toy):
         _, model, _ = toy
-        np.testing.assert_array_equal(
-            step_operator(model, 0.3, "exact_exponential"), step_matrix(model, 0.3, "exact_exponential")
-        )
+        e = step_operator(model, 0.3, "exact_exponential")
+        assert isinstance(e, BandExponential)
+        np.testing.assert_allclose(e @ np.eye(2), step_matrix(model, 0.3, "exact_exponential"), rtol=1e-14, atol=0)
+
+
+class TestBandExponential:
+    """The uniformization sum on Metzler bands against dense expm."""
+
+    @staticmethod
+    def check(bands, tau, y):
+        e = BandExponential(bands, tau)
+        ref = scipy.linalg.expm(tau * bands.toarray())
+        for got, want in ((e @ y, ref @ y), (e.T @ y, ref.T @ y)):
+            assert np.linalg.norm(got - want, 1) <= 1e-12 * np.linalg.norm(want, 1)
+
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        tau=st.sampled_from([0.05, 0.4, 1.0]),
+        absorb=st.sampled_from([0.0, 100.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_metzler_bands(self, n, seed, tau, absorb):
+        # with absorb = 100, c tau reaches 100 and the sum runs in substeps,
+        # while the slow cells, some with a_jj > 0, keep expm accurate
+        model = random_bordered_metzler(n, seed, absorb=absorb)
+        self.check(model.bands, tau, np.random.default_rng(seed).random(n))
+
+    @pytest.mark.parametrize("diag, sub, row0", [
+        # P = I + A / c grows (largest column sum 5.2 at c = 1): cutting the
+        # sum at the tail of Poisson(c tau), as if P did not grow, is 1.2% off
+        ([0.2, -0.5, -1.0], [4.0, 4.0], [0.2, 0.0, 4.0]),
+        # every a_jj > 0: c = max(-a_jj) would be negative
+        ([0.5, 0.3, 0.1], [1.0, 2.0], [0.5, 0.0, 1.0]),
+    ])
+    def test_growing_bands(self, diag, sub, row0):
+        self.check(BorderedBidiagonal(np.array(diag), np.array(sub), np.array(row0)), 5.0, np.ones(3))
 
 
 def test_implicit_euler_is_the_default_at_every_size():
@@ -285,7 +332,7 @@ class TestNormCurves:
     @staticmethod
     def check(model, method, dt, vectors, steps=12):
         e = step_operator(model, dt, method)
-        dense = e.toarray() if isinstance(e, ShiftedInverse) else e
+        dense = e if isinstance(e, np.ndarray) else e @ np.eye(model.cells)
         op, low, curves = norm_curves(model, e, method, steps, vectors)
         for k in range(steps + 1):
             power = np.linalg.matrix_power(dense, k)
@@ -398,6 +445,27 @@ class TestLeftInvertibility:
         audit = left_invertibility_audit(rs.generator, np.linspace(0.0, 2.0, 65))
         assert not audit.holds
         assert audit.lower_bounds[-1] < 1e-13
+
+    @pytest.mark.parametrize("gain", [2.0, 100.0])
+    def test_ring_against_its_closed_form(self, gain):
+        # on the ring T(t) e_j travels Poisson(t / h) cells and is multiplied
+        # by the gain at each seam crossing; e_0, farthest from the seam,
+        # crosses least: its mass is sum_m gain^m P(m n <= N < (m + 1) n)
+        n, grid = 60, np.linspace(0.0, 2.0, 65)
+        audit = left_invertibility_audit(ps.ring_transport_scenario(gain, length=1.0, cells=n), grid)
+        crossings = np.arange(4)[:, None]
+        below = scipy.stats.poisson.cdf(np.arange(1, 5)[:, None] * n - 1, grid * n)
+        prob = np.diff(below, axis=0, prepend=0.0)
+        np.testing.assert_allclose(audit.lower_bounds, np.sum(gain**crossings * prob, axis=0), rtol=1e-12)
+
+    def test_seam_gain_leaves_the_term_count(self):
+        # the Perron vector bounds the growth of P^k near s(A); the column
+        # sums would charge the gain-100 ring 50 times the terms
+        counts = []
+        for gain in (2.0, 100.0):
+            e = BandExponential(ps.ring_transport_scenario(gain, length=1.0, cells=2400).bands, 1 / 32)
+            counts.append(e._substeps * len(e._weights))
+        assert counts[1] < 1.1 * counts[0]
 
     def test_requires_uniform_grid_from_zero(self, toy):
         _, model, _ = toy
