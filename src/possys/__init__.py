@@ -47,18 +47,16 @@ from .semigroup import (
     step_matrix,
 )
 from .control import (
-    AdmissibilityReport,
     ControlOperator,
     InputSignal,
     admissibility_constant,
-    admissibility_report,
+    admissibility_curve,
     composition_law_check,
     impulse_response_norms,
     input_map,
     mild_solution,
     positivity_equivalence_audit,
     resolvent_bound_audit,
-    uniform_decay_curve,
 )
 from .perturbation import (
     DirichletOperator,

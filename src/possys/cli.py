@@ -24,15 +24,16 @@ import numpy as np
 
 from . import __version__
 from .control import (
+    ADMISSIBILITY_STEPS,
     ControlOperator,
     InputSignal,
-    admissibility_constant,
+    admissibility_curve,
     composition_probe,
     default_alpha,
+    impulse_response_norms,
     mild_solution,
     positivity_equivalence_audit,
     resolvent_bound_audit,
-    uniform_decay_curve,
 )
 from .errors import ConfigError, PossysError, SingularSystemError
 from .generators import (
@@ -484,14 +485,18 @@ def _inverse_estimate(cfg, built, report):
 
 def _admissibility(cfg, built, report):
     model, col, tau = built.model, built.injection.column, cfg.tau
-    report["kappa"] = admissibility_constant(model, col, tau, p=cfg.p)
+    # kappa and kappa_inf off one impulse-response curve
+    dt = tau / ADMISSIBILITY_STEPS
+    norms = impulse_response_norms(model, col, tau, dt)
+    report["kappa"] = float(admissibility_curve(norms, dt, cfg.p)[-1])
     eq = positivity_equivalence_audit(model, col)
     report["positive_admissible"] = bool(eq.input_map_nonneg and eq.consistent)
     report["composition_residual"] = composition_probe(model, col, tau)
-    taus = tau * np.array([1 / 8, 1 / 4, 1 / 2, 1.0])
+    kappa_inf = admissibility_curve(norms, dt, math.inf)
+    marks = [ADMISSIBILITY_STEPS // d for d in (8, 4, 2, 1)]
     report["uniform_decay"] = {
-        "tau": [float(t) for t in taus],
-        "kappa_inf": [float(v) for v in uniform_decay_curve(model, col, taus)],
+        "tau": [k * dt for k in marks],
+        "kappa_inf": [float(kappa_inf[k]) for k in marks],
     }
 
 
@@ -510,7 +515,7 @@ def _small_gain(cfg, built, report):
 
 
 def _verdict(cfg, built):
-    return iss_verdict(built.system, p=cfg.p, guard=cfg.tolerances["guard_band"])
+    return iss_verdict(built.system, guard=cfg.tolerances["guard_band"])
 
 
 def _iss(cfg, built, report):

@@ -8,6 +8,11 @@ exact_exponential, E = exp(A dt) and F = int_0^dt exp(A s) b ds read off one
 block exponential, so aligned signals are integrated exactly.  Either way the
 algebraic control-system laws hold to roundoff, since both sides run the same
 recursion.
+
+Admissibility is read off one impulse-response curve c(s) = ||T(s) b||, stepped
+once on the tau / ADMISSIBILITY_STEPS grid: the norm is additive on the cone,
+so kappa_p(t) is the L^{p'} norm of c on [0, t] (`admissibility_curve`), and
+kappa_inf(t) = int_0^t c is the same functional at p = inf.
 """
 from __future__ import annotations
 
@@ -36,6 +41,9 @@ from .semigroup import (
     grid_steps,
     step_operator,
 )
+
+# steps of the impulse-response grid on [0, tau] for the admissibility audits
+ADMISSIBILITY_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -360,6 +368,20 @@ def impulse_response_norms(
     return norms
 
 
+def admissibility_curve(norms: np.ndarray, dt: float, p: float = 1) -> np.ndarray:
+    """kappa_p(t_k) at every time t_k = k dt of the impulse-response curve
+    norms[k] = ||T(t_k) b||: the L^{p'} norm of the curve on [0, t_k], that
+    is its running maximum for p = 1, the root of its cumulative trapezoid
+    sum of squares for p = 2, and its cumulative trapezoid sum for p = inf."""
+    if p == 1:
+        return np.maximum.accumulate(norms)
+    if p != 2 and not math.isinf(p):
+        raise ValueError(f"p must be 1, 2, or inf, got {p}")
+    c = norms**2 if p == 2 else norms
+    cumul = np.concatenate(([0.0], np.cumsum((c[1:] + c[:-1]) * 0.5 * dt)))
+    return np.sqrt(cumul) if p == 2 else cumul
+
+
 def admissibility_constant(
     model: GeneratorModel,
     b,
@@ -368,10 +390,8 @@ def admissibility_constant(
     dt: Optional[float] = None,
     method: str = DEFAULT_METHOD,
 ) -> float:
-    """kappa(tau) with ||Phi_tau u|| <= kappa ||u||_{L^p}: the L^{p'} norm of
-    the impulse-response curve ||T(s) b|| on [0, tau], that is its supremum
-    for p = 1, its L^2 norm for p = 2 and its integral for p = inf (the last
-    two by the trapezoid rule on the dt grid).
+    """kappa(tau) with ||Phi_tau u|| <= kappa ||u||_{L^p}: the last entry of
+    `admissibility_curve` on the dt grid, tau / ADMISSIBILITY_STEPS by default.
 
     For a positive system the weighted-l1 norm is additive on the cone, so
     ||Phi_tau u|| = int_0^tau ||T(s) b|| u(tau - s) ds for u >= 0, and this
@@ -380,15 +400,8 @@ def admissibility_constant(
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if dt is None:
-        dt = tau / 512
-    norms = impulse_response_norms(model, b, tau, dt, method)
-    if p == 1:
-        return float(np.max(norms))
-    if p == 2:
-        return float(math.sqrt(np.trapezoid(norms**2, dx=dt)))
-    if math.isinf(p):
-        return float(np.trapezoid(norms, dx=dt))
-    raise ValueError(f"p must be 1, 2, or inf, got {p}")
+        dt = tau / ADMISSIBILITY_STEPS
+    return float(admissibility_curve(impulse_response_norms(model, b, tau, dt, method), dt, p)[-1])
 
 
 def default_alpha(s: float, tau: float) -> float:
@@ -531,66 +544,4 @@ def positivity_equivalence_audit(
 
     return PositivityEquivalence(
         column_nonneg=column_nonneg, resolvent_nonneg=res_ok, input_map_nonneg=inp_ok
-    )
-
-
-def uniform_decay_curve(
-    model: GeneratorModel, b, taus, dt: Optional[float] = None
-) -> np.ndarray:
-    """kappa_inf(tau) = int_0^tau ||T(s) b|| ds at each tau; tends to 0 as
-    tau -> 0.  Report-only; no verdict consumes it."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any(taus <= 0):
-        raise ValueError("taus must be positive")
-    hi = float(np.max(taus))
-    if dt is None:
-        dt = hi / 1024
-    norms = impulse_response_norms(model, b, grid_steps(hi, dt, "tau") * dt, dt)
-    grid = np.arange(len(norms)) * dt
-    cumul = np.concatenate(([0.0], np.cumsum((norms[1:] + norms[:-1]) * 0.5 * dt)))
-    return np.interp(taus, grid, cumul)
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """kappa(tau) with the resolvent-bound constant and the law residual."""
-
-    tau: float
-    p: float
-    kappa: float
-    alpha: float
-    m_alpha: float
-    positive_admissible: bool
-    composition_residual: float
-
-    def __post_init__(self):
-        if self.kappa < 0 or self.composition_residual < 0:
-            raise ValueError("kappa and residuals are nonnegative by definition")
-
-
-def admissibility_report(
-    model: GeneratorModel,
-    b,
-    tau: float,
-    p: float = 1,
-    alpha: Optional[float] = None,
-    lambda_grid=None,
-    dt: Optional[float] = None,
-    method: str = DEFAULT_METHOD,
-) -> AdmissibilityReport:
-    """Bundle the admissibility audit quantities at one (tau, p)."""
-    if alpha is None:
-        alpha = default_alpha(spectral_bound(model), tau)
-    kappa = admissibility_constant(model, b, tau, p=p, dt=dt, method=method)
-    m_alpha = resolvent_bound_audit(model, b, alpha, lambda_grid, p=p)
-    eq = positivity_equivalence_audit(model, b)
-    residual = composition_probe(model, b, tau, method)
-    return AdmissibilityReport(
-        tau=tau,
-        p=p,
-        kappa=kappa,
-        alpha=float(alpha),
-        m_alpha=m_alpha,
-        positive_admissible=eq.input_map_nonneg and eq.consistent,
-        composition_residual=residual,
     )

@@ -56,7 +56,6 @@ class ISSReport:
     verdict: str
     spectral_bound: float
     small_gain_radius: float
-    p: float = 1
     witness: Optional[dict] = None
 
     def __post_init__(self):
@@ -66,7 +65,7 @@ class ISSReport:
             raise ValueError("eISS verdict contradicts its own scalars")
 
 
-def iss_verdict(system: PerturbedSystem, p: float = 1, guard: float = GUARD_BAND) -> ISSReport:
+def iss_verdict(system: PerturbedSystem, guard: float = GUARD_BAND) -> ISSReport:
     """Spectral eISS test: s(A) < 0 and loop radius < 1, with a guard band.
 
     Inside the band the verdict is inconclusive rather than a coin flip.
@@ -88,9 +87,7 @@ def iss_verdict(system: PerturbedSystem, p: float = 1, guard: float = GUARD_BAND
             "initial_state": [float(v) for v in vec],
             "growth_rate": float(rate),
         }
-    return ISSReport(
-        verdict=verdict, spectral_bound=s_a, small_gain_radius=r, p=p, witness=witness
-    )
+    return ISSReport(verdict=verdict, spectral_bound=s_a, small_gain_radius=r, witness=witness)
 
 
 def iss_gain_fit(

@@ -164,12 +164,6 @@ class PerturbedSystem:
             return float(np.min(self.perturbation))
         return _min_product(self.injection, self.feedback * self.base.space.spacing)[0]
 
-    def perturb(self, v: np.ndarray) -> np.ndarray:
-        """P v; from the rank-one factors when the system has them."""
-        if self.injection is None:
-            return self.perturbation @ v
-        return self.injection * np.dot(self.feedback * self.base.space.spacing, v)
-
     @classmethod
     def from_matrix(cls, base: GeneratorModel, perturbation) -> "PerturbedSystem":
         p = np.asarray(perturbation, dtype=float)

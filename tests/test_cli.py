@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import possys as ps
-from possys import cli, generators
+from possys import cli, control, generators
 from possys.semigroup import FIT_STEPS, decay_horizon
 
 DATA = Path(__file__).parent / "data"
@@ -427,6 +427,29 @@ class TestAudit:
         assert report["p"] == 2.0 and report["verdict"] == "eISS"
         assert report["N"] is None and report["mu"] is None and report["G"] is None
         assert report["skipped"] == [["gain_fit", "gain fit is implemented for p = 1 only"]]
+
+    def test_pinf_kappa_is_the_last_kappa_inf(self, tmp_path, capsys):
+        # at p = inf kappa(tau) is kappa_inf(tau), read off the same curve
+        cfg = write_config(tmp_path, p="inf", audits=["admissibility"])
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["kappa"] == report["uniform_decay"]["kappa_inf"][-1]
+
+    def test_admissibility_steps_one_impulse_response(self, tmp_path, capsys, monkeypatch):
+        grids = []
+        real = control.impulse_response_norms
+
+        def counted(model, b, tau, dt, *args):
+            grids.append((tau, dt))
+            return real(model, b, tau, dt, *args)
+
+        # count the calls under either binding the audit may go through
+        for mod in (cli, control):
+            monkeypatch.setattr(mod, "impulse_response_norms", counted, raising=False)
+        cfg = write_config(tmp_path, audits=["admissibility"])
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        assert grids == [(1.0, 1.0 / 1024)]
 
     def test_audits_without_perturbation_are_skipped(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario={"kind": "markov_cycle", "cells": 4})

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import possys as ps
 from possys.control import (
     additivity_check,
-    admissibility_report,
     composition_law_check,
     impulse_response_norms,
     positivity_equivalence_audit,
@@ -216,11 +215,11 @@ class TestAdmissibility:
         assert ps.admissibility_constant(model, b, 1.0, p=2, **exact) == pytest.approx(ref_2, abs=1e-5)
 
     def test_default_stepper_p2_and_pinf_within_half_a_step(self, toy):
-        # implicit Euler on the default dt = tau/512 grid is first-order:
-        # measured 3.2e-4 (p = inf) and 2.3e-4 (p = 2) off, under dt/2
+        # implicit Euler on the default dt = tau/1024 grid is first-order:
+        # measured 1.58e-4 (p = inf) and 1.17e-4 (p = 2) off, under dt/2
         _, model, b = toy
         ref_inf, ref_2 = self._quadrature(model)
-        tol = 0.5 / 512
+        tol = 0.5 / 1024
         assert ps.admissibility_constant(model, b, 1.0, p=np.inf) == pytest.approx(ref_inf, abs=tol)
         assert ps.admissibility_constant(model, b, 1.0, p=2) == pytest.approx(ref_2, abs=tol)
 
@@ -236,8 +235,19 @@ class TestAdmissibility:
 
     def test_uniform_decay_curve_monotone(self, toy):
         _, model, b = toy
-        curve = ps.uniform_decay_curve(model, b, np.array([0.25, 0.5, 1.0, 2.0]))
-        assert np.all(np.diff(curve) > 0)
+        curve = ps.admissibility_curve(impulse_response_norms(model, b, 2.0, 1.0 / 512), 1.0 / 512, np.inf)
+        assert curve[0] == 0.0 and np.all(np.diff(curve) > 0)
+
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    def test_constant_is_the_last_point_of_the_curve(self, toy, p):
+        _, model, b = toy
+        curve = ps.admissibility_curve(impulse_response_norms(model, b, 1.0, 1.0 / 1024), 1.0 / 1024, p)
+        assert ps.admissibility_constant(model, b, 1.0, p=p) == curve[-1]
+        assert np.all(np.diff(curve) >= 0)
+
+    def test_curve_refuses_other_p(self):
+        with pytest.raises(ValueError, match="p must be 1, 2, or inf"):
+            ps.admissibility_curve(np.ones(3), 0.5, 3)
 
 
 class TestResolventBound:
@@ -306,16 +316,6 @@ class TestPositivityEquivalence:
         eq = positivity_equivalence_audit(model, np.array([1.0, -1.0]))
         assert not eq.column_nonneg and not eq.resolvent_nonneg and not eq.input_map_nonneg
         assert eq.consistent
-
-
-def test_admissibility_report_bundle(toy):
-    _, model, b = toy
-    rep = admissibility_report(model, b, tau=1.0)
-    assert rep.kappa == pytest.approx(1.0)
-    assert rep.positive_admissible
-    assert rep.composition_residual <= 1e-10
-    assert np.isfinite(rep.m_alpha)
-    assert rep.alpha > ps.spectral_bound(model)
 
 
 def test_step_operator_cache_returns_same_arrays(toy):
