@@ -192,7 +192,9 @@ class RunConfig:
         if isinstance(initial, str):
             if initial not in ("zeros", "bump"):
                 raise ConfigError(f"unknown initial_state preset {initial!r}")
-        elif not isinstance(initial, list):
+        elif isinstance(initial, list):
+            initial = [_number(v, f"initial_state[{i}]") for i, v in enumerate(initial)]
+        else:
             raise ConfigError("initial_state must be 'zeros', 'bump', or a list")
 
         audits = raw.get("audits", list(DEFAULT_AUDITS))

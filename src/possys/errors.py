@@ -19,16 +19,10 @@ class EigensolverError(PossysError):
 
 
 class GainValidationError(PossysError):
-    """A fitted ISS envelope was violated by a worst-case pair, or its norm
-    curves disagree with a forward trajectory.
+    """A gain fit could not be made, or its norm curves disagree with a
+    forward trajectory; `time` names the first grid time they disagree at,
+    where there is one."""
 
-    The witness pair (state, signal), the time and the gap are attached,
-    where there is one, so the failure is reproducible.
-    """
-
-    def __init__(self, message: str, state=None, signal=None, time=None, gap=None):
+    def __init__(self, message: str, time=None):
         super().__init__(message)
-        self.state = state
-        self.signal = signal
         self.time = time
-        self.gap = gap

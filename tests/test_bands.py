@@ -369,39 +369,37 @@ def random_bordered_metzler(n, seed, off_loop="", absorb=0.0):
 @settings(max_examples=100, deadline=None)
 def test_envelope_check_cross_checks_forward_and_adjoint(n, seed):
     """On random bands the gain-fit validation's forward trajectory of
-    x0 = 1, u = 1 matches its adjoint curves, so an envelope too loose to
-    fail passes; curves from an adjoint solve off by 1e-6 raise at the
-    first step.  Off the cone the curves only bound the forward norm from
-    above: a halved ||E^k x0|| raises on both routes, a doubled one on the
-    cone only."""
+    x0 = 1, u = 1 matches its adjoint curves, so the cross-check passes;
+    curves from an adjoint solve off by 1e-6 raise at the first step.  Off
+    the cone the curves only bound the forward norm from above: a halved
+    ||E^k x0|| raises on both routes, a doubled one on the cone only."""
     model = random_bordered_metzler(n, seed)
     dt, steps = 0.05, 60
     e = shifted_inverse(model, 1.0, dt)
     assert isinstance(e, ShiftedInverse) and e.nonnegative
     f = dt * (e @ np.random.default_rng(seed).exponential(size=n))
     times = np.arange(steps + 1) * dt
-    loose = dict(amplitude=1e30, mu=0.0, gain=1e30, times=times)
 
     def curves():
-        op, _, (impulse, free) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, np.ones(n)))
-        return op, impulse, free
+        _, _, (impulse, free) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, np.ones(n)))
+        return impulse, free
 
-    op, impulse, free = curves()
+    impulse, free = curves()
     for cone in (True, False):
-        iss._check_envelope(model, e, f, (op, impulse, free), **loose, cone=cone)
+        iss._cross_check(model, e, f, impulse, free, times, cone)
         with pytest.raises(GainValidationError) as exc:
-            iss._check_envelope(model, e, f, (op, impulse, 0.5 * free), **loose, cone=cone)
+            iss._cross_check(model, e, f, impulse, 0.5 * free, times, cone)
         assert exc.value.time == 0.0
-    iss._check_envelope(model, e, f, (op, impulse, 2.0 * free), **loose, cone=False)
+    iss._cross_check(model, e, f, impulse, 2.0 * free, times, cone=False)
     with pytest.raises(GainValidationError) as exc:
-        iss._check_envelope(model, e, f, (op, impulse, 2.0 * free), **loose, cone=True)
+        iss._cross_check(model, e, f, impulse, 2.0 * free, times, cone=True)
     assert exc.value.time == 0.0
     real = ShiftedInverse._apply_adjoint
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ShiftedInverse, "_apply_adjoint", lambda op, y: real(op, y) * (1 + 1e-6))
         wrong = curves()
     with pytest.raises(GainValidationError) as exc:
-        iss._check_envelope(model, e, f, wrong, **loose, cone=True)
+        iss._cross_check(model, e, f, *wrong, times, cone=True)
     assert exc.value.time == dt
 
 

@@ -156,6 +156,18 @@ class TestConfigErrors:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", ["a", None, [1], True, 1e400], ids=json.dumps)
+    def test_bad_initial_state_entry_exits_2_naming_it(self, tmp_path, capsys, entry):
+        # a non-number entry is refused by both commands, never read as 1.0
+        # or left to fail in the solver
+        doc = {"scenario": {"kind": "explicit", "matrix": (-np.eye(4)).tolist()}, "initial_state": [entry, 1, 1, 1]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        for command in ("audit", "simulate"):
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: initial_state[0] must be a finite number") and err.count("\n") == 1
+
     def test_gain_fit_trials_is_an_unknown_key(self, tmp_path, capsys):
         # the gain fit samples no random pairs, so it takes no trial count
         cfg = write_config(tmp_path, audits=["iss", "gain_fit"], gain_fit={"trials": 100})

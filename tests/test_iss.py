@@ -65,53 +65,22 @@ class TestReportInvariants:
 
 
 def fitted(built):
-    """The gain fit of a built scenario's loop, with the step, the norm
-    curves and the route it is validated on."""
+    """The gain fit of a built scenario's loop, with the step, its norm
+    curves (||E^k||, ||E^k F||, ||E^k b||, ||E^k x0||) and whether it is on
+    the cone."""
     system, col = built.system, built.injection.column
     model = system.perturbed
     steps = semigroup.FIT_STEPS
     dt = semigroup.decay_horizon(ps.spectral_bound(model)) / steps
     e, f = iss.step_input_operators(model, col, dt)
-    op, _, (imp, _, free) = semigroup.norm_curves(
+    op, _, (imp, inj, free) = semigroup.norm_curves(
         model, e, semigroup.DEFAULT_METHOD, steps, (f, col, np.ones(model.cells))
     )
     return SimpleNamespace(
         model=model, fit=iss.iss_gain_fit(system, col), e=e, f=f, dt=dt,
-        times=np.arange(steps + 1) * dt, curves=(op, imp, free),
+        times=np.arange(steps + 1) * dt, curves=(op, imp, inj, free),
         cone=semigroup._nonnegative(model, e, semigroup.DEFAULT_METHOD) and bool(np.all(f >= 0)),
     )
-
-
-def validate(v, amplitude=1.0, gain=1.0, cone=None):
-    """Validate the fit of `v` with N x amplitude and G x gain on its own
-    curves, on its own route unless `cone` names one."""
-    n_amp, mu, g = v.fit
-    cone = v.cone if cone is None else cone
-    iss._check_envelope(v.model, v.e, v.f, v.curves, n_amp * amplitude, mu, g * gain, v.times, cone)
-
-
-def assert_basis_witness(v, err):
-    """The witness is a unit basis state whose column of E^k attains ||E^k||."""
-    w = v.model.space.weights
-    (j,) = np.flatnonzero(err.state)
-    assert err.gap < 0 and err.state[j] * w[j] == pytest.approx(1.0, rel=1e-15)
-    assert len(err.signal.values) == 0
-    k = round(err.time / v.dt)
-    e = v.e.toarray() if hasattr(v.e, "toarray") else np.asarray(v.e)
-    column = np.linalg.matrix_power(e, k)[:, j]
-    assert w @ np.abs(column) / w[j] == pytest.approx(v.curves[0][k], rel=1e-12)
-
-
-def assert_pulse_witness(v, err, gain_scale):
-    """The witness is a unit pulse on the first step, and the gap is the
-    scaled G against the largest pulse norm c_m / dt."""
-    imp = v.curves[1][:-1]
-    m = int(np.argmax(imp))
-    assert err.gap == pytest.approx(gain_scale * v.fit[2] - imp[m] / v.dt, rel=1e-12)
-    assert err.time == pytest.approx((m + 1) * v.dt, rel=1e-12)
-    assert not np.any(err.state)
-    assert np.array_equal(err.signal.breakpoints, [0.0, v.dt])
-    assert np.array_equal(err.signal.values, [1.0 / v.dt])
 
 
 class TestGainFit:
@@ -173,24 +142,11 @@ class TestGainFit:
             iss.iss_gain_fit(built.system, built.injection)
         assert exc.value.time == 0.0
 
-    def test_cone_route_catches_an_understated_gain(self):
-        """With G halved on renewal-n60 the validation raises on the unit
-        pulse, on the cone route it takes and on the forward route alike:
-        the triangle inequality bounds both by the same pair."""
-        v = fitted(self.renewal_n60())
-        assert v.cone
-        for cone in (True, False):
-            with pytest.raises(GainValidationError) as exc:
-                validate(v, gain=0.5, cone=cone)
-            assert_pulse_witness(v, exc.value, 0.5)
-            assert exc.value.gap == pytest.approx(-0.4756120469785379, rel=1e-12)
-
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_unit_pulse_catches_a_gain_the_trials_miss(self, seed):
-        """G x 0.9 on renewal-n60 passes 100 random nonnegative pairs, drawn
-        and measured as earlier versions drew their trials, u in L1 over the
-        whole horizon; a unit pulse on the first step, whose norm reaches
-        max_m ||E^m F|| / dt, does not, on either route."""
+    def test_envelope_holds_on_random_cone_pairs(self, seed):
+        """100 random nonnegative pairs on renewal-n60, u in L1 over the
+        whole horizon, stay under the fit's own envelope (N, mu, G) at every
+        grid time."""
         v = fitted(self.renewal_n60())
         n_amp, mu, gain = v.fit
         h, steps, trials = v.model.space.spacing, len(v.times) - 1, 100
@@ -206,28 +162,10 @@ class TestGainFit:
                 u[a:b, i] += rng.exponential() * 10.0 ** rng.uniform(-1, 1)
         x_norm, u_norm = h * z.sum(axis=0), v.dt * u.sum(axis=0)
         for k in range(steps + 1):
-            gaps = n_amp * np.exp(-mu * v.times[k]) * x_norm + 0.9 * gain * u_norm - h * np.abs(z).sum(axis=0)
-            assert np.min(gaps) >= -iss.SLACK, (k, int(np.argmin(gaps)), np.min(gaps))
+            gaps = n_amp * np.exp(-mu * v.times[k]) * x_norm + gain * u_norm - h * np.abs(z).sum(axis=0)
+            assert np.min(gaps) >= -1e-8, (k, int(np.argmin(gaps)), np.min(gaps))
             if k < steps:
                 z = v.e @ z + np.outer(v.f, u[k])
-        for cone in (True, False):
-            with pytest.raises(GainValidationError) as exc:
-                validate(v, gain=0.9, cone=cone)
-            assert_pulse_witness(v, exc.value, 0.9)
-            assert exc.value.gap < -0.07  # max c / dt = 0.9756 against G = 1
-
-    def test_unit_basis_state_catches_an_understated_amplitude(self):
-        """One pair that starts at x = 0 cannot see N x 0.99; the basis
-        state where ||E^k|| is attained can, and it is the witness, read off
-        the adjoint recursion on the cone and off E^k on the forward route."""
-        v = fitted(self.renewal_n60())
-        caught = []
-        for cone in (True, False):
-            with pytest.raises(GainValidationError) as exc:
-                validate(v, amplitude=0.99, cone=cone)
-            assert_basis_witness(v, exc.value)
-            caught.append((exc.value.time, exc.value.gap))
-        assert caught[0] == caught[1]
 
     def test_cross_check_catches_a_wrong_adjoint(self, monkeypatch):
         """An adjoint solve off by 1e-6 moves every cone norm, and the
@@ -318,20 +256,20 @@ class TestSignedGainFit:
                 z = e @ z + np.outer(f, u[k])
                 u_norm += dt * np.abs(u[k])
 
-    def test_understated_gain_and_amplitude_raise(self):
-        """G x 0.9 and N x 0.99 passed the 100 random pairs that earlier
-        versions drew on a signed step; the extremal pairs bound every
-        signed pair too, and name the unit pulse and a basis state."""
-        v = self.signed_n40()
-        with pytest.raises(GainValidationError) as exc:
-            validate(v, gain=0.9)
-        assert_pulse_witness(v, exc.value, 0.9)
-        assert exc.value.gap == pytest.approx(-0.07494, abs=1e-5)
-        with pytest.raises(GainValidationError) as exc:
-            validate(v, amplitude=0.99)
-        assert_basis_witness(v, exc.value)
-        assert exc.value.time == pytest.approx(1.6526, abs=1e-4)
-        assert exc.value.gap == pytest.approx(-0.00327, abs=1e-5)
+@pytest.mark.parametrize("name, cone", [("renewal-n60", True), ("signed-n40", False)], ids=["renewal-n60", "signed-n40"])
+def test_fit_is_the_sup_over_the_extremal_pairs(name, cone):
+    """N and G are the sups of the unit basis state's and the one-step unit
+    pulse's ratios over the grid, so every grid point obeys both, and by the
+    triangle inequality so does every pair: there is nothing to re-check."""
+    v = fitted(cli.build_scenario(cli.RunConfig.from_file(str(DATA / f"{name}.json"))))
+    assert v.cone is cone
+    n_amp, mu, gain = v.fit
+    op, imp, inj, _ = v.curves
+    above = op > semigroup.NORM_FLOOR
+    assert n_amp == np.max(op[above] * np.exp(mu * v.times[above]))
+    assert gain == max(np.max(inj), np.max(imp[:-1]) / v.dt)
+    assert np.all(n_amp * np.exp(-mu * v.times[above]) >= op[above] * (1 - 1e-15))
+    assert np.all(gain >= imp[:-1] / v.dt * (1 - 1e-15))
 
 
 def test_guard_band_constant():
