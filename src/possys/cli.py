@@ -318,6 +318,13 @@ def build_scenario(cfg: RunConfig) -> BuiltScenario:
     raise ConfigError(f"unknown scenario kind {kind!r}")
 
 
+def _check_initial_state(cfg: RunConfig, built: BuiltScenario) -> None:
+    """An initial_state list holds one value per cell: audit and simulate
+    refuse another length alike, though only simulate reads it."""
+    if isinstance(cfg.initial_state, list) and len(cfg.initial_state) != built.model.cells:
+        raise ConfigError(f"initial_state needs {built.model.cells} values, got {len(cfg.initial_state)}")
+
+
 def _initial_vector(cfg: RunConfig, space: GridSpace) -> GridVector:
     if cfg.initial_state == "zeros":
         return space.zeros()
@@ -325,10 +332,7 @@ def _initial_vector(cfg: RunConfig, space: GridSpace) -> GridVector:
         x = space.centers
         width = space.length / 10.0
         return space.vector(np.exp(-(((x - space.length / 4.0) / width) ** 2)))
-    vals = np.asarray(cfg.initial_state, dtype=float)
-    if vals.shape != (space.cells,):
-        raise ConfigError(f"initial_state needs {space.cells} values, got {vals.shape}")
-    return space.vector(vals)
+    return space.vector(np.asarray(cfg.initial_state, dtype=float))
 
 
 def _plan(cfg: RunConfig) -> EvolutionPlan:
@@ -358,11 +362,20 @@ def _output(path: str):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+# fields per block of the simulate CSV formatter
+_FORMAT_FIELDS = 16384
+
+
 def _write_rows(fh, times, states) -> None:
-    # repr of a Python float is _fmt's shortest round trip; one row of
-    # floats at a time keeps the whole table out of Python objects
-    for t, state in zip(times, states):
-        fh.write(f"{_fmt(t)},{','.join(map(repr, state.tolist()))}\n")
+    # floatfmt's bytes are repr's, so each field is _fmt's shortest round
+    # trip; blocks of _FORMAT_FIELDS fields keep its arrays small, and each
+    # block goes to the file as soon as it is made
+    from . import floatfmt
+
+    step = max(1, _FORMAT_FIELDS // (states.shape[1] + 1))
+    fh.flush()
+    for a in range(0, len(times), step):
+        fh.buffer.write(floatfmt.csv_rows(np.column_stack((times[a : a + step], states[a : a + step]))))
 
 
 def _writers(rows: int) -> int:
@@ -384,7 +397,8 @@ def _start_writer(files: contextlib.ExitStack, times, states):
         tmp = files.enter_context(tempfile.TemporaryFile("w+", newline=""))
         with warnings.catch_warnings():
             # on 3.12+ fork warns when BLAS threads exist; the child only
-            # formats floats, calling no BLAS and taking no lock
+            # formats floats with numpy ufuncs, calling no BLAS and taking
+            # no lock
             warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
             pid = os.fork()
     except OSError:
@@ -410,6 +424,16 @@ def _write_table(fh, times, states) -> None:
     whose child could not start or failed is formatted here: the work is
     deterministic, so a real error raises as it would in one process, and
     the bytes do not depend on the number of writers."""
+    # the children inherit the formatter's tables
+    from . import floatfmt  # noqa: F401
+
+    # Freeing this untouched array raises glibc's mmap threshold to 16 MiB
+    # and its heap trim threshold to twice that, and the children inherit
+    # both.  The heap then keeps a formatter block's 5 MiB of arrays from
+    # one block to the next instead of handing them back and faulting them
+    # in again, which took two fifths of the formatter's time.
+    np.empty(16 << 20, np.uint8)
+
     rows = len(times)
     k = _writers(rows)
     cuts = [rows * i // k for i in range(k + 1)]
@@ -430,13 +454,14 @@ def _write_table(fh, times, states) -> None:
         for block, writer, ok in zip(blocks[1:], writers, done):
             if ok:
                 writer[1].seek(0)
-                shutil.copyfileobj(writer[1], fh)
+                shutil.copyfileobj(writer[1].buffer, fh.buffer)
             else:
                 _write_rows(fh, times[block], states[block])
 
 
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     built = build_scenario(cfg)
+    _check_initial_state(cfg, built)
     model = built.system.perturbed if built.system is not None else built.model
     plan = _plan(cfg)
     x0 = _initial_vector(cfg, model.space)
@@ -596,6 +621,7 @@ KNOWN_AUDITS = tuple(AUDITS)
 
 def cmd_audit(cfg: RunConfig, out_path: str) -> int:
     built = build_scenario(cfg)
+    _check_initial_state(cfg, built)
     spec = spectral_report(built.model)
     report = {
         "version": __version__,

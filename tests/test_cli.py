@@ -168,6 +168,15 @@ class TestConfigErrors:
             err = capsys.readouterr().err
             assert err.startswith("config error: initial_state[0] must be a finite number") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["audit", "simulate"])
+    def test_initial_state_of_the_wrong_length_exits_2(self, tmp_path, capsys, command):
+        # audit reads no initial state, but a list that fits no cell count
+        # is the same config error for both commands
+        cfg = write_config(tmp_path, initial_state=[1.0, 2.0])
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: initial_state needs 30 values, got 2\n"
+        assert not (tmp_path / "out").exists()
+
     def test_gain_fit_trials_is_an_unknown_key(self, tmp_path, capsys):
         # the gain fit samples no random pairs, so it takes no trial count
         cfg = write_config(tmp_path, audits=["iss", "gain_fit"], gain_fit={"trials": 100})
@@ -750,8 +759,11 @@ from possys.generators import shifted_inverse
 def loaded():
     return "scipy.linalg" in sys.modules
 
+def formatter():
+    return "possys.floatfmt" in sys.modules
+
 tmp, audit, simulate = sys.argv[1:4]
-assert not loaded(), "import possys"
+assert not loaded() and not formatter(), "import possys"
 try:
     cli.main(["--version"])
 except SystemExit as exc:
@@ -759,11 +771,11 @@ except SystemExit as exc:
 assert not loaded(), "possys --version"
 for path in sys.argv[4:]:
     built = cli.build_scenario(cli.RunConfig.from_file(path))
-    assert not loaded(), path
+    assert not loaded() and not formatter(), path
 assert cli.main(["audit", "--config", audit, "--out", os.path.join(tmp, "report.json")]) == 0
-assert not loaded(), audit
+assert not loaded() and not formatter(), audit
 assert cli.main(["simulate", "--config", simulate, "--out", os.path.join(tmp, "trajectory.csv")]) == 0
-assert not loaded(), simulate
+assert not loaded() and formatter(), simulate
 # lower triangular with an entry off the two diagonals: no bands
 dense = possys.GeneratorModel.from_matrix(
     possys.GridSpace(length=3.0, cells=3), [[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, -1.0]]
@@ -779,8 +791,9 @@ def test_startup_loads_numpy_alone(tmp_path):
     of all eight audits at 400 cells and the 2000-cell simulate leave
     scipy.linalg unloaded: the band solves load LAPACK's extension alone and
     the exact exponential on Metzler bands is a uniformization sum.  A dense
-    solve of a matrix without bands loads it.  A fresh interpreter, since
-    this one has scipy.linalg already."""
+    solve of a matrix without bands loads it.  The CSV formatter and its
+    tables load only when simulate writes its rows.  A fresh interpreter,
+    since this one has both modules already."""
     reports = {DATA / "renewal-n60-audit.json"}
     configs = sorted(set(DATA.glob("*.json")) - reports) + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
     bench = ROOT / "perfbench" / "configs"
