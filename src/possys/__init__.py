@@ -42,7 +42,6 @@ from .semigroup import (
     EvolutionPlan,
     Trajectory,
     evolve,
-    growth_estimate,
     left_invertibility_audit,
     step_matrix,
 )

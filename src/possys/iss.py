@@ -3,22 +3,23 @@
 The spectral route decides eISS from two numbers: the spectral bound of the
 unperturbed generator and the small-gain radius of the loop operator.  The
 trajectory route fits an envelope ||z(t)|| <= N exp(-mu t) ||x|| + G ||u||_L1
-on a time grid.  Both routes are kept; neither is allowed to stand in for
-the other.
+on the implicit-Euler grid.  Both routes are kept; neither is allowed to
+stand in for the other.
 
-On every step the triangle inequality gives
-||z_k|| <= ||E^k|| ||x0|| + max_m ||E^m F|| / dt ||u||_L1.  N and G are the
-sups of those two ratios over the grid, that is over the worst unit-norm
-pairs, a basis state and a one-step pulse, so every pair (x, u) on the grid,
-signed or not, obeys the envelope by construction.  What is validated is
-the norm curves they are read from: one forward trajectory of the pair
-x0 = 1, u = 1 matches them, exactly on a nonnegative step with F >= 0,
-where the norm is additive on the cone, and as an upper bound elsewhere.
-N is lifted over the same curve mu is fitted to, so an overstated mu is
-absorbed by N, not caught.
+mu is not fitted: it is log1p(-dt s(A_S)) / dt, the decay rate of the step
+E = (I - dt A_S)^-1, which tends to -s(A_S) as dt -> 0.  On every step the
+triangle inequality gives ||z_k|| <= ||E^k|| ||x0|| + max_m ||E^m F|| / dt
+||u||_L1.  N and G are the sups of those two ratios over the grid, that is
+over the worst unit-norm pairs, a basis state and a one-step pulse, so
+every pair (x, u) on the grid, signed or not, obeys the envelope by
+construction.  What is validated is the norm curves they are read from: one
+forward trajectory of the pair x0 = 1, u = 1 matches them, exactly on a
+nonnegative step with F >= 0, where the norm is additive on the cone, and
+as an upper bound elsewhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +38,6 @@ from .semigroup import (
     decay_horizon,
     grid_steps,
     norm_curves,
-    tail_slope,
 )
 
 EISS = "eISS"
@@ -99,34 +99,39 @@ def iss_gain_fit(
     """Fit (N, mu, G) for the perturbed system and cross-check its curves.
 
     The horizon defaults to `decay_horizon(s(A_S))` on FIT_STEPS steps.
-    mu is the log-slope of ||S(t)|| over the tail half of the horizon
-    (`tail_slope`).  N = max_k ||E^k|| exp(mu t_k) over the grid points
-    whose norm is above NORM_FLOOR, and G = max(max_k ||E^k b||,
-    max_m ||E^m F|| / dt) with F the per-step input operator.  These are the
-    sups over the extremal pairs, a unit basis state and a one-step unit
-    pulse, so by the triangle inequality every pair on the grid obeys the
-    envelope.  The fit is for the L1 input norm.
+    mu = log1p(-dt s(A_S)) / dt, the decay rate of the implicit-Euler step
+    E: every eigenvalue lambda of A_S has |1 - dt lambda| >= 1 - dt s(A_S),
+    so mu never exceeds the step's spectral rate, and for Metzler A_S,
+    where s(A_S) is an eigenvalue, ||E^k|| >= rho(E)^k = exp(-mu t_k): no
+    envelope with a larger mu holds at every k.  A loop with s(A_S) >= 0 is
+    refused with GainValidationError.  N = max_k ||E^k|| exp(mu t_k) over
+    the grid points whose norm is above NORM_FLOOR, and G = max(max_k
+    ||E^k b||, max_m ||E^m F|| / dt) with F the per-step input operator.
+    These are the sups over the extremal pairs, a unit basis state and a
+    one-step unit pulse, so by the triangle inequality every pair on the
+    grid obeys the envelope.  The fit is for the L1 input norm.
 
     One `norm_curves` call serves the fit and its validation
     (`_cross_check`), which matches the curves against one forward
-    trajectory and raises GainValidationError if they disagree.  N's lift
-    absorbs an overstated mu, which is therefore not caught.
+    trajectory and raises GainValidationError if they disagree.
     """
     model = system.perturbed
     col = _as_column(b, model.space)
+    s = spectral_bound(model)
+    # log1p(-dt s) is -inf or nan once dt s >= 1
+    if not s < 0:
+        raise GainValidationError(f"closed-loop spectral bound {s} is not negative; no decaying envelope")
     if horizon is None:
-        horizon = decay_horizon(spectral_bound(model))
+        horizon = decay_horizon(s)
     if dt is None:
         dt = horizon / FIT_STEPS
     steps = grid_steps(horizon, dt, "horizon")
+    mu = math.log1p(-dt * s) / dt
     e, f = step_input_operators(model, col, dt)
 
     x0 = np.ones(model.cells)
     op_norms, _, (imp_norms, inj_norms, free) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, col, x0))
     times = np.arange(steps + 1) * dt
-    mu = -tail_slope(times, op_norms)
-    if mu <= 0:
-        raise GainValidationError(f"fit window produced nonpositive decay rate {mu}; lengthen the horizon")
     # lift over the curve above the floor; beyond it exp(mu t) may overflow
     above = op_norms > NORM_FLOOR
     amplitude = float(np.max(op_norms[above] * np.exp(mu * times[above])))

@@ -13,9 +13,9 @@ the tests, `variation_of_constants_check` and `domination_check` on a base
 generator that is not Metzler.  Operator norms along a trajectory use the
 adjoint trick: for an entrywise-nonnegative step the weighted column sums
 evolve under E^T, so the norm curve and the cone lower bound cost K adjoint
-applications (`norm_curves`).  Decay rates are tail-half log-slopes of such
-curves (`tail_slope`) over one window rule (`decay_horizon`, `FIT_STEPS`
-steps).
+applications (`norm_curves`).  The growth bound is not fitted to
+||E^k||: in finite dimension it is s(A), which `generators.spectral_bound`
+computes.  The gain fit's grid is `FIT_STEPS` steps over `decay_horizon`.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .generators import (
     _characteristic_root,
     _dense_inverse,
     shifted_inverse,
-    spectral_bound,
 )
 from .lattice import GridSpace, GridVector, weighted_column_sums
 
@@ -41,9 +40,9 @@ METHODS = ("exact_exponential", "implicit_euler")
 # the stepper of every time-stepping default, at every grid size
 DEFAULT_METHOD = "implicit_euler"
 _GRID_TOL = 1e-9
-# steps on the grid of every decay-rate fit
+# steps on the grid of the gain fit
 FIT_STEPS = 800
-# a norm at or below this has underflowed; decay fits stop before it
+# a norm at or below this has underflowed
 NORM_FLOOR = 1e-300
 # a cone lower bound at or below this has collapsed: left invertibility fails
 ZERO_TOL = 1e-12
@@ -304,46 +303,9 @@ def _uniform_spacing(t_grid: np.ndarray) -> Optional[float]:
 
 
 def decay_horizon(s: float) -> float:
-    """Window of a decay-rate fit for a rate near s: 20 / max(|s|, 0.05),
+    """Window of a gain fit for a decay rate near s: 20 / max(|s|, 0.05),
     clamped to [10, 1000]."""
     return min(max(20.0 / max(abs(s), 0.05), 10.0), 1000.0)
-
-
-def tail_slope(times: np.ndarray, norms: np.ndarray) -> float:
-    """Least-squares slope of log(norms) over the tail half of a norm curve,
-    its points from index ceil(K / 2) on, K + 1 points in all.
-
-    The curve is cut before its first norm <= NORM_FLOOR, whose log would
-    measure underflow, not decay, and the tail half of what is left is fitted
-    (at least its last two points).  Fewer than two points left is refused
-    with ValueError.  The half is chosen by index, so roundoff in the grid
-    times cannot move a point in or out of it.
-    """
-    under = np.flatnonzero(norms <= NORM_FLOOR)
-    end = int(under[0]) if len(under) else len(norms)
-    if end < 2:
-        raise ValueError(f"norm curve reaches {NORM_FLOOR} within {end} point(s); nothing to fit")
-    start = min(end // 2, end - 2)
-    return float(np.polyfit(times[start:end], np.log(norms[start:end]), 1)[0])
-
-
-def growth_estimate(
-    model: GeneratorModel,
-    window: Optional[float] = None,
-    steps: int = FIT_STEPS,
-    method: str = DEFAULT_METHOD,
-) -> float:
-    """Log-slope of ||T(t)|| over the tail half of a window, the norms read
-    off `norm_curves` of one `method` step of width window / steps.
-
-    The window defaults to `decay_horizon(s(A))`; the estimate approaches
-    s(A) from above as the window grows.
-    """
-    if window is None:
-        window = decay_horizon(spectral_bound(model))
-    dt = window / steps
-    op, _, _ = norm_curves(model, step_operator(model, dt, method), method, steps)
-    return tail_slope(np.arange(steps + 1) * dt, op)
 
 
 @dataclass(frozen=True)

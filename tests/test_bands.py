@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import possys as ps
-from possys import cli, iss
+from possys import cli, generators, iss
 from possys.control import input_recursion, mild_solution
 from possys.errors import GainValidationError
 from possys.generators import BorderedBidiagonal, ShiftedInverse, perron_mode, shifted_inverse
@@ -249,6 +249,30 @@ def test_forward_solve_is_solve_banded_bit_for_bit(which, sigma, tau, rng):
     ab = np.vstack((diag, np.append(sub, 0.0)))
     for y in (rng.standard_normal(bands.cells), rng.standard_normal((bands.cells, 100))):
         assert np.array_equal(op._solve_t(y), scipy.linalg.solve_banded((1, 0), ab, y))
+
+
+@pytest.mark.parametrize("which", sorted(PRESETS))
+def test_tbtrs_receives_fortran_bands(which, monkeypatch, rng):
+    """tbtrs takes its band in Fortran order; a C-ordered one would be copied
+    on every call.  Every call, from the constructor on, gets an
+    F-contiguous band, and solves as it would with a C-ordered copy."""
+    real = generators._lapack_tbtrs()
+    bands_seen = []
+
+    def tbtrs(ab, b, **kwargs):
+        bands_seen.append(ab)
+        assert ab.flags.f_contiguous
+        out = real(ab, b, **kwargs)
+        assert np.array_equal(out[0], real(np.ascontiguousarray(ab), b, **kwargs)[0])
+        return out
+
+    monkeypatch.setattr(generators, "_lapack_tbtrs", lambda: tbtrs)
+    model = PRESETS[which]()
+    op = shifted_inverse(model, 1.0, 0.05)
+    for y in (rng.standard_normal(model.cells), rng.standard_normal((model.cells, 5))):
+        op @ y
+        op.T @ y
+    assert len(bands_seen) == 7
 
 
 @pytest.mark.parametrize("which", sorted(PRESETS))

@@ -1,6 +1,8 @@
 """CLI contract: config validation, output formats, exit codes, determinism."""
+import csv
 import importlib.machinery
 import json
+import math
 import os
 import subprocess
 import sys
@@ -316,6 +318,30 @@ class TestTableWriters:
         for line in lines[:-1]:
             assert all(repr(float(f)) == f for f in line.split(","))
 
+    @pytest.mark.parametrize("limit", [1, 4, 5, 13])
+    def test_wide_rows_are_formatted_in_blocks(self, tmp_path, monkeypatch, limit):
+        # rows of 13 fields against blocks of `limit`: each row goes in
+        # pieces of at most `limit` fields, joined by ","
+        from possys import floatfmt
+
+        times = np.arange(4) * 0.25
+        states = np.random.default_rng(5).standard_normal((4, 12)) * 10.0 ** np.arange(-6, 6)
+        states[1, 3:7] = [-0.0, 5e-324, 1e300, 2.0]
+        widths = []
+        real = floatfmt.csv_rows
+
+        def csv_rows(table):
+            widths.append(np.shape(table))
+            return real(table)
+
+        monkeypatch.setattr(floatfmt, "csv_rows", csv_rows)
+        monkeypatch.setattr(cli, "_FORMAT_FIELDS", limit)
+        self.cpus(monkeypatch, 1)
+        want = "".join(",".join(map(repr, row)) + "\n" for row in np.column_stack((times, states)).tolist())
+        assert self.table(tmp_path, "wide.csv", times, states) == want.encode()
+        assert max(cols for _, cols in widths) <= limit
+        assert sum(rows * cols for rows, cols in widths) == 4 * 13
+
     def test_one_cpu_never_forks(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, initial_state="bump")
         self.cpus(monkeypatch, 2)
@@ -386,11 +412,12 @@ class TestAudit:
         assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         for key in (
-            "version", "seed", "s_A", "growth_estimate", "c", "kappa", "m_alpha",
+            "version", "seed", "s_A", "c", "kappa", "m_alpha",
             "r", "verdict", "N", "mu", "G", "witness", "tolerances", "audits_run",
             "skipped", "scenario", "tau", "lambda0", "alpha", "p",
         ):
             assert key in report
+        assert "growth_estimate" not in report  # s_A is the growth bound
         assert report["verdict"] == "eISS"
         assert report["N"] is None  # gain_fit not in the default audit list
 
@@ -413,18 +440,16 @@ class TestAudit:
     @pytest.mark.parametrize("q", [100.0, 1000.0])
     def test_fast_decay_fits_the_stepper_rate(self, tmp_path, capsys, q):
         # at q = 1000 the norm curves fall under NORM_FLOOR inside the 10-unit
-        # window; the fits stop there and report the implicit-Euler rate of
-        # their 800-step grid, -log(1 - dt s) / dt
+        # window; mu is the implicit-Euler rate of the 800-step grid,
+        # log1p(-dt s) / dt, whatever the curves do
         scenario = {"kind": "renewal", "q": q, "beta": 0.5, "length": 20.0, "cells": 60}
         cfg = write_config(tmp_path, scenario=scenario, audits=["gain_fit"])
         out = tmp_path / "report.json"
         assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        dt = decay_horizon(report["s_A"]) / FIT_STEPS
-        assert report["growth_estimate"] == pytest.approx(-np.log1p(q * dt) / dt, rel=1e-3)
         s = ps.spectral_bound(ps.renewal_scenario(q, 0.5, length=20.0, cells=60).system.perturbed)
         dt = decay_horizon(s) / FIT_STEPS
-        assert report["mu"] == pytest.approx(np.log1p(-s * dt) / dt, rel=1e-3)
+        assert report["mu"] == math.log1p(-s * dt) / dt
 
     def test_gain_fit_skipped_when_not_eiss(self, tmp_path, capsys):
         cfg = write_config(
@@ -658,6 +683,23 @@ class TestSweep:
         verdicts = [line.split(",")[3] for line in lines[2:]]
         assert verdicts == ["eISS", "eISS", "not_eISS"]
 
+    def test_mu_is_the_growth_bound(self, tmp_path, capsys):
+        # an eISS row's decay rate is -s(A_S), bit for bit; other rows have none
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert cli.main([
+            "sweep", "--config", cfg, "--param", "beta0",
+            "--values", "0.2,0.8,1.0,1.4,3.0", "--out", str(out),
+        ]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert {row["verdict"] for row in rows} == {"eISS", "not_eISS"}
+        for row in rows:
+            if row["verdict"] == "eISS":
+                assert float(row["mu"]) == -float(row["s_perturbed"])
+                assert "-" + row["mu"] == row["s_perturbed"]
+            else:
+                assert row["mu"] == ""
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -685,7 +727,7 @@ class TestSweep:
             rs = ps.renewal_scenario(1.0, beta, length=2.0, cells=30)
             rep = ps.iss_verdict(rs.system, guard=0.05)
             assert (row["verdict"], row["r"]) == (rep.verdict, rep.small_gain_radius)
-            assert (row["mu"] is not None) == (rep.verdict == ps.EISS)
+            assert row["mu"] == (-row["s_perturbed"] if rep.verdict == ps.EISS else None)
             verdicts.append(row["verdict"])
         assert verdicts == [ps.EISS, ps.INCONCLUSIVE, ps.NOT_EISS]
 

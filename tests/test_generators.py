@@ -162,8 +162,6 @@ class TestSpectralReport:
         _, model, _ = toy
         rep = spectral_report(model)
         assert rep.spectral_bound == -2.0
-        # finite-window fit sits at or above the true bound
-        assert rep.growth_estimate >= rep.spectral_bound - 0.05
         assert rep.resolvent_positive_from <= -1.9
 
     @pytest.mark.parametrize("cells", [60, 400, 2000])

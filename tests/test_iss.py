@@ -1,5 +1,6 @@
 """ISS verdicts and the fitted (N, mu, G) envelope."""
 import json
+import math
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -110,11 +111,32 @@ class TestGainFit:
         fits = []
         for cells in (500, 501):
             rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=cells)
-            _, mu, _ = ps.iss_gain_fit(rs.system, rs.boundary_input)
-            fits.append((mu, ps.growth_estimate(rs.system.perturbed)))
-        (mu_a, est_a), (mu_b, est_b) = fits
-        assert abs(mu_a - mu_b) <= 1e-6
-        assert abs(est_a - est_b) <= 1e-6
+            fits.append(ps.iss_gain_fit(rs.system, rs.boundary_input)[1])
+        assert abs(fits[0] - fits[1]) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["renewal-n60", "signed-n40"])
+    def test_mu_is_the_implicit_euler_rate(self, name):
+        # mu = log1p(-dt s(A_S)) / dt exactly, on and off the cone
+        v = fitted(cli.build_scenario(cli.RunConfig.from_file(str(DATA / f"{name}.json"))))
+        s = ps.spectral_bound(v.model)
+        assert v.fit[1] == math.log1p(-v.dt * s) / v.dt
+        assert 0 < v.fit[1] < -s
+
+    def test_loop_with_dt_s_at_least_one_is_refused(self, monkeypatch):
+        # log1p(-dt s) is nan or -inf there, which a check of mu <= 0 would
+        # let through; the loop is refused before any step
+        rs = ps.renewal_scenario(1.0, 3.0, length=2.0, cells=30)
+        s = ps.spectral_bound(rs.system.perturbed)
+        dt = 2.0 / s
+        assert dt * s >= 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stepped a loop without a decay rate")
+
+        monkeypatch.setattr(iss, "norm_curves", refuse)
+        for horizon, step in ((dt, dt), (4 * dt, dt), (None, None)):
+            with pytest.raises(GainValidationError, match="is not negative"):
+                iss.iss_gain_fit(rs.system, rs.boundary_input, horizon=horizon, dt=step)
 
     def test_unstable_loop_refuses_to_fit(self, toy):
         system = closed_loop(toy, 1.5)
@@ -227,7 +249,7 @@ class TestSignedGainFit:
     def test_fit_takes_the_signed_route(self):
         v = self.signed_n40()
         assert not v.cone and np.min(v.e) < 0
-        assert v.fit == pytest.approx((1.1020506385235431, 0.6723793975889425, 1.0), rel=1e-12)
+        assert v.fit == pytest.approx((1.1020495323503938, 0.6723789006464609, 1.0), rel=1e-12)
 
     def test_envelope_holds_on_random_signed_pairs(self):
         """200 random signed (x0, u) pairs, stepped with a dense inverse of

@@ -11,16 +11,12 @@ from possys import semigroup
 from possys.control import step_input_operators
 from possys.generators import BorderedBidiagonal, ShiftedInverse
 from possys.semigroup import (
-    FIT_STEPS,
     BandExponential,
     EvolutionPlan,
-    decay_horizon,
-    growth_estimate,
     left_invertibility_audit,
     norm_curves,
     step_matrix,
     step_operator,
-    tail_slope,
 )
 from test_bands import random_bordered_metzler
 
@@ -295,13 +291,13 @@ class TestOperatorNormCurve:
             assert val == pytest.approx(ref, abs=1e-12)
 
     def test_implicit_euler_curve_against_dense_powers(self):
-        # growth_estimate is the tail slope of the implicit-Euler power norms
+        # the gain fit lifts N over the implicit-Euler power norms
         rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30)
         model = rs.system.perturbed
         e = step_matrix(model, 0.1, "implicit_euler")
         norms = [ps.induced_operator_norm(np.linalg.matrix_power(e, k), model.space) for k in range(21)]
-        ref = tail_slope(np.arange(21) * 0.1, np.array(norms))
-        assert growth_estimate(model, window=2.0, steps=20) == pytest.approx(ref, abs=1e-10)
+        curve, _, _ = norm_curves(model, step_operator(model, 0.1), "implicit_euler", 20)
+        np.testing.assert_allclose(curve, norms, rtol=1e-12)
 
     def test_exponential_gate_reads_structure(self, monkeypatch):
         # expm of a Metzler generator may carry roundoff of either sign; the
@@ -356,72 +352,6 @@ class TestNormCurves:
         model = rs.system.perturbed
         self.check(model, method, 0.1, (rng.random(30), rs.boundary_input.column))
         self.check(model, method, 0.1, (rng.standard_normal(30),))
-
-
-class TestGrowthEstimate:
-    def test_sits_at_or_above_spectral_bound(self, toy):
-        _, model, _ = toy
-        est = growth_estimate(model)
-        assert est >= ps.spectral_bound(model) - 0.05
-
-    def test_tracks_decay_for_normal_matrix(self):
-        space = ps.GridSpace(length=3.0, cells=3)
-        model = ps.GeneratorModel.from_matrix(space, np.diag([-1.0, -2.0, -3.0]))
-        assert growth_estimate(model, method="exact_exponential") == pytest.approx(-1.0, abs=1e-3)
-
-    def test_implicit_euler_rate_for_normal_matrix(self):
-        # ||E^k|| = (1 + dt)^-k for E = (I - dt A)^-1, A = diag(-1, -2, -3)
-        space = ps.GridSpace(length=3.0, cells=3)
-        model = ps.GeneratorModel.from_matrix(space, np.diag([-1.0, -2.0, -3.0]))
-        dt = decay_horizon(-1.0) / FIT_STEPS
-        assert growth_estimate(model) == pytest.approx(-np.log1p(dt) / dt, abs=1e-12)
-
-    def test_window_override(self, toy):
-        _, model, _ = toy
-        est = growth_estimate(model, window=4.0)
-        assert np.isfinite(est)
-
-    def test_tail_half_is_chosen_by_index(self):
-        # 400 (w / 800) lands on either side of w / 2 by roundoff; windows
-        # 1e-12 apart must fit the same points
-        model = ps.renewal_scenario(1.0, 0.25, length=20.0, cells=60).system.perturbed
-        s = ps.spectral_bound(model)
-        windows = [decay_horizon(s * (1.0 + k * 1e-12)) for k in range(-3, 4)]
-        assert any(400 * (w / FIT_STEPS) < w / 2 for w in windows)
-        assert any(400 * (w / FIT_STEPS) >= w / 2 for w in windows)
-        rates = [growth_estimate(model, window=w) for w in windows]
-        np.testing.assert_allclose(rates, rates[3], rtol=1e-9)
-
-    @pytest.mark.parametrize("q", [100.0, 1000.0])
-    def test_fast_decay_is_fitted_above_the_floor(self, q):
-        # exp(-q t) falls under NORM_FLOOR inside the 10-unit window; the fit
-        # stops there instead of fitting the floor
-        rs = ps.renewal_scenario(q, 0.5, length=20.0, cells=60)
-        est = growth_estimate(rs.generator, method="exact_exponential")
-        assert est == pytest.approx(-q, rel=1e-2)
-        s = ps.spectral_bound(rs.system.perturbed)
-        est = growth_estimate(rs.system.perturbed, method="exact_exponential")
-        assert est == pytest.approx(s, rel=1e-2)
-
-
-class TestTailSlope:
-    def test_cut_before_the_floor(self):
-        times = np.arange(801) * 0.0125
-        norms = 3.0 * np.exp(-1000.0 * times)
-        assert np.min(norms) == 0.0
-        assert tail_slope(times, norms) == pytest.approx(-1000.0, rel=1e-12)
-
-    def test_curve_above_the_floor_fits_its_tail_half(self):
-        times = np.arange(9) * 0.5
-        norms = np.exp(-times) * (1.0 + 0.1 * np.sin(7.0 * times))
-        ref = np.polyfit(times[4:], np.log(norms[4:]), 1)[0]
-        assert tail_slope(times, norms) == ref
-
-    def test_two_points_are_fitted_one_is_refused(self):
-        times = np.arange(5) * 1.0
-        assert tail_slope(times, np.array([1.0, 0.5, 0.0, 0.0, 0.0])) == pytest.approx(-np.log(2.0))
-        with pytest.raises(ValueError):
-            tail_slope(times, np.array([1.0, 1e-301, 0.0, 0.0, 0.0]))
 
 
 class TestLeftInvertibility:
