@@ -4,7 +4,9 @@ The continuous model is f' = -df/dx - q(x) f on [0, L] with one of three
 inflow rules at x = 0; the upwind finite-volume truncation turns it into a
 Metzler matrix acting on grid vectors.  Everything downstream (resolvent
 positivity, spectral bounds, inverse estimates) is phrased against the
-matrix, so custom generators can be wrapped with `GeneratorModel.from_matrix`.
+matrix, so custom Metzler generators can be wrapped with
+`GeneratorModel.from_matrix`; a matrix with a negative entry off the
+diagonal is refused there.
 The upwind generators are stored as bordered-bidiagonal bands; their dense
 matrix is built only where a dense routine asks for it.
 """
@@ -23,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import EigensolverError, SingularSystemError
-from .lattice import POSITIVITY_TOL, GridSpace, GridVector, _readonly
+from .lattice import GridSpace, GridVector, _readonly
 
 # pivots and Sherman-Morrison denominators at or below this, relative to the
 # terms they are formed from, are singular
@@ -169,8 +171,10 @@ class GeneratorModel:
     when it has them, are detected once here; other matrices leave `bands`
     None.
     `absorption` keeps the cell-wise rates q_j when the matrix came from the
-    upwind builder; custom matrices leave it None.  `metzler` is recomputed
-    from the entries, never trusted from the caller.
+    upwind builder; custom matrices leave it None.
+    The generator must be Metzler: a negative entry off the diagonal is
+    refused with ValueError naming it, so every model is the generator of a
+    positive semigroup and no audit needs a route off the cone.
     """
 
     def __init__(
@@ -206,6 +210,9 @@ class GeneratorModel:
         # guards the dense view and the step store when threads share a model
         self._lock = threading.RLock()
         self._store: OrderedDict = OrderedDict()
+        low, i, j = self.off_diagonal_min()
+        if low < 0:
+            raise ValueError(f"generator is not Metzler: A[{i}, {j}] = {low!r}")
 
     @classmethod
     def from_matrix(cls, space: GridSpace, matrix, boundary: str = "custom") -> "GeneratorModel":
@@ -252,17 +259,18 @@ class GeneratorModel:
                 self._store.popitem(last=False)
             return value
 
-    def off_diagonal_min(self) -> float:
-        """Smallest off-diagonal entry (inf for one cell); A is Metzler
-        exactly when it is >= 0."""
-        if self.bands is not None:
-            off = np.concatenate((self.bands.sub, self.bands.row0[1:]))
-            return float(np.min(off)) if len(off) else math.inf
-        return float(np.min(self.matrix - np.diag(np.diag(self.matrix))))
-
-    @property
-    def metzler(self) -> bool:
-        return self.off_diagonal_min() >= -POSITIVITY_TOL
+    def off_diagonal_min(self) -> tuple[float, int, int]:
+        """Smallest off-diagonal entry and its (i, j); A is Metzler exactly
+        when it is >= 0.  One cell has none and gives inf."""
+        b = self.bands
+        if b is None:
+            off = self.matrix - np.diag(np.diag(self.matrix))
+            i, j = np.unravel_index(np.argmin(off), off.shape)
+            return float(off[i, j]), int(i), int(j)
+        # off[k] is A[k, k - 1] for 0 < k < n and A[0, k - n + 1] from n on
+        off = np.concatenate(([math.inf], b.sub, b.row0[1:]))
+        k = int(np.argmin(off))
+        return float(off[k]), *((k, k - 1) if k < b.cells else (0, k - b.cells + 1))
 
     @property
     def cells(self) -> int:
@@ -410,9 +418,6 @@ class ShiftedInverse:
     tbtrs comes from `_lapack_tbtrs`, which loads one LAPACK extension
     module and not scipy.linalg; `import possys` and the scenario builds
     never solve, so they load numpy alone.
-    `nonnegative` certifies the inverse >= 0 from structure: T has a
-    positive diagonal and a nonpositive subdiagonal (so T^{-1} >= 0), r >= 0
-    and the denominator is positive.
     """
 
     def __init__(self, bands: BorderedBidiagonal, sigma: float, tau: float):
@@ -444,9 +449,6 @@ class ShiftedInverse:
         self._denom = 1.0 - rg
         _check_pivots(self._denom, 1.0 + abs(rg), f"{what} (Sherman-Morrison denominator)")
         self._p = self._tbtrs(self._upper, self._r, uplo="U")[0]
-        self.nonnegative = bool(
-            np.all(diag > 0) and np.all(sub <= 0) and np.all(self._r >= 0) and self._denom > 0
-        )
         # probe: tau (sigma I - tau A)^{-1} 1 = R(sigma / tau, A) 1, checked in
         # O(n) on the bands
         ones = np.ones(n)
@@ -540,13 +542,13 @@ def spectral_bound(model: GeneratorModel) -> float:
     """max Re(spectrum).
 
     Triangular matrices read it off the diagonal (exact for the zero-inflow
-    upwind generator).  Metzler matrices with bands take the characteristic
-    root (`_characteristic_root`), O(n) per evaluation and no dense view;
-    everything else takes a dense eigensolve.
+    upwind generator).  Matrices with bands take the characteristic root
+    (`_characteristic_root`), O(n) per evaluation and no dense view; matrices
+    without bands take a dense eigensolve.
     """
     if _triangular(model):
         return float(np.max(model.bands.diag if model.bands is not None else np.diag(model.matrix)))
-    if model.bands is not None and model.off_diagonal_min() >= 0:
+    if model.bands is not None:
         return _characteristic_root(model.bands)[0]
     try:
         ev = np.linalg.eigvals(model.matrix)
@@ -636,13 +638,13 @@ def _characteristic_root(bands: BorderedBidiagonal) -> tuple[float, Optional[np.
 def perron_mode(model: GeneratorModel) -> tuple[float, np.ndarray]:
     """Rightmost eigenvalue with a nonnegative eigenvector of unit sum.
 
-    Metzler matrices with bands whose s(A) is the characteristic root take
-    its eigenvector g = (s - B)^{-1} e_0 (`_characteristic_root`), O(n) and no
-    dense view.  Everything else, including a reducible banded matrix whose
-    bound is a diagonal entry off the feedback loop, takes a dense
-    eigensolve.
+    Matrices with bands whose s(A) is the characteristic root take its
+    eigenvector g = (s - B)^{-1} e_0 (`_characteristic_root`), O(n) and no
+    dense view.  Everything else, a matrix without bands or a reducible
+    banded matrix whose bound is a diagonal entry off the feedback loop,
+    takes a dense eigensolve.
     """
-    if model.bands is not None and model.off_diagonal_min() >= 0:
+    if model.bands is not None:
         rate, vec = _characteristic_root(model.bands)
         if vec is not None:
             return rate, vec
@@ -653,49 +655,29 @@ def perron_mode(model: GeneratorModel) -> tuple[float, np.ndarray]:
     return float(ev[i].real), v / total if total else v
 
 
-def check_resolvent_positive(model: GeneratorModel, lambda_grid, tol: float = POSITIVITY_TOL) -> np.ndarray:
+def check_resolvent_positive(model: GeneratorModel, lambda_grid) -> np.ndarray:
     """Entrywise nonnegativity of (lam I - A)^{-1} for each lam in the grid.
 
-    Metzler A with bands is certified from structure, with no solve: with
-    lam I - A = T - e_0 c^T (`_characteristic_root`), the pivots lam - diag
-    are positive, c >= 0, and 1 - phi(lam) > 0 is read as log phi(lam) < 0
-    (`_log_phi`), which does not overflow where T^{-1} does.  That holds
-    exactly when lam > s(A), as a Z-matrix with a nonnegative inverse is an
-    M-matrix.  Other matrices are read off the smallest entry of
-    `resolvent_matrix`; a lam whose solve is refused cannot be certified and
-    is reported False.
+    For the Metzler A of every model, lam I - A is a Z-matrix, whose inverse
+    is nonnegative exactly when it is an M-matrix, that is when lam > s(A)
+    (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    1994, ch. 6).  No resolvent is formed; bands read s(A) off their
+    characteristic root (`spectral_bound`).
     """
-    bands = model.bands
-    certified = bands is not None and model.off_diagonal_min() >= 0
-    if certified:
-        loop = np.flatnonzero(bands.row0[1:]) + 1
-        diag_max = np.max(bands.diag)
-    flags = []
-    for lam in np.atleast_1d(np.asarray(lambda_grid, dtype=float)):
-        if certified:
-            flags.append(lam > diag_max and (not len(loop) or _log_phi(bands, loop, lam)[0] < 0.0))
-            continue
-        try:
-            flags.append(np.min(resolvent_matrix(model, float(lam))) >= -tol)
-        except SingularSystemError:
-            flags.append(False)
-    return np.array(flags, dtype=bool)
+    return np.atleast_1d(np.asarray(lambda_grid, dtype=float)) > spectral_bound(model)
 
 
 def inverse_estimate_constant(model: GeneratorModel, lambda0: float) -> float:
     """Largest c with ||R(lambda0, A) x|| >= c ||x|| for x in the cone.
 
-    Only defined when the resolvent is entrywise nonnegative; then the bound
-    is attained on a basis direction, so c is the smallest weighted column
-    score (w^T R e_j) / w_j, read off one adjoint solve R^T w.
+    Defined for lambda0 > s(A), where R(lambda0, A) >= 0 (see
+    `check_resolvent_positive`); the bound is then attained on a basis
+    direction, so c is the smallest weighted column score (w^T R e_j) / w_j,
+    read off one adjoint solve R^T w.
     """
     s = spectral_bound(model)
     if lambda0 <= s:
         raise ValueError(f"lambda0 = {lambda0} must exceed the spectral bound {s}")
-    if not check_resolvent_positive(model, lambda0)[0]:
-        raise ValueError(
-            f"resolvent at lambda0 = {lambda0} is not entrywise nonnegative"
-        )
     w = model.space.weights
     return float(np.min((shifted_inverse(model, lambda0, 1.0).T @ w) / w))
 

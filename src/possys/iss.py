@@ -13,9 +13,9 @@ triangle inequality gives ||z_k|| <= ||E^k|| ||x0|| + max_m ||E^m F|| / dt
 over the worst unit-norm pairs, a basis state and a one-step pulse, so
 every pair (x, u) on the grid, signed or not, obeys the envelope by
 construction.  What is validated is the norm curves they are read from: one
-forward trajectory of the pair x0 = 1, u = 1 matches them, exactly on a
-nonnegative step with F >= 0, where the norm is additive on the cone, and
-as an upper bound elsewhere.
+forward trajectory of the pair x0 = 1, u = 1 matches them exactly.  A_S is
+Metzler and s(A_S) < 0, so E >= 0, and the injection column b >= 0 (a
+signed one is refused), so F >= 0: the norm is additive on the cone.
 """
 from __future__ import annotations
 
@@ -31,10 +31,8 @@ from .generators import RESIDUAL_TOL, perron_mode, spectral_bound
 from .lattice import weighted_l1
 from .perturbation import PerturbedSystem, small_gain_radius
 from .semigroup import (
-    DEFAULT_METHOD,
     FIT_STEPS,
     NORM_FLOOR,
-    _nonnegative,
     decay_horizon,
     grid_steps,
     norm_curves,
@@ -101,15 +99,17 @@ def iss_gain_fit(
     The horizon defaults to `decay_horizon(s(A_S))` on FIT_STEPS steps.
     mu = log1p(-dt s(A_S)) / dt, the decay rate of the implicit-Euler step
     E: every eigenvalue lambda of A_S has |1 - dt lambda| >= 1 - dt s(A_S),
-    so mu never exceeds the step's spectral rate, and for Metzler A_S,
-    where s(A_S) is an eigenvalue, ||E^k|| >= rho(E)^k = exp(-mu t_k): no
+    so mu never exceeds the step's spectral rate, and A_S is Metzler, so
+    s(A_S) is an eigenvalue and ||E^k|| >= rho(E)^k = exp(-mu t_k): no
     envelope with a larger mu holds at every k.  A loop with s(A_S) >= 0 is
     refused with GainValidationError.  N = max_k ||E^k|| exp(mu t_k) over
     the grid points whose norm is above NORM_FLOOR, and G = max(max_k
     ||E^k b||, max_m ||E^m F|| / dt) with F the per-step input operator.
     These are the sups over the extremal pairs, a unit basis state and a
     one-step unit pulse, so by the triangle inequality every pair on the
-    grid obeys the envelope.  The fit is for the L1 input norm.
+    grid obeys the envelope.  The fit is for the L1 input norm, and for an
+    injection column b >= 0: one with a negative entry is refused with
+    ValueError.
 
     One `norm_curves` call serves the fit and its validation
     (`_cross_check`), which matches the curves against one forward
@@ -117,6 +117,9 @@ def iss_gain_fit(
     """
     model = system.perturbed
     col = _as_column(b, model.space)
+    if np.min(col) < 0:
+        j = int(np.argmin(col))
+        raise ValueError(f"injection column is not nonnegative: b[{j}] = {float(col[j])!r}")
     s = spectral_bound(model)
     # log1p(-dt s) is -inf or nan once dt s >= 1
     if not s < 0:
@@ -130,28 +133,25 @@ def iss_gain_fit(
     e, f = step_input_operators(model, col, dt)
 
     x0 = np.ones(model.cells)
-    op_norms, _, (imp_norms, inj_norms, free) = norm_curves(model, e, DEFAULT_METHOD, steps, (f, col, x0))
+    op_norms, _, (imp_norms, inj_norms, free) = norm_curves(model, e, steps, (f, col, x0))
     times = np.arange(steps + 1) * dt
     # lift over the curve above the floor; beyond it exp(mu t) may overflow
     above = op_norms > NORM_FLOOR
     amplitude = float(np.max(op_norms[above] * np.exp(mu * times[above])))
     gain = float(max(np.max(inj_norms), np.max(imp_norms[:-1]) / dt))
 
-    cone = _nonnegative(model, e, DEFAULT_METHOD) and bool(np.all(f >= 0))
-    _cross_check(model, e, f, imp_norms, free, times, cone)
+    _cross_check(model, e, f, imp_norms, free, times)
     return amplitude, mu, gain
 
 
-def _cross_check(model, e, f, impulse, free, times, cone):
+def _cross_check(model, e, f, impulse, free, times):
     """Match the fit's norm curves c_k = ||E^k F|| and ||E^k x0||, x0 = 1,
     against one forward trajectory of the pair x0 = 1, u = 1.
 
-    That pair has z_k = E^k x0 + sum_{j<k} E^{k-1-j} F, so by the triangle
-    inequality ||z_k|| <= ||E^k x0|| + c_0 + ... + c_{k-1}; on the cone
-    (`cone`: E >= 0 and F >= 0) the norm is additive and the two are equal.
-    A forward trajectory above the bound, or off it on the cone, by more
-    than RESIDUAL_TOL relative raises GainValidationError at the first such
-    time.
+    That pair has z_k = E^k x0 + sum_{j<k} E^{k-1-j} F >= 0 for E >= 0 and
+    F >= 0, where the norm is additive, so ||z_k|| = ||E^k x0|| + c_0 + ...
+    + c_{k-1}.  A forward trajectory off that sum by more than RESIDUAL_TOL
+    relative raises GainValidationError at the first such time.
     """
     steps = len(times) - 1
     total = free.copy()
@@ -162,7 +162,7 @@ def _cross_check(model, e, f, impulse, free, times, cone):
     )
     # norms underflowed below NORM_FLOOR are compared in absolute terms
     off = (stepped - total) / np.maximum(np.maximum(stepped, total), NORM_FLOOR)
-    bad = np.flatnonzero((np.abs(off) if cone else off) > RESIDUAL_TOL)
+    bad = np.flatnonzero(np.abs(off) > RESIDUAL_TOL)
     if len(bad):
         k = int(bad[0])
         raise GainValidationError(

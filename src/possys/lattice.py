@@ -118,12 +118,6 @@ def is_positive(f: GridVector, tol: float = POSITIVITY_TOL) -> bool:
     return bool(np.min(f.values) >= -tol)
 
 
-def weighted_column_sums(matrix: np.ndarray, space: GridSpace) -> np.ndarray:
-    """||M e_j|| / ||e_j|| for every column j: (sum_i w_i |M_ij|) / w_j."""
-    w = space.weights
-    return (w @ np.abs(matrix)) / w
-
-
 def induced_operator_norm(matrix: np.ndarray, space: GridSpace) -> float:
     """Operator norm induced by the weighted l1 norm.
 
@@ -131,4 +125,5 @@ def induced_operator_norm(matrix: np.ndarray, space: GridSpace) -> float:
     max_j (sum_i w_i |M_ij|) / w_j.  Uniform weights reduce it to the plain
     l1 matrix norm.
     """
-    return float(np.max(weighted_column_sums(matrix, space)))
+    w = space.weights
+    return float(np.max((w @ np.abs(matrix)) / w))

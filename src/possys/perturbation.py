@@ -8,12 +8,13 @@ stability is the spectral radius of K = R(0, A) P, which for this rank-one
 structure collapses to the scalar sum_j beta_j h d0_j.  The same factors
 give the order relations of `domination_check` in O(n): R(lam, A) -
 R(lam, A_S) = -(R(lam, A_S) b)(R(lam, A)^T beta h)^T, and T(t) <= S(t)
-follows from A Metzler and P >= 0 alone.
+follows from A Metzler and P >= 0 alone.  Both are the paper's setting:
+`GeneratorModel` refuses a generator that is not Metzler, and negative
+feedback rates, like a matrix P with a negative entry, are refused here.
 """
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +28,7 @@ from .generators import (
     shifted_inverse,
     spectral_bound,
 )
-from .lattice import POSITIVITY_TOL, GridSpace, GridVector, _readonly, weighted_l1
+from .lattice import GridSpace, GridVector, _readonly, weighted_l1
 from .semigroup import grid_steps, step_matrix
 
 
@@ -169,8 +170,9 @@ class PerturbedSystem:
         p = np.asarray(perturbation, dtype=float)
         if p.shape != (base.cells, base.cells):
             raise ValueError("perturbation shape does not match the generator")
-        if np.min(p) < -POSITIVITY_TOL:
-            warnings.warn("perturbation has negative entries; positivity audits will flag it")
+        if np.min(p) < 0:
+            i, j = np.unravel_index(np.argmin(p), p.shape)
+            raise ValueError(f"perturbation is not nonnegative: P[{i}, {j}] = {float(p[i, j])!r}")
         perturbed = GeneratorModel(
             space=base.space, matrix=base.matrix + p, boundary="custom",
             absorption=base.absorption,
@@ -194,7 +196,7 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
     if not np.all(np.isfinite(beta)):
         raise ValueError("feedback profile must be finite")
     if np.min(beta) < 0:
-        warnings.warn("negative feedback rates leave the positive cone; audits will flag it")
+        raise ValueError("feedback rates must be nonnegative")
     h = model.space.spacing
     w = beta * h
 
@@ -224,8 +226,9 @@ def small_gain_radius(system: PerturbedSystem) -> float:
 class DominationReport:
     """Entrywise comparison T(t) <= S(t) and R(lam, A) <= R(lam, A_S).
 
-    `exponential_certified`: T(t) <= S(t) was read off the structure
-    (`exponential_domination_certified`) rather than compared at each t."""
+    `exponential_violations` is always empty: T(t) <= S(t) for every t >= 0
+    follows from A Metzler and P >= 0 (see `domination_check`); the field
+    keeps the report's shape beside `resolvent_violations`."""
 
     ok: bool
     spectral_ok: bool
@@ -233,18 +236,6 @@ class DominationReport:
     s_perturbed: float
     exponential_violations: tuple
     resolvent_violations: tuple
-    exponential_certified: bool
-
-
-def exponential_domination_certified(system: PerturbedSystem) -> bool:
-    """True when T(t) <= S(t) for every t >= 0 follows from structure: A
-    Metzler and P >= 0.
-
-    By the Trotter product formula S(t) = lim_k (e^{tA/k} e^{tP/k})^k with
-    e^{tA/k} >= 0 (A Metzler) and e^{tP/k} >= I (P >= 0), so each factor
-    dominates e^{tA/k} and the limit dominates T(t) = (e^{tA/k})^k.
-    """
-    return system.base.off_diagonal_min() >= 0 and system.perturbation_min() >= 0
 
 
 def resolvent_gap_factors(system: PerturbedSystem, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -281,12 +272,15 @@ def domination_check(
 ) -> DominationReport:
     """Check the order relations a nonnegative perturbation must produce.
 
-    The resolvent half comes from `resolvent_gap_factors`: two O(n) solves
-    per lam on bands, no n x n array.  The exponential half is certified
-    from structure when `exponential_domination_certified` holds; otherwise
-    exp(tA) - exp(tA_S) is compared densely at each t.
+    A P with a negative entry is refused with ValueError.  The resolvent
+    half comes from `resolvent_gap_factors`: two O(n) solves per lam on
+    bands, no n x n array.  The exponential half holds at every t, so
+    `t_grid` is not read: by the Trotter product formula
+    S(t) = lim_k (e^{tA/k} e^{tP/k})^k with e^{tA/k} >= 0 (A Metzler) and
+    e^{tP/k} >= I (P >= 0), so each factor dominates e^{tA/k} and the limit
+    dominates T(t) = (e^{tA/k})^k.
     """
-    if system.perturbation_min() < -POSITIVITY_TOL:
+    if system.perturbation_min() < 0:
         raise ValueError("domination requires a nonnegative perturbation")
     s_base = spectral_bound(system.base)
     s_pert = spectral_bound(system.perturbed)
@@ -294,13 +288,6 @@ def domination_check(
     for lam in lams:
         if lam <= s_pert:
             raise ValueError(f"lambda = {lam} is not above s(A_S) = {s_pert}")
-    certified = exponential_domination_certified(system)
-    exp_bad = []
-    if not certified:
-        for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
-            worst, i, j = _max_entry(step_matrix(system.base, t) - step_matrix(system.perturbed, t))
-            if worst > tol:
-                exp_bad.append((float(t), i, j, worst))
     res_bad = []
     for lam in lams:
         worst, i, j = _resolvent_gap_max(system, float(lam))
@@ -308,13 +295,12 @@ def domination_check(
             res_bad.append((float(lam), i, j, worst))
     spectral_ok = s_base <= s_pert + 1e-12
     return DominationReport(
-        ok=not exp_bad and not res_bad and spectral_ok,
+        ok=not res_bad and spectral_ok,
         spectral_ok=spectral_ok,
         s_base=s_base,
         s_perturbed=s_pert,
-        exponential_violations=tuple(exp_bad),
+        exponential_violations=(),
         resolvent_violations=tuple(res_bad),
-        exponential_certified=certified,
     )
 
 

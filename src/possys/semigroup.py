@@ -6,13 +6,14 @@ kept as an explicit choice and as the stepper of `left_invertibility_audit`.
 Every preset generator is lower bidiagonal except row 0, and for those
 implicit Euler is a bidiagonal solve plus a rank-one correction
 (`generators.ShiftedInverse`), O(n) per step; other matrices take a dense
-inverse.  On Metzler bands the exponential is a uniformization sum of band
-products (`BandExponential`), O(n) per term; other matrices take the dense
+inverse.  On bands the exponential is a uniformization sum of band products
+(`BandExponential`), O(n) per term; matrices without bands take the dense
 scaling-and-squaring `expm` of `step_matrix`, which is also the reference of
-the tests, `variation_of_constants_check` and `domination_check` on a base
-generator that is not Metzler.  Operator norms along a trajectory use the
-adjoint trick: for an entrywise-nonnegative step the weighted column sums
-evolve under E^T, so the norm curve and the cone lower bound cost K adjoint
+the tests and of `variation_of_constants_check`.  Every generator is
+Metzler (`GeneratorModel` refuses any other), so both steps are
+entrywise nonnegative wherever the audits take them, and operator norms
+along a trajectory use the adjoint trick: the weighted column sums evolve
+under E^T, so the norm curve and the cone lower bound cost K adjoint
 applications (`norm_curves`).  The growth bound is not fitted to
 ||E^k||: in finite dimension it is s(A), which `generators.spectral_bound`
 computes.  The gain fit's grid is `FIT_STEPS` steps over `decay_horizon`.
@@ -34,7 +35,7 @@ from .generators import (
     _dense_inverse,
     shifted_inverse,
 )
-from .lattice import GridSpace, GridVector, weighted_column_sums
+from .lattice import GridSpace, GridVector
 
 METHODS = ("exact_exponential", "implicit_euler")
 # the stepper of every time-stepping default, at every grid size
@@ -221,63 +222,46 @@ Step = Union[np.ndarray, ShiftedInverse, BandExponential]
 def step_operator(model: GeneratorModel, dt: float, method: str = DEFAULT_METHOD) -> Step:
     """One-step propagator for time stepping: implicit Euler is
     `shifted_inverse(model, 1, dt)`, O(n) per column on the presets' bands;
-    the exact exponential is a `BandExponential` on Metzler bands, O(n) per
-    term, and `step_matrix` otherwise."""
+    the exact exponential is a `BandExponential` on bands, O(n) per term,
+    and `step_matrix` otherwise."""
     if method == "implicit_euler":
         return shifted_inverse(model, 1.0, dt)
-    if method == "exact_exponential" and model.bands is not None and model.off_diagonal_min() >= 0:
+    if method == "exact_exponential" and model.bands is not None:
         return BandExponential(model.bands, dt)
     return step_matrix(model, dt, method)
 
 
-def _nonnegative(model: GeneratorModel, e: Step, method: str) -> bool:
-    """Entrywise nonnegativity of a step of `model`, from structure where
-    there is one: a ShiftedInverse carries its certificate, and exp(dt A) >= 0
-    exactly when A is Metzler, whatever signs roundoff leaves in expm's
-    output.  A dense implicit-Euler inverse is read off its smallest entry."""
-    if isinstance(e, ShiftedInverse):
-        return e.nonnegative
-    if method == "exact_exponential":
-        return model.off_diagonal_min() >= 0
-    return bool(np.min(e) >= 0)
-
-
-def norm_curves(
-    model: GeneratorModel, e: Step, method: str, steps: int, vectors=()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def norm_curves(model: GeneratorModel, e: Step, steps: int, vectors=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """||E^k||, min_j ||E^k e_j|| / ||e_j|| and, as row i of a third array,
     ||E^k v_i|| for the vectors v_i (a sequence, or the rows of an array),
-    k = 0..steps, in the weighted l1 norm of the model's grid; E is a
-    `method` step of it.  The first two are the largest and the smallest
-    weighted column sum of E^k; for E >= 0 the norm is linear on the cone,
-    so the smallest is the cone lower bound min ||E^k x|| / ||x||, x >= 0.
+    k = 0..steps, in the weighted l1 norm of the model's grid, for a step
+    E >= 0 of the model and vectors v_i >= 0; a vector with a negative entry
+    is refused with ValueError.  E >= 0 is not checked here: both callers
+    step a Metzler generator where its steps are nonnegative, the gain fit
+    by implicit Euler at s(A_S) < 0 and left invertibility by the exact
+    exponential.
 
-    A nonnegative E with nonnegative vectors rides the adjoint recursion
+    The first two are the largest and the smallest weighted column sum of
+    E^k; on the cone the norm is linear, so the smallest is the cone lower
+    bound min ||E^k x|| / ||x||, x >= 0.  They ride the adjoint recursion
     y <- E^T y from the weights: the column sums are y / w and
     ||E^k v|| = y . v, `steps` adjoint applications and one product with
-    the vectors per step.  Anything signed accumulates the powers E^k.
+    the vectors per step.
     """
     w = model.space.weights
     vecs = np.asarray(vectors, dtype=float).reshape(-1, model.cells)
+    if not np.all(vecs >= 0):
+        raise ValueError("norm curves are taken on the cone: a vector has a negative entry")
     op = np.empty(steps + 1)
     low = np.empty(steps + 1)
     curves = np.empty((len(vecs), steps + 1))
-    if _nonnegative(model, e, method) and np.all(vecs >= 0):
-        y = w.copy()
-        for k in range(steps + 1):
-            if k:
-                y = e.T @ y
-            sums = y / w
-            op[k], low[k] = np.max(sums), np.min(sums)
-            curves[:, k] = vecs @ y
-        return op, low, curves
-    m = np.eye(model.cells)
+    y = w.copy()
     for k in range(steps + 1):
         if k:
-            m = e @ m
-        sums = weighted_column_sums(m, model.space)
+            y = e.T @ y
+        sums = y / w
         op[k], low[k] = np.max(sums), np.min(sums)
-        curves[:, k] = model.space.spacing * np.sum(np.abs(m @ vecs.T), axis=0)
+        curves[:, k] = vecs @ y
     return op, low, curves
 
 
@@ -313,7 +297,7 @@ class LeftInvertibilityAudit:
     """Lower norm estimate of T(t) on the positive cone.
 
     `lower_bounds[k]` is min_j ||T(t_k) e_j|| / ||e_j||, the smallest ratio
-    ||T(t_k) x|| / ||x|| over x >= 0 when A is Metzler; `holds` means all of
+    ||T(t_k) x|| / ||x|| over x >= 0; `holds` means all of
     them exceed ZERO_TOL; (amplitude, rate) fit lower_bounds[k] >=
     amplitude * exp(-rate * t_k) on the grid.
     """
@@ -328,13 +312,11 @@ class LeftInvertibilityAudit:
 def left_invertibility_audit(model: GeneratorModel, t_grid) -> LeftInvertibilityAudit:
     """Probe how far T(t) is from annihilating states of the positive cone.
 
-    For Metzler A, ||T(t)x|| = <T(t)* w, x> is linear on the cone, so its
+    A is Metzler, so ||T(t)x|| = <T(t)* w, x> is linear on the cone and its
     minimum over unit x >= 0 sits at a basis vector: the lower bounds are
     the smallest weighted column sums of `norm_curves`, read off its adjoint
     recursion: O(n) per uniformization term on bands, O(n^2) per step after
-    one dense `expm` otherwise.  A generator that is
-    not Metzler takes the matrix powers, and its basis minimum only bounds
-    the cone minimum from above.  Steps with the exact exponential: implicit
+    one dense `expm` otherwise.  Steps with the exact exponential: implicit
     Euler damps the outflow mode by (1 + dt a)^-k instead of exp(-a k dt),
     which can keep a ratio that the semigroup sends under ZERO_TOL above it.
     """
@@ -343,7 +325,7 @@ def left_invertibility_audit(model: GeneratorModel, t_grid) -> LeftInvertibility
     if dt is None or t_grid[0] != 0.0:
         raise ValueError("left-invertibility audit needs a uniform grid starting at 0")
     e = step_operator(model, dt, "exact_exponential")
-    _, lower, _ = norm_curves(model, e, "exact_exponential", len(t_grid) - 1)
+    _, lower, _ = norm_curves(model, e, len(t_grid) - 1)
 
     holds = bool(np.all(lower > ZERO_TOL))
     if holds:

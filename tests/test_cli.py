@@ -45,6 +45,24 @@ def run_cli(*args):
     return run_python("-m", "possys.cli", *args)
 
 
+# scenario values that are not the numbers they stand for, and the error naming each
+NOT_NUMBERS = [
+    ({"q": True}, "scenario.q must be a finite number, got true"),
+    ({"q": "1"}, 'scenario.q must be a finite number, got "1"'),
+    ({"q": [1.0, 2.0]}, "scenario.q needs 30 values, got 2"),
+    ({"beta": [0.5] * 29 + [None]}, "scenario.beta[29] must be a finite number, got null"),
+    ({"length": "2"}, 'scenario.length must be a positive finite number, got "2"'),
+    ({"kind": "ring_transport", "a": "2"}, 'scenario.a must be a finite number, got "2"'),
+    ({"kind": "ring_transport", "length": True}, "scenario.length must be a positive finite number, got true"),
+    ({"kind": "explicit", "matrix": [[-1.0, "0"], [0.0, -1.0]]},
+     'scenario.matrix[0][1] must be a finite number, got "0"'),
+    ({"kind": "explicit", "matrix": [[-1.0, 0.0], [0.0, -1.0]], "b": [1.0, True]},
+     "scenario.b[1] must be a finite number, got true"),
+    ({"kind": "explicit", "matrix": [[-1.0, 0.0], [0.0, -1.0]], "b": [1.0, 0.0], "beta": "0.5"},
+     'scenario.beta must be a finite number, got "0.5"'),
+]
+
+
 class TestConfigErrors:
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = cli.main(["audit", "--config", str(tmp_path / "absent.json")])
@@ -111,18 +129,28 @@ class TestConfigErrors:
         assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
 
     def test_overflowing_shifted_solve_warns_nothing(self, tmp_path):
-        # lower bidiagonal, diagonal -2, subdiagonal 1 but A[1, 0] = -1: at
-        # lambda = s(A) + 0.01 the solve T^-1 e_0 grows by 100 per cell and
-        # overflows past cell 154; it is refused as singular, with no numpy
-        # warning
+        # lower bidiagonal, diagonal -2, subdiagonal 1: at lambda0 = s(A) +
+        # 0.01 the solve T^-1 e_0 grows by 100 per cell and overflows past
+        # cell 154; it is refused as singular, with no numpy warning, and
+        # the audit is skipped
         n = 200
         matrix = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), -1)
-        matrix[1, 0] = -1.0
         scenario = {"kind": "explicit", "matrix": matrix.tolist(), "length": float(n), "b": np.eye(n)[0].tolist()}
-        cfg = write_config(tmp_path, scenario=scenario, audits=["inverse_estimate"])
-        proc = run_cli("audit", "--config", cfg, "--out", str(tmp_path / "r.json"))
+        cfg = write_config(tmp_path, scenario=scenario, audits=["inverse_estimate"], lambda0=-1.99)
+        out = tmp_path / "r.json"
+        proc = run_cli("audit", "--config", cfg, "--out", str(out))
         assert proc.returncode == 0
         assert proc.stderr == ""
+        report = json.loads(out.read_text())
+        assert report["skipped"] == [["inverse_estimate", "-1.99 I - 1.0 A is singular: T^-1 e_0 overflows"]]
+        assert report["lambda0"] == -1.99 and report["c"] is None
+
+    def test_refuses_a_generator_that_is_not_metzler(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert cli.main(["audit", "--config", str(DATA / "signed-n40.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: bad scenario parameters: generator is not Metzler: A[5, 20] = -0.3\n"
+        assert not out.exists()
 
     def test_unknown_sweep_param(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -135,6 +163,8 @@ class TestConfigErrors:
         {"alpha": [1]},
         {"seed": True},
         {"seed": -1},
+        # True == 1 in Python: p = true was reported as "p": 1.0
+        {"p": True},
         {"gain_fit": 5},
         {"gain_fit": {"trials": "x"}},
         {"gain_fit": {"trails": 20}},
@@ -157,6 +187,17 @@ class TestConfigErrors:
             assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario, message", NOT_NUMBERS, ids=[m for _, m in NOT_NUMBERS])
+    def test_scenario_numbers_that_are_not_numbers_exit_2(self, tmp_path, capsys, scenario, message):
+        # read through float() or numpy, true and "1" were taken for 1.0
+        doc = {"kind": "renewal", "q": 1.0, "beta": 0.5, "length": 2.0, "cells": 30}
+        if scenario.get("kind", "renewal") != "renewal":
+            doc = {"kind": scenario["kind"]}
+        cfg = write_config(tmp_path, scenario={**doc, **scenario})
+        for command in ("audit", "simulate"):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("entry", ["a", None, [1], True, 1e400], ids=json.dumps)
     def test_bad_initial_state_entry_exits_2_naming_it(self, tmp_path, capsys, entry):
@@ -474,6 +515,26 @@ class TestAudit:
         assert report["N"] is None and report["mu"] is None and report["G"] is None
         assert report["skipped"] == [["gain_fit", "gain fit is implemented for p = 1 only"]]
 
+    def test_gain_fit_skipped_for_a_signed_injection_column(self, tmp_path, capsys):
+        # A_S stays Metzler with b[1] < 0, so the scenario is built and the
+        # other audits report; the fit, an envelope for b >= 0, is skipped
+        n = 6
+        matrix = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), -1)
+        scenario = {
+            "kind": "explicit",
+            "matrix": matrix.tolist(),
+            "b": [1.0, -0.1, 0.0, 0.0, 0.0, 0.0],
+            "beta": [0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+        }
+        cfg = write_config(tmp_path, scenario=scenario, audits=["admissibility", "iss", "gain_fit"])
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["audits_run"] == ["admissibility", "iss"]
+        assert report["skipped"] == [["gain_fit", "gain fit needs a nonnegative injection column, got b[1] = -0.1"]]
+        assert report["verdict"] == "eISS" and report["kappa"] is not None
+        assert report["N"] is None and report["mu"] is None and report["G"] is None
+
     def test_pinf_kappa_is_the_last_kappa_inf(self, tmp_path, capsys):
         # at p = inf kappa(tau) is kappa_inf(tau), read off the same curve
         cfg = write_config(tmp_path, p="inf", audits=["admissibility"])
@@ -552,50 +613,12 @@ class TestAudit:
         out = tmp_path / "report.json"
         assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        # domination is certified from structure on the Metzler preset, at any size
+        # T(t) <= S(t) follows from structure, at any size
         assert report["audits_run"] == ["domination"] and report["domination_ok"] is True
         [(inv, reason)] = report["skipped"]
         assert inv == "inverse_estimate" and reason.startswith("lambda0 = -1000.0 must exceed")
         # the abscissa that was refused is still reported
         assert report["lambda0"] == -1000.0 and report["c"] is None
-
-    def test_non_metzler_domination_skipped_above_500_cells(self, tmp_path, capsys):
-        # a negative subdiagonal entry leaves the exponential half to the
-        # dense comparison, which is limited to 500 cells
-        n = 501
-        a = np.diag(np.full(n, -2.0))
-        a[1, 0] = -1.0
-        b = np.zeros(n)
-        b[0] = 1.0
-        cfg = write_config(
-            tmp_path,
-            scenario={"kind": "explicit", "matrix": a.tolist(), "b": b.tolist(), "beta": 0.5},
-            audits=["domination"],
-        )
-        out = tmp_path / "report.json"
-        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["audits_run"] == [] and report["domination_ok"] is None
-        assert report["skipped"] == [["domination", "dense exponential comparison limited to 500 cells"]]
-
-    @pytest.mark.parametrize("metzler", [False, True])
-    def test_left_invertibility_needs_a_metzler_generator(self, tmp_path, capsys, metzler):
-        # off the cone's linear norm the basis minimum overstates the cone
-        # minimum: 0.342 at t = 1 here, where cone samples reach 0.217
-        matrix = np.array([[-1.0, -0.5, 0.0], [0.3, -2.0, 0.4], [-0.2, 0.6, -1.5]])
-        if metzler:
-            matrix = np.abs(matrix) * np.where(np.eye(3), -1.0, 1.0)
-        cfg = write_config(tmp_path, scenario={"kind": "explicit", "matrix": matrix.tolist()},
-                           audits=["left_invertibility"])
-        out = tmp_path / "report.json"
-        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        if metzler:
-            assert report["audits_run"] == ["left_invertibility"] and report["skipped"] == []
-            assert isinstance(report["left_invertibility"]["holds"], bool)
-        else:
-            assert report["audits_run"] == [] and report["left_invertibility"] is None
-            assert report["skipped"] == [["left_invertibility", "cone lower bound needs a Metzler generator"]]
 
     def test_overflowing_resolvent_bound_is_skipped(self, tmp_path, capsys):
         # at 2000 cells and alpha = -50, T^-1 e_0 of R(lam, A) overflows on
@@ -836,8 +859,14 @@ def test_startup_loads_numpy_alone(tmp_path):
     solve of a matrix without bands loads it.  The CSV formatter and its
     tables load only when simulate writes its rows.  A fresh interpreter,
     since this one has both modules already."""
-    reports = {DATA / "renewal-n60-audit.json"}
-    configs = sorted(set(DATA.glob("*.json")) - reports) + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
+    # signed-n40 is refused: its Metzler twin, A[5, 20] = 0.3, is built instead
+    signed = DATA / "signed-n40.json"
+    doc = json.loads(signed.read_text())
+    doc["scenario"]["matrix"][5][20] = 0.3
+    twin = tmp_path / "metzler-n40.json"
+    twin.write_text(json.dumps(doc))
+    reports = {DATA / "renewal-n60-audit.json", signed}
+    configs = sorted(set(DATA.glob("*.json")) - reports) + [twin] + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
     bench = ROOT / "perfbench" / "configs"
     runs = (bench / "audit-all-n400.json", bench / "simulate-n2000.json")
     proc = run_python("-c", STARTUP, str(tmp_path), *map(str, runs), *map(str, configs))
@@ -939,6 +968,9 @@ class TestKernelLookups:
         cfg = write_config(tmp_path, scenario={"kind": "explicit", "matrix": matrix}, audits=["left_invertibility"])
         assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
         assert calls == ["expm"]
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["audits_run"] == ["left_invertibility"] and report["skipped"] == []
+        assert isinstance(report["left_invertibility"]["holds"], bool)
 
     def test_solve_triangular_in_dense_inverse(self, monkeypatch):
         calls = self.count(monkeypatch, "solve_triangular")

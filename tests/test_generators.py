@@ -19,7 +19,6 @@ class TestUpwindStructure:
     def test_zero_inflow_matrix(self, toy):
         _, model, _ = toy
         np.testing.assert_allclose(model.matrix, [[-2.0, 0.0], [1.0, -2.0]])
-        assert model.metzler
         assert model.boundary == "zero_inflow"
 
     def test_variable_absorption(self):
@@ -54,11 +53,16 @@ class TestUpwindStructure:
             ps.build_upwind_generator(space, 1.0, ps.NonlocalBirth(rates=np.array([0.1, -0.2, 0.0])))
 
     def test_from_matrix_detects_metzler(self):
+        # a negative entry off the diagonal is refused and named, on bands
+        # and on a matrix without them
         space = ps.GridSpace(length=2.0, cells=2)
         m = ps.GeneratorModel.from_matrix(space, np.array([[-1.0, 0.5], [2.0, -3.0]]))
-        assert m.metzler
-        m2 = ps.GeneratorModel.from_matrix(space, np.array([[-1.0, -0.5], [2.0, -3.0]]))
-        assert not m2.metzler
+        assert m.bands is not None
+        with pytest.raises(ValueError, match=r"^generator is not Metzler: A\[0, 1\] = -0\.5$"):
+            ps.GeneratorModel.from_matrix(space, np.array([[-1.0, -0.5], [2.0, -3.0]]))
+        dense = np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [-0.25, 1.0, -1.0]])
+        with pytest.raises(ValueError, match=r"^generator is not Metzler: A\[2, 0\] = -0\.25$"):
+            ps.GeneratorModel.from_matrix(ps.GridSpace(length=3.0, cells=3), dense)
 
 
 class TestResolvent:
@@ -83,14 +87,6 @@ class TestResolvent:
         flags = check_resolvent_positive(model, [-1.0, 0.0, 1.0])
         assert flags.tolist() == [True, True, True]
 
-    def test_signed_matrix_can_lose_positivity(self):
-        space = ps.GridSpace(length=2.0, cells=2)
-        m = ps.GeneratorModel.from_matrix(space, np.array([[-1.0, -2.0], [0.0, -1.0]]))
-        # bands, but not Metzler: the dense entrywise check decides
-        assert m.bands is not None and not m.metzler
-        flags = check_resolvent_positive(m, [0.5])
-        assert not flags[0]
-
 
 class TestSpectralBound:
     def test_triangular_reads_diagonal(self, toy):
@@ -99,9 +95,12 @@ class TestSpectralBound:
 
     def test_dense_fallback_matches_eig(self, rng):
         space = ps.GridSpace(length=1.0, cells=6)
-        a = rng.standard_normal((6, 6))
-        model = ps.GeneratorModel.from_matrix(space, a)
-        assert ps.spectral_bound(model) == pytest.approx(np.max(np.linalg.eigvals(a).real))
+        for _ in range(20):
+            a = np.abs(rng.standard_normal((6, 6)))
+            np.fill_diagonal(a, rng.standard_normal(6))
+            model = ps.GeneratorModel.from_matrix(space, a)
+            assert model.bands is None
+            assert ps.spectral_bound(model) == pytest.approx(np.max(np.linalg.eigvals(a).real))
 
     def test_ring_formula(self):
         # eigenvalues (1/h)(a^{1/n} w_k - 1): rightmost at w_k = 1
@@ -146,9 +145,12 @@ class TestInverseEstimate:
             inverse_estimate_constant(model, -2.5)
 
     def test_needs_positive_resolvent(self):
+        # s(A) = 1: every entry of R(0.5, A) is negative, and lambda0 = 0.5
+        # is refused
         space = ps.GridSpace(length=2.0, cells=2)
-        m = ps.GeneratorModel.from_matrix(space, np.array([[-1.0, -2.0], [0.0, -1.0]]))
-        with pytest.raises(ValueError):
+        m = ps.GeneratorModel.from_matrix(space, np.array([[-1.0, 2.0], [2.0, -1.0]]))
+        assert np.max(resolvent_matrix(m, 0.5)) < 0
+        with pytest.raises(ValueError, match="must exceed the spectral bound"):
             inverse_estimate_constant(m, 0.5)
 
     def test_curve_decreases(self, toy):
@@ -178,22 +180,6 @@ class TestSpectralReport:
         assert ps.spectral_bound(rs.generator) == pytest.approx(-101.0)
 
 
-def test_dense_path_for_signed_matrix():
-    space = ps.GridSpace(length=1.0, cells=3)
-    a = np.array([[-1.0, -2.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.5, -2.0]])
-    model = ps.GeneratorModel.from_matrix(space, a)
-    # not triangular, not Metzler: dense path must still work at small n
-    assert np.isfinite(ps.spectral_bound(model))
-
-
-def test_perron_mode_signed_fallback():
-    space = ps.GridSpace(length=1.0, cells=2)
-    model = ps.GeneratorModel.from_matrix(space, np.array([[-1.0, -0.5], [1.0, -2.0]]))
-    rate, vec = perron_mode(model)
-    assert rate == pytest.approx(np.max(np.linalg.eigvals(model.matrix).real), abs=1e-9)
-    assert vec.shape == (2,)
-
-
 @given(
     n=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -202,8 +188,9 @@ def test_perron_mode_signed_fallback():
 @settings(max_examples=300, deadline=None)
 def test_positivity_certificate_against_dense_entries(n, seed, offset):
     # random Metzler bands, some subdiagonal and feedback entries zero, at
-    # lam on both sides of s(A): the certificate agrees with the sign of the
-    # entries of the dense inverse
+    # lam on both sides of s(A): the closed form lam > s(A), with s(A) from
+    # the characteristic root, agrees with the sign of the entries of the
+    # dense inverse
     rng = np.random.default_rng(seed)
     diag = rng.uniform(-3.0, 1.0, n)
     sub = np.where(rng.random(n - 1) < 0.2, 0.0, rng.uniform(0.0, 3.0, n - 1))
@@ -221,3 +208,27 @@ def test_positivity_certificate_against_dense_entries(n, seed, offset):
     assert check_resolvent_positive(model, [lam])[0] == bool(np.min(r) >= -1e-12 * np.max(np.abs(r)))
     assert check_resolvent_positive(model, [lam])[0] == (offset > 0)
     assert model._dense is None
+
+
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offset=st.sampled_from([-10.0, -1.0, -0.1, -1e-3, 1e-3, 0.1, 1.0, 10.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_positivity_closed_form_against_dense_resolvent(n, seed, offset):
+    # random dense Metzler matrices, some off-diagonal entries zero: for a
+    # Z-matrix lam I - A the inverse is nonnegative exactly when lam > s(A),
+    # which agrees with the smallest entry of the dense resolvent wherever
+    # its solve is not refused
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random((n, n)) < 0.3, 0.0, rng.uniform(0.0, 2.0, (n, n)))
+    np.fill_diagonal(a, rng.uniform(-4.0, 1.0, n))
+    model = ps.GeneratorModel.from_matrix(ps.GridSpace(length=float(n), cells=n), a)
+    s = ps.spectral_bound(model)
+    lam = s + offset * (1.0 + abs(s))
+    try:
+        r = resolvent_matrix(model, lam)
+    except SingularSystemError:
+        return
+    assert check_resolvent_positive(model, [lam])[0] == bool(np.min(r) >= -1e-12) == (offset > 0)

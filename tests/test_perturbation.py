@@ -134,10 +134,17 @@ class TestAssembly:
         direct = ps.build_upwind_generator(space, 1.0, ps.NonlocalBirth(rates=beta))
         np.testing.assert_allclose(system.perturbed.matrix, direct.matrix, atol=1e-12)
 
-    def test_negative_feedback_warns(self, toy):
+    def test_negative_feedback_is_refused(self, toy):
         _, model, b = toy
-        with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match="^feedback rates must be nonnegative$"):
             assemble_perturbed(model, b, -0.5)
+
+    def test_matrix_perturbation_with_a_negative_entry_is_refused(self):
+        # K = P would have eigenvalues +-0.5i; P is no positive perturbation
+        space = ps.GridSpace(length=2.0, cells=2)
+        base = ps.GeneratorModel.from_matrix(space, -np.eye(2))
+        with pytest.raises(ValueError, match=r"^perturbation is not nonnegative: P\[1, 0\] = -0\.5$"):
+            ps.PerturbedSystem.from_matrix(base, np.array([[0.0, 0.5], [-0.5, 0.0]]))
 
 
 class TestSmallGainRadius:
@@ -193,15 +200,6 @@ class TestSmallGainRadius:
             with pytest.raises(SingularSystemError):
                 small_gain_radius(system)
 
-    def test_complex_dominant_pair(self):
-        # K = P has eigenvalues +-0.5i: the iterate of a power iteration
-        # rotates and never settles, the spectral radius is 0.5
-        space = ps.GridSpace(length=2.0, cells=2)
-        base = ps.GeneratorModel.from_matrix(space, -np.eye(2))
-        with pytest.warns(UserWarning, match="negative entries"):
-            system = ps.PerturbedSystem.from_matrix(base, np.array([[0.0, 0.5], [-0.5, 0.0]]))
-        assert abs(small_gain_radius(system) - 0.5) <= 1e-15
-
 
 class TestDeferredLoopGain:
     """`PerturbedSystem.small_gain_radius`: the rank-one scalar, solved on
@@ -255,10 +253,11 @@ class TestDomination:
         assert rep.s_base <= rep.s_perturbed + 1e-12
 
     def test_requires_nonnegative_perturbation(self, toy):
-        _, model, b = toy
-        with pytest.warns(UserWarning):
-            system = assemble_perturbed(model, b, -0.5)
-        with pytest.raises(ValueError):
+        # P[1, 0] = -1e-13 leaves A_S Metzler; the cutoff is strict
+        _, model, _ = toy
+        system = assemble_perturbed(model, np.array([0.0, -1e-13]), np.array([1.0, 0.0]))
+        assert system.perturbation_min() == -1e-13
+        with pytest.raises(ValueError, match="nonnegative perturbation"):
             domination_check(system, (1.0,), np.array([1.0]))
 
     def test_lambda_grid_must_clear_spectrum(self, toy):
@@ -297,7 +296,6 @@ class TestDomination:
 
         rep = domination_check(system, T_GRID, lams)
         exp_bad, res_bad, res_gaps = dense_domination(system, lams)
-        assert rep.exponential_certified
         assert rep.exponential_violations == exp_bad == ()
         assert rep.resolvent_violations == res_bad == ()
         # s is monotone in the Metzler order: s(A) <= s(A + P) for P >= 0
@@ -309,22 +307,6 @@ class TestDomination:
                 np.abs(resolvent_matrix(system.perturbed, lam))
             )
             assert np.max(np.abs(-np.outer(u, v) - dense_gap)) <= 1e-15 * scale
-
-    def test_non_metzler_takes_the_dense_exponential(self):
-        # a negative subdiagonal entry: more mass in cell 0 drains cell 1, so
-        # S(t) < T(t) there and neither order relation holds
-        space = ps.GridSpace(length=3.0, cells=3)
-        a = np.array([[-1.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-        model = ps.GeneratorModel.from_matrix(space, a)
-        system = assemble_perturbed(model, np.array([1.0, 0.0, 0.0]), 0.5)
-        lams = ps.spectral_bound(system.perturbed) + np.array([0.5, 1.0, 2.0, 5.0, 10.0])
-        rep = domination_check(system, T_GRID, lams)
-        exp_bad, res_bad, _ = dense_domination(system, lams)
-        assert not rep.exponential_certified and not rep.ok
-        assert rep.exponential_violations == exp_bad and len(exp_bad) == len(T_GRID)
-        assert [v[:3] for v in rep.resolvent_violations] == [v[:3] for v in res_bad]
-        for got, want in zip(rep.resolvent_violations, res_bad):
-            assert got[3] == pytest.approx(want[3], rel=1e-12)
 
     def test_large_renewal_stays_banded(self, monkeypatch):
         """3000 cells: no expm, no resolvent matrix, no n x n array."""
@@ -341,7 +323,7 @@ class TestDomination:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rep.ok and rep.exponential_certified
+        assert rep.ok and rep.exponential_violations == ()
         for m in (rs.system.base, rs.system.perturbed):
             assert m._dense is None
         assert rs.system._dense is None

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import possys as ps
-from possys import semigroup
 from possys.control import step_input_operators
 from possys.generators import BorderedBidiagonal, ShiftedInverse
 from possys.semigroup import (
@@ -130,9 +129,6 @@ class TestBidiagonalStep:
         np.testing.assert_allclose(op.T @ x, dense.T @ x, **tol)
         np.testing.assert_allclose(op.T @ block, dense.T @ block, **tol)
         np.testing.assert_allclose(op.toarray(), dense, **tol)
-        # the dense LU leaves entries near -1e-18 where the exact inverse is
-        # nonnegative, so its sign is read against its own scale
-        assert op.nonnegative == bool(np.min(dense) >= -1e-12 * float(np.max(np.abs(dense))))
 
     @given(
         n=st.integers(min_value=1, max_value=30),
@@ -162,14 +158,14 @@ class TestBidiagonalStep:
         for model in (rs.generator, rs.system.perturbed, ps.markov_cycle_scenario(9),
                       ps.ring_transport_scenario(2.0, cells=30)):
             op = step_operator(model, 0.05, "implicit_euler")
-            assert op.nonnegative
+            assert np.min(op.toarray()) >= 0
             assert np.min(op @ np.ones(model.cells)) > 0
 
     def test_certificate_refused_past_the_spectrum(self):
         # gain 2 ring grows at about ln 2: dt = 3 leaves the M-matrix regime
         model = ps.ring_transport_scenario(2.0, cells=20)
         op = step_operator(model, 3.0, "implicit_euler")
-        assert not op.nonnegative
+        assert np.min(op.toarray()) < 0
         assert np.min(step_matrix(model, 3.0, "implicit_euler")) < 0
 
     def test_unstructured_matrix_takes_dense_path(self):
@@ -194,15 +190,13 @@ class TestBidiagonalStep:
             step_operator(model, 0.5, "implicit_euler")
 
     def test_exact_method_stays_dense(self):
-        # off Metzler bands the exponential is expm's dense matrix
+        # without bands the exponential is expm's dense matrix
         space = ps.GridSpace(length=3.0, cells=3)
-        signed = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0, 0.0], [-1.0, -2.0, 0.0], [0.0, 1.0, -2.0]])
         no_bands = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0, 0.0], [1.0, -2.0, 0.0], [1.0, 1.0, -2.0]])
-        assert signed.bands is not None and no_bands.bands is None
-        for model in (signed, no_bands):
-            np.testing.assert_array_equal(
-                step_operator(model, 0.3, "exact_exponential"), step_matrix(model, 0.3, "exact_exponential")
-            )
+        assert no_bands.bands is None
+        np.testing.assert_array_equal(
+            step_operator(no_bands, 0.3, "exact_exponential"), step_matrix(no_bands, 0.3, "exact_exponential")
+        )
 
     def test_exact_method_on_metzler_bands(self, toy):
         _, model, _ = toy
@@ -285,7 +279,7 @@ class TestOperatorNormCurve:
     def test_against_dense_exponentials(self, toy):
         _, model, _ = toy
         dt = 0.25
-        curve, _, _ = norm_curves(model, step_operator(model, dt, "exact_exponential"), "exact_exponential", 11)
+        curve, _, _ = norm_curves(model, step_operator(model, dt, "exact_exponential"), 11)
         for k, val in enumerate(curve):
             ref = ps.induced_operator_norm(scipy.linalg.expm(k * dt * model.matrix), model.space)
             assert val == pytest.approx(ref, abs=1e-12)
@@ -296,29 +290,24 @@ class TestOperatorNormCurve:
         model = rs.system.perturbed
         e = step_matrix(model, 0.1, "implicit_euler")
         norms = [ps.induced_operator_norm(np.linalg.matrix_power(e, k), model.space) for k in range(21)]
-        curve, _, _ = norm_curves(model, step_operator(model, 0.1), "implicit_euler", 20)
+        curve, _, _ = norm_curves(model, step_operator(model, 0.1), 20)
         np.testing.assert_allclose(curve, norms, rtol=1e-12)
 
-    def test_exponential_gate_reads_structure(self, monkeypatch):
+    def test_exponential_gate_reads_structure(self):
         # expm of a Metzler generator may carry roundoff of either sign; the
-        # adjoint route is chosen from A being Metzler, not from those signs
+        # adjoint recursion reads the curve of the exact step through it
         model = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30).generator
         e = step_matrix(model, 0.1, "exact_exponential")
-        clean, _, _ = norm_curves(model, e, "exact_exponential", 20)
+        clean, _, _ = norm_curves(model, e, 20)
         signed = e.copy()
         assert signed[0, -1] == 0.0  # lower triangular
         signed[0, -1] = -1e-18
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("signed fallback taken")
-
-        monkeypatch.setattr(semigroup, "weighted_column_sums", refuse)
-        curve, _, _ = norm_curves(model, signed, "exact_exponential", 20)
+        curve, _, _ = norm_curves(model, signed, 20)
         np.testing.assert_allclose(curve, clean, rtol=1e-14)
 
     def test_markov_norm_constant(self):
         model = ps.markov_cycle_scenario(5)
-        curve, _, _ = norm_curves(model, step_operator(model, 0.5), "implicit_euler", 6)
+        curve, _, _ = norm_curves(model, step_operator(model, 0.5), 6)
         np.testing.assert_allclose(curve, 1.0, atol=1e-12)
 
 
@@ -329,7 +318,7 @@ class TestNormCurves:
     def check(model, method, dt, vectors, steps=12):
         e = step_operator(model, dt, method)
         dense = e if isinstance(e, np.ndarray) else e @ np.eye(model.cells)
-        op, low, curves = norm_curves(model, e, method, steps, vectors)
+        op, low, curves = norm_curves(model, e, steps, vectors)
         for k in range(steps + 1):
             power = np.linalg.matrix_power(dense, k)
             assert op[k] == pytest.approx(ps.induced_operator_norm(power, model.space), rel=1e-12)
@@ -337,21 +326,17 @@ class TestNormCurves:
             for curve, v in zip(curves, vectors):
                 assert curve[k] == pytest.approx(ps.weighted_l1(power @ v, model.space), rel=1e-12)
 
-    def test_signed_explicit_matrix(self, rng):
-        space = ps.GridSpace(length=3.0, cells=3)
-        model = ps.GeneratorModel.from_matrix(
-            space, [[-1.0, -0.5, 0.0], [0.3, -2.0, 0.4], [-0.2, 0.6, -1.5]]
-        )
-        assert model.off_diagonal_min() < 0
-        self.check(model, "exact_exponential", 0.2, (rng.random(3), rng.standard_normal(3)))
-
     @pytest.mark.parametrize("method", ["exact_exponential", "implicit_euler"])
     def test_closed_loop(self, rng, method):
-        # nonnegative vectors take the adjoint route, a signed one the powers
         rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30)
         model = rs.system.perturbed
         self.check(model, method, 0.1, (rng.random(30), rs.boundary_input.column))
-        self.check(model, method, 0.1, (rng.standard_normal(30),))
+
+    def test_refuses_a_vector_off_the_cone(self, rng):
+        model = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30).system.perturbed
+        vectors = (rng.random(30), rng.standard_normal(30))
+        with pytest.raises(ValueError, match="a vector has a negative entry"):
+            norm_curves(model, step_operator(model, 0.1), 12, vectors)
 
 
 class TestLeftInvertibility:
@@ -424,7 +409,7 @@ class TestLeftInvertibility:
         self.assert_no_sample_below(model, grid, audit.lower_bounds, rng)
 
     @pytest.mark.parametrize("name", ["renewal", "closed_loop", "ring", "markov"])
-    def test_adjoint_route_matches_forward_products(self, monkeypatch, name):
+    def test_adjoint_route_matches_forward_products(self, name):
         rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=50)
         model = {
             "renewal": rs.generator,
@@ -434,11 +419,6 @@ class TestLeftInvertibility:
         }[name]
         grid = np.linspace(0.0, 2.0, 65)
         ref = self.forward_products(model, grid)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("matrix powers taken")
-
-        monkeypatch.setattr(semigroup, "weighted_column_sums", refuse)
         audit = left_invertibility_audit(model, grid)
         np.testing.assert_allclose(audit.lower_bounds, ref, rtol=1e-12)
 
@@ -450,15 +430,3 @@ class TestLeftInvertibility:
         audit = left_invertibility_audit(model, grid)
         np.testing.assert_allclose(audit.lower_bounds, self.forward_products(model, grid), rtol=1e-12)
         self.assert_no_sample_below(model, grid, audit.lower_bounds, np.random.default_rng(seed))
-
-    def test_signed_generator_takes_the_basis_minimum_of_its_powers(self):
-        # not Metzler: matrix powers, and the basis minimum bounds the cone
-        # minimum only from above
-        space = ps.GridSpace(length=3.0, cells=3)
-        model = ps.GeneratorModel.from_matrix(
-            space, [[-1.0, -0.5, 0.0], [0.3, -2.0, 0.4], [-0.2, 0.6, -1.5]]
-        )
-        audit = left_invertibility_audit(model, np.linspace(0.0, 1.0, 5))
-        e = scipy.linalg.expm(0.25 * model.matrix)
-        ref = [np.min(np.sum(np.abs(np.linalg.matrix_power(e, k)), axis=0)) for k in range(5)]
-        np.testing.assert_allclose(audit.lower_bounds, ref, rtol=1e-12)
