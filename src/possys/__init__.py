@@ -13,6 +13,7 @@ from .errors import (
     GainValidationError,
     PossysError,
     SingularSystemError,
+    WorkBudgetError,
 )
 from .lattice import (
     GridSpace,
@@ -43,7 +44,6 @@ from .semigroup import (
     Trajectory,
     evolve,
     left_invertibility_audit,
-    step_matrix,
 )
 from .control import (
     ControlOperator,

@@ -35,7 +35,7 @@ from .control import (
     positivity_equivalence_audit,
     resolvent_bound_audit,
 )
-from .errors import ConfigError, PossysError, SingularSystemError
+from .errors import ConfigError, PossysError, SingularSystemError, WorkBudgetError
 from .generators import (
     GeneratorModel,
     inverse_estimate_constant,
@@ -582,7 +582,10 @@ def _gain_fit(cfg, built, report):
 
 def _left_invertibility(cfg, built, report):
     t_end = cfg.plan.get("t_end", 2.0)
-    audit = left_invertibility_audit(built.model, np.linspace(0.0, t_end, 65))
+    try:
+        audit = left_invertibility_audit(built.model, np.linspace(0.0, t_end, 65))
+    except WorkBudgetError as exc:
+        return str(exc)
     report["left_invertibility"] = {
         "holds": audit.holds,
         "amplitude": audit.amplitude,

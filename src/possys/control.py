@@ -4,10 +4,10 @@ The input map is the convolution of the semigroup with an injection column b
 against a piecewise-constant signal.  On a uniform grid each step applies a
 pair (E, F): by default the implicit-Euler E = (I - dt A)^{-1} with
 F = dt E b, O(n) per step on the presets and first-order accurate in dt; with
-exact_exponential, E = exp(A dt) and F = int_0^dt exp(A s) b ds read off one
-block exponential, so aligned signals are integrated exactly.  Either way the
-algebraic control-system laws hold to roundoff, since both sides run the same
-recursion.
+exact_exponential, E = exp(A dt) and F = int_0^dt exp(A s) b ds are two
+uniformization sums in one P (`semigroup.Uniformization`), exact on aligned
+signals, as is `input_map(dt=None)`.  Either way the algebraic control-system
+laws hold to roundoff, since both sides run the same recursion.
 
 Admissibility is read off one impulse-response curve c(s) = ||T(s) b||, stepped
 once on the tau / ADMISSIBILITY_STEPS grid: the norm is additive on the cone,
@@ -37,7 +37,7 @@ from .semigroup import (
     EvolutionPlan,
     Step,
     Trajectory,
-    _flush_subnormals,
+    Uniformization,
     grid_steps,
     step_operator,
 )
@@ -235,11 +235,10 @@ def step_input_operators(
 ) -> tuple[Step, np.ndarray]:
     """One-step pair (E, F): z_{k+1} = E z_k + F u_k.
 
-    exact_exponential reads E and F = int_0^dt exp(A s) b ds off the block
-    exponential of [[A, b], [0, 0]]; implicit_euler uses F = dt E b with E
-    from `step_operator` (O(n) per column on the presets).  Kept in the
-    model's own store under (method, dt, column), since the audits and the
-    gain fit reuse the same stepper.
+    E is `step_operator(model, dt, method)`; F = int_0^dt exp(A s) b ds is
+    `Uniformization.integral` for exact_exponential and dt E b for
+    implicit_euler.  Kept in the model's own store under (method, dt,
+    column), since the audits and the gain fit reuse the same stepper.
     """
     col = _as_column(b, model.space)
     return model.cached(
@@ -256,54 +255,30 @@ def input_recursion(e: Step, f: np.ndarray, z: np.ndarray, u) -> Iterator[np.nda
         yield z
 
 
-def _block_exponential(model: GeneratorModel, col: np.ndarray, t: float) -> np.ndarray:
-    """exp(t [[A, col], [0, 0]]), subnormals flushed: exp(t A) in the top
-    left block and int_0^t exp(A s) col ds in the last column."""
-    import scipy.linalg
-
-    n = model.cells
-    blk = np.zeros((n + 1, n + 1))
-    blk[:n, :n] = model.matrix
-    blk[:n, n] = col
-    return _flush_subnormals(scipy.linalg.expm(blk * t))
-
-
 def _step_pair(model: GeneratorModel, col: np.ndarray, dt: float, method: str) -> tuple[Step, np.ndarray]:
-    if method == "exact_exponential":
-        n = model.cells
-        m = _block_exponential(model, col, dt)
-        e, f = m[:n, :n].copy(), m[:n, n].copy()
-        e.setflags(write=False)
-    else:
-        e = step_operator(model, dt, "implicit_euler")
-        f = dt * (e @ col)
+    e = step_operator(model, dt, method)
+    f = e.integral(col) if method == "exact_exponential" else dt * (e @ col)
     f.setflags(write=False)
     return e, f
 
 
 def _segment_input_map(model: GeneratorModel, col: np.ndarray, u: InputSignal, tau: float) -> np.ndarray:
-    """Exact integral via per-segment block exponentials.
+    """Exact integral, segment by segment.
 
     For u constant on [a, b) the contribution to Phi_tau is
-    u * (G(tau - a) - G(tau - max(0, tau - b))) with G(s) = int_0^s exp(A r) col dr.
+    u * (G(tau - a) - G(tau - min(b, tau))) with G(s) = int_0^s exp(A r) col dr,
+    one `Uniformization.integral` per distinct s.
     """
-    n = model.cells
-    sigmas = set()
-    segs = []
-    for k in range(len(u.values)):
-        a, bnd = u.breakpoints[k], u.breakpoints[k + 1]
-        if a >= tau or u.values[k] == 0.0:
+    g_at = {0.0: np.zeros(model.cells)}
+    acc = np.zeros(model.cells)
+    for val, a, bnd in zip(u.values, u.breakpoints[:-1], u.breakpoints[1:]):
+        if a >= tau or val == 0.0:
             continue
         hi, lo = tau - a, tau - min(bnd, tau)
-        segs.append((u.values[k], hi, lo))
-        sigmas.update((hi, lo))
-    g_at = {0.0: np.zeros(n)}
-    for s in sorted(sigmas):
-        if s > 0.0:
-            g_at[s] = _block_exponential(model, col, s)[:n, n]
-    acc = np.zeros(n)
-    for val, hi, lo in segs:
-        acc += val * (g_at[hi] - g_at.get(lo, 0.0))
+        for s in (hi, lo):
+            if s not in g_at:
+                g_at[s] = Uniformization(model, s).integral(col)
+        acc += val * (g_at[hi] - g_at[lo])
     return acc
 
 

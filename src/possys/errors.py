@@ -18,6 +18,10 @@ class EigensolverError(PossysError):
     """Spectral bound could not be computed for this matrix."""
 
 
+class WorkBudgetError(PossysError, ValueError):
+    """An exact exponential would take more than `semigroup._WORK` work."""
+
+
 class GainValidationError(PossysError):
     """A gain fit could not be made, or its norm curves disagree with a
     forward trajectory; `time` names the first grid time they disagree at,

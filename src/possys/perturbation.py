@@ -11,6 +11,7 @@ R(lam, A_S) = -(R(lam, A_S) b)(R(lam, A)^T beta h)^T, and T(t) <= S(t)
 follows from A Metzler and P >= 0 alone.  Both are the paper's setting:
 `GeneratorModel` refuses a generator that is not Metzler, and negative
 feedback rates, like a matrix P with a negative entry, are refused here.
+`variation_of_constants_check` steps T and S by `semigroup.Uniformization`.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .generators import (
     spectral_bound,
 )
 from .lattice import GridSpace, GridVector, _readonly, weighted_l1
-from .semigroup import grid_steps, step_matrix
+from .semigroup import grid_steps, step_operator
 
 
 @dataclass(frozen=True)
@@ -325,8 +326,8 @@ def variation_of_constants_check(
     if x.space != system.base.space:
         raise ValueError("state lives on a different grid")
     steps = grid_steps(t, dt, "t")
-    e_t = step_matrix(system.base, dt)
-    e_s = step_matrix(system.perturbed, dt)
+    e_t = step_operator(system.base, dt, "exact_exponential")
+    e_s = step_operator(system.perturbed, dt, "exact_exponential")
     z = x.values.copy()          # S(s) x
     base_only = x.values.copy()  # T(s) x
     conv = np.zeros_like(z)

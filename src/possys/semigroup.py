@@ -6,17 +6,16 @@ kept as an explicit choice and as the stepper of `left_invertibility_audit`.
 Every preset generator is lower bidiagonal except row 0, and for those
 implicit Euler is a bidiagonal solve plus a rank-one correction
 (`generators.ShiftedInverse`), O(n) per step; other matrices take a dense
-inverse.  On bands the exponential is a uniformization sum of band products
-(`BandExponential`), O(n) per term; matrices without bands take the dense
-scaling-and-squaring `expm` of `step_matrix`, which is also the reference of
-the tests and of `variation_of_constants_check`.  Every generator is
-Metzler (`GeneratorModel` refuses any other), so both steps are
-entrywise nonnegative wherever the audits take them, and operator norms
-along a trajectory use the adjoint trick: the weighted column sums evolve
-under E^T, so the norm curve and the cone lower bound cost K adjoint
-applications (`norm_curves`).  The growth bound is not fitted to
-||E^k||: in finite dimension it is s(A), which `generators.spectral_bound`
-computes.  The gain fit's grid is `FIT_STEPS` steps over `decay_horizon`.
+inverse.  The exponential of every generator, and the integral of its input
+column, is a uniformization sum in P = I + A / c >= 0 (`Uniformization`),
+O(n) per term on bands and O(n^2) without them.  Every generator is Metzler
+(`GeneratorModel` refuses any other), so both steps are entrywise
+nonnegative wherever the audits take them, and operator norms along a
+trajectory use the adjoint trick: the weighted column sums evolve under E^T,
+so the norm curve and the cone lower bound cost K adjoint applications
+(`norm_curves`).  The growth bound is not fitted to ||E^k||: in finite
+dimension it is s(A), which `generators.spectral_bound` computes.  The gain
+fit's grid is `FIT_STEPS` steps over `decay_horizon`.
 """
 from __future__ import annotations
 
@@ -32,9 +31,9 @@ from .generators import (
     ShiftedInverse,
     _Applied,
     _characteristic_root,
-    _dense_inverse,
     shifted_inverse,
 )
+from .errors import WorkBudgetError
 from .lattice import GridSpace, GridVector
 
 METHODS = ("exact_exponential", "implicit_euler")
@@ -47,9 +46,14 @@ FIT_STEPS = 800
 NORM_FLOOR = 1e-300
 # a cone lower bound at or below this has collapsed: left invertibility fails
 ZERO_TOL = 1e-12
-# largest c tau rho of one uniformization substep (see BandExponential):
+# largest c tau rho of one uniformization substep (see Uniformization):
 # e^-50 is far above underflow
 _SUBSTEP = 50.0
+# most work of the uniformization sums of one call: its products times the
+# entries of P (3n on bands, n^2 dense) plus _OVERHEAD, a product's call cost;
+# at 0.45 to 1.8 ns a unit (2 to 20000 cells, one BLAS thread) about 9 s
+_WORK = 5e9
+_OVERHEAD = 5_000
 # bound on the weight of the terms a uniformization sum leaves out, relative
 # to the norm of the vector it is applied to: a tenth of a unit roundoff
 _TAIL = 1e-17
@@ -107,41 +111,20 @@ class Trajectory:
         return self.space.vector(self.states[-1])
 
 
-def _flush_subnormals(m: np.ndarray) -> np.ndarray:
-    """Zero the subnormal entries of m in place and return it.
-
-    expm of a stiff upwind generator leaves thousands of entries below the
-    smallest normal double; dense products over them run several times
-    slower on x86 while changing nothing above 1e-308.
-    """
-    m[np.abs(m) < np.finfo(m.dtype).tiny] = 0.0
-    return m
-
-
-def step_matrix(model: GeneratorModel, dt: float, method: str = "exact_exponential") -> np.ndarray:
-    """Dense one-step propagator: exp(A dt) or (I - dt A)^{-1}."""
-    if method == "exact_exponential":
-        import scipy.linalg
-
-        return _flush_subnormals(scipy.linalg.expm(model.matrix * dt))
-    if method == "implicit_euler":
-        return _dense_inverse(model, 1.0, dt)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _poisson_weights(lam: float, rho: float, log_kappa: float) -> np.ndarray:
-    """e^-lam lam^k / k! for k = 0..K, lam > 0, scaled to sum to 1, where K
-    is the first k past the mode of Poisson(lam rho), rho >= 1, with
+def _poisson_weights(lam: float, rho: float, log_kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """q_k = e^-lam lam^k / k! and the survival weights P(N > k) =
+    q_{k+1} + ... + q_{K+1}, N ~ Poisson(lam), for k = 0..K, lam > 0, scaled
+    so that the q_k sum to 1, where K is the first k past the mode of
+    Poisson(lam rho), rho >= 1, with
     kappa e^(lam (rho - 1)) P(Poisson(lam rho) > k) <= _TAIL.
 
-    That product bounds sum_{j > k} e^-lam lam^j / j! ||P^j||, what the
-    terms past k can weigh, when ||P^j|| <= kappa rho^j.  Past the mode the
-    ratios of consecutive probabilities fall below lam rho / (k + 2), so the
-    tail is at most the next probability over 1 - lam rho / (k + 2); its log
-    is run from k = 0, so nothing underflows and no scipy.stats.  The
-    weights are built by a running product, whose rounding drifts with k in
-    one direction; the scaling takes that common drift out, which the
-    left-out tail, below _TAIL, cannot notice.
+    When ||P^j|| <= kappa rho^j that product bounds sum_{j > k} q_j ||P^j||,
+    what the terms past k weigh, and lam times it bounds the survival terms
+    past K, sum_{j > K + 1} q_j ||I + ... + P^(j-1)||, of total lam.  Past
+    the mode consecutive probabilities fall by ratios below lam rho / (k + 2),
+    so the tail is at most the next one over 1 - lam rho / (k + 2); its log
+    is run from k = 0: nothing underflows, no scipy.stats.  The scaling takes
+    out the running product's rounding, which drifts one way with k.
     """
     mean = lam * rho
     log_cut = math.log(_TAIL) - log_kappa - lam * (rho - 1.0)
@@ -154,81 +137,114 @@ def _poisson_weights(lam: float, rho: float, log_kappa: float) -> np.ndarray:
     weights[0] = math.exp(-lam)
     for j in range(1, k + 1):
         weights[j] = weights[j - 1] * lam / j
-    return weights / np.sum(weights)
+    total = np.sum(weights)
+    survival = np.append(weights[1:], weights[k] * lam / (k + 1))
+    return weights / total, np.cumsum(survival[::-1])[::-1] / total
 
 
-class BandExponential:
-    """exp(tau A) for a Metzler A given by its bands, with `@` and `.T @`
-    on a vector or a block in O(n) per term and no n x n array.
+class Uniformization:
+    """exp(tau A) for a Metzler A, with `@` and `.T @` on a vector or a
+    block, and its input column `integral(b)` = int_0^tau exp(s A) b ds.
 
     Uniformization (Jensen 1953; Stewart, Introduction to the Numerical
     Solution of Markov Chains, 1994, ch. 8): with c = max|a_jj| (1 on a zero
     diagonal), P = I + A / c >= 0 also where some a_jj > 0, and
-        exp(tau A) = sum_k e^(-c tau) (c tau)^k / k! P^k,
-    whose terms have one sign on the cone, so nothing cancels.  A growing P
-    shifts the weight of the sum to later terms, which `_poisson_weights`
-    counts from a bound ||P^k||_1 = ||(P^T)^k||_inf <= kappa rho^k, the
-    cheaper of two:
+    N ~ Poisson(c tau),
+        exp(tau A) = sum_k P(N = k) P^k,
+        int_0^tau exp(s A) ds = (1 / c) sum_k P(N > k) P^k,
+    whose terms have one sign on the cone, so nothing cancels.  P keeps the
+    bands (O(n) a product) or is dense.  A growing P shifts the weight of the
+    sums to later terms, which `_poisson_weights` counts from a bound
+    ||P^k||_1 = ||(P^T)^k||_inf <= kappa rho^k, the cheaper of two:
       - kappa = 1 and rho = max(1, largest column sum of P);
-      - P u <= rho u for a vector u > 0, so P^k e_j <= rho^k u / u_j, with
-        kappa = sum(u) / min(u).  u is A's Perron vector from the
+      - on bands, P u <= rho u for a vector u > 0, so P^k e_j <= rho^k u / u_j,
+        with kappa = sum(u) / min(u).  u is A's Perron vector from the
         characteristic root (`generators._characteristic_root`), where A
         has one, so rho = max(1, 1 + s(A) / c) up to rounding: on a ring
-        whose seam multiplies by g the column sums give rho near g, and the
-        sum would take g times the terms.
-    tau is split into m equal substeps with c tau rho / m <= _SUBSTEP, so
-    each substep applies the same weights.
+        whose seam multiplies by g the column sums give rho near g.
+    tau is split into m equal substeps with c tau rho / m <= _SUBSTEP, over
+    which F composes as F <- E F + F.  A non-finite c tau rho, or more than
+    `_WORK` over all the caller's `applications`, raises `WorkBudgetError`.
     """
 
-    def __init__(self, bands: BorderedBidiagonal, tau: float):
+    def __init__(self, model: GeneratorModel, tau: float, applications: int = 1):
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"step tau must be positive and finite, got {tau}")
-        c = float(np.max(np.abs(bands.diag))) or 1.0
-        diag = 1.0 + bands.diag / c
-        row0 = bands.row0 / c
-        row0[0] = diag[0]
-        self._p = BorderedBidiagonal(diag, bands.sub / c, row0)
-        bounds = [(float(np.max(self._p.column_sums())), 0.0)]
-        u = _characteristic_root(bands)[1]
-        if u is not None and np.min(u) > 0:
-            bounds.append((float(np.max(self._p.matvec(u) / u)), math.log(np.sum(u) / np.min(u))))
+        bands = model.bands
+        diag = np.diagonal(model.matrix) if bands is None else bands.diag
+        c = float(np.max(np.abs(diag))) or 1.0
+        entries = model.cells * (model.cells if bands is None else 3)
+        if bands is None:
+            p = model.matrix / c
+            np.fill_diagonal(p, 1.0 + diag / c)
+            self._product, self._adjoint = p.__matmul__, p.T.__matmul__
+            bounds = [(float(np.max(np.sum(p, axis=0))), 0.0)]
+        else:
+            row0 = bands.row0 / c
+            row0[0] = 1.0 + diag[0] / c
+            p = BorderedBidiagonal(1.0 + diag / c, bands.sub / c, row0)
+            self._product, self._adjoint = p.matvec, p.rmatvec
+            bounds = [(float(np.max(p.column_sums())), 0.0)]
+            u = _characteristic_root(bands)[1]
+            if u is not None and np.min(u) > 0:
+                bounds.append((float(np.max(p.matvec(u) / u)), math.log(np.sum(u) / np.min(u))))
         plans = []
         for rho, log_kappa in bounds:
             rho = max(1.0, rho)
-            substeps = max(1, math.ceil(c * tau * rho / _SUBSTEP))
-            plans.append((substeps, _poisson_weights(c * tau / substeps, rho, log_kappa)))
-        self._substeps, self._weights = min(plans, key=lambda plan: plan[0] * len(plan[1]))
+            lam = float(c * tau * rho)
+            if not math.isfinite(lam):
+                raise WorkBudgetError(f"the exact exponential of step {tau}: c tau rho = {lam!r} is not finite")
+            substeps = max(1, math.ceil(lam / _SUBSTEP))
+            plans.append((substeps, *_poisson_weights(c * tau / substeps, rho, log_kappa), lam))
+        self._substeps, self._weights, survival, lam = min(plans, key=lambda plan: plan[0] * len(plan[1]))
+        products = self._substeps * len(self._weights)
+        if applications * products * (entries + _OVERHEAD) > _WORK:
+            raise WorkBudgetError(f"the exact exponential of step {tau} needs {applications} x {products} products of "
+                                  f"{entries} entries (c tau rho = {lam!r}), more than {_WORK:.0e} work")
+        self._survival = survival / c
+
+    @staticmethod
+    def _series(weights: np.ndarray, y: np.ndarray, product) -> np.ndarray:
+        term = y
+        out = weights[0] * term
+        for w in weights[1:]:
+            term = product(term)
+            out += w * term
+        return out
 
     def _sum(self, y: np.ndarray, product) -> np.ndarray:
         for _ in range(self._substeps):
-            term = y
-            y = self._weights[0] * term
-            for w in self._weights[1:]:
-                term = product(term)
-                y += w * term
+            y = self._series(self._weights, y, product)
         return y
 
     def __matmul__(self, y):
-        return self._sum(np.asarray(y, dtype=float), self._p.matvec)
+        return self._sum(np.asarray(y, dtype=float), self._product)
 
     @property
     def T(self) -> _Applied:
-        return _Applied(lambda y: self._sum(y, self._p.rmatvec))
+        return _Applied(lambda y: self._sum(y, self._adjoint))
+
+    def integral(self, b) -> np.ndarray:
+        """int_0^tau exp(s A) b ds: F_h of one substep h, then
+        F <- E_h F + F_h over the other substeps."""
+        f = f_sub = self._series(self._survival, np.asarray(b, dtype=float), self._product)
+        for _ in range(self._substeps - 1):
+            f = self._series(self._weights, f, self._product) + f_sub
+        return f
 
 
-Step = Union[np.ndarray, ShiftedInverse, BandExponential]
+Step = Union[np.ndarray, ShiftedInverse, Uniformization]
 
 
 def step_operator(model: GeneratorModel, dt: float, method: str = DEFAULT_METHOD) -> Step:
     """One-step propagator for time stepping: implicit Euler is
     `shifted_inverse(model, 1, dt)`, O(n) per column on the presets' bands;
-    the exact exponential is a `BandExponential` on bands, O(n) per term,
-    and `step_matrix` otherwise."""
+    the exact exponential is a `Uniformization`, O(n) per term on bands."""
     if method == "implicit_euler":
         return shifted_inverse(model, 1.0, dt)
-    if method == "exact_exponential" and model.bands is not None:
-        return BandExponential(model.bands, dt)
-    return step_matrix(model, dt, method)
+    if method == "exact_exponential":
+        return Uniformization(model, dt)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def norm_curves(model: GeneratorModel, e: Step, steps: int, vectors=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,8 +331,8 @@ def left_invertibility_audit(model: GeneratorModel, t_grid) -> LeftInvertibility
     A is Metzler, so ||T(t)x|| = <T(t)* w, x> is linear on the cone and its
     minimum over unit x >= 0 sits at a basis vector: the lower bounds are
     the smallest weighted column sums of `norm_curves`, read off its adjoint
-    recursion: O(n) per uniformization term on bands, O(n^2) per step after
-    one dense `expm` otherwise.  Steps with the exact exponential: implicit
+    recursion: O(n) per uniformization term on bands, O(n^2) per term on a
+    matrix without bands.  Steps with the exact exponential: implicit
     Euler damps the outflow mode by (1 + dt a)^-k instead of exp(-a k dt),
     which can keep a ratio that the semigroup sends under ZERO_TOL above it.
     """
@@ -324,8 +340,8 @@ def left_invertibility_audit(model: GeneratorModel, t_grid) -> LeftInvertibility
     dt = _uniform_spacing(t_grid)
     if dt is None or t_grid[0] != 0.0:
         raise ValueError("left-invertibility audit needs a uniform grid starting at 0")
-    e = step_operator(model, dt, "exact_exponential")
-    _, lower, _ = norm_curves(model, e, len(t_grid) - 1)
+    steps = len(t_grid) - 1
+    _, lower, _ = norm_curves(model, Uniformization(model, dt, steps), steps)
 
     holds = bool(np.all(lower > ZERO_TOL))
     if holds:

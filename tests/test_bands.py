@@ -14,8 +14,8 @@ import possys as ps
 from possys import cli, generators, iss
 from possys.control import input_recursion, mild_solution
 from possys.errors import GainValidationError
-from possys.generators import BorderedBidiagonal, ShiftedInverse, perron_mode, shifted_inverse
-from possys.semigroup import EvolutionPlan, norm_curves, step_matrix, step_operator
+from possys.generators import BorderedBidiagonal, ShiftedInverse, _dense_inverse, perron_mode, shifted_inverse
+from possys.semigroup import EvolutionPlan, norm_curves, step_operator
 
 
 def dense_upwind(space, q, boundary):
@@ -111,7 +111,7 @@ class TestAgainstDenseAssembly:
         space = ps.GridSpace(length=3.0, cells=3)
         model = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.5, 1.0], [1.0, -2.0, 0.0], [0.0, 1.0, -3.0]])
         op = step_operator(model, dt, "implicit_euler")
-        dense = step_matrix(model, dt, "implicit_euler")
+        dense = _dense_inverse(model, 1.0, dt)
         assert isinstance(op, ShiftedInverse) and np.min(dense) >= 0
         x = rng.standard_normal(3)
         np.testing.assert_allclose(op.toarray(), dense, rtol=1e-13, atol=1e-15)

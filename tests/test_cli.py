@@ -676,6 +676,44 @@ class TestAudit:
             assert proc.returncode == 3
             assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("matrix, plan, reason", [
+        # c tau rho overflows: 1e308 times a step of 1.6e8
+        ([[-1e308, 0.0], [1.0, -1.0]], {"t_end": 1e10}, "c tau rho = inf is not finite"),
+        # finite, but 7.6e10 products of 6 entries for each step of 1/32
+        ([[-1e12, 0.0], [1.0, -1.0]], {}, "needs 64 x 76250000000 products of 6 entries (c tau rho = 31250000000.0)"),
+    ])
+    def test_uniformization_past_its_budget_is_refused(self, tmp_path, capsys, matrix, plan, reason):
+        scenario = {"kind": "explicit", "matrix": matrix}
+        cfg = write_config(tmp_path, scenario=scenario, plan=plan, audits=["left_invertibility"])
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        [[name, why]] = json.loads(out.read_text())["skipped"]
+        assert name == "left_invertibility" and reason in why
+        exact = write_config(tmp_path, "exact.json", scenario=scenario, plan={**plan, "method": "exact_exponential"})
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", exact, "--out", str(tmp_path / "sim.csv")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: the exact exponential of step ")
+
+    def test_budget_counts_every_step_of_the_audit(self, tmp_path):
+        # one step of 1/32 takes 76250 products, about a second, but
+        # the audit's 64 steps would take about a minute
+        scenario = {"kind": "explicit", "matrix": [[-1e6, 0.0], [1.0, -1.0]]}
+        cfg = write_config(tmp_path, scenario=scenario, plan={}, audits=["left_invertibility"])
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        [[name, why]] = json.loads(out.read_text())["skipped"]
+        assert name == "left_invertibility" and "needs 64 x 76250 products of 6 entries" in why
+
+    def test_left_invertibility_fault_is_not_a_skip(self, tmp_path, monkeypatch, capsys):
+        # only a work-budget refusal skips; any other ValueError is a fault
+        def broken(model, t_grid):
+            raise ValueError("left-invertibility audit needs a uniform grid starting at 0")
+
+        monkeypatch.setattr(cli, "left_invertibility_audit", broken)
+        cfg = write_config(tmp_path, audits=["left_invertibility"])
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: left-invertibility audit needs")
+
     def test_report_does_not_depend_on_the_seed(self, tmp_path, capsys):
         # nothing draws from the seed: reports differ in its echo alone
         scenario = {"kind": "renewal", "q": 1.0, "beta": 0.25, "length": 2.0, "cells": 20}
@@ -961,22 +999,39 @@ class TestKernelLookups:
         monkeypatch.setattr(scipy.linalg, name, counted)
         return calls
 
-    def test_expm_in_left_invertibility(self, tmp_path, capsys, monkeypatch):
-        # a Metzler matrix without bands: Metzler bands sum a uniformization
-        calls = self.count(monkeypatch, "expm")
-        matrix = [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]
-        cfg = write_config(tmp_path, scenario={"kind": "explicit", "matrix": matrix}, audits=["left_invertibility"])
-        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
-        assert calls == ["expm"]
-        report = json.loads((tmp_path / "r.json").read_text())
-        assert report["audits_run"] == ["left_invertibility"] and report["skipped"] == []
-        assert isinstance(report["left_invertibility"]["holds"], bool)
+    def test_no_production_path_calls_expm(self, tmp_path, capsys, monkeypatch):
+        # every exact exponential, and every input column it integrates, is a
+        # uniformization sum: on bands and on a matrix without them
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm called")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        no_bands = {
+            "kind": "explicit", "matrix": [[-3.0, 1.0, 1.0], [1.0, -3.0, 1.0], [1.0, 1.0, -3.0]],
+            "b": [1.0, 0.0, 0.0], "beta": [0.5, 0.0, 0.0],
+        }
+        renewal = {"kind": "renewal", "q": 1.0, "beta": 0.5, "length": 2.0, "cells": 30}
+        for scenario in (renewal, no_bands):
+            cfg = write_config(
+                tmp_path, scenario=scenario, audits=list(cli.KNOWN_AUDITS),
+                plan={"t_end": 1.0, "dt": 0.05, "method": "exact_exponential"},
+            )
+            assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim.csv")]) == 0
+            assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+            report = json.loads((tmp_path / "r.json").read_text())
+            assert report["audits_run"] == list(cli.KNOWN_AUDITS) and report["skipped"] == []
+        rs = ps.renewal_scenario(1.0, 0.5, length=2.0, cells=30)
+        u = ps.InputSignal(np.array([0.0, 0.3, 0.7]), np.array([1.0, 0.5]))
+        phi = ps.input_map(rs.generator, rs.boundary_input, u, 1.0)
+        assert np.min(phi.values) >= 0 and np.max(phi.values) > 0
+        x = rs.generator.space.vector(np.ones(30))
+        assert ps.variation_of_constants_check(rs.system, x, 0.5, 0.05).residual > 0
 
     def test_solve_triangular_in_dense_inverse(self, monkeypatch):
         calls = self.count(monkeypatch, "solve_triangular")
         space = ps.GridSpace(length=2.0, cells=2)
         model = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0], [1.0, -2.0]])
-        step = ps.step_matrix(model, 0.5, "implicit_euler")
+        step = generators._dense_inverse(model, 1.0, 0.5)
         np.testing.assert_allclose(step, np.linalg.inv(np.eye(2) - 0.5 * model.matrix), rtol=1e-15)
         assert calls == ["solve_triangular"]
         # `_dense_inverse` catches scipy's singular report as numpy's class

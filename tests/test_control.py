@@ -17,6 +17,7 @@ from possys.control import (
     resolvent_bound_audit,
     step_input_operators,
 )
+from possys.semigroup import Uniformization
 
 
 def steps_signal(rng, n_seg=3, t_max=2.0):
@@ -116,6 +117,18 @@ class TestInputMap:
         r0b = np.array([0.5, 0.25])
         expected = r0b - scipy.linalg.expm(model.matrix) @ r0b
         np.testing.assert_allclose(phi.values, expected, atol=1e-12)
+
+    def test_long_exact_map_matches_block_exponential(self):
+        # tau = 500 on 400 cells: 25620 uniformization products, well inside
+        # the work budget, against the last column of the block exponential
+        sc = ps.renewal_scenario(1.0, 0.5, 20.0, 400)
+        model, col, tau = sc.system.perturbed, sc.system.injection, 500.0
+        phi = ps.input_map(model, col, ps.InputSignal.constant(1.0, tau), tau)
+        n = model.cells
+        block = np.zeros((n + 1, n + 1))
+        block[:n, :n], block[:n, n] = tau * model.matrix, tau * col
+        ref = scipy.linalg.expm(block)[:n, n]
+        np.testing.assert_allclose(phi.values, ref, rtol=0, atol=1e-12 * np.max(ref))
 
     def test_segment_and_stepper_paths_agree(self, toy, rng):
         _, model, b = toy
@@ -329,30 +342,31 @@ class TestStepStore:
     """(E, F) pairs live in the model's own store, keyed on (method, dt, column)."""
 
     @staticmethod
-    def count_expm(monkeypatch):
+    def count_builds(monkeypatch):
+        """The step of every exact-exponential operator built."""
         calls = []
-        real = scipy.linalg.expm
+        real = Uniformization.__init__
 
-        def counted(m):
-            calls.append(m.shape)
-            return real(m)
+        def counted(self, model, tau):
+            calls.append(tau)
+            real(self, model, tau)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        monkeypatch.setattr(Uniformization, "__init__", counted)
         return calls
 
     def test_composition_law_builds_once(self, monkeypatch):
-        calls = self.count_expm(monkeypatch)
+        calls = self.count_builds(monkeypatch)
         rs = ps.renewal_scenario(1.0, 0.5, length=2.0, cells=12)
         probe = ps.InputSignal.constant(1.0, 0.5)
         residual = composition_law_check(
             rs.generator, rs.boundary_input, probe, 0.5, 0.5, dt=1 / 64, method="exact_exponential"
         )
         assert residual <= 1e-12
-        # one block exponential serves the check and its three input maps
-        assert calls == [(13, 13)]
+        # one step pair serves the check and its three input maps
+        assert calls == [1 / 64]
 
     def test_models_never_share_entries(self, monkeypatch):
-        calls = self.count_expm(monkeypatch)
+        calls = self.count_builds(monkeypatch)
         space = ps.GridSpace(length=2.0, cells=2)
         b = ps.ControlOperator.boundary_injection(space)
         one = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0], [1.0, -2.0]])
@@ -360,16 +374,16 @@ class TestStepStore:
         e1, f1 = step_input_operators(one, b, 0.25, "exact_exponential")
         e2, f2 = step_input_operators(two, b, 0.25, "exact_exponential")
         assert len(calls) == 2
-        np.testing.assert_allclose(e1, scipy.linalg.expm(0.25 * one.matrix), atol=1e-14)
-        np.testing.assert_allclose(e2, scipy.linalg.expm(0.25 * two.matrix), atol=1e-14)
+        np.testing.assert_allclose(e1 @ np.eye(2), scipy.linalg.expm(0.25 * one.matrix), atol=1e-14)
+        np.testing.assert_allclose(e2 @ np.eye(2), scipy.linalg.expm(0.25 * two.matrix), atol=1e-14)
         # a model with an equal matrix still builds its own pair
         twin = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0], [1.0, -2.0]])
         e3, _ = step_input_operators(twin, b, 0.25, "exact_exponential")
-        assert e3 is not e1 and np.array_equal(e3, e1)
+        assert e3 is not e1 and np.array_equal(e3 @ np.eye(2), e1 @ np.eye(2))
         assert step_input_operators(one, b, 0.25, "exact_exponential")[0] is e1
 
     def test_threads_sharing_a_model_build_each_entry_once(self, monkeypatch):
-        calls = self.count_expm(monkeypatch)
+        calls = self.count_builds(monkeypatch)
         rs = ps.renewal_scenario(1.0, 0.5, length=2.0, cells=8)
         model, b = rs.system.perturbed, rs.boundary_input
         dts = [0.5 / k for k in range(1, 6)]

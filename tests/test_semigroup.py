@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 import possys as ps
 from possys.control import step_input_operators
-from possys.generators import BorderedBidiagonal, ShiftedInverse
+from possys.generators import BorderedBidiagonal, ShiftedInverse, _dense_inverse
 from possys.semigroup import (
-    BandExponential,
     EvolutionPlan,
+    Uniformization,
     left_invertibility_audit,
     norm_curves,
-    step_matrix,
     step_operator,
 )
 from test_bands import random_bordered_metzler
@@ -39,15 +38,22 @@ class TestEvolutionPlan:
         assert plan.steps == 20
 
 
+def dense_step(model, dt, method):
+    """The matrix of `step_operator(model, dt, method)`, one column per basis vector."""
+    return step_operator(model, dt, method) @ np.eye(model.cells)
+
+
 class TestStepMatrix:
+    """The matrices of both one-step operators."""
+
     def test_exact_is_expm(self, toy):
         _, model, _ = toy
-        e = step_matrix(model, 0.3, "exact_exponential")
+        e = dense_step(model, 0.3, "exact_exponential")
         np.testing.assert_allclose(e, scipy.linalg.expm(0.3 * model.matrix), atol=1e-14)
 
     def test_implicit_euler_is_resolvent_step(self, toy):
         _, model, _ = toy
-        e = step_matrix(model, 0.1, "implicit_euler")
+        e = dense_step(model, 0.1, "implicit_euler")
         np.testing.assert_allclose(e, np.linalg.inv(np.eye(2) - 0.1 * model.matrix), atol=1e-13)
 
     def test_implicit_converges_first_order(self, toy):
@@ -55,34 +61,21 @@ class TestStepMatrix:
         exact = scipy.linalg.expm(model.matrix)
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            e = step_matrix(model, dt, "implicit_euler")
+            e = dense_step(model, dt, "implicit_euler")
             errs.append(np.max(np.abs(np.linalg.matrix_power(e, int(round(1 / dt))) - exact)))
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.4)
         assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.4)
 
     def test_both_methods_positive_for_metzler(self, toy):
         _, model, _ = toy
-        assert np.min(step_matrix(model, 0.5, "exact_exponential")) >= 0.0
-        assert np.min(step_matrix(model, 0.5, "implicit_euler")) >= 0.0
+        assert np.min(dense_step(model, 0.5, "exact_exponential")) >= 0.0
+        assert np.min(dense_step(model, 0.5, "implicit_euler")) >= 0.0
 
     def test_implicit_rejects_dt_past_spectrum(self):
         space = ps.GridSpace(length=1.0, cells=1)
         model = ps.GeneratorModel.from_matrix(space, np.array([[2.0]]))
         with pytest.raises(ps.SingularSystemError):
-            step_matrix(model, 0.5, "implicit_euler")
-
-
-def _has_subnormals(m):
-    return bool(np.any((m != 0) & (np.abs(m) < np.finfo(float).tiny)))
-
-
-def test_exponential_steps_hold_no_subnormals():
-    # raw expm of this stiff generator holds hundreds of subnormal entries
-    rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=250)
-    assert _has_subnormals(scipy.linalg.expm(0.02 * rs.generator.matrix))
-    assert not _has_subnormals(step_matrix(rs.generator, 0.02, "exact_exponential"))
-    e, f = step_input_operators(rs.system.perturbed, rs.boundary_input, 0.02, "exact_exponential")
-    assert not _has_subnormals(e) and not _has_subnormals(f)
+            step_operator(model, 0.5, "implicit_euler")
 
 
 def _renewal(cells, q, beta, length):
@@ -110,14 +103,14 @@ _models = st.one_of(
 
 
 class TestBidiagonalStep:
-    """The O(n) implicit-Euler operator against the dense step_matrix oracle."""
+    """The O(n) implicit-Euler operator against the dense inverse oracle."""
 
     @given(model=_models, dt=_dt, seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_oracle(self, model, dt, seed):
         # stay clear of dt at which I - dt A is (nearly) singular
         assume(np.linalg.cond(np.eye(model.cells) - dt * model.matrix) < 1e8)
-        dense = step_matrix(model, dt, "implicit_euler")
+        dense = _dense_inverse(model, 1.0, dt)
         op = step_operator(model, dt, "implicit_euler")
         assert isinstance(op, ShiftedInverse)
         rng = np.random.default_rng(seed)
@@ -146,7 +139,7 @@ class TestBidiagonalStep:
         a[0, 1:] = np.where(rng.random(n - 1) < 0.5, rng.uniform(0.0, 2.0, n - 1), 0.0)
         assume(np.linalg.cond(np.eye(n) - dt * a) < 1e8)
         model = ps.GeneratorModel.from_matrix(ps.GridSpace(length=float(n), cells=n), a)
-        dense = step_matrix(model, dt, "implicit_euler")
+        dense = _dense_inverse(model, 1.0, dt)
         op = step_operator(model, dt, "implicit_euler")
         banded = not np.any(a[0, 1:]) or np.all(np.abs(1.0 - dt * np.diag(a)[1:]) >= dt * np.diag(a, -1))
         assert isinstance(op, ShiftedInverse) == banded
@@ -166,7 +159,7 @@ class TestBidiagonalStep:
         model = ps.ring_transport_scenario(2.0, cells=20)
         op = step_operator(model, 3.0, "implicit_euler")
         assert np.min(op.toarray()) < 0
-        assert np.min(step_matrix(model, 3.0, "implicit_euler")) < 0
+        assert np.min(_dense_inverse(model, 1.0, 3.0)) < 0
 
     def test_unstructured_matrix_takes_dense_path(self):
         space = ps.GridSpace(length=3.0, cells=3)
@@ -175,7 +168,7 @@ class TestBidiagonalStep:
         )
         e = step_operator(model, 0.3, "implicit_euler")
         assert isinstance(e, np.ndarray)
-        np.testing.assert_array_equal(e, step_matrix(model, 0.3, "implicit_euler"))
+        np.testing.assert_array_equal(e, _dense_inverse(model, 1.0, 0.3))
 
     def test_singular_sherman_morrison_denominator(self):
         space = ps.GridSpace(length=2.0, cells=2)
@@ -190,30 +183,37 @@ class TestBidiagonalStep:
             step_operator(model, 0.5, "implicit_euler")
 
     def test_exact_method_stays_dense(self):
-        # without bands the exponential is expm's dense matrix
+        # without bands the uniformization takes a dense P
         space = ps.GridSpace(length=3.0, cells=3)
         no_bands = ps.GeneratorModel.from_matrix(space, [[-2.0, 0.0, 0.0], [1.0, -2.0, 0.0], [1.0, 1.0, -2.0]])
         assert no_bands.bands is None
-        np.testing.assert_array_equal(
-            step_operator(no_bands, 0.3, "exact_exponential"), step_matrix(no_bands, 0.3, "exact_exponential")
-        )
+        e = step_operator(no_bands, 0.3, "exact_exponential")
+        assert isinstance(e, Uniformization)
+        np.testing.assert_allclose(e @ np.eye(3), scipy.linalg.expm(0.3 * no_bands.matrix), rtol=1e-14, atol=0)
 
     def test_exact_method_on_metzler_bands(self, toy):
         _, model, _ = toy
         e = step_operator(model, 0.3, "exact_exponential")
-        assert isinstance(e, BandExponential)
-        np.testing.assert_allclose(e @ np.eye(2), step_matrix(model, 0.3, "exact_exponential"), rtol=1e-14, atol=0)
+        assert isinstance(e, Uniformization)
+        np.testing.assert_allclose(e @ np.eye(2), scipy.linalg.expm(0.3 * model.matrix), rtol=1e-14, atol=0)
 
 
 class TestBandExponential:
-    """The uniformization sum on Metzler bands against dense expm."""
+    """The uniformization sum and its input column, on Metzler bands and on
+    dense Metzler matrices, against dense expm."""
 
     @staticmethod
-    def check(bands, tau, y):
-        e = BandExponential(bands, tau)
-        ref = scipy.linalg.expm(tau * bands.toarray())
+    def check(model, tau, y):
+        e = Uniformization(model, tau)
+        n = model.cells
+        ref = scipy.linalg.expm(tau * model.matrix)
         for got, want in ((e @ y, ref @ y), (e.T @ y, ref.T @ y)):
             assert np.linalg.norm(got - want, 1) <= 1e-12 * np.linalg.norm(want, 1)
+        # F = int_0^tau exp(s A) y ds: the last column of exp(tau [[A, y], [0, 0]])
+        block = np.zeros((n + 1, n + 1))
+        block[:n, :n], block[:n, n] = model.matrix, y
+        want = scipy.linalg.expm(tau * block)[:n, n]
+        assert np.linalg.norm(e.integral(y) - want, 1) <= 1e-12 * np.linalg.norm(want, 1)
 
     @given(
         n=st.integers(min_value=2, max_value=60),
@@ -226,7 +226,27 @@ class TestBandExponential:
         # with absorb = 100, c tau reaches 100 and the sum runs in substeps,
         # while the slow cells, some with a_jj > 0, keep expm accurate
         model = random_bordered_metzler(n, seed, absorb=absorb)
-        self.check(model.bands, tau, np.random.default_rng(seed).random(n))
+        self.check(model, tau, np.random.default_rng(seed).random(n))
+
+    @given(
+        n=st.integers(min_value=3, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        tau=st.sampled_from([0.05, 0.4, 1.0]),
+        absorb=st.sampled_from([0.0, 100.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_dense_metzler(self, n, seed, tau, absorb):
+        # no bands (A[n-1, 0] > 0): a dense P, whose growth only its column
+        # sums bound
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((n, n)) < 0.5, rng.uniform(0.0, 2.0, (n, n)), 0.0)
+        a[n - 1, 0] = 1.0
+        diag = rng.uniform(-3.0, 1.0, n)
+        diag[::3] -= absorb
+        np.fill_diagonal(a, diag)
+        model = ps.GeneratorModel.from_matrix(ps.GridSpace(length=float(n), cells=n), a)
+        assert model.bands is None
+        self.check(model, tau, rng.random(n))
 
     @pytest.mark.parametrize("diag, sub, row0", [
         # P = I + A / c grows (largest column sum 5.2 at c = 1): cutting the
@@ -236,7 +256,8 @@ class TestBandExponential:
         ([0.5, 0.3, 0.1], [1.0, 2.0], [0.5, 0.0, 1.0]),
     ])
     def test_growing_bands(self, diag, sub, row0):
-        self.check(BorderedBidiagonal(np.array(diag), np.array(sub), np.array(row0)), 5.0, np.ones(3))
+        bands = BorderedBidiagonal(np.array(diag), np.array(sub), np.array(row0))
+        self.check(ps.GeneratorModel(ps.GridSpace(length=3.0, cells=3), bands=bands), 5.0, np.ones(3))
 
 
 def test_implicit_euler_is_the_default_at_every_size():
@@ -288,7 +309,7 @@ class TestOperatorNormCurve:
         # the gain fit lifts N over the implicit-Euler power norms
         rs = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30)
         model = rs.system.perturbed
-        e = step_matrix(model, 0.1, "implicit_euler")
+        e = _dense_inverse(model, 1.0, 0.1)
         norms = [ps.induced_operator_norm(np.linalg.matrix_power(e, k), model.space) for k in range(21)]
         curve, _, _ = norm_curves(model, step_operator(model, 0.1), 20)
         np.testing.assert_allclose(curve, norms, rtol=1e-12)
@@ -297,7 +318,7 @@ class TestOperatorNormCurve:
         # expm of a Metzler generator may carry roundoff of either sign; the
         # adjoint recursion reads the curve of the exact step through it
         model = ps.renewal_scenario(1.0, 0.5, length=5.0, cells=30).generator
-        e = step_matrix(model, 0.1, "exact_exponential")
+        e = scipy.linalg.expm(0.1 * model.matrix)
         clean, _, _ = norm_curves(model, e, 20)
         signed = e.copy()
         assert signed[0, -1] == 0.0  # lower triangular
@@ -378,7 +399,7 @@ class TestLeftInvertibility:
         # sums would charge the gain-100 ring 50 times the terms
         counts = []
         for gain in (2.0, 100.0):
-            e = BandExponential(ps.ring_transport_scenario(gain, length=1.0, cells=2400).bands, 1 / 32)
+            e = Uniformization(ps.ring_transport_scenario(gain, length=1.0, cells=2400), 1 / 32)
             counts.append(e._substeps * len(e._weights))
         assert counts[1] < 1.1 * counts[0]
 
