@@ -1,8 +1,8 @@
 """Positive linear systems on discretized transport domains.
 
 Simulation of boundary-controlled positive semigroups together with the
-audits that certify them: resolvent positivity, inverse estimates,
-admissibility constants, small-gain radii, and exponential ISS verdicts.
+audits that certify them: inverse estimates, admissibility constants,
+small-gain radii, and exponential ISS verdicts.
 """
 
 __version__ = "0.1.0"
@@ -28,16 +28,13 @@ from .generators import (
     GeneratorModel,
     NonlocalBirth,
     ProportionalWrap,
-    SpectralReport,
     ZeroInflow,
     build_upwind_generator,
-    check_resolvent_positive,
     inverse_estimate_constant,
     perron_mode,
     resolvent_apply,
     resolvent_matrix,
     spectral_bound,
-    spectral_report,
 )
 from .semigroup import (
     EvolutionPlan,
@@ -54,7 +51,6 @@ from .control import (
     impulse_response_norms,
     input_map,
     mild_solution,
-    positivity_equivalence_audit,
     resolvent_bound_audit,
 )
 from .perturbation import (

@@ -32,16 +32,10 @@ from .control import (
     default_alpha,
     impulse_response_norms,
     mild_solution,
-    positivity_equivalence_audit,
     resolvent_bound_audit,
 )
 from .errors import ConfigError, PossysError, SingularSystemError, WorkBudgetError
-from .generators import (
-    GeneratorModel,
-    inverse_estimate_constant,
-    spectral_bound,
-    spectral_report,
-)
+from .generators import GeneratorModel, inverse_estimate_constant, spectral_bound
 from .iss import EISS, iss_gain_fit, iss_verdict
 from .lattice import POSITIVITY_TOL, GridSpace, GridVector
 from .perturbation import (
@@ -53,14 +47,8 @@ from .perturbation import (
 from .scenarios import markov_cycle_scenario, renewal_scenario, ring_transport_scenario
 from .semigroup import EvolutionPlan, left_invertibility_audit
 
-TOLERANCE_PROFILES = {
-    "default": {"guard_band": 1e-9},
-    "strict": {"guard_band": 1e-10},
-    "loose": {"guard_band": 1e-8},
-}
 CONFIG_KEYS = (
-    "scenario", "plan", "input", "initial_state", "audits", "seed", "tau", "lambda0", "alpha", "p",
-    "gain_fit", "tolerances",
+    "scenario", "plan", "input", "initial_state", "audits", "seed", "tau", "lambda0", "alpha", "p", "gain_fit",
 )
 # scenario kind -> the keys its scenario object may have
 SCENARIO_KEYS = {
@@ -134,8 +122,6 @@ class RunConfig:
     alpha: Optional[float]
     p: float
     gain_fit: dict
-    tolerances: dict
-    tolerance_profile: str
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -220,17 +206,6 @@ class RunConfig:
             k: _number(fit.get(k), f"gain_fit.{k}", positive=True, nullable=True) for k in ("horizon", "dt")
         }
 
-        profile = os.environ.get("POSSYS_TOLERANCE_PROFILE", "default")
-        if profile not in TOLERANCE_PROFILES:
-            raise ConfigError(
-                f"POSSYS_TOLERANCE_PROFILE must be one of {sorted(TOLERANCE_PROFILES)}"
-            )
-        tolerances = dict(TOLERANCE_PROFILES[profile])
-        overrides = raw.get("tolerances", {})
-        if not isinstance(overrides, dict) or any(k not in tolerances for k in overrides):
-            raise ConfigError(f"tolerances overrides must be drawn from {sorted(tolerances)}")
-        tolerances.update({k: _number(v, f"tolerances.{k}") for k, v in overrides.items()})
-
         return cls(
             scenario=scenario,
             plan=plan,
@@ -243,8 +218,6 @@ class RunConfig:
             alpha=_number(raw.get("alpha"), "alpha", nullable=True),
             p=p,
             gain_fit=gain_fit,
-            tolerances=tolerances,
-            tolerance_profile=profile,
         )
 
 
@@ -531,8 +504,9 @@ def _admissibility(cfg, built, report):
     dt = tau / ADMISSIBILITY_STEPS
     norms = impulse_response_norms(model, col, tau, dt)
     report["kappa"] = float(admissibility_curve(norms, dt, cfg.p)[-1])
-    eq = positivity_equivalence_audit(model, col)
-    report["positive_admissible"] = bool(eq.input_map_nonneg and eq.consistent)
+    # A is Metzler, so every input map of a u >= 0 is >= 0 exactly when b >= 0
+    scale = float(np.max(np.abs(col))) or 1.0
+    report["positive_admissible"] = bool(np.min(col) >= -POSITIVITY_TOL * scale)
     report["composition_residual"] = composition_probe(model, col, tau)
     kappa_inf = admissibility_curve(norms, dt, math.inf)
     marks = [ADMISSIBILITY_STEPS // d for d in (8, 4, 2, 1)]
@@ -547,7 +521,7 @@ def _resolvent_bound(cfg, built, report):
     report["alpha"] = alpha
     try:
         report["m_alpha"] = resolvent_bound_audit(built.model, built.injection.column, alpha, p=cfg.p)
-    except SingularSystemError as exc:
+    except (ValueError, SingularSystemError) as exc:
         return str(exc)
     return None
 
@@ -556,12 +530,8 @@ def _small_gain(cfg, built, report):
     report["r"] = small_gain_radius(built.system)
 
 
-def _verdict(cfg, built):
-    return iss_verdict(built.system, guard=cfg.tolerances["guard_band"])
-
-
 def _iss(cfg, built, report):
-    rep = _verdict(cfg, built)
+    rep = iss_verdict(built.system)
     report.update(verdict=rep.verdict, r=rep.small_gain_radius, witness=rep.witness)
 
 
@@ -573,7 +543,7 @@ def _gain_fit(cfg, built, report):
         j = int(np.argmin(col))
         return f"gain fit needs a nonnegative injection column, got b[{j}] = {float(col[j])!r}"
     # the iss audit's verdict when it ran first
-    verdict = report["verdict"] or _verdict(cfg, built).verdict
+    verdict = report["verdict"] or iss_verdict(built.system).verdict
     if verdict != EISS:
         return f"gain fit requires an eISS verdict, got {verdict}"
     report["N"], report["mu"], report["G"] = iss_gain_fit(built.system, col, **cfg.gain_fit)
@@ -635,21 +605,15 @@ KNOWN_AUDITS = tuple(AUDITS)
 def cmd_audit(cfg: RunConfig, out_path: str) -> int:
     built = build_scenario(cfg)
     _check_initial_state(cfg, built)
-    spec = spectral_report(built.model)
     report = {
         "version": __version__,
         "seed": cfg.seed,
-        "tolerance_profile": cfg.tolerance_profile,
-        "tolerances": dict(cfg.tolerances),
         "scenario": {"kind": built.kind, "parameters": built.echo},
         "audits_run": [],
         "skipped": [],
         "p": cfg.p if math.isfinite(cfg.p) else "inf",
         "tau": cfg.tau,
-        "s_A": spec.spectral_bound,
-        "resolvent_positive_from": (
-            spec.resolvent_positive_from if math.isfinite(spec.resolvent_positive_from) else None
-        ),
+        "s_A": spectral_bound(built.model),
     }
     report.update((key, None) for audit in AUDITS.values() for key in audit.keys)
     for name in cfg.audits:
@@ -685,7 +649,7 @@ def _sweep_row(cfg: RunConfig, param: str, value: float) -> dict:
     if built.system is None:
         return {"value": value, "r": None, "s_perturbed": spectral_bound(built.model),
                 "verdict": None, "mu": None}
-    rep = iss_verdict(built.system, guard=cfg.tolerances["guard_band"])
+    rep = iss_verdict(built.system)
     s_pert = spectral_bound(built.system.perturbed)
     # an eISS loop decays at its growth bound: mu = -s(A_S), not fitted
     return {"value": value, "r": rep.small_gain_radius, "s_perturbed": s_pert,

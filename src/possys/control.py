@@ -13,6 +13,12 @@ Admissibility is read off one impulse-response curve c(s) = ||T(s) b||, stepped
 once on the tau / ADMISSIBILITY_STEPS grid: the norm is additive on the cone,
 so kappa_p(t) is the L^{p'} norm of c on [0, t] (`admissibility_curve`), and
 kappa_inf(t) = int_0^t c is the same functional at p = inf.
+
+Positivity of the input maps is not computed: the generator is Metzler, so
+T(t) >= 0 and R(lam, A) >= 0 exactly when lam > s(A) (Berman & Plemmons,
+Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6), and
+Phi_tau u >= 0 for every u >= 0 exactly when b >= 0.  The implicit-Euler
+step (I - dt A)^{-1} is >= 0 too while dt s(A) < 1.
 """
 from __future__ import annotations
 
@@ -24,13 +30,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .generators import GeneratorModel, resolvent_apply, spectral_bound
-from .lattice import (
-    POSITIVITY_TOL,
-    GridSpace,
-    GridVector,
-    _readonly,
-    weighted_l1,
-)
+from .lattice import GridSpace, GridVector, _readonly, weighted_l1
 from .semigroup import (
     _GRID_TOL,
     DEFAULT_METHOD,
@@ -476,47 +476,3 @@ def _derive_dt(u: InputSignal, *times: float, max_refine: int = 64) -> float:
         g /= 2.0
     warnings.warn("no aligned grid step found; falling back to the smallest gap")
     return g
-
-
-@dataclass(frozen=True)
-class PositivityEquivalence:
-    """The three positivity assertions that must agree for positive systems:
-    the injection column, the resolvent applied to it at large lambda, and
-    the input maps of nonnegative signals."""
-
-    column_nonneg: bool
-    resolvent_nonneg: bool
-    input_map_nonneg: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.column_nonneg == self.resolvent_nonneg == self.input_map_nonneg
-
-
-def positivity_equivalence_audit(
-    model: GeneratorModel,
-    b,
-    t_checks=(0.5, 1.0),
-    tol: float = POSITIVITY_TOL,
-) -> PositivityEquivalence:
-    col = _as_column(b, model.space)
-    scale = float(np.max(np.abs(col))) or 1.0
-    column_nonneg = bool(np.min(col) >= -tol * scale)
-
-    # lambda large enough that R(lam) b ~ b/lam keeps the sign of b
-    s = spectral_bound(model)
-    lam_base = max(s, 0.0) + 10.0 * (1.0 + model.max_abs())
-    res_ok = True
-    for lam in (lam_base, 10.0 * lam_base):
-        g = resolvent_apply(model, lam, model.space.vector(col)).values
-        res_ok = res_ok and bool(np.min(g) >= -tol * (1.0 + float(np.max(np.abs(g)))))
-
-    inp_ok = True
-    one = InputSignal.constant(1.0, max(t_checks))
-    for t in t_checks:
-        phi = input_map(model, col, one, t, dt=t / 64).values
-        inp_ok = inp_ok and bool(np.min(phi) >= -tol * (1.0 + float(np.max(np.abs(phi)))))
-
-    return PositivityEquivalence(
-        column_nonneg=column_nonneg, resolvent_nonneg=res_ok, input_map_nonneg=inp_ok
-    )

@@ -2,11 +2,14 @@
 
 The continuous model is f' = -df/dx - q(x) f on [0, L] with one of three
 inflow rules at x = 0; the upwind finite-volume truncation turns it into a
-Metzler matrix acting on grid vectors.  Everything downstream (resolvent
-positivity, spectral bounds, inverse estimates) is phrased against the
-matrix, so custom Metzler generators can be wrapped with
+Metzler matrix acting on grid vectors.  Everything downstream (spectral
+bounds, resolvent solves, inverse estimates) is phrased against the matrix,
+so custom Metzler generators can be wrapped with
 `GeneratorModel.from_matrix`; a matrix with a negative entry off the
-diagonal is refused there.
+diagonal is refused there.  Positivity is therefore never computed: for a
+Metzler A, lam I - A is a Z-matrix, and R(lam, A) >= 0 exactly when
+lam > s(A), where it is a nonsingular M-matrix (Berman & Plemmons,
+Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6).
 The upwind generators are stored as bordered-bidiagonal bands; their dense
 matrix is built only where a dense routine asks for it.
 """
@@ -37,7 +40,7 @@ _ROOT_MAX_ITER = 100
 # step operators kept per model (see GeneratorModel.cached)
 _STORE_MAX = 8
 # largest |-1/h - q| an upwind diagonal may take: the audits shift the
-# generator by up to 100 (1 + max|A|) and sum such terms, which must not overflow
+# generator and sum such terms, which must not overflow
 MAX_DIAGONAL = np.finfo(float).max / 1e3
 
 
@@ -238,12 +241,6 @@ class GeneratorModel:
         if self.bands is not None:
             return self.bands.column_sums(absolute)
         return np.sum(np.abs(self.matrix) if absolute else self.matrix, axis=0)
-
-    def max_abs(self) -> float:
-        """Largest |A_ij|; from the bands when the model has them."""
-        b = self.bands
-        entries = self.matrix if b is None else np.concatenate((b.diag, b.sub, b.row0))
-        return float(np.max(np.abs(entries)))
 
     def cached(self, key, build):
         """The value this model stores under `key`, made by `build()` on a
@@ -655,53 +652,16 @@ def perron_mode(model: GeneratorModel) -> tuple[float, np.ndarray]:
     return float(ev[i].real), v / total if total else v
 
 
-def check_resolvent_positive(model: GeneratorModel, lambda_grid) -> np.ndarray:
-    """Entrywise nonnegativity of (lam I - A)^{-1} for each lam in the grid.
-
-    For the Metzler A of every model, lam I - A is a Z-matrix, whose inverse
-    is nonnegative exactly when it is an M-matrix, that is when lam > s(A)
-    (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-    1994, ch. 6).  No resolvent is formed; bands read s(A) off their
-    characteristic root (`spectral_bound`).
-    """
-    return np.atleast_1d(np.asarray(lambda_grid, dtype=float)) > spectral_bound(model)
-
-
 def inverse_estimate_constant(model: GeneratorModel, lambda0: float) -> float:
     """Largest c with ||R(lambda0, A) x|| >= c ||x|| for x in the cone.
 
-    Defined for lambda0 > s(A), where R(lambda0, A) >= 0 (see
-    `check_resolvent_positive`); the bound is then attained on a basis
-    direction, so c is the smallest weighted column score (w^T R e_j) / w_j,
-    read off one adjoint solve R^T w.
+    Defined for lambda0 > s(A), where R(lambda0, A) >= 0 (see the module
+    docstring); the bound is then attained on a basis direction, so c is
+    the smallest weighted column score (w^T R e_j) / w_j, read off one
+    adjoint solve R^T w.
     """
     s = spectral_bound(model)
     if lambda0 <= s:
         raise ValueError(f"lambda0 = {lambda0} must exceed the spectral bound {s}")
     w = model.space.weights
     return float(np.min((shifted_inverse(model, lambda0, 1.0).T @ w) / w))
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Spectral bound s(A), which in finite dimension is the growth bound of
-    the semigroup, and where the resolvent scan turned positive (nan if it
-    never did)."""
-
-    spectral_bound: float
-    resolvent_positive_from: float
-
-
-def spectral_report(model: GeneratorModel, lambda_scan=None) -> SpectralReport:
-    """Bundle of the spectral audit quantities; nothing is stepped in time."""
-    s = spectral_bound(model)
-    if lambda_scan is None:
-        lambda_scan = s + np.array([1e-2, 1e-1, 1.0, 10.0])
-    lams = np.sort(np.atleast_1d(np.asarray(lambda_scan, dtype=float)))
-    flags = check_resolvent_positive(model, lams)
-    onset = math.nan
-    for lam, ok in zip(lams[::-1], flags[::-1]):
-        if not ok:
-            break
-        onset = float(lam)
-    return SpectralReport(spectral_bound=s, resolvent_positive_from=onset)

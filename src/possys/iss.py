@@ -63,8 +63,9 @@ class ISSReport:
             raise ValueError("eISS verdict contradicts its own scalars")
 
 
-def iss_verdict(system: PerturbedSystem, guard: float = GUARD_BAND) -> ISSReport:
-    """Spectral eISS test: s(A) < 0 and loop radius < 1, with a guard band.
+def iss_verdict(system: PerturbedSystem) -> ISSReport:
+    """Spectral eISS test: s(A) < 0 and loop radius < 1, with the guard band
+    GUARD_BAND.
 
     Inside the band the verdict is inconclusive rather than a coin flip.
     not_eISS verdicts attach a nonnegative initial state whose zero-input
@@ -72,9 +73,9 @@ def iss_verdict(system: PerturbedSystem, guard: float = GUARD_BAND) -> ISSReport
     """
     s_a = spectral_bound(system.base)
     r = small_gain_radius(system)
-    if s_a < -guard and r < 1.0 - guard:
+    if s_a < -GUARD_BAND and r < 1.0 - GUARD_BAND:
         verdict = EISS
-    elif r > 1.0 + guard or s_a > guard:
+    elif r > 1.0 + GUARD_BAND or s_a > GUARD_BAND:
         verdict = NOT_EISS
     else:
         verdict = INCONCLUSIVE

@@ -11,7 +11,8 @@ R(lam, A_S) = -(R(lam, A_S) b)(R(lam, A)^T beta h)^T, and T(t) <= S(t)
 follows from A Metzler and P >= 0 alone.  Both are the paper's setting:
 `GeneratorModel` refuses a generator that is not Metzler, and negative
 feedback rates, like a matrix P with a negative entry, are refused here.
-`variation_of_constants_check` steps T and S by `semigroup.Uniformization`.
+`variation_of_constants_check` steps T and S by `semigroup.Uniformization`
+and applies P through `PerturbedSystem.perturbation_matvec`.
 """
 from __future__ import annotations
 
@@ -165,6 +166,13 @@ class PerturbedSystem:
         if self.injection is None:
             return float(np.min(self.perturbation))
         return _min_product(self.injection, self.feedback * self.base.space.spacing)[0]
+
+    def perturbation_matvec(self, z: np.ndarray) -> np.ndarray:
+        """P @ z; from the rank-one factors, b ((beta h) . z), when the system
+        has them, so no n x n array is built."""
+        if self.injection is None:
+            return self.perturbation @ z
+        return self.injection * np.dot(self.feedback * self.base.space.spacing, z)
 
     @classmethod
     def from_matrix(cls, base: GeneratorModel, perturbation) -> "PerturbedSystem":
@@ -332,7 +340,7 @@ def variation_of_constants_check(
     base_only = x.values.copy()  # T(s) x
     conv = np.zeros_like(z)
     for _ in range(steps):
-        conv = e_t @ (conv + dt * (system.perturbation @ z))
+        conv = e_t @ (conv + dt * system.perturbation_matvec(z))
         z = e_s @ z
         base_only = e_t @ base_only
     residual = weighted_l1(z - base_only - conv, system.base.space)

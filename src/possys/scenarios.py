@@ -7,7 +7,7 @@ beta-weighted population integral plus an external control.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -45,7 +45,6 @@ def _compact(arr: np.ndarray):
 class ScenarioSpec:
     kind: str
     parameters: dict
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,6 @@ def renewal_scenario(
             "length": float(length),
             "cells": cells,
         },
-        note="transport with absorption and nonlocal birth feedback",
     )
     sup_q = float(np.max(q_arr))
     min_q = float(np.min(q_arr))

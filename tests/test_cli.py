@@ -115,11 +115,11 @@ class TestConfigErrors:
         assert cli.main(["sweep", "--config", cfg, "--param", "beta0", "--values", "0.1,zebra"]) == 2
 
     def test_residual_tolerance_is_not_a_key(self, tmp_path, capsys):
-        # every solve check reads generators.RESIDUAL_TOL; no profile key
-        # pretends to govern it
+        # every solve check reads generators.RESIDUAL_TOL; no config key
+        # pretends to govern it, and "tolerances" is no config key at all
         cfg = write_config(tmp_path, tolerances={"residual": 1e-9})
         assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
-        assert "residual" not in cli.TOLERANCE_PROFILES["default"]
+        assert capsys.readouterr().err.startswith("config error: unknown config key 'tolerances'")
 
     def test_overflowing_absorption_exits_2(self, tmp_path):
         scenario = {"kind": "renewal", "q": 1e308, "beta": 0.5, "length": 20.0, "cells": 60}
@@ -168,8 +168,8 @@ class TestConfigErrors:
         {"gain_fit": 5},
         {"gain_fit": {"trials": "x"}},
         {"gain_fit": {"trails": 20}},
+        # every tolerance is a module constant: "tolerances" is an unknown key
         {"tolerances": {"positivity": "x"}},
-        # every positivity check reads lattice.POSITIVITY_TOL; no profile key
         {"tolerances": {"positivity": 1e-12}},
         {"plan": {"t_end": "x"}},
         {"plan": {"t_end": -1.0}},
@@ -454,11 +454,14 @@ class TestAudit:
         report = json.loads(out.read_text())
         for key in (
             "version", "seed", "s_A", "c", "kappa", "m_alpha",
-            "r", "verdict", "N", "mu", "G", "witness", "tolerances", "audits_run",
-            "skipped", "scenario", "tau", "lambda0", "alpha", "p",
+            "r", "verdict", "N", "mu", "G", "witness", "audits_run",
+            "skipped", "scenario", "tau", "lambda0", "alpha", "p", "positive_admissible",
         ):
             assert key in report
         assert "growth_estimate" not in report  # s_A is the growth bound
+        # the resolvent is positive exactly above s_A, and no tolerance is a knob
+        for key in ("resolvent_positive_from", "tolerance_profile", "tolerances"):
+            assert key not in report
         assert report["verdict"] == "eISS"
         assert report["N"] is None  # gain_fit not in the default audit list
 
@@ -637,19 +640,28 @@ class TestAudit:
         assert report["alpha"] == -50.0 and report["m_alpha"] is None
         assert report["c"] is not None and report["kappa"] is not None and report["r"] is not None
 
-    def test_tolerance_profile_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("POSSYS_TOLERANCE_PROFILE", "loose")
-        cfg = write_config(tmp_path, audits=[])
+    @pytest.mark.parametrize("key", ["alpha", "lambda0"])
+    def test_abscissa_below_the_spectral_bound_is_skipped(self, tmp_path, capsys, key):
+        # s(A) = -4 here; an abscissa at or below it skips its own audit,
+        # the refusal is the reason, and every other audit reports
+        audit, value = {"alpha": ("resolvent_bound", "m_alpha"), "lambda0": ("inverse_estimate", "c")}[key]
+        scenario = {"kind": "renewal", "cells": 60, "length": 20.0}
+        cfg = write_config(tmp_path, scenario=scenario, **{key: -1000.0})
         out = tmp_path / "report.json"
         assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["tolerance_profile"] == "loose"
-        assert report["tolerances"]["guard_band"] == 1e-8
+        assert report["audits_run"] == [a for a in cli.DEFAULT_AUDITS if a != audit]
+        assert report["skipped"] == [[audit, f"{key} = -1000.0 must exceed the spectral bound -4.0"]]
+        assert report[key] == -1000.0 and report[value] is None
 
-    def test_bad_tolerance_profile_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("POSSYS_TOLERANCE_PROFILE", "heroic")
+    def test_tolerance_profile_env(self, tmp_path, capsys, monkeypatch):
+        # the guard band is iss.GUARD_BAND: the variable is read by nothing
         cfg = write_config(tmp_path)
-        assert cli.main(["audit", "--config", cfg]) == 2
+        plain, loose = tmp_path / "plain.json", tmp_path / "loose.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(plain)]) == 0
+        monkeypatch.setenv("POSSYS_TOLERANCE_PROFILE", "loose")
+        assert cli.main(["audit", "--config", cfg, "--out", str(loose)]) == 0
+        assert loose.read_bytes() == plain.read_bytes()
 
     def test_explicit_scenario_with_feedback(self, tmp_path, capsys):
         cfg = write_config(
@@ -779,14 +791,17 @@ class TestSweep:
         ]) == 0
 
     def test_row_verdict_is_iss_verdict(self, tmp_path):
-        # loop gain r = 0.86 beta here; a 0.05 guard band puts beta = 1.16
-        # inside it and the other two on either side
-        cfg = cli.RunConfig.from_file(write_config(tmp_path, tolerances={"guard_band": 0.05}))
+        # the loop gain is linear in beta, r = 0.86 beta here, so beta =
+        # 1 / r(1) puts r within roundoff of 1, inside the 1e-9 guard band,
+        # and the other two on either side
+        cfg = cli.RunConfig.from_file(write_config(tmp_path))
+        edge = 1.0 / ps.renewal_scenario(1.0, 1.0, length=2.0, cells=30).system.small_gain_radius
+        assert abs(ps.renewal_scenario(1.0, edge, length=2.0, cells=30).system.small_gain_radius - 1.0) < 1e-9
         verdicts = []
-        for beta in (1.0, 1.16, 1.4):
+        for beta in (1.0, edge, 1.4):
             row = cli._sweep_row(cfg, "beta0", beta)
             rs = ps.renewal_scenario(1.0, beta, length=2.0, cells=30)
-            rep = ps.iss_verdict(rs.system, guard=0.05)
+            rep = ps.iss_verdict(rs.system)
             assert (row["verdict"], row["r"]) == (rep.verdict, rep.small_gain_radius)
             assert row["mu"] == (-row["s_perturbed"] if rep.verdict == ps.EISS else None)
             verdicts.append(row["verdict"])

@@ -1,4 +1,5 @@
 """Input signals, input maps, and the admissibility audits."""
+import json
 import sys
 import threading
 
@@ -9,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import possys as ps
+from possys import cli
 from possys.control import (
     additivity_check,
     composition_law_check,
     impulse_response_norms,
-    positivity_equivalence_audit,
+    input_map,
     resolvent_bound_audit,
     step_input_operators,
 )
 from possys.semigroup import Uniformization
+from test_bands import random_bordered_metzler
 
 
 def steps_signal(rng, n_seg=3, t_max=2.0):
@@ -318,17 +321,48 @@ class TestSystemLaws:
 
 
 class TestPositivityEquivalence:
-    def test_boundary_injection_all_green(self, toy):
-        _, model, b = toy
-        eq = positivity_equivalence_audit(model, b)
-        assert eq.column_nonneg and eq.resolvent_nonneg and eq.input_map_nonneg
-        assert eq.consistent
+    """The report's `positive_admissible` is the column test b >= 0.  On a
+    Metzler A that is equivalent to R(lam, A) b >= 0 above s(A) and to
+    Phi_t u >= 0 for u >= 0, which these oracles check numerically."""
 
-    def test_signed_column_all_red(self, toy):
-        _, model, _ = toy
-        eq = positivity_equivalence_audit(model, np.array([1.0, -1.0]))
-        assert not eq.column_nonneg and not eq.resolvent_nonneg and not eq.input_map_nonneg
-        assert eq.consistent
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        boundary=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_boundary_injection_all_green(self, n, seed, boundary):
+        # random Metzler bands, s(A) < 64, with the boundary injection e_0 / h
+        # or a random b >= 0: R(lam, A) b >= 0 from lam = s(A) + 0.1 (1 +
+        # |s(A)|) up, and the implicit-Euler input maps of u = 1 on t / 64
+        # grids, whose step is >= 0 while (t / 64) s(A) < 1, are >= 0
+        model = random_bordered_metzler(n, seed)
+        s = ps.spectral_bound(model)
+        assert s < 64.0
+        if boundary:
+            col = ps.ControlOperator.boundary_injection(model.space).column
+        else:
+            col = np.random.default_rng(seed).exponential(size=n)
+        for lam in s + np.array([1e-1, 1.0, 10.0, 100.0]) * (1.0 + abs(s)):
+            g = ps.resolvent_apply(model, lam, col).values
+            assert np.min(g) >= -1e-12 * np.max(np.abs(g))
+        one = ps.InputSignal.constant(1.0, 1.0)
+        for t in (0.5, 1.0):
+            phi = input_map(model, col, one, t, dt=t / 64).values
+            assert np.min(phi) >= -1e-12 * np.max(np.abs(phi))
+
+    def test_signed_column_all_red(self, tmp_path, capsys):
+        # the CLI's positive_admissible: true for the renewal boundary
+        # injection, false for a column with a negative entry and no loop
+        renewal = {"kind": "renewal", "q": 1.0, "beta": 0.5, "length": 20.0, "cells": 60}
+        signed = {"kind": "explicit", "matrix": [[-2.0, 0.0], [1.0, -2.0]], "length": 2.0, "b": [1.0, -1.0]}
+        for scenario, admissible in ((renewal, True), (signed, False)):
+            cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+            cfg.write_text(json.dumps({"scenario": scenario, "audits": ["admissibility"]}))
+            assert cli.main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["audits_run"] == ["admissibility"]
+            assert report["positive_admissible"] is admissible
 
 
 def test_step_operator_cache_returns_same_arrays(toy):

@@ -1,18 +1,15 @@
 """Upwind generators, resolvents, spectral bounds, inverse estimates."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import possys as ps
+from possys import cli
 from possys.errors import EigensolverError, SingularSystemError
-from possys.generators import (
-    check_resolvent_positive,
-    inverse_estimate_constant,
-    perron_mode,
-    resolvent_matrix,
-    spectral_report,
-)
+from possys.generators import inverse_estimate_constant, perron_mode, resolvent_matrix
 
 
 class TestUpwindStructure:
@@ -83,9 +80,11 @@ class TestResolvent:
             resolvent_matrix(model, -2.0)
 
     def test_positivity_scan(self, toy):
+        # s(A) = -2: nonnegative above it, and at -3 the diagonal is negative
         _, model, _ = toy
-        flags = check_resolvent_positive(model, [-1.0, 0.0, 1.0])
-        assert flags.tolist() == [True, True, True]
+        for lam in (-1.99, -1.0, 0.0, 1.0):
+            assert np.min(resolvent_matrix(model, lam)) >= 0.0
+        assert np.min(resolvent_matrix(model, -3.0)) < 0.0
 
 
 class TestSpectralBound:
@@ -160,20 +159,17 @@ class TestInverseEstimate:
 
 
 class TestSpectralReport:
-    def test_toy_fields(self, toy):
-        _, model, _ = toy
-        rep = spectral_report(model)
-        assert rep.spectral_bound == -2.0
-        assert rep.resolvent_positive_from <= -1.9
+    """The report's spectral part is s_A alone: the resolvent is positive
+    exactly above it, so no scan is reported."""
 
-    @pytest.mark.parametrize("cells", [60, 400, 2000])
-    def test_positive_from_the_first_scan_point(self, cells):
-        # R(s + 0.01, A) has entries near (1 / (0.01 h))^n, beyond any float;
-        # the certificate reads its sign without forming it
-        rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=cells)
-        rep = spectral_report(rs.generator)
-        assert rep.resolvent_positive_from == rep.spectral_bound + 0.01
-        assert rs.generator._dense is None
+    def test_toy_fields(self, tmp_path, capsys):
+        doc = {"scenario": {"kind": "explicit", "matrix": [[-2.0, 0.0], [1.0, -2.0]], "length": 2.0}, "audits": []}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["s_A"] == -2.0
+        assert "resolvent_positive_from" not in report
 
     def test_large_n_stays_cheap(self):
         rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=2000)
@@ -188,9 +184,8 @@ class TestSpectralReport:
 @settings(max_examples=300, deadline=None)
 def test_positivity_certificate_against_dense_entries(n, seed, offset):
     # random Metzler bands, some subdiagonal and feedback entries zero, at
-    # lam on both sides of s(A): the closed form lam > s(A), with s(A) from
-    # the characteristic root, agrees with the sign of the entries of the
-    # dense inverse
+    # lam on both sides of s(A): lam > s(A), with s(A) from the
+    # characteristic root, exactly when the dense inverse is >= 0
     rng = np.random.default_rng(seed)
     diag = rng.uniform(-3.0, 1.0, n)
     sub = np.where(rng.random(n - 1) < 0.2, 0.0, rng.uniform(0.0, 3.0, n - 1))
@@ -205,8 +200,7 @@ def test_positivity_certificate_against_dense_entries(n, seed, offset):
     if np.min(np.abs(lam - ev)) < 1e-6 * (1.0 + abs(lam)):
         return
     r = np.linalg.solve(lam * np.eye(n) - a, np.eye(n))
-    assert check_resolvent_positive(model, [lam])[0] == bool(np.min(r) >= -1e-12 * np.max(np.abs(r)))
-    assert check_resolvent_positive(model, [lam])[0] == (offset > 0)
+    assert (lam > ps.spectral_bound(model)) == bool(np.min(r) >= -1e-12 * np.max(np.abs(r))) == (offset > 0)
     assert model._dense is None
 
 
@@ -219,8 +213,8 @@ def test_positivity_certificate_against_dense_entries(n, seed, offset):
 def test_positivity_closed_form_against_dense_resolvent(n, seed, offset):
     # random dense Metzler matrices, some off-diagonal entries zero: for a
     # Z-matrix lam I - A the inverse is nonnegative exactly when lam > s(A),
-    # which agrees with the smallest entry of the dense resolvent wherever
-    # its solve is not refused
+    # as the smallest entry of the dense resolvent shows wherever its solve
+    # is not refused
     rng = np.random.default_rng(seed)
     a = np.where(rng.random((n, n)) < 0.3, 0.0, rng.uniform(0.0, 2.0, (n, n)))
     np.fill_diagonal(a, rng.uniform(-4.0, 1.0, n))
@@ -231,4 +225,4 @@ def test_positivity_closed_form_against_dense_resolvent(n, seed, offset):
         r = resolvent_matrix(model, lam)
     except SingularSystemError:
         return
-    assert check_resolvent_positive(model, [lam])[0] == bool(np.min(r) >= -1e-12) == (offset > 0)
+    assert (lam > ps.spectral_bound(model)) == bool(np.min(r) >= -1e-12) == (offset > 0)

@@ -43,10 +43,6 @@ class TestVerdict:
         rep = ps.iss_verdict(closed_loop(toy, 4.0 / 3.0))
         assert rep.verdict == INCONCLUSIVE
 
-    def test_guard_band_widens_the_gap(self, toy):
-        rep = ps.iss_verdict(closed_loop(toy, 1.2), guard=0.2)
-        assert rep.verdict == INCONCLUSIVE  # r = 0.9 > 1 - 0.2
-
     def test_stable_base_required(self):
         # wrap gain > 1 pushes s(A) past zero with no feedback at all
         model = ps.ring_transport_scenario(gain=2.0, length=1.0, cells=30)

@@ -344,6 +344,23 @@ class TestVariationOfConstants:
         assert residuals[0] / residuals[1] == pytest.approx(2.0, abs=0.4)
         assert residuals[1] / residuals[2] == pytest.approx(2.0, abs=0.4)
 
+    def test_assembled_system_builds_no_dense_perturbation(self, monkeypatch):
+        # P z is b ((beta h) . z) on the rank-one factors; the dense view
+        # stays unbuilt, and the residual matches the dense P's to roundoff
+        rs = ps.renewal_scenario(1.0, 0.5, length=4.0, cells=50)
+        x = rs.generator.space.vector(np.exp(-np.linspace(0.0, 3.0, 50)))
+        dense = ps.PerturbedSystem.from_matrix(rs.system.base, rs.system.perturbation)
+        want = variation_of_constants_check(dense, x, 1.0, 0.01).residual
+        rs = ps.renewal_scenario(1.0, 0.5, length=4.0, cells=50)
+
+        def refuse(system):
+            raise AssertionError("dense perturbation built")
+
+        monkeypatch.setattr(ps.PerturbedSystem, "perturbation", property(refuse))
+        got = variation_of_constants_check(rs.system, x, 1.0, 0.01).residual
+        assert got == pytest.approx(want, rel=1e-12)
+        assert rs.system._dense is None
+
     def test_zero_perturbation_zero_residual(self, toy):
         _, model, b = toy
         system = assemble_perturbed(model, b, 0.0)
