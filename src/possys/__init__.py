@@ -19,7 +19,6 @@ from .lattice import (
     GridSpace,
     GridVector,
     induced_operator_norm,
-    is_positive,
     l1_norm,
     weighted_l1,
 )
@@ -54,12 +53,9 @@ from .control import (
     resolvent_bound_audit,
 )
 from .perturbation import (
-    DirichletOperator,
     DominationReport,
     PerturbedSystem,
     assemble_perturbed,
-    boundary_control_operator,
-    dirichlet_operator,
     domination_check,
     small_gain_radius,
     variation_of_constants_check,

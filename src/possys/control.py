@@ -139,12 +139,6 @@ class InputSignal:
         )
         return InputSignal(bp, vals)
 
-    def positive_part(self) -> "InputSignal":
-        return InputSignal(self.breakpoints, np.maximum(self.values, 0.0))
-
-    def negative_part(self) -> "InputSignal":
-        return InputSignal(self.breakpoints, np.maximum(-self.values, 0.0))
-
     def lp_norm(self, p: float = 1) -> float:
         widths = np.diff(self.breakpoints)
         if len(self.values) == 0:
@@ -156,15 +150,6 @@ class InputSignal:
         if math.isinf(p):
             return float(np.max(np.abs(self.values)))
         raise ValueError(f"p must be 1, 2, or inf, got {p}")
-
-    def to_csv(self, path) -> None:
-        """Two-column CSV `t,u`; a final row with u = 0 closes the support."""
-        lines = ["t,u"]
-        for t, u in zip(self.breakpoints[:-1], self.values):
-            lines.append(f"{float(t)!r},{float(u)!r}")
-        lines.append(f"{float(self.end)!r},{0.0!r}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "InputSignal":
@@ -415,14 +400,13 @@ def composition_law_check(
     u: InputSignal,
     t: float,
     tau: float,
-    dt: Optional[float] = None,
+    dt: float,
     method: str = DEFAULT_METHOD,
 ) -> float:
-    """Residual of Phi_{tau+t} u = T(tau) Phi_t (u|_{[0,t)}) + Phi_tau (u shifted by t)."""
+    """Residual of Phi_{tau+t} u = T(tau) Phi_t (u|_{[0,t)}) + Phi_tau (u shifted by t)
+    on the dt grid."""
     if t <= 0 or tau <= 0:
         raise ValueError("t and tau must be positive")
-    if dt is None:
-        dt = _derive_dt(u, t, tau)
     col = _as_column(b, model.space)
     e, _ = step_input_operators(model, col, dt, method)
 
@@ -449,30 +433,12 @@ def additivity_check(
     u: InputSignal,
     v: InputSignal,
     tau: float,
-    dt: Optional[float] = None,
+    dt: float,
     method: str = DEFAULT_METHOD,
 ) -> float:
-    """Residual of Phi_tau(u + v) = Phi_tau u + Phi_tau v."""
-    if dt is None:
-        dt = _derive_dt(u + v, tau)
+    """Residual of Phi_tau(u + v) = Phi_tau u + Phi_tau v on the dt grid."""
     both = input_map(model, b, u + v, tau, dt=dt, method=method).values
     one = input_map(model, b, u, tau, dt=dt, method=method).values
     two = input_map(model, b, v, tau, dt=dt, method=method).values
     return weighted_l1(both - one - two, model.space)
 
-
-def _derive_dt(u: InputSignal, *times: float, max_refine: int = 64) -> float:
-    """Largest grid step aligning the breakpoints and the given times."""
-    marks = np.concatenate((u.breakpoints, np.asarray(times, dtype=float)))
-    marks = np.unique(marks[marks > 0])
-    if len(marks) == 0:
-        return 1.0
-    gaps = np.diff(np.concatenate(([0.0], marks)))
-    g = float(np.min(gaps[gaps > _GRID_TOL]))
-    for _ in range(max_refine):
-        k = np.round(marks / g)
-        if np.all(np.abs(k * g - marks) <= _GRID_TOL * max(1.0, marks[-1])):
-            return g
-        g /= 2.0
-    warnings.warn("no aligned grid step found; falling back to the smallest gap")
-    return g

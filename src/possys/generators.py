@@ -173,8 +173,6 @@ class GeneratorModel:
     A dense `matrix` argument is kept (as a read-only copy) and its bands,
     when it has them, are detected once here; other matrices leave `bands`
     None.
-    `absorption` keeps the cell-wise rates q_j when the matrix came from the
-    upwind builder; custom matrices leave it None.
     The generator must be Metzler: a negative entry off the diagonal is
     refused with ValueError naming it, so every model is the generator of a
     positive semigroup and no audit needs a route off the cone.
@@ -185,7 +183,6 @@ class GeneratorModel:
         space: GridSpace,
         matrix=None,
         boundary: str = "custom",
-        absorption: Optional[np.ndarray] = None,
         *,
         bands: Optional[BorderedBidiagonal] = None,
     ):
@@ -201,13 +198,8 @@ class GeneratorModel:
             bands = BorderedBidiagonal.detect(matrix)
         elif bands.cells != n:
             raise ValueError(f"bands of {bands.cells} cells do not match {n} cells")
-        if absorption is not None:
-            absorption = _readonly(absorption)
-            if absorption.shape != (n,):
-                raise ValueError("absorption profile length does not match the grid")
         self.space = space
         self.boundary = boundary
-        self.absorption = absorption
         self.bands = bands
         self._dense = matrix
         # guards the dense view and the step store when threads share a model
@@ -313,7 +305,7 @@ def build_upwind_generator(space: GridSpace, q, boundary=None) -> GeneratorModel
     diag[0] = row0[0]
 
     bands = BorderedBidiagonal(diag, np.full(n - 1, 1.0 / h), row0)
-    return GeneratorModel(space=space, bands=bands, boundary=boundary.kind, absorption=q)
+    return GeneratorModel(space=space, bands=bands, boundary=boundary.kind)
 
 
 def _lower_triangular(a: np.ndarray) -> bool:

@@ -105,19 +105,6 @@ def weighted_l1(values: np.ndarray, space: GridSpace) -> float:
     return float(space.spacing * np.sum(np.abs(values)))
 
 
-def positive_part(f: GridVector) -> GridVector:
-    return f.space.vector(np.maximum(f.values, 0.0))
-
-
-def negative_part(f: GridVector) -> GridVector:
-    """Negative part, so that f = positive_part(f) - negative_part(f)."""
-    return f.space.vector(np.maximum(-f.values, 0.0))
-
-
-def is_positive(f: GridVector, tol: float = POSITIVITY_TOL) -> bool:
-    return bool(np.min(f.values) >= -tol)
-
-
 def induced_operator_norm(matrix: np.ndarray, space: GridSpace) -> float:
     """Operator norm induced by the weighted l1 norm.
 

@@ -1,18 +1,18 @@
 """Boundary feedback as a rank-one perturbation of the generator.
 
-The Dirichlet column d solves the shifted boundary problem cell by cell, the
-injection b = (lam I - A) d turns out independent of lam (it is e_0 / h up to
-roundoff; the exact e_0 / h is used), and the feedback row beta_j h closes
+The boundary injection is the paper's Dirichlet column e_0 / h
+(`ControlOperator.boundary_injection`), and the feedback row beta_j h closes
 the loop: A_S = A + P with P = outer(b, beta h).  The loop gain that decides
 stability is the spectral radius of K = R(0, A) P, which for this rank-one
-structure collapses to the scalar sum_j beta_j h d0_j.  The same factors
-give the order relations of `domination_check` in O(n): R(lam, A) -
-R(lam, A_S) = -(R(lam, A_S) b)(R(lam, A)^T beta h)^T, and T(t) <= S(t)
-follows from A Metzler and P >= 0 alone.  Both are the paper's setting:
-`GeneratorModel` refuses a generator that is not Metzler, and negative
-feedback rates, like a matrix P with a negative entry, are refused here.
-`variation_of_constants_check` steps T and S by `semigroup.Uniformization`
-and applies P through `PerturbedSystem.perturbation_matvec`.
+structure collapses to the scalar sum_j beta_j h d0_j with d0 = R(0, A) b.
+The same factors give the order relations of `domination_check` in O(n):
+R(lam, A) - R(lam, A_S) = -(R(lam, A_S) b)(R(lam, A)^T beta h)^T, and
+T(t) <= S(t) follows from A Metzler and P >= 0 alone.  Both are the paper's
+setting: `GeneratorModel` refuses a generator that is not Metzler, and
+negative feedback rates, like a matrix P with a negative entry, are refused
+here.  `variation_of_constants_check` steps T and S by
+`semigroup.Uniformization` and applies P through
+`PerturbedSystem.perturbation_matvec`.
 """
 from __future__ import annotations
 
@@ -30,67 +30,8 @@ from .generators import (
     shifted_inverse,
     spectral_bound,
 )
-from .lattice import GridSpace, GridVector, _readonly, weighted_l1
+from .lattice import GridVector, _readonly, weighted_l1
 from .semigroup import grid_steps, step_operator
-
-
-@dataclass(frozen=True)
-class DirichletOperator:
-    """Column d_j with (lam - A_m) d = 0 and unit boundary trace.
-
-    For the upwind stencil the recursion is
-    d_j = prod_{k<=j} (1 + h (lam + q_k))^{-1}, the grid analogue of the
-    kernel exp(-integral of q - lam x); entries lie in (0, 1] for lam >= 0.
-    """
-
-    lam: float
-    space: GridSpace
-    column: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "column", _readonly(self.column))
-
-    def vector(self) -> GridVector:
-        return self.space.vector(self.column)
-
-
-def dirichlet_operator(space: GridSpace, q, lam: float) -> DirichletOperator:
-    """Forward recursion for the boundary column; first-order accurate in h."""
-    h = space.spacing
-    q = np.broadcast_to(np.asarray(q, dtype=float), (space.cells,))
-    denom = 1.0 + h * (lam + q)
-    if np.any(denom <= 0):
-        raise ValueError(f"recursion denominator <= 0 at lam = {lam}; lam too negative")
-    return DirichletOperator(lam=float(lam), space=space, column=np.cumprod(1.0 / denom))
-
-
-def boundary_control_operator(
-    model: GeneratorModel, lam: float = 0.0, check_lam: Optional[float] = None
-) -> ControlOperator:
-    """The boundary injection b = e_0 / h, checked against (lam I - A) d.
-
-    The Dirichlet recursion makes (lam I - A) d lam-free and equal to e_0 / h
-    up to roundoff.  It is evaluated at two distinct lam values and each
-    must match within 1e-10 (scaled), which catches a model whose matrix and
-    absorption profile disagree.  The column returned is the exact one, so
-    A_S = A + b (beta h)^T keeps rows 1..n-1 of A bit for bit.
-    """
-    if model.absorption is None:
-        raise ValueError("boundary control needs the absorption profile (upwind build)")
-    if model.boundary != "zero_inflow":
-        raise ValueError("boundary control is defined against the zero-inflow generator")
-
-    exact = ControlOperator.boundary_injection(model.space)
-    scale = max(1.0, float(np.max(np.abs(exact.column))))
-    if check_lam is None:
-        check_lam = lam + 3.0
-    for l in (lam, check_lam):
-        d = dirichlet_operator(model.space, model.absorption, l).column
-        if np.max(np.abs(l * d - model.matvec(d) - exact.column)) > 1e-10 * scale:
-            raise ValueError(
-                f"injection column (lam I - A) d at lam = {l} differs from e_0 / h"
-            )
-    return exact
 
 
 def _min_product(u: np.ndarray, v: np.ndarray) -> tuple[float, int, int]:
@@ -182,10 +123,7 @@ class PerturbedSystem:
         if np.min(p) < 0:
             i, j = np.unravel_index(np.argmin(p), p.shape)
             raise ValueError(f"perturbation is not nonnegative: P[{i}, {j}] = {float(p[i, j])!r}")
-        perturbed = GeneratorModel(
-            space=base.space, matrix=base.matrix + p, boundary="custom",
-            absorption=base.absorption,
-        )
+        perturbed = GeneratorModel(space=base.space, matrix=base.matrix + p, boundary="custom")
         return cls(base=base, perturbed=perturbed, perturbation=p)
 
 
@@ -215,13 +153,11 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
         row0 = bands.row0 + col[0] * w
         diag = np.concatenate((row0[:1], bands.diag[1:]))
         perturbed = GeneratorModel(
-            space=model.space, bands=BorderedBidiagonal(diag, bands.sub, row0),
-            boundary=boundary, absorption=model.absorption,
+            space=model.space, bands=BorderedBidiagonal(diag, bands.sub, row0), boundary=boundary
         )
     else:
         perturbed = GeneratorModel(
-            space=model.space, matrix=model.matrix + np.outer(col, w), boundary=boundary,
-            absorption=model.absorption,
+            space=model.space, matrix=model.matrix + np.outer(col, w), boundary=boundary
         )
     return PerturbedSystem(base=model, perturbed=perturbed, injection=col, feedback=beta)
 

@@ -20,7 +20,7 @@ from .generators import (
     build_upwind_generator,
 )
 from .lattice import GridSpace
-from .perturbation import PerturbedSystem, assemble_perturbed, boundary_control_operator
+from .perturbation import PerturbedSystem, assemble_perturbed
 
 Profile = Union[float, list, tuple, np.ndarray]
 
@@ -86,7 +86,7 @@ def renewal_scenario(
         length = 20.0 / q_min
     space = GridSpace(length=float(length), cells=cells)
     base = build_upwind_generator(space, q_arr, ZeroInflow())
-    b = boundary_control_operator(base)
+    b = ControlOperator.boundary_injection(space)
     system = assemble_perturbed(base, b, beta_arr)
     spec = ScenarioSpec(
         kind="renewal",

@@ -623,6 +623,32 @@ class TestAudit:
         # the abscissa that was refused is still reported
         assert report["lambda0"] == -1000.0 and report["c"] is None
 
+    def test_signed_loop_skips_domination(self, tmp_path, capsys):
+        # b = (1, -0.5, 0) gives P[1, 0] = -0.25 while A_S stays Metzler: the
+        # loop is eISS, and only the domination audit cannot run
+        out = tmp_path / "report.json"
+        cfg = str(DATA / "signed-loop-n3.json")
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["audits_run"] == ["small_gain", "iss"]
+        assert report["skipped"] == [["domination", "domination requires a nonnegative perturbation"]]
+        assert report["verdict"] == "eISS" and report["r"] == pytest.approx(1 / 6, rel=1e-14)
+        assert report["domination_ok"] is None
+
+    def test_domination_audit_solves_nothing(self, tmp_path, capsys, monkeypatch):
+        # the audit reads P >= 0 off the loop; no resolvent is formed
+        def refuse(*args, **kwargs):
+            raise AssertionError("the domination audit solved a system")
+
+        monkeypatch.setattr(generators.ShiftedInverse, "__init__", refuse)
+        doc = json.loads((DATA / "renewal-n60.json").read_text())
+        doc["audits"] = ["domination"]
+        path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["audit", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["audits_run"] == ["domination"] and report["domination_ok"] is True
+
     def test_overflowing_resolvent_bound_is_skipped(self, tmp_path, capsys):
         # at 2000 cells and alpha = -50, T^-1 e_0 of R(lam, A) overflows on
         # the lower part of the grid; the audit is skipped, the others report

@@ -79,20 +79,13 @@ class TestInputSignal:
         tot = a + b
         np.testing.assert_allclose(tot.value_at(np.array([0.25, 0.75, 1.5])), [3.0, 0.0, -1.0])
 
-    def test_positive_negative_parts(self):
-        u = ps.InputSignal(np.array([0.0, 1.0, 2.0]), np.array([2.0, -3.0]))
-        up, un = u.positive_part(), u.negative_part()
-        probes = np.array([0.5, 1.5])
-        np.testing.assert_allclose(up.value_at(probes) - un.value_at(probes), u.value_at(probes))
-        assert np.all(up.value_at(probes) >= 0) and np.all(un.value_at(probes) >= 0)
-
     def test_csv_round_trip(self, tmp_path):
-        u = ps.InputSignal(np.array([0.0, 0.25, 1.0]), np.array([1.5, -0.5]))
         path = tmp_path / "u.csv"
-        u.to_csv(path)
+        # a final row with u = 0 closes the support
+        path.write_text("t,u\n0.0,1.5\n0.25,-0.5\n1.0,0.0\n")
         v = ps.InputSignal.from_csv(path)
-        np.testing.assert_array_equal(v.breakpoints, u.breakpoints)
-        np.testing.assert_array_equal(v.values, u.values)
+        np.testing.assert_array_equal(v.breakpoints, [0.0, 0.25, 1.0])
+        np.testing.assert_array_equal(v.values, [1.5, -0.5])
 
     def test_csv_rejects_open_support(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -143,7 +136,8 @@ class TestInputMap:
     def test_positive_input_lands_in_cone(self, toy, rng):
         _, model, b = toy
         for _ in range(25):
-            u = steps_signal(rng).positive_part()
+            u = steps_signal(rng)
+            u = ps.InputSignal(u.breakpoints, np.abs(u.values))
             phi = ps.input_map(model, b, u, 2.0)
             assert np.min(phi.values) >= -1e-12
 

@@ -6,15 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from possys import GridSpace, l1_norm
-from possys.lattice import (
-    induced_operator_norm,
-    is_positive,
-    negative_part,
-    positive_part,
-    weighted_l1,
-)
+from possys.lattice import induced_operator_norm, weighted_l1
 
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
@@ -60,18 +53,6 @@ def test_norm_additive_on_cone(f, g):
     assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-300)
 
 
-@given(arrays(np.float64, 4, elements=finite))
-@settings(max_examples=200, deadline=None)
-def test_decomposition_exact(f):
-    space = space_of(4)
-    v = space.vector(f)
-    plus, minus = positive_part(v), negative_part(v)
-    assert np.all(plus.values >= 0) and np.all(minus.values >= 0)
-    assert np.all((plus - minus).values == v.values)
-    # |f| = f+ + f- elementwise; the two sums may associate differently
-    assert l1_norm(v) == pytest.approx(l1_norm(plus) + l1_norm(minus), rel=1e-14, abs=1e-300)
-
-
 @given(arrays(np.float64, 6, elements=nonneg), arrays(np.float64, 6, elements=nonneg))
 @settings(max_examples=150, deadline=None)
 def test_monotone_on_cone(f, g):
@@ -83,13 +64,6 @@ def test_weighted_l1_oracle():
     # h = 0.5, |f| = (3, 4) -> 0.5 * 7
     space = GridSpace(length=1.0, cells=2)
     assert weighted_l1(np.array([3.0, -4.0]), space) == pytest.approx(3.5)
-
-
-def test_is_positive_tolerance():
-    space = space_of(2)
-    assert is_positive(space.vector(np.array([0.0, 1.0])))
-    assert is_positive(space.vector(np.array([-1e-13, 1.0])))
-    assert not is_positive(space.vector(np.array([-1e-6, 1.0])))
 
 
 class TestOperatorNorm:

@@ -14,10 +14,7 @@ from possys import perturbation
 from possys.errors import SingularSystemError
 from possys.generators import BorderedBidiagonal, resolvent_matrix, shifted_inverse
 from possys.perturbation import (
-    DirichletOperator,
     assemble_perturbed,
-    boundary_control_operator,
-    dirichlet_operator,
     domination_check,
     resolvent_gap_factors,
     small_gain_radius,
@@ -52,37 +49,54 @@ def dense_domination(system, lambda_grid, tol=1e-10):
     return violations(T_GRID, exp_gaps), violations(lambda_grid, res_gaps), res_gaps
 
 
+def dirichlet_column(q, lam, h):
+    """The paper's Dirichlet column d = D_lam e: (lam - A_m) d = 0 with unit
+    boundary trace, d_j = prod_{k<=j} 1 / (1 + h (lam + q_k)) on the upwind grid."""
+    return np.cumprod(1.0 / (1.0 + h * (lam + q)))
+
+
+def assert_dirichlet_identity(model, q, lam):
+    """lam d - A d is the boundary injection e_0 / h, whatever lam."""
+    h = model.space.spacing
+    d = dirichlet_column(q, lam, h)
+    e0 = np.zeros(model.cells)
+    e0[0] = 1.0 / h
+    np.testing.assert_allclose(lam * d - model.matvec(d), e0, rtol=0, atol=1e-10 / h)
+
+
+profiles = st.integers(min_value=1, max_value=80).flatmap(
+    lambda n: st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=n, max_size=n)
+)
+
+
 class TestDirichletColumn:
-    def test_toy_values(self):
-        space = ps.GridSpace(length=2.0, cells=2)
-        d = dirichlet_operator(space, np.array([1.0, 1.0]), 0.0)
-        np.testing.assert_allclose(d.column, [0.5, 0.25])
+    def test_toy_values(self, toy):
+        _, model, _ = toy
+        q = np.array([1.0, 1.0])
+        np.testing.assert_allclose(dirichlet_column(q, 0.0, model.space.spacing), [0.5, 0.25])
+        assert_dirichlet_identity(model, q, 0.0)
 
-    def test_product_formula(self, rng):
-        space = ps.GridSpace(length=1.0, cells=6)
-        q = rng.uniform(0.2, 3.0, 6)
-        lam = 0.7
-        d = dirichlet_operator(space, q, lam)
-        h = space.spacing
-        expected = np.cumprod(1.0 / (1.0 + h * (lam + q)))
-        np.testing.assert_allclose(d.column, expected, rtol=1e-14)
+    @given(q=profiles, length=st.floats(min_value=0.1, max_value=50.0),
+           lam=st.floats(min_value=0.0, max_value=100.0))
+    @settings(max_examples=100, deadline=None)
+    def test_product_formula(self, q, length, lam):
+        q = np.array(q)
+        space = ps.GridSpace(length=length, cells=len(q))
+        assert_dirichlet_identity(ps.build_upwind_generator(space, q, ps.ZeroInflow()), q, lam)
 
-    def test_rejects_degenerate_denominator(self):
-        space = ps.GridSpace(length=1.0, cells=2)
-        with pytest.raises(ValueError):
-            dirichlet_operator(space, np.array([0.0, 0.0]), -2.5)
+    @given(q=profiles, length=st.floats(min_value=0.1, max_value=50.0),
+           lam=st.floats(min_value=0.0, max_value=100.0), beta=st.floats(min_value=0.0, max_value=3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_injection_lambda_independent(self, q, length, lam, beta):
+        q = np.array(q)
+        rs = ps.renewal_scenario(q, beta, length=length, cells=len(q))
+        assert_dirichlet_identity(rs.generator, q, lam)
 
     def test_injection_recovers_boundary_column(self, toy):
         _, model, _ = toy
-        op = boundary_control_operator(model)
+        op = ps.ControlOperator.boundary_injection(model.space)
         np.testing.assert_allclose(op.column, [1.0, 0.0], atol=1e-12)
         assert op.provenance == "boundary_dirichlet"
-
-    def test_injection_lambda_independent(self):
-        rs = ps.renewal_scenario(1.0, 0.0, length=2.0, cells=25)
-        a = boundary_control_operator(rs.generator, lam=0.0)
-        c = boundary_control_operator(rs.generator, lam=5.0)
-        np.testing.assert_allclose(a.column, c.column, atol=1e-9)
 
     @pytest.mark.parametrize("q, beta", [(1.0, 0.5), (np.linspace(0.2, 2.0, 60), np.linspace(1.5, 0.0, 60))])
     def test_renewal_column_is_exact_and_closed_loop_structured(self, q, beta):
@@ -96,21 +110,6 @@ class TestDirichletColumn:
         assert np.array_equal(a_s[1:], np.tril(np.triu(a_s, -1))[1:])
         # Metzler with zero tolerance
         assert np.min(a_s - np.diag(np.diag(a_s))) >= 0.0
-
-    def test_injection_rejects_inconsistent_absorption(self):
-        space = ps.GridSpace(length=2.0, cells=10)
-        model = ps.build_upwind_generator(space, 1.0, ps.ZeroInflow())
-        wrong = ps.GeneratorModel(
-            space=space, matrix=model.matrix, boundary="zero_inflow", absorption=np.full(10, 2.0)
-        )
-        with pytest.raises(ValueError, match="differs"):
-            boundary_control_operator(wrong)
-
-    def test_injection_requires_transport_model(self):
-        space = ps.GridSpace(length=1.0, cells=3)
-        model = ps.GeneratorModel.from_matrix(space, -np.eye(3))
-        with pytest.raises(ValueError):
-            boundary_control_operator(model)
 
 
 class TestAssembly:

@@ -34,7 +34,8 @@ class TestRenewal:
         q = np.linspace(1.0, 2.0, 30)
         beta = np.linspace(0.0, 0.9, 30)
         rs = ps.renewal_scenario(q, beta, length=3.0, cells=30)
-        np.testing.assert_allclose(rs.generator.absorption, q)
+        h = rs.generator.space.spacing
+        np.testing.assert_array_equal(rs.generator.bands.diag[1:], -1.0 / h - q[1:])
 
 
 class TestProfileArray:
