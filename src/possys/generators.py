@@ -39,6 +39,8 @@ RESIDUAL_TOL = 1e-10
 _ROOT_MAX_ITER = 100
 # step operators kept per model (see GeneratorModel.cached)
 _STORE_MAX = 8
+# the smallest subnormal: a solve entry bounded below it rounds to 0
+_SUBNORMAL = 5e-324
 # largest |-1/h - q| an upwind diagonal may take: the audits shift the
 # generator and sum such terms, which must not overflow
 MAX_DIAGONAL = np.finfo(float).max / 1e3
@@ -118,11 +120,6 @@ class BorderedBidiagonal:
     def lower(self) -> bool:
         """Lower bidiagonal: nothing right of the diagonal in row 0."""
         return not np.any(self.row0[1:])
-
-    @property
-    def upper(self) -> bool:
-        """Upper triangular: a zero subdiagonal."""
-        return not np.any(self.sub)
 
     def toarray(self) -> np.ndarray:
         """The dense matrix, read-only."""
@@ -316,12 +313,6 @@ def _upper_triangular(a: np.ndarray) -> bool:
     return np.count_nonzero(np.tril(a, -1)) == 0
 
 
-def _triangular(model: GeneratorModel) -> bool:
-    if model.bands is not None:
-        return model.bands.lower or model.bands.upper
-    return _lower_triangular(model.matrix) or _upper_triangular(model.matrix)
-
-
 def _check_pivots(pivots, scale, what: str) -> None:
     """Refuse with SingularSystemError unless every |pivot| exceeds PIVOT_TOL
     times `scale`, the size of the terms the pivot was formed from."""
@@ -400,10 +391,11 @@ class ShiftedInverse:
         (sigma I - tau A)^{-1} y = T^{-1} y + g (r^T T^{-1} y) / (1 - r^T g),
 
     one LAPACK tbtrs call per solve, on a vector or a whole block, O(n) per
-    column.  `.T @ y` applies the adjoint through one tbtrs with the upper
-    band of T^T and the same denominator.
-    `@` gives a block's columns bit for bit as it gives them alone, which
-    the simulate CSV and the input maps rest on.
+    column; a vector with a zero tail may be solved on a prefix only (see
+    `_solve_t`).  `.T @ y` applies the adjoint through one tbtrs with the
+    upper band of T^T and the same denominator.
+    Every production caller steps one vector; only `toarray` and the tests
+    pass blocks, whose columns `@` gives as it gives them alone.
     tbtrs comes from `_lapack_tbtrs`, which loads one LAPACK extension
     module and not scipy.linalg; `import possys` and the scenario builds
     never solve, so they load numpy alone.
@@ -425,6 +417,7 @@ class ShiftedInverse:
         # on every call
         self._lower = np.array((np.ones(n), np.append(sub * (1.0 / diag[:-1]), 0.0)), order="F")
         self._upper = np.array((np.insert(sub, 0, 0.0), diag), order="F")
+        self._lmax = float(np.max(np.abs(self._lower[1])))
         self._r = tau * bands.row0
         self._r[0] = 0.0
         e0 = np.zeros(n)
@@ -444,11 +437,28 @@ class ShiftedInverse:
         _check_backward_error(bands, sigma / tau, tau * self._apply(ones), ones, what)
 
     def _solve_t(self, y: np.ndarray) -> np.ndarray:
-        """T^{-1} y: one tbtrs with L, then the division by D."""
-        z = self._tbtrs(self._lower, y, uplo="L", diag="U")[0]
+        """T^{-1} y: one tbtrs with L, then the division by D.
+
+        Past the last nonzero y_m of a vector, L's recurrence is
+        w_{j+1} = -l_j w_j, so |w_j| <= max|y[:m+1]| / (1 - l) l^(j - m)
+        with l = max|l_j|.  For 1/2 < l < 1, rounding holds that tail at a
+        subnormal instead of 0, and each later cell costs a subnormal
+        operation; so the solve stops where the bound falls below the
+        smallest subnormal and writes exact zeros after it.  Below 1/2 the
+        tail rounds to zeros by itself.
+        """
+        n = cut = len(y)
+        if y.ndim == 1 and y[-1] == 0 and 0.5 < self._lmax < 1.0:
+            # the last nonzero, by one byte scan of y != 0
+            m = (y != 0).tobytes().rfind(1)
+            top = float(np.max(np.abs(y[: m + 1]), initial=0.0))
+            if 0.0 < top < math.inf:
+                log_bound = math.log(top) - math.log1p(-self._lmax) - math.log(_SUBNORMAL)
+                cut = min(n, m + 1 + math.ceil(log_bound / -math.log(self._lmax)))
+        z = self._tbtrs(self._lower[:, :cut], y[:cut], uplo="L", diag="U")[0]
         # tbtrs returns a fresh array (overwrite_b is off), so divide in place
-        z /= self._d.reshape((-1,) + (1,) * (z.ndim - 1))
-        return z
+        z /= self._d[:cut].reshape((-1,) + (1,) * (z.ndim - 1))
+        return z if cut == n else np.concatenate((z, np.zeros(n - cut)))
 
     def _apply(self, y: np.ndarray) -> np.ndarray:
         z = self._solve_t(y)
@@ -528,22 +538,9 @@ def resolvent_apply(model: GeneratorModel, lam: float, f) -> GridVector:
 
 
 def spectral_bound(model: GeneratorModel) -> float:
-    """max Re(spectrum).
-
-    Triangular matrices read it off the diagonal (exact for the zero-inflow
-    upwind generator).  Matrices with bands take the characteristic root
-    (`_characteristic_root`), O(n) per evaluation and no dense view; matrices
-    without bands take a dense eigensolve.
-    """
-    if _triangular(model):
-        return float(np.max(model.bands.diag if model.bands is not None else np.diag(model.matrix)))
-    if model.bands is not None:
-        return _characteristic_root(model.bands)[0]
-    try:
-        ev = np.linalg.eigvals(model.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
-    return float(np.max(ev.real))
+    """max Re(spectrum): a read of the model's one Perron computation
+    (`_perron`)."""
+    return _perron(model)[0]
 
 
 def _log_phi(bands: BorderedBidiagonal, loop: np.ndarray, lam: float) -> tuple[float, float, np.ndarray]:
@@ -624,19 +621,39 @@ def _characteristic_root(bands: BorderedBidiagonal) -> tuple[float, Optional[np.
     return lam, g / np.sum(g)
 
 
+def _perron(model: GeneratorModel) -> tuple[float, Optional[np.ndarray]]:
+    """s(A) and, where the bands give it, its nonnegative eigenvector of unit
+    sum (else None), computed once per model and kept in its store.  Bands
+    take `_characteristic_root` (exactly max diag when no loop closes through
+    row 0), a dense triangular matrix its diagonal, any other dense matrix
+    one `eigvals` (`eig` would move s(A) in the last bit)."""
+
+    def build():
+        if model.bands is not None:
+            return _characteristic_root(model.bands)
+        a = model.matrix
+        if _lower_triangular(a) or _upper_triangular(a):
+            return float(np.max(np.diag(a))), None
+        try:
+            ev = np.linalg.eigvals(a)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
+        return float(np.max(ev.real)), None
+
+    return model.cached("perron", build)
+
+
 def perron_mode(model: GeneratorModel) -> tuple[float, np.ndarray]:
     """Rightmost eigenvalue with a nonnegative eigenvector of unit sum.
 
-    Matrices with bands whose s(A) is the characteristic root take its
-    eigenvector g = (s - B)^{-1} e_0 (`_characteristic_root`), O(n) and no
-    dense view.  Everything else, a matrix without bands or a reducible
-    banded matrix whose bound is a diagonal entry off the feedback loop,
-    takes a dense eigensolve.
+    Where `_perron` has the eigenvector, the characteristic root's
+    g = (s - B)^{-1} e_0 on the bands, that is the answer.  Everything
+    else, a matrix without bands or a reducible banded matrix whose bound is
+    a diagonal entry off the feedback loop, takes a dense eigensolve.
     """
-    if model.bands is not None:
-        rate, vec = _characteristic_root(model.bands)
-        if vec is not None:
-            return rate, vec
+    rate, vec = _perron(model)
+    if vec is not None:
+        return rate, vec
     ev, vecs = np.linalg.eig(model.matrix)
     i = int(np.argmax(ev.real))
     v = np.abs(vecs[:, i].real)

@@ -30,7 +30,7 @@ from .generators import (
     GeneratorModel,
     ShiftedInverse,
     _Applied,
-    _characteristic_root,
+    _perron,
     shifted_inverse,
 )
 from .errors import WorkBudgetError
@@ -158,10 +158,10 @@ class Uniformization:
     ||P^k||_1 = ||(P^T)^k||_inf <= kappa rho^k, the cheaper of two:
       - kappa = 1 and rho = max(1, largest column sum of P);
       - on bands, P u <= rho u for a vector u > 0, so P^k e_j <= rho^k u / u_j,
-        with kappa = sum(u) / min(u).  u is A's Perron vector from the
-        characteristic root (`generators._characteristic_root`), where A
-        has one, so rho = max(1, 1 + s(A) / c) up to rounding: on a ring
-        whose seam multiplies by g the column sums give rho near g.
+        with kappa = sum(u) / min(u).  u is A's Perron vector, read from
+        the model's one Perron computation (`generators._perron`) where the
+        bands give one, so rho = max(1, 1 + s(A) / c) up to rounding: on a
+        ring whose seam multiplies by g the column sums give rho near g.
     tau is split into m equal substeps with c tau rho / m <= _SUBSTEP, over
     which F composes as F <- E F + F.  A non-finite c tau rho, or more than
     `_WORK` over all the caller's `applications`, raises `WorkBudgetError`.
@@ -185,7 +185,7 @@ class Uniformization:
             p = BorderedBidiagonal(1.0 + diag / c, bands.sub / c, row0)
             self._product, self._adjoint = p.matvec, p.rmatvec
             bounds = [(float(np.max(p.column_sums())), 0.0)]
-            u = _characteristic_root(bands)[1]
+            u = _perron(model)[1]
             if u is not None and np.min(u) > 0:
                 bounds.append((float(np.max(p.matvec(u) / u)), math.log(np.sum(u) / np.min(u))))
         plans = []

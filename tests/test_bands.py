@@ -14,7 +14,14 @@ import possys as ps
 from possys import cli, generators, iss
 from possys.control import input_recursion, mild_solution
 from possys.errors import GainValidationError
-from possys.generators import BorderedBidiagonal, ShiftedInverse, _dense_inverse, perron_mode, shifted_inverse
+from possys.generators import (
+    BorderedBidiagonal,
+    ShiftedInverse,
+    _characteristic_root,
+    _dense_inverse,
+    perron_mode,
+    shifted_inverse,
+)
 from possys.semigroup import EvolutionPlan, norm_curves, step_operator
 
 
@@ -275,6 +282,37 @@ def test_tbtrs_receives_fortran_bands(which, monkeypatch, rng):
     assert len(bands_seen) == 7
 
 
+@pytest.mark.parametrize("l_max", [0.3, 0.83])
+def test_prefix_solve_is_the_full_solve(l_max, rng):
+    """A vector with a long zero tail is solved on its nonzero prefix when
+    1/2 < max|l| < 1, and the result is the full tbtrs's bit for bit: past
+    the cut the full solve's L recurrence sticks at a subnormal, which the
+    division by D rounds to zero."""
+    space = ps.GridSpace(length=1.0, cells=20000)
+    # q = 0: l = (dt / h) / (1 + dt / h)
+    op = ShiftedInverse(ps.build_upwind_generator(space, 0.0).bands, 1.0, l_max / (1.0 - l_max) * space.spacing)
+    assert op._lmax == pytest.approx(l_max)
+    lengths = []
+    real = op._tbtrs
+
+    def tbtrs(ab, b, **kwargs):
+        lengths.append(len(b))
+        return real(ab, b, **kwargs)
+
+    op._tbtrs = tbtrs
+    y = np.zeros(space.cells)
+    y[:50] = rng.random(50)
+    w = real(op._lower, y, uplo="L", diag="U")[0]
+    z = op._solve_t(y)
+    assert np.array_equal(z, w / op._d)
+    (cut,) = lengths
+    if l_max > 0.5:
+        assert 50 < cut < 5000 and np.all(z[cut:] == 0.0)
+        assert np.all(w[cut:] != 0.0) and np.max(np.abs(w[cut:])) < np.finfo(float).smallest_normal
+    else:
+        assert cut == space.cells
+
+
 @pytest.mark.parametrize("which", sorted(PRESETS))
 @pytest.mark.parametrize("sigma, tau", [(1.0, 0.05), (2.0, 1.0)])
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -486,6 +524,26 @@ class TestPerronMode:
         assert np.all(vec >= 0.0) and np.sum(vec) == pytest.approx(1.0, abs=1e-12)
         resid = np.sum(np.abs(a @ vec - rate * vec))
         assert resid <= 1e-10 * (np.sum(np.abs(a) @ vec) + abs(rate))
+
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shape=st.sampled_from(["lower", "zero_sub"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_triangular_bands_take_max_diag(self, n, seed, shape):
+        # no loop closes through row 0: s(A) is max diag, bit for bit, and
+        # the root gives no eigenvector
+        model = random_bordered_metzler(n, seed)
+        b = model.bands
+        row0, sub = b.row0.copy(), b.sub.copy()
+        if shape == "lower":
+            row0[1:] = 0.0
+        else:
+            sub[:] = 0.0
+        bands = BorderedBidiagonal(b.diag, sub, row0)
+        assert _characteristic_root(bands) == (np.max(b.diag), None)
+        assert ps.spectral_bound(ps.GeneratorModel(model.space, bands=bands)) == np.max(b.diag)
 
     @pytest.mark.parametrize("cells", [60, 400, 2400, 20000])
     @pytest.mark.parametrize("gain", [0.5, 2.0, 7.0])

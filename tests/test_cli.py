@@ -63,7 +63,35 @@ NOT_NUMBERS = [
 ]
 
 
+# config documents of the wrong shape, the command they are given to, and the
+# error naming the shape
+BAD_SHAPES = [
+    ([1.0], ("audit",), "config root must be a JSON object"),
+    ({"scenario": {"q": 1.0}}, ("audit",), "config needs a scenario object with a 'kind'"),
+    ({"plan": [1.0, 0.05]}, ("audit",), "plan must be an object"),
+    ({"input": [0.0, 1.0]}, ("simulate",), "input must be an object or null"),
+    ({"initial_state": "wave"}, ("simulate",), "unknown initial_state preset 'wave'"),
+    ({"initial_state": 3}, ("simulate",), "initial_state must be 'zeros', 'bump', or a list"),
+    ({"scenario": {"kind": "explicit", "matrix": [[-1.0, 0.0]]}}, ("audit",),
+     "explicit scenario needs a square matrix"),
+    ({"scenario": {"kind": "explicit", "matrix": [[-1.0]], "beta": [0.5]}}, ("audit",),
+     "explicit scenario with beta needs an injection column b"),
+    ({}, ("sweep", "--param", "beta0", "--values", ","), "sweep needs at least one value"),
+]
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("doc, command, message", BAD_SHAPES, ids=[m for _, _, m in BAD_SHAPES])
+    def test_config_of_the_wrong_shape_exits_2(self, tmp_path, capsys, doc, command, message):
+        path = tmp_path / "cfg.json"
+        if isinstance(doc, dict):
+            write_config(tmp_path, **doc)
+        else:
+            path.write_text(json.dumps(doc))
+        assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = cli.main(["audit", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
@@ -1067,6 +1095,25 @@ class TestKernelLookups:
         assert np.min(phi.values) >= 0 and np.max(phi.values) > 0
         x = rs.generator.space.vector(np.ones(30))
         assert ps.variation_of_constants_check(rs.system, x, 0.5, 0.05).residual > 0
+
+    def test_dense_audit_solves_eigenvalues_once(self, tmp_path, capsys, monkeypatch):
+        # s(A) of a matrix without bands is one eigvals per model, which the
+        # default audits and the verdict all read
+        calls = []
+        real = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        matrix = [[-3.0, 1.0, 1.0], [1.0, -3.0, 1.0], [1.0, 1.0, -3.0]]
+        scenario = {"kind": "explicit", "matrix": matrix, "b": [1.0, 0.0, 0.0], "beta": [0.5, 0.0, 0.0]}
+        cfg = write_config(tmp_path, scenario=scenario)
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["audits_run"] == list(cli.DEFAULT_AUDITS) and report["s_A"] == pytest.approx(-1.0)
+        assert calls == [(3, 3)]
 
     def test_solve_triangular_in_dense_inverse(self, monkeypatch):
         calls = self.count(monkeypatch, "solve_triangular")
