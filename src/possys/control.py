@@ -232,11 +232,10 @@ def step_input_operators(
 
 
 def input_recursion(e: Step, f: np.ndarray, z: np.ndarray, u) -> Iterator[np.ndarray]:
-    """z, then z_{k+1} = E z_k + F u_k for each u_k in u.  The columns of a
-    2-D z step as separate trajectories, u_k holding one input per column."""
+    """The state vector z, then z_{k+1} = E z_k + F u_k for each scalar u_k in u."""
     yield z
     for uk in u:
-        z = e @ z + np.multiply.outer(f, uk)
+        z = e @ z + f * uk
         yield z
 
 

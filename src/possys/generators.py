@@ -133,22 +133,20 @@ class BorderedBidiagonal:
         return a
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a vector or an n x k block, in O(n) per column."""
+        """A @ x for a vector, in O(n)."""
         x = np.asarray(x, dtype=float)
-        shape = (-1,) + (1,) * (x.ndim - 1)
-        y = self.diag.reshape(shape) * x
-        y[1:] += self.sub.reshape(shape) * x[:-1]
+        y = self.diag * x
+        y[1:] += self.sub * x[:-1]
         y[0] = self.row0 @ x
         return y
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A^T @ y for a vector or an n x k block, in O(n) per column."""
+        """A^T @ y for a vector, in O(n)."""
         y = np.asarray(y, dtype=float)
-        shape = (-1,) + (1,) * (y.ndim - 1)
-        x = self.diag.reshape(shape) * y
-        x[:-1] += self.sub.reshape(shape) * y[1:]
+        x = self.diag * y
+        x[:-1] += self.sub * y[1:]
         # row0[0] is diag[0], counted just above
-        x[1:] += np.multiply.outer(self.row0[1:], y[0])
+        x[1:] += self.row0[1:] * y[0]
         return x
 
     def column_sums(self, absolute: bool = False) -> np.ndarray:
@@ -381,21 +379,19 @@ class _Applied:
 
 
 class ShiftedInverse:
-    """(sigma I - tau A)^{-1}, tau > 0, for A given by its bands: the
-    implicit-Euler step is (1, dt), the resolvent R(lam, A) is (lam, 1).
+    """(sigma I - tau A)^{-1}, tau > 0, applied to a vector, for A given by
+    its bands: the implicit-Euler step is (1, dt), the resolvent R(lam, A) is
+    (lam, 1).
 
     sigma I - tau A = T - e_0 r^T with T lower bidiagonal and r = tau A[0, 1:]
-    (r_0 = 0).  By Sherman-Morrison, with g = T^{-1} e_0 and the denominator
-    1 - r^T g,
-
-        (sigma I - tau A)^{-1} y = T^{-1} y + g (r^T T^{-1} y) / (1 - r^T g),
-
-    one LAPACK tbtrs call per solve, on a vector or a whole block, O(n) per
-    column; a vector with a zero tail may be solved on a prefix only (see
-    `_solve_t`).  `.T @ y` applies the adjoint through one tbtrs with the
-    upper band of T^T and the same denominator.
-    Every production caller steps one vector; only `toarray` and the tests
-    pass blocks, whose columns `@` gives as it gives them alone.
+    (r_0 = 0).  `@` solves with T and `.T @` with T^T, one LAPACK tbtrs each,
+    O(n); a vector with a zero tail may be solved on a prefix only (see
+    `_solve_t`).  On a lower-bidiagonal A (`bands.lower`, every renewal base
+    generator) r = 0 and that is all.  A bordered A adds the Sherman-Morrison
+    terms g (r^T T^{-1} y) / (1 - r^T g) and p (T^{-T} y)_0 / (1 - r^T g),
+    with g = T^{-1} e_0 and p = T^{-T} r solved once here.  So the
+    constructor solves once, its probe, on a lower-bidiagonal A and three
+    times on a bordered one.
     tbtrs comes from `_lapack_tbtrs`, which loads one LAPACK extension
     module and not scipy.linalg; `import possys` and the scenario builds
     never solve, so they load numpy alone.
@@ -418,58 +414,57 @@ class ShiftedInverse:
         self._lower = np.array((np.ones(n), np.append(sub * (1.0 / diag[:-1]), 0.0)), order="F")
         self._upper = np.array((np.insert(sub, 0, 0.0), diag), order="F")
         self._lmax = float(np.max(np.abs(self._lower[1])))
-        self._r = tau * bands.row0
-        self._r[0] = 0.0
-        e0 = np.zeros(n)
-        e0[0] = 1.0
-        # an overflowing T^-1 e_0 is refused just below, not warned about
+        self._r = None if bands.lower else tau * bands.row0
+        # an overflowing solve is refused below, not warned about
         with np.errstate(over="ignore"):
-            self._g = self._solve_t(e0)
-        if not np.all(np.isfinite(self._g)):
-            raise SingularSystemError(f"{what} is singular: T^-1 e_0 overflows")
-        rg = float(self._r @ self._g)
-        self._denom = 1.0 - rg
-        _check_pivots(self._denom, 1.0 + abs(rg), f"{what} (Sherman-Morrison denominator)")
-        self._p = self._tbtrs(self._upper, self._r, uplo="U")[0]
-        # probe: tau (sigma I - tau A)^{-1} 1 = R(sigma / tau, A) 1, checked in
-        # O(n) on the bands
-        ones = np.ones(n)
-        _check_backward_error(bands, sigma / tau, tau * self._apply(ones), ones, what)
+            if self._r is not None:
+                self._r[0] = 0.0
+                self._g = self._solve_t(np.eye(1, n)[0])
+                if not np.all(np.isfinite(self._g)):
+                    raise SingularSystemError(f"{what} is singular: T^-1 e_0 overflows")
+                rg = float(self._r @ self._g)
+                self._denom = 1.0 - rg
+                _check_pivots(self._denom, 1.0 + abs(rg), f"{what} (Sherman-Morrison denominator)")
+                self._p = self._tbtrs(self._upper, self._r, uplo="U")[0]
+            # probe: tau (sigma I - tau A)^{-1} 1 = R(sigma / tau, A) 1, checked
+            # in O(n) on the bands
+            ones = np.ones(n)
+            _check_backward_error(bands, sigma / tau, tau * self._apply(ones), ones, what)
 
     def _solve_t(self, y: np.ndarray) -> np.ndarray:
-        """T^{-1} y: one tbtrs with L, then the division by D.
+        """T^{-1} y: tbtrs with L, then the division by D.
 
-        Past the last nonzero y_m of a vector, L's recurrence is
-        w_{j+1} = -l_j w_j, so |w_j| <= max|y[:m+1]| / (1 - l) l^(j - m)
-        with l = max|l_j|.  For 1/2 < l < 1, rounding holds that tail at a
-        subnormal instead of 0, and each later cell costs a subnormal
-        operation; so the solve stops where the bound falls below the
-        smallest subnormal and writes exact zeros after it.  Below 1/2 the
-        tail rounds to zeros by itself.
+        Past the last nonzero y_m, L's recurrence is w_{j+1} = -l_j w_j, so
+        |w_j| <= |w_m| l^(j - m) with l = max|l_j|.  For 1/2 < l < 1,
+        rounding holds that tail at a subnormal instead of 0, and each later
+        cell costs a subnormal operation; so the solve runs to m, goes on
+        from w_m while 2 |w_m| l^(j - m) (a margin for the tail's rounding)
+        is at least the smallest subnormal, and writes exact zeros after
+        that.  Below 1/2 the tail rounds to zeros by itself.
         """
-        n = cut = len(y)
-        if y.ndim == 1 and y[-1] == 0 and 0.5 < self._lmax < 1.0:
-            # the last nonzero, by one byte scan of y != 0
-            m = (y != 0).tobytes().rfind(1)
-            top = float(np.max(np.abs(y[: m + 1]), initial=0.0))
-            if 0.0 < top < math.inf:
-                log_bound = math.log(top) - math.log1p(-self._lmax) - math.log(_SUBNORMAL)
-                cut = min(n, m + 1 + math.ceil(log_bound / -math.log(self._lmax)))
-        z = self._tbtrs(self._lower[:, :cut], y[:cut], uplo="L", diag="U")[0]
+        n = m = len(y)
+        if y[-1] == 0 and 0.5 < self._lmax < 1.0:
+            # the prefix up to the last nonzero, by one byte scan of y != 0
+            m = (y != 0).tobytes().rfind(1) + 1 or n
+        w = self._tbtrs(self._lower[:, :m], y[:m], uplo="L", diag="U")[0]
+        if m < n and w[-1] != 0:
+            # the cells that bound needs; all of them when w_m is not finite
+            k = (math.log(abs(w[-1])) + math.log(2.0) - math.log(_SUBNORMAL)) / -math.log(self._lmax)
+            tail = np.zeros(math.ceil(k) if k < n - m else n - m)
+            tail[:1] = 0.0 - w[-1] * self._lower[1, m - 1]
+            tail = self._tbtrs(self._lower[:, m : m + len(tail)], tail, uplo="L", diag="U")[0]
+            w = np.concatenate((w, tail))
         # tbtrs returns a fresh array (overwrite_b is off), so divide in place
-        z /= self._d[:cut].reshape((-1,) + (1,) * (z.ndim - 1))
-        return z if cut == n else np.concatenate((z, np.zeros(n - cut)))
+        w /= self._d[: len(w)]
+        return w if len(w) == n else np.concatenate((w, np.zeros(n - len(w))))
 
     def _apply(self, y: np.ndarray) -> np.ndarray:
         z = self._solve_t(y)
-        # r^T z column by column: a block's columns come out bit for bit as
-        # they do alone, which one BLAS product over the block does not give
-        rz = self._r.dot(z) if z.ndim == 1 else np.fromiter(map(self._r.dot, z.T), float, z.shape[1])
-        return z + np.multiply.outer(self._g, rz) / self._denom
+        return z if self._r is None else z + self._g * self._r.dot(z) / self._denom
 
     def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         z = self._tbtrs(self._upper, y, uplo="U")[0]
-        return z + np.multiply.outer(self._p, z[0]) / self._denom
+        return z if self._r is None else z + self._p * z[0] / self._denom
 
     def __matmul__(self, y):
         return self._apply(np.asarray(y, dtype=float))
@@ -478,24 +473,25 @@ class ShiftedInverse:
     def T(self) -> _Applied:
         return _Applied(self._apply_adjoint)
 
-    def toarray(self) -> np.ndarray:
-        return self._apply(np.eye(len(self._r)))
-
 
 def shifted_inverse(model: GeneratorModel, sigma: float, tau: float) -> Union[np.ndarray, ShiftedInverse]:
     """(sigma I - tau A)^{-1}, tau > 0, as an operator with `@` and `.T @`.
 
     Bands take `ShiftedInverse` when A is lower bidiagonal (no
-    Sherman-Morrison term) or its bidiagonal part T has
+    Sherman-Morrison term), when the bidiagonal part T has
     |sigma - tau a_jj| >= tau |a_j,j-1| in every row j >= 1, as the presets
-    do at the audits' steps and shifts.
-    Otherwise T^{-1} grows along the diagonal, the Sherman-Morrison term
-    cancels and the probe misses the error, so such shifts, like matrices
-    without bands, take the dense inverse.
+    do at the audits' steps, or when sigma / tau > s(A) (`_perron`): there
+    T is a nonsingular M-matrix, T^{-1} >= 0 and 1 - r^T g > 0, so every
+    Sherman-Morrison term is >= 0 on the cone and nothing cancels.  At other
+    shifts T^{-1} may grow along the diagonal and the term cancel, which the
+    probe can miss; so those, like matrices without bands, take the dense
+    inverse.
     """
     bands = model.bands
     if bands is not None and (
-        bands.lower or np.all(np.abs(sigma - tau * bands.diag[1:]) >= tau * np.abs(bands.sub))
+        bands.lower
+        or np.all(np.abs(sigma - tau * bands.diag[1:]) >= tau * np.abs(bands.sub))
+        or sigma / tau > _perron(model)[0]
     ):
         return ShiftedInverse(bands, sigma, tau)
     return _dense_inverse(model, sigma, tau)
@@ -521,8 +517,7 @@ def _check_backward_error(a, lam: float, g: np.ndarray, rhs: np.ndarray, what: s
 
 def resolvent_matrix(model: GeneratorModel, lam: float) -> np.ndarray:
     """Dense (lam I - A)^{-1}, with a probe check on the solve residual."""
-    r = shifted_inverse(model, lam, 1.0)
-    r = r.toarray() if isinstance(r, ShiftedInverse) else r
+    r = _dense_inverse(model, lam, 1.0)
     # probe the solve with a single vector; a full matrix residual is O(n^3)
     ones = np.ones(model.cells)
     _check_backward_error(model, lam, r @ ones, ones, f"resolvent at lambda = {lam}")

@@ -4,9 +4,9 @@ Two steppers: implicit Euler, the default at every grid size, which
 preserves positivity at O(dt) accuracy, and the exact matrix exponential,
 kept as an explicit choice and as the stepper of `left_invertibility_audit`.
 Every preset generator is lower bidiagonal except row 0, and for those
-implicit Euler is a bidiagonal solve plus a rank-one correction
-(`generators.ShiftedInverse`), O(n) per step; other matrices take a dense
-inverse.  The exponential of every generator, and the integral of its input
+implicit Euler is a bidiagonal solve, plus a rank-one correction when row 0
+closes a loop (`generators.ShiftedInverse`), O(n) per step; other matrices
+take a dense inverse.  The exponential of every generator, and the integral of its input
 column, is a uniformization sum in P = I + A / c >= 0 (`Uniformization`),
 O(n) per term on bands and O(n^2) without them.  Every generator is Metzler
 (`GeneratorModel` refuses any other), so both steps are entrywise
@@ -143,8 +143,8 @@ def _poisson_weights(lam: float, rho: float, log_kappa: float) -> tuple[np.ndarr
 
 
 class Uniformization:
-    """exp(tau A) for a Metzler A, with `@` and `.T @` on a vector or a
-    block, and its input column `integral(b)` = int_0^tau exp(s A) b ds.
+    """exp(tau A) for a Metzler A, with `@` and `.T @` on a vector, and its
+    input column `integral(b)` = int_0^tau exp(s A) b ds.
 
     Uniformization (Jensen 1953; Stewart, Introduction to the Numerical
     Solution of Markov Chains, 1994, ch. 8): with c = max|a_jj| (1 on a zero
@@ -238,7 +238,7 @@ Step = Union[np.ndarray, ShiftedInverse, Uniformization]
 
 def step_operator(model: GeneratorModel, dt: float, method: str = DEFAULT_METHOD) -> Step:
     """One-step propagator for time stepping: implicit Euler is
-    `shifted_inverse(model, 1, dt)`, O(n) per column on the presets' bands;
+    `shifted_inverse(model, 1, dt)`, O(n) per vector on the presets' bands;
     the exact exponential is a `Uniformization`, O(n) per term on bands."""
     if method == "implicit_euler":
         return shifted_inverse(model, 1.0, dt)

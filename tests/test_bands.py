@@ -51,6 +51,12 @@ def assert_no_dense_view(model):
     assert model._dense is None
 
 
+def columns_of(op, n):
+    """The matrix of an operator that applies to one vector: its columns are
+    op @ e_j."""
+    return np.column_stack([op @ e for e in np.eye(n)])
+
+
 class TestAgainstDenseAssembly:
     @pytest.mark.parametrize("q, beta, cells", [
         (1.0, 0.5, 1),
@@ -121,7 +127,7 @@ class TestAgainstDenseAssembly:
         dense = _dense_inverse(model, 1.0, dt)
         assert isinstance(op, ShiftedInverse) and np.min(dense) >= 0
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(op.toarray(), dense, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(columns_of(op, 3), dense, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(op.T @ x, dense.T @ x, rtol=1e-13, atol=1e-15)
 
     def test_off_boundary_injection_takes_dense_sum(self):
@@ -142,14 +148,12 @@ class TestAgainstDenseAssembly:
         bands = BorderedBidiagonal(diag, sub, row0)
         a = bands.toarray()
         assert np.array_equal(BorderedBidiagonal.detect(a).toarray(), a)
-        x, block = rng.standard_normal(n), rng.standard_normal((n, 4))
         tol = dict(rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(bands.matvec(x), a @ x, **tol)
-        np.testing.assert_allclose(bands.matvec(block), a @ block, **tol)
         # row0[0] is diag[0]: the adjoint counts it once
         assert row0[0] != 0.0
-        np.testing.assert_allclose(bands.rmatvec(x), a.T @ x, **tol)
-        np.testing.assert_allclose(bands.rmatvec(block), a.T @ block, **tol)
+        for x in rng.standard_normal((5, n)):
+            np.testing.assert_allclose(bands.matvec(x), a @ x, **tol)
+            np.testing.assert_allclose(bands.rmatvec(x), a.T @ x, **tol)
         np.testing.assert_allclose(bands.column_sums(), a.sum(axis=0), **tol)
         np.testing.assert_allclose(bands.column_sums(absolute=True), np.abs(a).sum(axis=0), **tol)
 
@@ -254,7 +258,7 @@ def test_forward_solve_is_solve_banded_bit_for_bit(which, sigma, tau, rng):
     assert np.all(np.abs(diag[:-1]) >= np.abs(sub))
     op = ShiftedInverse(bands, sigma, tau)
     ab = np.vstack((diag, np.append(sub, 0.0)))
-    for y in (rng.standard_normal(bands.cells), rng.standard_normal((bands.cells, 100))):
+    for y in rng.standard_normal((5, bands.cells)):
         assert np.array_equal(op._solve_t(y), scipy.linalg.solve_banded((1, 0), ab, y))
 
 
@@ -276,18 +280,92 @@ def test_tbtrs_receives_fortran_bands(which, monkeypatch, rng):
     monkeypatch.setattr(generators, "_lapack_tbtrs", lambda: tbtrs)
     model = PRESETS[which]()
     op = shifted_inverse(model, 1.0, 0.05)
-    for y in (rng.standard_normal(model.cells), rng.standard_normal((model.cells, 5))):
+    built = len(bands_seen)
+    for y in rng.standard_normal((2, model.cells)):
         op @ y
         op.T @ y
-    assert len(bands_seen) == 7
+    assert built >= 1 and len(bands_seen) == built + 4
+
+
+@pytest.mark.parametrize("which, solves", [
+    ("zero_inflow", 1),
+    ("renewal_base", 1),
+    # h = 0.05, dt = 0.05: max|l| < 1/2, so T^-1 e_0 is one tbtrs
+    ("renewal", 3),
+])
+def test_lower_bands_build_one_solve(which, solves, monkeypatch, rng):
+    """A lower-bidiagonal A builds its `ShiftedInverse` with one tbtrs, the
+    probe, and applies no Sherman-Morrison term: `@` and `.T @` are one
+    plain tbtrs each, bit for bit.  A bordered A also solves for g and p."""
+    real = generators._lapack_tbtrs()
+    calls = []
+
+    def tbtrs(ab, b, **kwargs):
+        calls.append(len(b))
+        return real(ab, b, **kwargs)
+
+    monkeypatch.setattr(generators, "_lapack_tbtrs", lambda: tbtrs)
+    model = {
+        "zero_inflow": PRESETS["zero_inflow"],
+        "renewal_base": lambda: ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400).generator,
+        "renewal": PRESETS["renewal"],
+    }[which]()
+    assert model.bands.lower == (solves == 1)
+    op = shifted_inverse(model, 1.0, 0.05)
+    assert len(calls) == solves
+    y = rng.standard_normal(model.cells)
+    forward, adjoint = op @ y, op.T @ y
+    assert len(calls) == solves + 2
+    if model.bands.lower:
+        assert np.array_equal(forward, real(op._lower, y, uplo="L", diag="U")[0] / op._d)
+        assert np.array_equal(adjoint, real(op._upper, y, uplo="U")[0])
+
+
+def test_shift_above_the_spectral_bound_stays_on_the_bands(monkeypatch):
+    """A gain-1/2 ring at lambda0 = -0.5, 3000 cells: its bidiagonal part is
+    not dominant there, but lambda0 > s(A) = 3000 (2^(-1/3000) - 1), so
+    T is an M-matrix and the solve stays on the bands, where the dense
+    inverse would take 72 MB.  c matches a dense reference."""
+
+    def refuse(*args):
+        raise AssertionError("dense inverse of a banded model")
+
+    model = ps.ring_transport_scenario(0.5, length=1.0, cells=3000)
+    lam, bands = -0.5, model.bands
+    assert not np.all(np.abs(lam - bands.diag[1:]) >= np.abs(bands.sub))
+    assert ps.spectral_bound(model) < lam
+    with monkeypatch.context() as m:
+        m.setattr(generators, "_dense_inverse", refuse)
+        c = ps.inverse_estimate_constant(model, lam)
+    w = model.space.weights
+    c_ref = np.min(np.linalg.solve((lam * np.eye(3000) - bands.toarray()).T, w) / w)
+    assert c == pytest.approx(c_ref, rel=1e-10)
+    assert_no_dense_view(model)
+
+
+def test_overflowing_sherman_morrison_vector_is_refused():
+    """Diagonal -2, subdiagonal 1 and a loop A[0, n-1] = 5e-324 at 200
+    cells: at lam = -1.974, just above s(A) = -1.9758, g = T^-1 e_0 grows by
+    1 / (lam + 2) per cell and overflows.  The solve is refused as singular,
+    with no numpy warning."""
+    n = 200
+    a = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), -1)
+    a[0, -1] = 5e-324
+    model = ps.GeneratorModel.from_matrix(ps.GridSpace(length=float(n), cells=n), a)
+    assert not model.bands.lower and ps.spectral_bound(model) < -1.974
+    with pytest.raises(ps.SingularSystemError, match="T\\^-1 e_0 overflows"):
+        shifted_inverse(model, -1.974, 1.0)
 
 
 @pytest.mark.parametrize("l_max", [0.3, 0.83])
 def test_prefix_solve_is_the_full_solve(l_max, rng):
     """A vector with a long zero tail is solved on its nonzero prefix when
-    1/2 < max|l| < 1, and the result is the full tbtrs's bit for bit: past
-    the cut the full solve's L recurrence sticks at a subnormal, which the
-    division by D rounds to zero."""
+    1/2 < max|l| < 1, then on as far as the prefix's last entry w_m bounds
+    the tail above the smallest subnormal, and the result is the full
+    tbtrs's bit for bit: past the cut the full solve's L recurrence sticks
+    at a subnormal, which the division by D rounds to zero.  Here w_m is
+    about 1e-240: a bound from max|y| (about 1) would run some 4000 cells on
+    where this one runs about 1000."""
     space = ps.GridSpace(length=1.0, cells=20000)
     # q = 0: l = (dt / h) / (1 + dt / h)
     op = ShiftedInverse(ps.build_upwind_generator(space, 0.0).bands, 1.0, l_max / (1.0 - l_max) * space.spacing)
@@ -300,56 +378,59 @@ def test_prefix_solve_is_the_full_solve(l_max, rng):
         return real(ab, b, **kwargs)
 
     op._tbtrs = tbtrs
+    m = 3000
     y = np.zeros(space.cells)
-    y[:50] = rng.random(50)
+    y[:m] = rng.random(m) * l_max ** np.arange(m)
     w = real(op._lower, y, uplo="L", diag="U")[0]
     z = op._solve_t(y)
     assert np.array_equal(z, w / op._d)
-    (cut,) = lengths
     if l_max > 0.5:
-        assert 50 < cut < 5000 and np.all(z[cut:] == 0.0)
+        assert y[m - 1] > 0.0 and lengths[0] == m
+        cut = sum(lengths)
+        assert m < cut < m + 1500 and np.all(z[cut:] == 0.0)
         assert np.all(w[cut:] != 0.0) and np.max(np.abs(w[cut:])) < np.finfo(float).smallest_normal
     else:
-        assert cut == space.cells
+        assert lengths == [space.cells]
 
 
 @pytest.mark.parametrize("which", sorted(PRESETS))
 @pytest.mark.parametrize("sigma, tau", [(1.0, 0.05), (2.0, 1.0)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_block_apply_is_column_applies(which, sigma, tau, order, rng):
-    """A trajectory stepped in a block comes out as it does alone."""
+    """Each column of a C- or F-ordered block, a strided view or not, some
+    with a zero tail, comes out of `@` and `.T @` as its own copy does."""
     model = PRESETS[which]()
     op = shifted_inverse(model, sigma, tau)
-    block = np.asarray(rng.standard_normal((model.cells, 100)), order=order)
+    block = np.asarray(rng.standard_normal((model.cells, 8)), order=order)
+    block[model.cells // 2 :, ::2] = 0.0
     for apply in (op.__matmul__, op.T.__matmul__):
-        cols = np.column_stack([apply(block[:, j]) for j in range(block.shape[1])])
-        assert np.array_equal(apply(block), cols)
+        for y in block.T:
+            assert np.array_equal(apply(y), apply(y.copy()))
 
 
 @pytest.mark.parametrize("which", sorted(PRESETS))
 @pytest.mark.parametrize("sigma, tau", [(1.0, 0.05), (1.0, 1.0)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_block_recursion_is_column_recursion(which, sigma, tau, order, rng):
-    """input_recursion steps a block's columns bit for bit as it steps each
-    column alone, over 200 steps, and writes neither the caller's block nor
-    a block it has already yielded."""
+    """input_recursion steps each column of a C- or F-ordered block, a
+    strided view or not, bit for bit as it steps the column's own copy, over
+    200 steps, and writes neither the caller's block nor a state it has
+    already yielded."""
     model = PRESETS[which]()
     e = shifted_inverse(model, sigma, tau)
     assert isinstance(e, ShiftedInverse)
-    n, m = model.cells, 24
+    n, m = model.cells, 4
     f = tau * (e @ rng.exponential(size=n))
     start = np.asarray(rng.standard_normal((n, m)), order=order)
     kept = start.copy()
     u = rng.exponential(size=(200, m))
-    u[:, ::5] = 0.0
-    columns = [list(input_recursion(e, f, start[:, i], u[:, i])) for i in range(m)]
-    yielded = []
-    for k, z in enumerate(input_recursion(e, f, start, u)):
-        assert np.array_equal(z, np.column_stack([col[k] for col in columns]))
-        yielded.append((z, z.copy()))
-    assert len(yielded) == 201
+    u[:, ::3] = 0.0
+    for i in range(m):
+        alone = list(input_recursion(e, f, start[:, i].copy(), u[:, i]))
+        yielded = [(z, z.copy()) for z in input_recursion(e, f, start[:, i], u[:, i])]
+        assert len(yielded) == 201
+        assert all(np.array_equal(z, snap) and np.array_equal(z, ref) for (z, snap), ref in zip(yielded, alone))
     assert np.array_equal(start, kept)
-    assert all(np.array_equal(z, snap) for z, snap in yielded)
 
 
 @pytest.mark.parametrize("lam", [-1.5, -4.0, -7.0])
@@ -363,7 +444,7 @@ def test_solves_off_column_dominance(lam, rng):
     m = lam * np.eye(60) - bands.toarray()
     op = shifted_inverse(model, lam, 1.0)
     assert isinstance(op, ShiftedInverse)
-    for f in (rng.standard_normal(60), rng.standard_normal((60, 5))):
+    for f in rng.standard_normal((5, 60)):
         for got, mat in ((op @ f, m), (op.T @ f, m.T)):
             ref = np.linalg.solve(mat, f)
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13 * np.max(np.abs(ref)))
@@ -437,7 +518,7 @@ def test_envelope_check_cross_checks_forward_and_adjoint(n, seed):
     model = random_bordered_metzler(n, seed)
     dt, steps = 0.05, 60
     e = shifted_inverse(model, 1.0, dt)
-    assert isinstance(e, ShiftedInverse) and np.min(e.toarray()) >= 0
+    assert isinstance(e, ShiftedInverse) and np.min(columns_of(e, n)) >= 0
     f = dt * (e @ np.random.default_rng(seed).exponential(size=n))
     times = np.arange(steps + 1) * dt
 

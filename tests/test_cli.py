@@ -158,9 +158,9 @@ class TestConfigErrors:
 
     def test_overflowing_shifted_solve_warns_nothing(self, tmp_path):
         # lower bidiagonal, diagonal -2, subdiagonal 1: at lambda0 = s(A) +
-        # 0.01 the solve T^-1 e_0 grows by 100 per cell and overflows past
-        # cell 154; it is refused as singular, with no numpy warning, and
-        # the audit is skipped
+        # 0.01 the probe solve T^-1 1 grows by 100 per cell and overflows
+        # past cell 154; it is refused, with no numpy warning, and the audit
+        # is skipped
         n = 200
         matrix = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), -1)
         scenario = {"kind": "explicit", "matrix": matrix.tolist(), "length": float(n), "b": np.eye(n)[0].tolist()}
@@ -170,7 +170,7 @@ class TestConfigErrors:
         assert proc.returncode == 0
         assert proc.stderr == ""
         report = json.loads(out.read_text())
-        assert report["skipped"] == [["inverse_estimate", "-1.99 I - 1.0 A is singular: T^-1 e_0 overflows"]]
+        assert report["skipped"] == [["inverse_estimate", "-1.99 I - 1.0 A has backward error inf"]]
         assert report["lambda0"] == -1.99 and report["c"] is None
 
     def test_refuses_a_generator_that_is_not_metzler(self, tmp_path, capsys):
@@ -678,8 +678,9 @@ class TestAudit:
         assert report["audits_run"] == ["domination"] and report["domination_ok"] is True
 
     def test_overflowing_resolvent_bound_is_skipped(self, tmp_path, capsys):
-        # at 2000 cells and alpha = -50, T^-1 e_0 of R(lam, A) overflows on
-        # the lower part of the grid; the audit is skipped, the others report
+        # at 2000 cells and alpha = -50, the probe solve of R(lam, A) on the
+        # lower-bidiagonal base overflows on the lower part of the grid; the
+        # audit is skipped, the others report
         cfg = write_config(
             tmp_path,
             scenario={"kind": "renewal", "q": 1.0, "beta": 0.5, "length": 20.0, "cells": 2000},
@@ -690,7 +691,7 @@ class TestAudit:
         report = json.loads(out.read_text())
         assert report["audits_run"] == [a for a in cli.DEFAULT_AUDITS if a != "resolvent_bound"]
         ((name, reason),) = report["skipped"]
-        assert name == "resolvent_bound" and reason.endswith("T^-1 e_0 overflows")
+        assert name == "resolvent_bound" and reason == "-49.9 I - 1.0 A has backward error inf"
         assert report["alpha"] == -50.0 and report["m_alpha"] is None
         assert report["c"] is not None and report["kappa"] is not None and report["r"] is not None
 
@@ -972,7 +973,7 @@ def test_startup_loads_numpy_alone(tmp_path):
     doc["scenario"]["matrix"][5][20] = 0.3
     twin = tmp_path / "metzler-n40.json"
     twin.write_text(json.dumps(doc))
-    reports = {DATA / "renewal-n60-audit.json", signed}
+    reports = {DATA / "renewal-n60-audit.json", DATA / "audit-n100000-audit.json", signed}
     configs = sorted(set(DATA.glob("*.json")) - reports) + [twin] + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
     bench = ROOT / "perfbench" / "configs"
     runs = (bench / "audit-all-n400.json", bench / "simulate-n2000.json")
@@ -1036,7 +1037,7 @@ class TestLapackLoader:
                 return None
 
         model = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=300).system.perturbed
-        y = np.random.default_rng(5).standard_normal((300, 3))
+        y = np.random.default_rng(5).standard_normal(300)
         generators._lapack_tbtrs.cache_clear()
         from_file = generators.shifted_inverse(model, 1.0, 0.05)
         monkeypatch.setattr(importlib.machinery, "FileFinder", FindsNothing)

@@ -10,6 +10,7 @@ import pytest
 
 import possys as ps
 from possys import cli, iss, semigroup
+from possys.control import input_recursion
 from possys.errors import GainValidationError
 from possys.generators import ShiftedInverse
 from possys.iss import EISS, GUARD_BAND, INCONCLUSIVE, NOT_EISS, ISSReport
@@ -175,12 +176,12 @@ class TestGainFit:
             marks = np.sort(rng.integers(0, steps + 1, size=2 * rng.integers(1, 6)))
             for a, b in zip(marks[::2], marks[1::2]):
                 u[a:b, i] += rng.exponential() * 10.0 ** rng.uniform(-1, 1)
-        x_norm, u_norm = h * z.sum(axis=0), v.dt * u.sum(axis=0)
-        for k in range(steps + 1):
-            gaps = n_amp * np.exp(-mu * v.times[k]) * x_norm + gain * u_norm - h * np.abs(z).sum(axis=0)
-            assert np.min(gaps) >= -1e-8, (k, int(np.argmin(gaps)), np.min(gaps))
-            if k < steps:
-                z = v.e @ z + np.outer(v.f, u[k])
+        envelope = n_amp * np.exp(-mu * v.times)
+        for i in range(trials):
+            x_norm, u_norm = h * z[:, i].sum(), v.dt * u[:, i].sum()
+            for k, zk in enumerate(input_recursion(v.e, v.f, z[:, i], u[:, i])):
+                gap = envelope[k] * x_norm + gain * u_norm - h * np.abs(zk).sum()
+                assert gap >= -1e-8, (k, i, gap)
 
     def test_cross_check_catches_a_wrong_adjoint(self, monkeypatch):
         """An adjoint solve off by 1e-6 moves every cone norm, and the

@@ -16,7 +16,7 @@ from possys.semigroup import (
     norm_curves,
     step_operator,
 )
-from test_bands import random_bordered_metzler
+from test_bands import columns_of, random_bordered_metzler
 
 
 class TestEvolutionPlan:
@@ -40,7 +40,7 @@ class TestEvolutionPlan:
 
 def dense_step(model, dt, method):
     """The matrix of `step_operator(model, dt, method)`, one column per basis vector."""
-    return step_operator(model, dt, method) @ np.eye(model.cells)
+    return columns_of(step_operator(model, dt, method), model.cells)
 
 
 class TestStepMatrix:
@@ -114,51 +114,60 @@ class TestBidiagonalStep:
         op = step_operator(model, dt, "implicit_euler")
         assert isinstance(op, ShiftedInverse)
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(model.cells)
-        block = rng.standard_normal((model.cells, 3))
         tol = dict(rtol=1e-9, atol=1e-12 * float(np.max(np.abs(dense))))
-        np.testing.assert_allclose(op @ x, dense @ x, **tol)
-        np.testing.assert_allclose(op @ block, dense @ block, **tol)
-        np.testing.assert_allclose(op.T @ x, dense.T @ x, **tol)
-        np.testing.assert_allclose(op.T @ block, dense.T @ block, **tol)
-        np.testing.assert_allclose(op.toarray(), dense, **tol)
+        for x in rng.standard_normal((3, model.cells)):
+            np.testing.assert_allclose(op @ x, dense @ x, **tol)
+            np.testing.assert_allclose(op.T @ x, dense.T @ x, **tol)
+        np.testing.assert_allclose(columns_of(op, model.cells), dense, **tol)
 
     @given(
         n=st.integers(min_value=1, max_value=30),
         dt=_dt,
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        lower=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_explicit_bordered_metzler_against_dense(self, n, dt, seed):
-        # random Metzler bordered A, some with a positive diagonal: where the
-        # bidiagonal part of I - dt A is not row-dominant the Sherman-Morrison
-        # term loses accuracy, so step_operator must route those to the dense
-        # inverse unless A is lower bidiagonal and has no such term
+    def test_explicit_bordered_metzler_against_dense(self, n, dt, seed, lower):
+        # random Metzler bordered or lower-bidiagonal A, some with a positive
+        # diagonal: where the bidiagonal part of I - dt A is not row-dominant
+        # and 1 / dt <= s(A) the Sherman-Morrison term can lose accuracy, so
+        # step_operator must route those to the dense inverse unless A is
+        # lower bidiagonal and has no such term
         rng = np.random.default_rng(seed)
         a = np.diag(rng.uniform(-3.0, 1.0, n)) + np.diag(rng.uniform(0.0, 3.0, n - 1), -1)
-        a[0, 1:] = np.where(rng.random(n - 1) < 0.5, rng.uniform(0.0, 2.0, n - 1), 0.0)
-        assume(np.linalg.cond(np.eye(n) - dt * a) < 1e8)
+        if not lower:
+            a[0, 1:] = np.where(rng.random(n - 1) < 0.5, rng.uniform(0.0, 2.0, n - 1), 0.0)
+        m = np.eye(n) - dt * a
+        assume(np.linalg.cond(m) < 1e8)
         model = ps.GeneratorModel.from_matrix(ps.GridSpace(length=float(n), cells=n), a)
         dense = _dense_inverse(model, 1.0, dt)
         op = step_operator(model, dt, "implicit_euler")
-        banded = not np.any(a[0, 1:]) or np.all(np.abs(1.0 - dt * np.diag(a)[1:]) >= dt * np.diag(a, -1))
+        banded = (
+            not np.any(a[0, 1:])
+            or np.all(np.abs(1.0 - dt * np.diag(a)[1:]) >= dt * np.diag(a, -1))
+            or 1.0 / dt > ps.spectral_bound(model)
+        )
         assert isinstance(op, ShiftedInverse) == banded
-        got = op.toarray() if banded else op
+        got = columns_of(op, n) if banded else op
         assert np.max(np.abs(got - dense)) <= 1e-9 * np.max(np.abs(dense))
+        # one vector at a time, forward and adjoint, against a dense solve
+        for x in rng.standard_normal((2, n)):
+            for y, ref in ((op @ x, np.linalg.solve(m, x)), (op.T @ x, np.linalg.solve(m.T, x))):
+                assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(dense)) * np.max(np.abs(x)) * n
 
     def test_certificate_positive_for_metzler_presets(self):
         rs = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400)
         for model in (rs.generator, rs.system.perturbed, ps.markov_cycle_scenario(9),
                       ps.ring_transport_scenario(2.0, cells=30)):
             op = step_operator(model, 0.05, "implicit_euler")
-            assert np.min(op.toarray()) >= 0
+            assert np.min(columns_of(op, model.cells)) >= 0
             assert np.min(op @ np.ones(model.cells)) > 0
 
     def test_certificate_refused_past_the_spectrum(self):
         # gain 2 ring grows at about ln 2: dt = 3 leaves the M-matrix regime
         model = ps.ring_transport_scenario(2.0, cells=20)
         op = step_operator(model, 3.0, "implicit_euler")
-        assert np.min(op.toarray()) < 0
+        assert np.min(columns_of(op, 20)) < 0
         assert np.min(_dense_inverse(model, 1.0, 3.0)) < 0
 
     def test_unstructured_matrix_takes_dense_path(self):
@@ -189,13 +198,13 @@ class TestBidiagonalStep:
         assert no_bands.bands is None
         e = step_operator(no_bands, 0.3, "exact_exponential")
         assert isinstance(e, Uniformization)
-        np.testing.assert_allclose(e @ np.eye(3), scipy.linalg.expm(0.3 * no_bands.matrix), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(columns_of(e, 3), scipy.linalg.expm(0.3 * no_bands.matrix), rtol=1e-14, atol=0)
 
     def test_exact_method_on_metzler_bands(self, toy):
         _, model, _ = toy
         e = step_operator(model, 0.3, "exact_exponential")
         assert isinstance(e, Uniformization)
-        np.testing.assert_allclose(e @ np.eye(2), scipy.linalg.expm(0.3 * model.matrix), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(columns_of(e, 2), scipy.linalg.expm(0.3 * model.matrix), rtol=1e-14, atol=0)
 
 
 class TestBandExponential:
@@ -338,7 +347,7 @@ class TestNormCurves:
     @staticmethod
     def check(model, method, dt, vectors, steps=12):
         e = step_operator(model, dt, method)
-        dense = e if isinstance(e, np.ndarray) else e @ np.eye(model.cells)
+        dense = e if isinstance(e, np.ndarray) else columns_of(e, model.cells)
         op, low, curves = norm_curves(model, e, steps, vectors)
         for k in range(steps + 1):
             power = np.linalg.matrix_power(dense, k)
