@@ -472,6 +472,8 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
         "out": out_path,
         "rows": len(traj.times),
         "cells": n,
+        "method": plan.method,
+        "dt": plan.dt,
         "final_norm": float(norms[-1]),
         "positivity_violations": int(np.sum(traj.states < -POSITIVITY_TOL)),
         "checkpoints": {

@@ -18,7 +18,8 @@ Positivity of the input maps is not computed: the generator is Metzler, so
 T(t) >= 0 and R(lam, A) >= 0 exactly when lam > s(A) (Berman & Plemmons,
 Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6), and
 Phi_tau u >= 0 for every u >= 0 exactly when b >= 0.  The implicit-Euler
-step (I - dt A)^{-1} is >= 0 too while dt s(A) < 1.
+step (I - dt A)^{-1} is >= 0 too while dt s(A) < 1, and `mild_solution`
+refuses a plan past that.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .semigroup import (
     Step,
     Trajectory,
     Uniformization,
+    _check_implicit_step,
     grid_steps,
     step_operator,
 )
@@ -298,9 +300,11 @@ def input_map(
 def mild_solution(
     model: GeneratorModel, b, x: GridVector, u: InputSignal, plan: EvolutionPlan
 ) -> Trajectory:
-    """z(t_k) = T(t_k) x + Phi_{t_k} u on the plan's grid."""
+    """z(t_k) = T(t_k) x + Phi_{t_k} u on the plan's grid.  An implicit-Euler
+    plan needs dt s(A) < 1 (`semigroup._check_implicit_step`)."""
     if x.space != model.space:
         raise ValueError("initial state lives on a different grid")
+    _check_implicit_step(model, plan)
     col = _as_column(b, model.space)
     if not u.aligned(plan.dt):
         warnings.warn(f"input breakpoints resampled onto the dt = {plan.dt} grid")

@@ -297,11 +297,29 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["rows"] == 21 and summary["positivity_violations"] == 0
+        assert summary["method"] == "implicit_euler" and summary["dt"] == 0.05
         lines = out.read_text().splitlines()
         assert lines[0] == "t," + ",".join(f"x{j}" for j in range(30))
         assert len(lines) == 22
         first = lines[1].split(",")
         assert first[0] == "0.0" and len(first) == 31
+
+    def test_growing_loop_past_the_implicit_step_exits_3(self, tmp_path, capsys):
+        # s(A_S) = 49 here: at dt = 0.5 the implicit step is not >= 0 and its
+        # trajectory decays where the loop grows
+        growing = {"kind": "renewal", "q": 1.0, "beta": 50.0, "cells": 30}
+        plan = {"t_end": 1.0, "dt": 0.5, "method": "implicit_euler"}
+        cfg = write_config(tmp_path, scenario=growing, plan=plan, initial_state="bump")
+        out = tmp_path / "t.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical failure: implicit Euler needs dt s(A) < 1, got dt = 0.5")
+        assert "1/s(A) = 0.0204" in captured.err
+        assert not out.exists()
+        cfg = write_config(tmp_path, scenario=growing, plan={**plan, "dt": 0.01}, initial_state="bump")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["positivity_violations"] == 0
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, input={"breakpoints": [0.0, 0.5], "values": [2.0]})

@@ -164,6 +164,19 @@ class TestMildSolution:
         plain = ps.evolve(model, x, plan)
         np.testing.assert_allclose(with_input.states, plain.states, atol=1e-13)
 
+    def test_implicit_step_needs_dt_below_one_over_the_spectral_bound(self):
+        model = ps.renewal_scenario(1.0, 50.0, cells=30).system.perturbed
+        s = ps.spectral_bound(model)
+        x, b, u = model.space.vector(np.ones(30)), np.zeros(30), ps.InputSignal.zero()
+        for dt in (0.5, 1.001 / s):
+            with pytest.raises(ps.SingularSystemError, match=r"dt s\(A\) < 1"):
+                ps.mild_solution(model, b, x, u, ps.EvolutionPlan(2 * dt, dt, "implicit_euler"))
+        dt = 0.999 / s
+        traj = ps.mild_solution(model, b, x, u, ps.EvolutionPlan(2 * dt, dt, "implicit_euler"))
+        assert np.min(traj.states) >= 0 and traj.norms()[-1] > traj.norms()[0]
+        # the exact exponential takes any step
+        ps.mild_solution(model, b, x, u, ps.EvolutionPlan(1.0, 0.5, "exact_exponential"))
+
     def test_renewal_steady_state(self):
         # constant unit inflow: z(inf) = R(0, A_S) B when r < 1
         rs = ps.renewal_scenario(1.0, 0.5, length=4.0, cells=40)

@@ -294,6 +294,16 @@ class TestEvolve:
             traj = ps.evolve(model, x, EvolutionPlan(2.0, 0.125, method))
             assert np.min(traj.states) >= -1e-15
 
+    def test_implicit_step_needs_dt_below_one_over_the_spectral_bound(self):
+        # the gain 2 ring grows at s(A) > 0
+        model = ps.ring_transport_scenario(2.0, cells=20)
+        s = ps.spectral_bound(model)
+        x = model.space.vector(np.ones(20))
+        with pytest.raises(ps.SingularSystemError, match=r"dt s\(A\) < 1"):
+            ps.evolve(model, x, EvolutionPlan(2.002 / s, 1.001 / s, "implicit_euler"))
+        traj = ps.evolve(model, x, EvolutionPlan(1.998 / s, 0.999 / s, "implicit_euler"))
+        assert np.min(traj.states) >= 0 and traj.norms()[-1] > traj.norms()[0]
+
     def test_norms_and_vector_at(self, toy):
         _, model, _ = toy
         x = model.space.vector(np.array([1.0, 0.0]))
