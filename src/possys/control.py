@@ -200,9 +200,6 @@ class ControlOperator:
         col[0] = 1.0 / space.spacing
         return cls(space=space, column=col, provenance="boundary_dirichlet")
 
-    def vector(self) -> GridVector:
-        return self.space.vector(self.column)
-
 
 def _as_column(b, space: GridSpace) -> np.ndarray:
     if isinstance(b, ControlOperator):

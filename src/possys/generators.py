@@ -387,11 +387,13 @@ class ShiftedInverse:
     (r_0 = 0).  `@` solves with T and `.T @` with T^T, one LAPACK tbtrs each,
     O(n); a vector with a zero tail may be solved on a prefix only (see
     `_solve_t`).  On a lower-bidiagonal A (`bands.lower`, every renewal base
-    generator) r = 0 and that is all.  A bordered A adds the Sherman-Morrison
-    terms g (r^T T^{-1} y) / (1 - r^T g) and p (T^{-T} y)_0 / (1 - r^T g),
-    with g = T^{-1} e_0 and p = T^{-T} r solved once here.  So the
-    constructor solves once, its probe, on a lower-bidiagonal A and three
-    times on a bordered one.
+    generator) r = 0 and that is all, and the constructor solves nothing.  A
+    bordered A adds the Sherman-Morrison terms g (r^T T^{-1} y) / (1 - r^T g)
+    and p (T^{-T} y)_0 / (1 - r^T g), with g = T^{-1} e_0 and p = T^{-T} r
+    solved once here.  No solve is probed: `shifted_inverse` builds this
+    only where its accuracy is a theorem, and the resolvent results are
+    checked where they leave the solve layer (`resolvent_apply`,
+    `inverse_estimate_constant`).
     tbtrs comes from `_lapack_tbtrs`, which loads one LAPACK extension
     module and not scipy.linalg; `import possys` and the scenario builds
     never solve, so they load numpy alone.
@@ -415,7 +417,7 @@ class ShiftedInverse:
         self._upper = np.array((np.insert(sub, 0, 0.0), diag), order="F")
         self._lmax = float(np.max(np.abs(self._lower[1])))
         self._r = None if bands.lower else tau * bands.row0
-        # an overflowing solve is refused below, not warned about
+        # an overflowing T^-1 e_0 is refused below, not warned about
         with np.errstate(over="ignore"):
             if self._r is not None:
                 self._r[0] = 0.0
@@ -426,10 +428,6 @@ class ShiftedInverse:
                 self._denom = 1.0 - rg
                 _check_pivots(self._denom, 1.0 + abs(rg), f"{what} (Sherman-Morrison denominator)")
                 self._p = self._tbtrs(self._upper, self._r, uplo="U")[0]
-            # probe: tau (sigma I - tau A)^{-1} 1 = R(sigma / tau, A) 1, checked
-            # in O(n) on the bands
-            ones = np.ones(n)
-            _check_backward_error(bands, sigma / tau, tau * self._apply(ones), ones, what)
 
     def _solve_t(self, y: np.ndarray) -> np.ndarray:
         """T^{-1} y: tbtrs with L, then the division by D.
@@ -477,42 +475,38 @@ class ShiftedInverse:
 def shifted_inverse(model: GeneratorModel, sigma: float, tau: float) -> Union[np.ndarray, ShiftedInverse]:
     """(sigma I - tau A)^{-1}, tau > 0, as an operator with `@` and `.T @`.
 
-    Bands take `ShiftedInverse` when A is lower bidiagonal (no
-    Sherman-Morrison term), when the bidiagonal part T has
-    |sigma - tau a_jj| >= tau |a_j,j-1| in every row j >= 1, as the presets
-    do at the audits' steps, or when sigma / tau > s(A) (`_perron`): there
-    T is a nonsingular M-matrix, T^{-1} >= 0 and 1 - r^T g > 0, so every
-    Sherman-Morrison term is >= 0 on the cone and nothing cancels.  At other
-    shifts T^{-1} may grow along the diagonal and the term cancel, which the
-    probe can miss; so those, like matrices without bands, take the dense
-    inverse.
+    Bands take `ShiftedInverse` exactly where its accuracy is a theorem.
+    When A is lower bidiagonal there is no Sherman-Morrison term, and the
+    unpivoted bidiagonal substitution is backward stable at every shift
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 8-9).
+    When sigma / tau > s(A) (`_perron`), T is a nonsingular M-matrix,
+    T^{-1} >= 0 and 1 - r^T g > 0, so every Sherman-Morrison term is >= 0 on
+    the cone and nothing cancels.  At other shifts of a bordered A the term
+    can cancel; those, like matrices without bands, take the dense inverse.
     """
     bands = model.bands
-    if bands is not None and (
-        bands.lower
-        or np.all(np.abs(sigma - tau * bands.diag[1:]) >= tau * np.abs(bands.sub))
-        or sigma / tau > _perron(model)[0]
-    ):
+    if bands is not None and (bands.lower or sigma / tau > _perron(model)[0]):
         return ShiftedInverse(bands, sigma, tau)
     return _dense_inverse(model, sigma, tau)
 
 
-def _check_backward_error(a, lam: float, g: np.ndarray, rhs: np.ndarray, what: str) -> None:
+def _check_backward_error(model: GeneratorModel, lam: float, g: np.ndarray, rhs: np.ndarray) -> None:
     """Refuse g = (lam I - A)^{-1} rhs with SingularSystemError unless its
-    backward error is <= RESIDUAL_TOL.  `a` is a GeneratorModel or bands
-    (A's `matvec` and `column_sums`), so the check is O(n) on bands.
+    backward error is <= RESIDUAL_TOL; a g that is not finite has backward
+    error inf.  `resolvent_apply` and `resolvent_matrix` check their results
+    here, as they leave the solve layer.  O(n) on bands.
 
     The residual is scaled the way backward stability predicts: huge
     resolvents are fine as long as the solve is exact for a nearby problem.
     """
     err = math.inf
     if np.all(np.isfinite(g)):
-        resid = np.linalg.norm(lam * g - a.matvec(g) - rhs, ord=1)
-        norm_a = float(np.max(a.column_sums(absolute=True)))
+        resid = np.linalg.norm(lam * g - model.matvec(g) - rhs, ord=1)
+        norm_a = float(np.max(model.column_sums(absolute=True)))
         scale = np.linalg.norm(rhs, ord=1) + (abs(lam) + norm_a) * np.linalg.norm(g, ord=1)
         err = resid / scale if scale > 0 else resid
     if not err <= RESIDUAL_TOL:
-        raise SingularSystemError(f"{what} has backward error {err:.3e}")
+        raise SingularSystemError(f"{lam!r} I - 1.0 A has backward error {err:.3e}")
 
 
 def resolvent_matrix(model: GeneratorModel, lam: float) -> np.ndarray:
@@ -520,15 +514,18 @@ def resolvent_matrix(model: GeneratorModel, lam: float) -> np.ndarray:
     r = _dense_inverse(model, lam, 1.0)
     # probe the solve with a single vector; a full matrix residual is O(n^3)
     ones = np.ones(model.cells)
-    _check_backward_error(model, lam, r @ ones, ones, f"resolvent at lambda = {lam}")
+    _check_backward_error(model, lam, r @ ones, ones)
     return r
 
 
 def resolvent_apply(model: GeneratorModel, lam: float, f) -> GridVector:
     """g = (lam I - A)^{-1} f, refused unless the backward error is <= 1e-10."""
     vals = f.values if isinstance(f, GridVector) else np.asarray(f, dtype=float)
-    g = shifted_inverse(model, lam, 1.0) @ vals
-    _check_backward_error(model, lam, g, vals, f"resolvent solve at lambda = {lam}")
+    op = shifted_inverse(model, lam, 1.0)
+    # an overflowing solve is refused by the check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = op @ vals
+        _check_backward_error(model, lam, g, vals)
     return model.space.vector(g)
 
 
@@ -668,4 +665,10 @@ def inverse_estimate_constant(model: GeneratorModel, lambda0: float) -> float:
     if lambda0 <= s:
         raise ValueError(f"lambda0 = {lambda0} must exceed the spectral bound {s}")
     w = model.space.weights
-    return float(np.min((shifted_inverse(model, lambda0, 1.0).T @ w) / w))
+    op = shifted_inverse(model, lambda0, 1.0)
+    # an overflowing solve is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = (op.T @ w) / w
+    if not np.all(np.isfinite(scores)):
+        raise SingularSystemError(f"{lambda0!r} I - 1.0 A has backward error inf")
+    return float(np.min(scores))

@@ -87,9 +87,6 @@ class GridVector:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "GridVector":
-        return self.space.vector(-self.values)
-
     def _check_space(self, other: "GridVector"):
         if other.space != self.space:
             raise ValueError("grid vectors live on different spaces")

@@ -713,6 +713,25 @@ class TestAudit:
         assert report["alpha"] == -50.0 and report["m_alpha"] is None
         assert report["c"] is not None and report["kappa"] is not None and report["r"] is not None
 
+    def test_overflowing_inverse_estimate_is_skipped(self, tmp_path):
+        # the lambda0 twin of the case above: at 2000 cells, h = 0.01 and
+        # s(A) = -101, the adjoint solve of R(-100.5, A) grows by 200 per
+        # cell and overflows, and its column scores divide by w = h; the
+        # audit is skipped with no numpy warning, the others report
+        cfg = write_config(
+            tmp_path,
+            scenario={"kind": "renewal", "q": 1.0, "beta": 0.5, "length": 20.0, "cells": 2000},
+            lambda0=-100.5,
+        )
+        out = tmp_path / "report.json"
+        proc = run_cli("audit", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads(out.read_text())
+        assert report["s_A"] == -101.0
+        assert report["skipped"] == [["inverse_estimate", "-100.5 I - 1.0 A has backward error inf"]]
+        assert report["lambda0"] == -100.5 and report["c"] is None
+        assert report["kappa"] is not None and report["m_alpha"] is not None and report["r"] is not None
+
     @pytest.mark.parametrize("key", ["alpha", "lambda0"])
     def test_abscissa_below_the_spectral_bound_is_skipped(self, tmp_path, capsys, key):
         # s(A) = -4 here; an abscissa at or below it skips its own audit,
