@@ -25,9 +25,6 @@ from .lattice import (
 from .generators import (
     BorderedBidiagonal,
     GeneratorModel,
-    NonlocalBirth,
-    ProportionalWrap,
-    ZeroInflow,
     build_upwind_generator,
     inverse_estimate_constant,
     perron_mode,

@@ -251,7 +251,7 @@ def build_scenario(cfg: RunConfig) -> BuiltScenario:
                 length=_number(sc.get("length"), "scenario.length", positive=True, nullable=True),
                 cells=cells,
             )
-            echo = dict(rs.spec.parameters)
+            echo = dict(rs.parameters)
             echo["flags"] = {
                 "sup_beta_below_sup_q": rs.sup_beta_below_sup_q,
                 "sup_beta_below_min_q": rs.sup_beta_below_min_q,
@@ -604,6 +604,8 @@ KNOWN_AUDITS = tuple(AUDITS)
 def cmd_audit(cfg: RunConfig, out_path: str) -> int:
     built = build_scenario(cfg)
     _check_initial_state(cfg, built)
+    # a plan simulate refuses is refused here too; left_invertibility reads t_end
+    _plan(cfg)
     report = {
         "version": __version__,
         "seed": cfg.seed,

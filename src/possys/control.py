@@ -184,7 +184,6 @@ class ControlOperator:
 
     space: GridSpace
     column: np.ndarray
-    provenance: str = "custom"
 
     def __post_init__(self):
         col = _readonly(self.column)
@@ -198,7 +197,7 @@ class ControlOperator:
     def boundary_injection(cls, space: GridSpace) -> "ControlOperator":
         col = np.zeros(space.cells)
         col[0] = 1.0 / space.spacing
-        return cls(space=space, column=col, provenance="boundary_dirichlet")
+        return cls(space=space, column=col)
 
 
 def _as_column(b, space: GridSpace) -> np.ndarray:

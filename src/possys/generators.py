@@ -1,11 +1,13 @@
 """Generator matrices for transport with absorption, and their resolvents.
 
-The continuous model is f' = -df/dx - q(x) f on [0, L] with one of three
-inflow rules at x = 0; the upwind finite-volume truncation turns it into a
-Metzler matrix acting on grid vectors.  Everything downstream (spectral
-bounds, resolvent solves, inverse estimates) is phrased against the matrix,
-so custom Metzler generators can be wrapped with
-`GeneratorModel.from_matrix`; a matrix with a negative entry off the
+The continuous model is f' = -df/dx - q(x) f on [0, L] whose inflow at
+x = 0 is a `wrap` gain times the outflow at x = L, none by default; the
+upwind finite-volume truncation turns it into a Metzler matrix acting on
+grid vectors.  The birth row is no inflow rule here: it enters only as the
+boundary perturbation of `perturbation.assemble_perturbed`.  Everything
+downstream (spectral bounds, resolvent solves, inverse estimates) is
+phrased against the matrix, so custom Metzler generators can be wrapped
+with `GeneratorModel.from_matrix`; a matrix with a negative entry off the
 diagonal is refused there.  Positivity is therefore never computed: for a
 Metzler A, lam I - A is a Z-matrix, and R(lam, A) >= 0 exactly when
 lam > s(A), where it is a nonsingular M-matrix (Berman & Plemmons,
@@ -22,7 +24,7 @@ import math
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -46,36 +48,6 @@ _SUBNORMAL = 5e-324
 MAX_DIAGONAL = np.finfo(float).max / 1e3
 
 
-@dataclass(frozen=True)
-class ZeroInflow:
-    """Dirichlet boundary: nothing enters at x = 0."""
-
-    kind: str = field(default="zero_inflow", init=False)
-
-
-@dataclass(frozen=True)
-class ProportionalWrap:
-    """Inflow proportional to the outflow at x = L (a ring for gain >= 1)."""
-
-    gain: float
-    kind: str = field(default="proportional", init=False)
-
-    def __post_init__(self):
-        if not np.isfinite(self.gain) or self.gain < 0:
-            raise ValueError(f"wrap gain must be finite and >= 0, got {self.gain}")
-
-
-@dataclass(frozen=True)
-class NonlocalBirth:
-    """Inflow equals the weighted population integral, sum_j beta_j h f_j."""
-
-    rates: np.ndarray
-    kind: str = field(default="nonlocal", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", _readonly(self.rates))
-
-
 @dataclass(frozen=True, eq=False)
 class BorderedBidiagonal:
     """Bands of a matrix whose rows 1..n-1 are zero off the diagonal and the
@@ -83,8 +55,8 @@ class BorderedBidiagonal:
 
     `diag` holds the n diagonal entries, `sub` the n - 1 entries A[j+1, j]
     and `row0` the whole first row (so row0[0] == diag[0]).  Every preset
-    generator has this shape: the upwind stencil plus one wrap entry or one
-    birth row, and the boundary feedback only adds to row 0.
+    generator has this shape: the upwind stencil plus one wrap entry, and
+    the boundary feedback only adds to row 0.
     """
 
     diag: np.ndarray
@@ -177,7 +149,6 @@ class GeneratorModel:
         self,
         space: GridSpace,
         matrix=None,
-        boundary: str = "custom",
         *,
         bands: Optional[BorderedBidiagonal] = None,
     ):
@@ -194,7 +165,6 @@ class GeneratorModel:
         elif bands.cells != n:
             raise ValueError(f"bands of {bands.cells} cells do not match {n} cells")
         self.space = space
-        self.boundary = boundary
         self.bands = bands
         self._dense = matrix
         # guards the dense view and the step store when threads share a model
@@ -205,8 +175,8 @@ class GeneratorModel:
             raise ValueError(f"generator is not Metzler: A[{i}, {j}] = {low!r}")
 
     @classmethod
-    def from_matrix(cls, space: GridSpace, matrix, boundary: str = "custom") -> "GeneratorModel":
-        return cls(space=space, matrix=np.asarray(matrix, dtype=float), boundary=boundary)
+    def from_matrix(cls, space: GridSpace, matrix) -> "GeneratorModel":
+        return cls(space=space, matrix=np.asarray(matrix, dtype=float))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -261,14 +231,15 @@ class GeneratorModel:
         return self.space.cells
 
 
-def build_upwind_generator(space: GridSpace, q, boundary=None) -> GeneratorModel:
-    """Upwind truncation of -d/dx - q(x) with the given inflow rule.
+def build_upwind_generator(space: GridSpace, q, *, wrap: float = 0.0) -> GeneratorModel:
+    """Upwind truncation of -d/dx - q(x) whose inflow is `wrap` times the outflow.
 
     Cell j gets diagonal -1/h - q_j and receives the upwind flux f_{j-1}/h;
-    the inflow rule decides what cell 0 receives.  The result is Metzler for
-    any q >= 0 and nonnegative boundary data.
+    cell 0 receives wrap f_{n-1}/h: nothing for the default wrap = 0 (the
+    Dirichlet generator), a ring for wrap >= 1.  Metzler for q, wrap >= 0.
     """
-    boundary = boundary if boundary is not None else ZeroInflow()
+    if not np.isfinite(wrap) or wrap < 0:
+        raise ValueError(f"wrap gain must be finite and >= 0, got {wrap}")
     n = space.cells
     h = space.spacing
     q = np.broadcast_to(np.asarray(q, dtype=float), (n,)).copy()
@@ -284,23 +255,11 @@ def build_upwind_generator(space: GridSpace, q, boundary=None) -> GeneratorModel
         )
     row0 = np.zeros(n)
     row0[0] = diag[0]
-
-    if isinstance(boundary, ZeroInflow):
-        pass
-    elif isinstance(boundary, ProportionalWrap):
-        row0[n - 1] += boundary.gain / h
-    elif isinstance(boundary, NonlocalBirth):
-        rates = np.broadcast_to(boundary.rates, (n,))
-        if np.min(rates) < 0:
-            raise ValueError("birth rates must be nonnegative")
-        # ghost inflow (sum_j beta_j h f_j) / h contributes beta_j to row 0
-        row0 += rates
-    else:
-        raise TypeError(f"unknown boundary rule {boundary!r}")
+    row0[n - 1] += wrap / h
     diag[0] = row0[0]
 
     bands = BorderedBidiagonal(diag, np.full(n - 1, 1.0 / h), row0)
-    return GeneratorModel(space=space, bands=bands, boundary=boundary.kind)
+    return GeneratorModel(space=space, bands=bands)
 
 
 def _lower_triangular(a: np.ndarray) -> bool:

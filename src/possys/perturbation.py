@@ -2,9 +2,11 @@
 
 The boundary injection is the paper's Dirichlet column e_0 / h
 (`ControlOperator.boundary_injection`), and the feedback row beta_j h closes
-the loop: A_S = A + P with P = outer(b, beta h).  The loop gain that decides
-stability is the spectral radius of K = R(0, A) P, which for this rank-one
-structure collapses to the scalar sum_j beta_j h d0_j with d0 = R(0, A) b.
+the loop: A_S = A + P with P = outer(b, beta h).  The birth row enters only
+here, in `assemble_perturbed`, as a perturbation of the Dirichlet boundary
+(Greiner, Houston J. Math. 13, 1987).  The loop gain that decides stability
+is the spectral radius of K = R(0, A) P, which for this rank-one structure
+collapses to the scalar sum_j beta_j h d0_j with d0 = R(0, A) b.
 The same factors give the order relations of `domination_check` in O(n):
 R(lam, A) - R(lam, A_S) = -(R(lam, A_S) b)(R(lam, A)^T beta h)^T, and
 T(t) <= S(t) follows from A Metzler and P >= 0 alone.  Both are the paper's
@@ -123,7 +125,7 @@ class PerturbedSystem:
         if np.min(p) < 0:
             i, j = np.unravel_index(np.argmin(p), p.shape)
             raise ValueError(f"perturbation is not nonnegative: P[{i}, {j}] = {float(p[i, j])!r}")
-        perturbed = GeneratorModel(space=base.space, matrix=base.matrix + p, boundary="custom")
+        perturbed = GeneratorModel(space=base.space, matrix=base.matrix + p)
         return cls(base=base, perturbed=perturbed, perturbation=p)
 
 
@@ -147,18 +149,13 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
     h = model.space.spacing
     w = beta * h
 
-    boundary = "nonlocal" if model.boundary == "zero_inflow" else "custom"
     bands = model.bands
     if bands is not None and not np.any(col[1:]):
         row0 = bands.row0 + col[0] * w
         diag = np.concatenate((row0[:1], bands.diag[1:]))
-        perturbed = GeneratorModel(
-            space=model.space, bands=BorderedBidiagonal(diag, bands.sub, row0), boundary=boundary
-        )
+        perturbed = GeneratorModel(space=model.space, bands=BorderedBidiagonal(diag, bands.sub, row0))
     else:
-        perturbed = GeneratorModel(
-            space=model.space, matrix=model.matrix + np.outer(col, w), boundary=boundary
-        )
+        perturbed = GeneratorModel(space=model.space, matrix=model.matrix + np.outer(col, w))
     return PerturbedSystem(base=model, perturbed=perturbed, injection=col, feedback=beta)
 
 

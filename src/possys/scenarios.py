@@ -13,12 +13,7 @@ from typing import Union
 import numpy as np
 
 from .control import ControlOperator
-from .generators import (
-    GeneratorModel,
-    ProportionalWrap,
-    ZeroInflow,
-    build_upwind_generator,
-)
+from .generators import GeneratorModel, build_upwind_generator
 from .lattice import GridSpace
 from .perturbation import PerturbedSystem, assemble_perturbed
 
@@ -42,23 +37,18 @@ def _compact(arr: np.ndarray):
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    kind: str
-    parameters: dict
-
-
-@dataclass(frozen=True)
 class RenewalScenario:
     """Assembled renewal system: generator, boundary injection, closed loop.
 
     `sup_beta_below_sup_q` is the classical sufficient flag for a loop gain
     below one; it is sharp only for constant absorption, so the stronger
     `sup_beta_below_min_q` travels along for varying profiles.
+    `parameters` echoes the inputs, a constant profile as one number.
     """
 
     system: PerturbedSystem
     boundary_input: ControlOperator
-    spec: ScenarioSpec
+    parameters: dict
     sup_beta_below_sup_q: bool
     sup_beta_below_min_q: bool
 
@@ -85,25 +75,21 @@ def renewal_scenario(
             raise ValueError("length must be given when min(q) = 0")
         length = 20.0 / q_min
     space = GridSpace(length=float(length), cells=cells)
-    base = build_upwind_generator(space, q_arr, ZeroInflow())
+    base = build_upwind_generator(space, q_arr)
     b = ControlOperator.boundary_injection(space)
     system = assemble_perturbed(base, b, beta_arr)
-    spec = ScenarioSpec(
-        kind="renewal",
-        parameters={
-            "q": _compact(q_arr),
-            "beta": _compact(beta_arr),
-            "length": float(length),
-            "cells": cells,
-        },
-    )
     sup_q = float(np.max(q_arr))
     min_q = float(np.min(q_arr))
     sup_b = float(np.max(beta_arr))
     return RenewalScenario(
         system=system,
         boundary_input=b,
-        spec=spec,
+        parameters={
+            "q": _compact(q_arr),
+            "beta": _compact(beta_arr),
+            "length": float(length),
+            "cells": cells,
+        },
         sup_beta_below_sup_q=sup_b < sup_q,
         sup_beta_below_min_q=sup_b < min_q,
     )
@@ -116,7 +102,7 @@ def ring_transport_scenario(gain: float = 2.0, length: float = 1.0, cells: int =
     lower-estimate audits are then expected to fail.
     """
     space = GridSpace(length=float(length), cells=cells)
-    return build_upwind_generator(space, 0.0, ProportionalWrap(float(gain)))
+    return build_upwind_generator(space, 0.0, wrap=float(gain))
 
 
 def markov_cycle_scenario(cells: int) -> GeneratorModel:
@@ -131,4 +117,4 @@ def markov_cycle_scenario(cells: int) -> GeneratorModel:
     mat = -np.eye(cells)
     idx = np.arange(cells)
     mat[(idx + 1) % cells, idx] += 1.0
-    return GeneratorModel(space=space, matrix=mat, boundary="custom")
+    return GeneratorModel(space=space, matrix=mat)

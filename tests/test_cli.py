@@ -4,6 +4,7 @@ import importlib.machinery
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -115,9 +116,19 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, audits=["small_gain", "horoscope"])
         assert cli.main(["audit", "--config", cfg]) == 2
 
-    def test_bad_plan(self, tmp_path):
-        cfg = write_config(tmp_path, plan={"t_end": 1.0, "dt": 0.3})
-        assert cli.main(["simulate", "--config", cfg]) == 2
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    @pytest.mark.parametrize("plan, message", [
+        ({"method": "rk4"}, "method must be one of ('exact_exponential', 'implicit_euler'), got 'rk4'"),
+        ({"t_end": 1.0, "dt": 0.3}, "t_end = 1.0 is not a positive multiple of dt = 0.3"),
+    ], ids=["method", "multiple"])
+    def test_bad_plan(self, tmp_path, capsys, command, plan, message):
+        # audit refuses the plans simulate refuses, though only
+        # left_invertibility reads plan.t_end
+        cfg = write_config(tmp_path, plan=plan)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: bad plan: {message}\n"
+        assert not out.exists()
 
     def test_input_without_injection(self, tmp_path):
         cfg = write_config(
@@ -1000,10 +1011,10 @@ def test_startup_loads_numpy_alone(tmp_path):
     """import possys, --version, every committed scenario build, the audit
     of all eight audits at 400 cells and the 2000-cell simulate leave
     scipy.linalg unloaded: the band solves load LAPACK's extension alone and
-    the exact exponential on Metzler bands is a uniformization sum.  A dense
-    solve of a matrix without bands loads it.  The CSV formatter and its
-    tables load only when simulate writes its rows.  A fresh interpreter,
-    since this one has both modules already."""
+    the exact exponential on Metzler bands is a uniformization sum.  The
+    dense inverse of a triangular matrix without bands loads it.  The CSV
+    formatter and its tables load only when simulate writes its rows.  A
+    fresh interpreter, since this one has both modules already."""
     # signed-n40 is refused: its Metzler twin, A[5, 20] = 0.3, is built instead
     signed = DATA / "signed-n40.json"
     doc = json.loads(signed.read_text())
@@ -1016,6 +1027,16 @@ def test_startup_loads_numpy_alone(tmp_path):
     runs = (bench / "audit-all-n400.json", bench / "simulate-n2000.json")
     proc = run_python("-c", STARTUP, str(tmp_path), *map(str, runs), *map(str, configs))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    """Every python block of README.md runs in a fresh interpreter, so a
+    public name the README uses cannot be removed without this failing."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = run_python("-c", block)
+        assert proc.returncode == 0, (block, proc.stderr)
 
 
 THREADS = """

@@ -16,38 +16,28 @@ class TestUpwindStructure:
     def test_zero_inflow_matrix(self, toy):
         _, model, _ = toy
         np.testing.assert_allclose(model.matrix, [[-2.0, 0.0], [1.0, -2.0]])
-        assert model.boundary == "zero_inflow"
 
     def test_variable_absorption(self):
         space = ps.GridSpace(length=1.0, cells=4)
         q = np.array([1.0, 2.0, 3.0, 4.0])
-        model = ps.build_upwind_generator(space, q, ps.ZeroInflow())
+        model = ps.build_upwind_generator(space, q)
         np.testing.assert_allclose(np.diag(model.matrix), -4.0 - q)
         np.testing.assert_allclose(np.diag(model.matrix, -1), 4.0)
 
     def test_wrap_boundary_couples_last_to_first(self):
         space = ps.GridSpace(length=1.0, cells=5)
-        model = ps.build_upwind_generator(space, 0.0, ps.ProportionalWrap(gain=2.0))
+        model = ps.build_upwind_generator(space, 0.0, wrap=2.0)
         assert model.matrix[0, -1] == pytest.approx(2.0 * 5.0)
-        assert model.boundary == "proportional"
         # columns sums telescope to (a-1)/h in the wrap column only
         np.testing.assert_allclose(np.sum(model.matrix, axis=0), [0, 0, 0, 0, 5.0])
-
-    def test_birth_boundary_adds_first_row(self):
-        space = ps.GridSpace(length=1.0, cells=3)
-        beta = np.array([0.5, 0.25, 0.0])
-        model = ps.build_upwind_generator(space, 1.0, ps.NonlocalBirth(rates=beta))
-        plain = ps.build_upwind_generator(space, 1.0, ps.ZeroInflow())
-        np.testing.assert_allclose(model.matrix - plain.matrix, np.outer([1, 0, 0], beta))
 
     def test_rejects_negative_rates(self):
         space = ps.GridSpace(length=1.0, cells=3)
         with pytest.raises(ValueError):
-            ps.build_upwind_generator(space, -1.0, ps.ZeroInflow())
-        with pytest.raises(ValueError):
-            ps.build_upwind_generator(space, 1.0, ps.ProportionalWrap(gain=-0.1))
-        with pytest.raises(ValueError):
-            ps.build_upwind_generator(space, 1.0, ps.NonlocalBirth(rates=np.array([0.1, -0.2, 0.0])))
+            ps.build_upwind_generator(space, -1.0)
+        for wrap, shown in ((-0.1, "-0.1"), (float("nan"), "nan"), (float("inf"), "inf")):
+            with pytest.raises(ValueError, match=rf"^wrap gain must be finite and >= 0, got {shown}$"):
+                ps.build_upwind_generator(space, 1.0, wrap=wrap)
 
     def test_from_matrix_detects_metzler(self):
         # a negative entry off the diagonal is refused and named, on bands

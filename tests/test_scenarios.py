@@ -26,9 +26,7 @@ class TestRenewal:
     def test_system_wiring(self):
         rs = ps.renewal_scenario(1.0, 0.5, length=2.0, cells=20)
         assert rs.system.base is rs.generator
-        assert rs.boundary_input.provenance == "boundary_dirichlet"
-        assert rs.spec.kind == "renewal"
-        assert rs.spec.parameters["cells"] == 20
+        assert rs.parameters["cells"] == 20
 
     def test_profiles_can_vary(self):
         q = np.linspace(1.0, 2.0, 30)
