@@ -442,11 +442,10 @@ def _write_table(fh, times, states) -> None:
                 _write_rows(fh, times[block], states[block])
 
 
-def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
+def cmd_simulate(cfg: RunConfig, plan: EvolutionPlan, out_path: str) -> int:
     built = build_scenario(cfg)
     _check_initial_state(cfg, built)
     model = built.system.perturbed if built.system is not None else built.model
-    plan = _plan(cfg)
     x0 = _initial_vector(cfg, model.space)
     u = cfg.signal if cfg.signal is not None else InputSignal.zero()
     if built.injection is not None:
@@ -604,8 +603,6 @@ KNOWN_AUDITS = tuple(AUDITS)
 def cmd_audit(cfg: RunConfig, out_path: str) -> int:
     built = build_scenario(cfg)
     _check_initial_state(cfg, built)
-    # a plan simulate refuses is refused here too; left_invertibility reads t_end
-    _plan(cfg)
     report = {
         "version": __version__,
         "seed": cfg.seed,
@@ -713,8 +710,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
+        # every command refuses the plans simulate refuses, though only
+        # simulate and left_invertibility read the plan
+        plan = _plan(cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
+            return cmd_simulate(cfg, plan, args.out)
         if args.command == "audit":
             return cmd_audit(cfg, args.out)
         values = []

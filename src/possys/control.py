@@ -220,13 +220,14 @@ def step_input_operators(
 
     E is `step_operator(model, dt, method)`; F = int_0^dt exp(A s) b ds is
     `Uniformization.integral` for exact_exponential and dt E b for
-    implicit_euler.  Kept in the model's own store under (method, dt,
-    column), since the audits and the gain fit reuse the same stepper.
+    implicit_euler.  Built on every call: a check that runs several input
+    maps on one grid builds one pair and hands it to each (`_stepped_map`).
     """
     col = _as_column(b, model.space)
-    return model.cached(
-        (method, float(dt), col.tobytes()), lambda: _step_pair(model, col, dt, method)
-    )
+    e = step_operator(model, dt, method)
+    f = e.integral(col) if method == "exact_exponential" else dt * (e @ col)
+    f.setflags(write=False)
+    return e, f
 
 
 def input_recursion(e: Step, f: np.ndarray, z: np.ndarray, u) -> Iterator[np.ndarray]:
@@ -237,11 +238,15 @@ def input_recursion(e: Step, f: np.ndarray, z: np.ndarray, u) -> Iterator[np.nda
         yield z
 
 
-def _step_pair(model: GeneratorModel, col: np.ndarray, dt: float, method: str) -> tuple[Step, np.ndarray]:
-    e = step_operator(model, dt, method)
-    f = e.integral(col) if method == "exact_exponential" else dt * (e @ col)
-    f.setflags(write=False)
-    return e, f
+def _stepped_map(pair: tuple[Step, np.ndarray], u: InputSignal, tau: float, dt: float) -> np.ndarray:
+    """Phi_tau u by the step pair (E, F) on the dt grid, from z = 0."""
+    steps = grid_steps(tau, dt, "tau")
+    if not u.aligned(dt):
+        warnings.warn(f"input breakpoints resampled onto the dt = {dt} grid")
+    e, f = pair
+    for z in input_recursion(e, f, np.zeros(len(f)), u.sample_left(steps, dt)):
+        pass
+    return z
 
 
 def _segment_input_map(model: GeneratorModel, col: np.ndarray, u: InputSignal, tau: float) -> np.ndarray:
@@ -284,13 +289,7 @@ def input_map(
     col = _as_column(b, model.space)
     if dt is None:
         return model.space.vector(_segment_input_map(model, col, u, tau))
-    steps = grid_steps(tau, dt, "tau")
-    if not u.aligned(dt):
-        warnings.warn(f"input breakpoints resampled onto the dt = {dt} grid")
-    e, f = step_input_operators(model, col, dt, method)
-    for z in input_recursion(e, f, np.zeros(model.cells), u.sample_left(steps, dt)):
-        pass
-    return model.space.vector(z)
+    return model.space.vector(_stepped_map(step_input_operators(model, col, dt, method), u, tau, dt))
 
 
 def mild_solution(
@@ -406,14 +405,12 @@ def composition_law_check(
     on the dt grid."""
     if t <= 0 or tau <= 0:
         raise ValueError("t and tau must be positive")
-    col = _as_column(b, model.space)
-    e, _ = step_input_operators(model, col, dt, method)
-
-    lhs = input_map(model, col, u, t + tau, dt=dt, method=method).values
-    head = input_map(model, col, u.truncated(t), t, dt=dt, method=method).values
+    pair = step_input_operators(model, b, dt, method)
+    lhs = _stepped_map(pair, u, t + tau, dt)
+    head = _stepped_map(pair, u.truncated(t), t, dt)
     for _ in range(grid_steps(tau, dt, "tau")):
-        head = e @ head
-    tail = input_map(model, col, u.shifted(t), tau, dt=dt, method=method).values
+        head = pair[0] @ head
+    tail = _stepped_map(pair, u.shifted(t), tau, dt)
     return weighted_l1(lhs - head - tail, model.space)
 
 
@@ -436,8 +433,7 @@ def additivity_check(
     method: str = DEFAULT_METHOD,
 ) -> float:
     """Residual of Phi_tau(u + v) = Phi_tau u + Phi_tau v on the dt grid."""
-    both = input_map(model, b, u + v, tau, dt=dt, method=method).values
-    one = input_map(model, b, u, tau, dt=dt, method=method).values
-    two = input_map(model, b, v, tau, dt=dt, method=method).values
+    pair = step_input_operators(model, b, dt, method)
+    both, one, two = (_stepped_map(pair, w, tau, dt) for w in (u + v, u, v))
     return weighted_l1(both - one - two, model.space)
 

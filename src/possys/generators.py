@@ -23,7 +23,6 @@ import importlib.util
 import math
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -39,8 +38,6 @@ PIVOT_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 # Newton steps allowed to the characteristic root
 _ROOT_MAX_ITER = 100
-# step operators kept per model (see GeneratorModel.cached)
-_STORE_MAX = 8
 # the smallest subnormal: a solve entry bounded below it rounds to 0
 _SUBNORMAL = 5e-324
 # largest |-1/h - q| an upwind diagonal may take: the audits shift the
@@ -136,13 +133,16 @@ class GeneratorModel:
     """A generator matrix together with the grid it acts on.
 
     Bordered-bidiagonal generators (every preset) are stored as their
-    `bands`; `matrix` is then a dense view built on first use and cached.
-    A dense `matrix` argument is kept (as a read-only copy) and its bands,
-    when it has them, are detected once here; other matrices leave `bands`
-    None.
+    `bands`; `matrix` then builds the dense matrix from them on every read,
+    which only the dense routines do.  A dense `matrix` argument is kept
+    (as a read-only copy) and its bands, when it has them, are detected once
+    here; other matrices leave `bands` None.
     The generator must be Metzler: a negative entry off the diagonal is
     refused with ValueError naming it, so every model is the generator of a
     positive semigroup and no audit needs a route off the cone.
+    The one value a model keeps is `_perron`, s(A) and its eigenvector,
+    which every audit reads several times; everything else is computed
+    where it is read.
     """
 
     def __init__(
@@ -167,9 +167,10 @@ class GeneratorModel:
         self.space = space
         self.bands = bands
         self._dense = matrix
-        # guards the dense view and the step store when threads share a model
-        self._lock = threading.RLock()
-        self._store: OrderedDict = OrderedDict()
+        # the result of `_perron`, computed under the lock, so that threads
+        # sharing a model compute it once
+        self._perron = None
+        self._lock = threading.Lock()
         low, i, j = self.off_diagonal_min()
         if low < 0:
             raise ValueError(f"generator is not Metzler: A[{i}, {j}] = {low!r}")
@@ -180,11 +181,8 @@ class GeneratorModel:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense read-only matrix; built from the bands on first use."""
-        with self._lock:
-            if self._dense is None:
-                self._dense = self.bands.toarray()
-            return self._dense
+        """Dense read-only matrix: the one given, or built from the bands."""
+        return self.bands.toarray() if self._dense is None else self._dense
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x, from the bands when the model has them."""
@@ -198,20 +196,6 @@ class GeneratorModel:
         if self.bands is not None:
             return self.bands.column_sums(absolute)
         return np.sum(np.abs(self.matrix) if absolute else self.matrix, axis=0)
-
-    def cached(self, key, build):
-        """The value this model stores under `key`, made by `build()` on a
-        miss.  The store keeps the _STORE_MAX most recently used entries."""
-        with self._lock:
-            hit = self._store.get(key)
-            if hit is not None:
-                self._store.move_to_end(key)
-                return hit
-            value = build()
-            self._store[key] = value
-            if len(self._store) > _STORE_MAX:
-                self._store.popitem(last=False)
-            return value
 
     def off_diagonal_min(self) -> tuple[float, int, int]:
         """Smallest off-diagonal entry and its (i, j); A is Metzler exactly
@@ -574,24 +558,28 @@ def _characteristic_root(bands: BorderedBidiagonal) -> tuple[float, Optional[np.
 
 def _perron(model: GeneratorModel) -> tuple[float, Optional[np.ndarray]]:
     """s(A) and, where the bands give it, its nonnegative eigenvector of unit
-    sum (else None), computed once per model and kept in its store.  Bands
-    take `_characteristic_root` (exactly max diag when no loop closes through
-    row 0), a dense triangular matrix its diagonal, any other dense matrix
-    one `eigvals` (`eig` would move s(A) in the last bit)."""
+    sum (else None), computed once per model and kept in its `_perron` slot,
+    the model's one memo.  Bands take `_characteristic_root` (exactly max
+    diag when no loop closes through row 0), a dense triangular matrix its
+    diagonal, any other dense matrix one `eigvals` (`eig` would move s(A) in
+    the last bit)."""
+    with model._lock:
+        if model._perron is None:
+            model._perron = _perron_of(model)
+        return model._perron
 
-    def build():
-        if model.bands is not None:
-            return _characteristic_root(model.bands)
-        a = model.matrix
-        if _lower_triangular(a) or _upper_triangular(a):
-            return float(np.max(np.diag(a))), None
-        try:
-            ev = np.linalg.eigvals(a)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
-        return float(np.max(ev.real)), None
 
-    return model.cached("perron", build)
+def _perron_of(model: GeneratorModel) -> tuple[float, Optional[np.ndarray]]:
+    if model.bands is not None:
+        return _characteristic_root(model.bands)
+    a = model.matrix
+    if _lower_triangular(a) or _upper_triangular(a):
+        return float(np.max(np.diag(a))), None
+    try:
+        ev = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
+    return float(np.max(ev.real)), None
 
 
 def perron_mode(model: GeneratorModel) -> tuple[float, np.ndarray]:

@@ -6,7 +6,9 @@ the loop: A_S = A + P with P = outer(b, beta h).  The birth row enters only
 here, in `assemble_perturbed`, as a perturbation of the Dirichlet boundary
 (Greiner, Houston J. Math. 13, 1987).  The loop gain that decides stability
 is the spectral radius of K = R(0, A) P, which for this rank-one structure
-collapses to the scalar sum_j beta_j h d0_j with d0 = R(0, A) b.
+collapses to the scalar sum_j beta_j h d0_j with d0 = R(0, A) b, one O(n)
+solve on bands that `PerturbedSystem.small_gain_radius` makes on every read:
+a system keeps its factors and nothing computed from them.
 The same factors give the order relations of `domination_check` in O(n):
 R(lam, A) - R(lam, A_S) = -(R(lam, A_S) b)(R(lam, A)^T beta h)^T, and
 T(t) <= S(t) follows from A Metzler and P >= 0 alone.  Both are the paper's
@@ -18,7 +20,6 @@ here.  `variation_of_constants_check` steps T and S by
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,9 +51,10 @@ class PerturbedSystem:
 
     Assembled systems keep P as its rank-one factors, the injection column
     and the feedback row beta (P = outer(injection, beta h)); `perturbation`
-    is then a dense view built on first use and cached.  `small_gain_radius`
-    is computed on first read: the rank-one scalar of those factors, or the
-    dense spectral radius for a matrix-built system.
+    then builds the dense P from them on every read.  `small_gain_radius` is
+    computed on every read too, one O(n) solve on bands: the rank-one scalar
+    of those factors, or the dense spectral radius for a matrix-built
+    system.  Nothing is kept, so threads may share a system freely.
     """
 
     def __init__(
@@ -71,38 +73,29 @@ class PerturbedSystem:
         self.perturbed = perturbed
         self.injection = None if injection is None else _readonly(injection)
         self.feedback = None if feedback is None else _readonly(feedback)
-        self._gain = None
         self._dense = None if perturbation is None else _readonly(perturbation)
-        # guards the dense view and the loop gain; not re-entrant, so neither
-        # is built from the other
-        self._lock = threading.Lock()
 
     @property
     def small_gain_radius(self) -> float:
-        """The loop gain r, the spectral radius of K = R(0, A) P, computed on
-        first read.  Rank-one factors give K = (R(0, A) b)(beta h)^T, so r is
-        the scalar |sum_j beta_j h (R(0, A) b)_j|; a matrix-built system
-        takes max |eigvals(K)|, the spectral radius also of a signed K.  A
-        singular R(0, A) raises SingularSystemError."""
-        with self._lock:
-            if self._gain is None:
-                if self.injection is None:
-                    k = resolvent_matrix(self.base, 0.0) @ self._dense
-                    self._gain = float(np.max(np.abs(np.linalg.eigvals(k))))
-                else:
-                    d0 = shifted_inverse(self.base, 0.0, 1.0) @ self.injection
-                    self._gain = float(abs(np.dot(self.feedback * self.base.space.spacing, d0)))
-            return self._gain
+        """The loop gain r, the spectral radius of K = R(0, A) P.  Rank-one
+        factors give K = (R(0, A) b)(beta h)^T, so r is the scalar
+        |sum_j beta_j h (R(0, A) b)_j|; a matrix-built system takes
+        max |eigvals(K)|, the spectral radius also of a signed K.  A singular
+        R(0, A) raises SingularSystemError."""
+        if self.injection is None:
+            k = resolvent_matrix(self.base, 0.0) @ self._dense
+            return float(np.max(np.abs(np.linalg.eigvals(k))))
+        d0 = shifted_inverse(self.base, 0.0, 1.0) @ self.injection
+        return float(abs(np.dot(self.feedback * self.base.space.spacing, d0)))
 
     @property
     def perturbation(self) -> np.ndarray:
-        """Dense read-only P; built from the rank-one factors on first use."""
-        with self._lock:
-            if self._dense is None:
-                p = np.outer(self.injection, self.feedback * self.base.space.spacing)
-                p.setflags(write=False)
-                self._dense = p
+        """Dense read-only P: the one given, or built from the rank-one factors."""
+        if self._dense is not None:
             return self._dense
+        p = np.outer(self.injection, self.feedback * self.base.space.spacing)
+        p.setflags(write=False)
+        return p
 
     def perturbation_min(self) -> float:
         """Smallest entry of P; from the rank-one factors when the system has them."""
@@ -135,8 +128,8 @@ def assemble_perturbed(model: GeneratorModel, b, beta) -> PerturbedSystem:
 
     When A has bands and b lives in cell 0 (the boundary injection), P only
     adds to row 0 and A_S keeps the bands; nothing n x n is built.  Nothing
-    is solved either: the loop gain waits for the first read of
-    `PerturbedSystem.small_gain_radius`.
+    is solved either: the loop gain is solved where
+    `PerturbedSystem.small_gain_radius` is read.
     """
     col = b.column if isinstance(b, ControlOperator) else np.asarray(b, dtype=float)
     if col.shape != (model.cells,):

@@ -106,15 +106,12 @@ def ring_transport_scenario(gain: float = 2.0, length: float = 1.0, cells: int =
 
 
 def markov_cycle_scenario(cells: int) -> GeneratorModel:
-    """Unidirectional rate-1 jump cycle on `cells` states (unit weights).
+    """Unidirectional rate-1 jump cycle on `cells` states (unit weights): the
+    gain-1 ring with h = 1, on its bands.
 
     Columns sum to zero, so total mass is conserved and the resolvent scales
     norms on the cone by exactly 1/lambda.
     """
     if cells < 2:
         raise ValueError(f"cycle needs at least 2 states, got {cells}")
-    space = GridSpace(length=float(cells), cells=cells)
-    mat = -np.eye(cells)
-    idx = np.arange(cells)
-    mat[(idx + 1) % cells, idx] += 1.0
-    return GeneratorModel(space=space, matrix=mat)
+    return ring_transport_scenario(gain=1.0, length=float(cells), cells=cells)

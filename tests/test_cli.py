@@ -116,17 +116,21 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, audits=["small_gain", "horoscope"])
         assert cli.main(["audit", "--config", cfg]) == 2
 
-    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    @pytest.mark.parametrize("command", ["simulate", "audit", "sweep"])
     @pytest.mark.parametrize("plan, message", [
         ({"method": "rk4"}, "method must be one of ('exact_exponential', 'implicit_euler'), got 'rk4'"),
         ({"t_end": 1.0, "dt": 0.3}, "t_end = 1.0 is not a positive multiple of dt = 0.3"),
-    ], ids=["method", "multiple"])
+        # checked against simulate's t_end = 10, though left_invertibility
+        # alone would take its window of 2.0
+        ({"dt": 3.0}, "t_end = 10.0 is not a positive multiple of dt = 3.0"),
+    ], ids=["method", "multiple", "default_t_end"])
     def test_bad_plan(self, tmp_path, capsys, command, plan, message):
-        # audit refuses the plans simulate refuses, though only
-        # left_invertibility reads plan.t_end
-        cfg = write_config(tmp_path, plan=plan)
+        # every command refuses the plans simulate refuses, though only
+        # simulate and left_invertibility read the plan
+        cfg = write_config(tmp_path, plan=plan, audits=["left_invertibility"])
         out = tmp_path / "out"
-        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        sweep = ["--param", "beta0", "--values", "0.5"] if command == "sweep" else []
+        assert cli.main([command, "--config", cfg, *sweep, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: bad plan: {message}\n"
         assert not out.exists()
 

@@ -1,5 +1,7 @@
 """Upwind generators, resolvents, spectral bounds, inverse estimates."""
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import possys as ps
-from possys import cli
+from possys import cli, generators
 from possys.errors import EigensolverError, SingularSystemError
 from possys.generators import inverse_estimate_constant, perron_mode, resolvent_matrix
 
@@ -216,3 +218,38 @@ def test_positivity_closed_form_against_dense_resolvent(n, seed, offset):
     except SingularSystemError:
         return
     assert (lam > ps.spectral_bound(model)) == bool(np.min(r) >= -1e-12) == (offset > 0)
+
+
+def test_threads_share_one_perron_computation(monkeypatch):
+    """`_perron` is the one value a model keeps: eight threads reading s(A)
+    of a fresh banded model at once run the characteristic root once and
+    read the same value."""
+    calls = []
+    real = generators._characteristic_root
+
+    def counted(bands):
+        calls.append(bands.cells)
+        return real(bands)
+
+    monkeypatch.setattr(generators, "_characteristic_root", counted)
+    model = ps.ring_transport_scenario(2.0, length=1.0, cells=400)
+    barrier = threading.Barrier(8, timeout=30)
+    values = []
+
+    def read():
+        barrier.wait()
+        values.append(ps.spectral_bound(model))
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == [400]
+    assert len(values) == 8 and len(set(values)) == 1

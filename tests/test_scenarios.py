@@ -1,8 +1,11 @@
 """Preset scenario builders."""
+import json
+
 import numpy as np
 import pytest
 
 import possys as ps
+from possys import cli
 from possys.scenarios import profile_array
 
 
@@ -84,3 +87,20 @@ class TestMarkov:
         x = model.space.vector(rng.random(5))
         traj = ps.evolve(model, x, ps.EvolutionPlan(2.0, 0.1, "exact_exponential"))
         np.testing.assert_allclose(traj.norms(), ps.l1_norm(x), rtol=1e-12)
+
+    def test_cycle_is_the_unit_ring_on_bands(self, tmp_path, capsys):
+        # the gain-1 ring with h = 1: stored as bands and no dense array, with
+        # the dense cycle as its matrix, and the 8-cell report the dense
+        # build gave
+        model = ps.markov_cycle_scenario(8)
+        assert model.bands is not None and model._dense is None
+        cycle = -np.eye(8)
+        cycle[(np.arange(8) + 1) % 8, np.arange(8)] += 1.0
+        assert np.array_equal(model.matrix, cycle)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps({"scenario": {"kind": "markov_cycle", "cells": 8}, "audits": list(cli.KNOWN_AUDITS)}))
+        assert cli.main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["audits_run"] == ["inverse_estimate", "left_invertibility"]
+        assert (report["s_A"], report["lambda0"], report["c"]) == (0.0, 1.0, 1.0)
+        assert report["left_invertibility"] == {"amplitude": 1.0, "holds": True, "rate": 0.0}
