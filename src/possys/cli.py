@@ -339,6 +339,19 @@ def _output(path: str):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _stdout_error(exc: OSError) -> OutputError:
+    return OutputError(f"cannot write stdout: {exc.strerror or exc}")
+
+
+def _summary(summary: dict) -> None:
+    """Print the command's one-line JSON summary; an OSError from writing it
+    (an unbuffered stdout fails here) becomes an OutputError."""
+    try:
+        print(json.dumps(_jsonable(summary), sort_keys=True))
+    except OSError as exc:
+        raise _stdout_error(exc) from exc
+
+
 # fields per block of the simulate CSV formatter
 _FORMAT_FIELDS = 16384
 
@@ -480,7 +493,7 @@ def cmd_simulate(cfg: RunConfig, plan: EvolutionPlan, out_path: str) -> int:
             "l1_norm": [float(norms[k]) for k in marks],
         },
     }
-    print(json.dumps(_jsonable(summary), sort_keys=True))
+    _summary(summary)
     return 0
 
 
@@ -627,13 +640,13 @@ def cmd_audit(cfg: RunConfig, out_path: str) -> int:
     payload = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     with _output(out_path) as fh:
         fh.write(payload)
-    print(json.dumps(_jsonable({
+    _summary({
         "command": "audit",
         "out": out_path,
         "r": report["r"],
         "s_A": report["s_A"],
         "verdict": report["verdict"],
-    }), sort_keys=True))
+    })
     return 0
 
 
@@ -678,7 +691,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list, out_path: str) -> int:
                 )
                 + "\n"
             )
-    print(json.dumps({"command": "sweep", "out": out_path, "rows": len(rows)}, sort_keys=True))
+    _summary({"command": "sweep", "out": out_path, "rows": len(rows)})
     return 0
 
 
@@ -740,5 +753,25 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The `possys` script and `python -m possys.cli`: `main()`, then stdout
+    and stderr flushed and the process ended by `os._exit` with its code,
+    skipping the interpreter's teardown (the final collection and the
+    freeing of every module), which writes nothing.  A buffered stdout that
+    cannot be flushed exits 2, as an unwritable --out does.  argparse's own
+    exits and an exception out of `main` take the normal path."""
+    code = main()
+    try:
+        # a stream that was closed at start-up is None
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(_stdout_error(exc), file=sys.stderr)
+        code = 2
+    with contextlib.suppress(OSError, AttributeError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -355,9 +355,16 @@ class ShiftedInverse:
         # Accuracy and Stability of Numerical Algorithms, ch. 9)
         self._d = diag
         # Fortran order, as tbtrs takes its band: a C-ordered one is copied
-        # on every call
-        self._lower = np.array((np.ones(n), np.append(sub * (1.0 / diag[:-1]), 0.0)), order="F")
-        self._upper = np.array((np.insert(sub, 0, 0.0), diag), order="F")
+        # on every call.  Filled row by row, with no n-length temporaries.
+        self._lower = np.empty((2, n), order="F")
+        self._lower[0] = 1.0
+        np.divide(1.0, diag[:-1], out=self._lower[1, :-1])
+        self._lower[1, :-1] *= sub
+        self._lower[1, -1] = 0.0
+        self._upper = np.empty((2, n), order="F")
+        self._upper[0, 0] = 0.0
+        self._upper[0, 1:] = sub
+        self._upper[1] = diag
         self._lmax = float(np.max(np.abs(self._lower[1])))
         self._r = None if bands.lower else tau * bands.row0
         # an overflowing T^-1 e_0 is refused below, not warned about

@@ -277,7 +277,7 @@ def norm_curves(model: GeneratorModel, e: Step, steps: int, vectors=()) -> tuple
         if k:
             y = e.T @ y
         sums = y / w
-        op[k], low[k] = np.max(sums), np.min(sums)
+        op[k], low[k] = sums.max(), sums.min()
         curves[:, k] = vecs @ y
     return op, low, curves
 

@@ -34,16 +34,18 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
-def run_python(*args):
-    """A fresh interpreter that imports possys from src."""
+def run_python(*args, stdout=subprocess.PIPE, **env):
+    """A fresh interpreter that imports possys from src, with the variables
+    `env` sets (None unsets one)."""
     src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {key: value for key, value in env.items() if value is not None}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
-def run_cli(*args):
+def run_cli(*args, **kwargs):
     """possys.cli in its own process, so that a numpy warning reaches stderr."""
-    return run_python("-m", "possys.cli", *args)
+    return run_python("-m", "possys.cli", *args, **kwargs)
 
 
 # scenario values that are not the numbers they stand for, and the error naming each
@@ -505,6 +507,75 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     args = ["--param", "beta0", "--values", "0.5"] if command == "sweep" else []
     assert cli.main([command, "--config", write_config(tmp_path), *args, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"cannot write {out}: No such file or directory\n"
+
+
+# each command's arguments past --config, on the committed 60-cell renewal
+COMMANDS = {
+    "audit": [],
+    "simulate": [],
+    "sweep": ["--param", "beta0", "--values", "0.25,0.5,1.5,2.0"],
+}
+
+
+class TestProcessExit:
+    """`cli.run`, the CLI process's entry, ends with `os._exit` after
+    flushing; `cli.main` in process returns its code."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_process_writes_the_bytes_of_main(self, tmp_path, capsys, monkeypatch, command):
+        config = str(DATA / "renewal-n60.json")
+        own, here = tmp_path / "own.out", tmp_path / "here.out"
+        proc = run_cli(command, "--config", config, *COMMANDS[command], "--out", str(own))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+        def refuse(code):
+            raise AssertionError(f"os._exit({code}) in process")
+
+        # one writer: a forked writer child ends with os._exit
+        monkeypatch.setattr(cli, "_writers", lambda rows: 1)
+        monkeypatch.setattr(os, "_exit", refuse)
+        assert cli.main([command, "--config", config, *COMMANDS[command], "--out", str(here)]) == 0
+        assert own.read_bytes() == here.read_bytes()
+        # one complete JSON line, as main prints it
+        assert proc.stdout.endswith("\n") and proc.stdout.count("\n") == 1
+        summary = json.loads(proc.stdout)
+        assert summary["out"] == str(own)
+        assert {**summary, "out": str(here)} == json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command, doc, code, message", [
+        ("audit", {"bogus": 1}, 2, "config error: unknown config key 'bogus';"),
+        ("sweep", {"plan": {"method": "rk4"}}, 2, "config error: bad plan:"),
+        ("simulate", {"scenario": {"kind": "renewal", "q": 1.0, "beta": 50.0, "cells": 30},
+                      "plan": {"t_end": 1.0, "dt": 0.5}},
+         3, "numerical failure: implicit Euler needs dt s(A) < 1"),
+    ], ids=["audit", "sweep", "simulate"])
+    def test_refused_config_exits_with_one_stderr_line(self, tmp_path, command, doc, code, message):
+        out = tmp_path / "out"
+        proc = run_cli(command, "--config", write_config(tmp_path, **doc), *COMMANDS[command], "--out", str(out))
+        assert proc.returncode == code and proc.stdout == ""
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_stdout_exits_2(self, tmp_path, command, unbuffered):
+        # an unbuffered stdout fails in main's print, a buffered one in
+        # run's flush: one stderr line either way
+        with open("/dev/full", "w") as full:
+            proc = run_cli(
+                command, "--config", str(DATA / "renewal-n60.json"), *COMMANDS[command],
+                "--out", str(tmp_path / "out"), stdout=full, PYTHONUNBUFFERED=unbuffered,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "cannot write stdout: No space left on device\n"
+
+    def test_script_is_the_process_entry(self):
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)
+        assert scripts is not None
+        assert re.findall(r"^(\S+) = \"(.*)\"$", scripts.group(1), re.M) == [("possys", "possys.cli:run")]
+        assert callable(cli.run)
 
 
 class TestAudit:
