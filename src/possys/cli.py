@@ -343,6 +343,15 @@ def _stdout_error(exc: OSError) -> OutputError:
     return OutputError(f"cannot write stdout: {exc.strerror or exc}")
 
 
+def _complain(message) -> None:
+    """Print `message` as one line on stderr.  A stderr closed at start-up
+    (None, where print would write to stdout) or failing to write loses the
+    line, never the exit code."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(message, file=sys.stderr, flush=True)
+
+
 def _summary(summary: dict) -> None:
     """Print the command's one-line JSON summary; an OSError from writing it
     (an unbuffered stdout fails here) becomes an OutputError."""
@@ -376,7 +385,8 @@ def _write_rows(fh, times, states) -> None:
 
 def _writers(rows: int) -> int:
     """Processes that format a table of `rows` rows: one per CPU this process
-    may run on, at most one per row.  One where fork or the CPU set is
+    may run on (`os.sched_getaffinity`), at most one per row, writer i on the
+    i-th of those CPUs (`_write_table`).  One where fork or the CPU set is
     unavailable, or while other threads are alive, since a forked child
     holds only the calling thread and could inherit a lock one of them
     holds."""
@@ -385,10 +395,17 @@ def _writers(rows: int) -> int:
     return min(len(os.sched_getaffinity(0)), rows)
 
 
-def _start_writer(files: contextlib.ExitStack, times, states):
-    """Fork a child that writes these rows to a temporary file, entered into
-    `files`, and exits: (pid, file), or None when no file or no process can
-    be had."""
+def _pin(cpus) -> None:
+    """Run this process on `cpus` alone.  Where that is refused (a CPU that
+    is offline or outside the cgroup's set) it runs where it ran."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _start_writer(files: contextlib.ExitStack, times, states, cpu: int):
+    """Fork a child that runs on `cpu` (`_pin`), writes these rows to a
+    temporary file, entered into `files`, and exits: (pid, file), or None
+    when no file or no process can be had."""
     try:
         tmp = files.enter_context(tempfile.TemporaryFile("w+", newline=""))
         with warnings.catch_warnings():
@@ -402,6 +419,7 @@ def _start_writer(files: contextlib.ExitStack, times, states):
     if pid == 0:
         code = 1
         try:
+            _pin({cpu})
             _write_rows(tmp, times, states)
             tmp.flush()
             code = 0
@@ -416,10 +434,14 @@ def _write_table(fh, times, states) -> None:
 
     The rows are cut into one contiguous block per writer (`_writers`).  A
     forked child formats each later block into a temporary file while this
-    process writes block 0; the files are then appended in order.  A block
-    whose child could not start or failed is formatted here: the work is
-    deterministic, so a real error raises as it would in one process, and
-    the bytes do not depend on the number of writers."""
+    process writes block 0; the files are then appended in order.  Writer i
+    runs on the i-th CPU of this process's set, and this process gets its
+    own set back once block 0 is written: Linux starts a forked child on
+    its parent's CPU and may leave it there, so two unpinned writers can
+    take turns on one core.  A block whose child could not start or failed
+    is formatted here: the work is deterministic, so a real error raises as
+    it would in one process, and the bytes do not depend on the number of
+    writers or on where they ran."""
     # the children inherit the formatter's tables
     from . import floatfmt  # noqa: F401
 
@@ -435,16 +457,26 @@ def _write_table(fh, times, states) -> None:
     cuts = [rows * i // k for i in range(k + 1)]
     blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
     if k > 1:
-        # nothing buffered before the fork may be written twice
-        for stream in (fh, sys.stdout, sys.stderr):
-            stream.flush()
+        home = os.sched_getaffinity(0)
+        cpus = sorted(home)
+        # nothing buffered before the fork may be written twice; a standard
+        # stream closed at start-up is None, and one that cannot be flushed
+        # is left to run's flush
+        fh.flush()
+        for stream in (sys.stdout, sys.stderr):
+            with contextlib.suppress(OSError, AttributeError):
+                stream.flush()
     with contextlib.ExitStack() as files:
         writers = []
         try:
-            for block in blocks[1:]:
-                writers.append(_start_writer(files, times[block], states[block]))
+            for i, block in enumerate(blocks[1:], 1):
+                writers.append(_start_writer(files, times[block], states[block], cpus[i]))
+            if k > 1:
+                _pin({cpus[0]})
             _write_rows(fh, times[blocks[0]], states[blocks[0]])
         finally:
+            if k > 1:
+                _pin(home)
             # every child is reaped, whether or not block 0 was written
             done = [w is not None and os.waitpid(w[0], 0)[1] == 0 for w in writers]
         for block, writer, ok in zip(blocks[1:], writers, done):
@@ -740,16 +772,16 @@ def main(argv=None) -> int:
                     raise ConfigError(f"bad sweep value {chunk!r}") from exc
         return cmd_sweep(cfg, args.param, values, args.out)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _complain(f"config error: {exc}")
         return 2
     except OutputError as exc:
-        print(exc, file=sys.stderr)
+        _complain(exc)
         return 2
     except (PossysError, np.linalg.LinAlgError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _complain(f"numerical failure: {exc}")
         return 3
     except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
+        _complain(f"out of memory: {exc}")
         return 3
 
 
@@ -766,7 +798,7 @@ def run() -> None:
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
-        print(_stdout_error(exc), file=sys.stderr)
+        _complain(_stdout_error(exc))
         code = 2
     with contextlib.suppress(OSError, AttributeError):
         sys.stderr.flush()

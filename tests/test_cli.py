@@ -1,6 +1,8 @@
 """CLI contract: config validation, output formats, exit codes, determinism."""
 import csv
+import errno
 import importlib.machinery
+import io
 import json
 import math
 import os
@@ -34,13 +36,15 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
-def run_python(*args, stdout=subprocess.PIPE, **env):
+def run_python(*args, stdout=subprocess.PIPE, preexec_fn=None, **env):
     """A fresh interpreter that imports possys from src, with the variables
-    `env` sets (None unsets one)."""
+    `env` sets (None unsets one), running `preexec_fn` before it starts."""
     src = str(ROOT / "src")
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env = {key: value for key, value in env.items() if value is not None}
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, preexec_fn=preexec_fn
+    )
 
 
 def run_cli(*args, **kwargs):
@@ -384,9 +388,40 @@ class TestSimulate:
 class TestTableWriters:
     """`cli._write_table` on k forked writers, with the CPU count faked."""
 
+    @pytest.fixture(autouse=True)
+    def own_cpus(self):
+        # the writers pin this process and restore the CPU set they read,
+        # which may be a faked one; give it back its real set
+        own = os.sched_getaffinity(0)
+        yield
+        os.sched_setaffinity(0, own)
+
     @staticmethod
     def cpus(monkeypatch, k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    @staticmethod
+    def placements(monkeypatch, log, refuse=False):
+        """Log each process's sched_setaffinity calls to `log` as "pid cpus"
+        lines, made by the real call or, with `refuse`, refused by EINVAL."""
+        real = os.sched_setaffinity
+
+        def setaffinity(pid, cpus):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {sorted(cpus)}\n")
+            if refuse:
+                raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+            real(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+
+    @staticmethod
+    def placed(log):
+        """The logged CPU sets: this process's in call order, the children's
+        sorted."""
+        calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        here = [cpus for pid, cpus in calls if int(pid) == os.getpid()]
+        return here, sorted(cpus for pid, cpus in calls if int(pid) != os.getpid())
 
     @staticmethod
     def table(tmp_path, name, times, states):
@@ -445,6 +480,34 @@ class TestTableWriters:
         assert self.table(tmp_path, "wide.csv", times, states) == want.encode()
         assert max(cols for _, cols in widths) <= limit
         assert sum(rows * cols for rows, cols in widths) == 4 * 13
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_each_writer_runs_on_its_own_cpu(self, tmp_path, monkeypatch):
+        # writer i asks for the i-th CPU of the set; this process writes
+        # block 0 on the first and then has the set it read back
+        own = os.sched_getaffinity(0)
+        cpus = sorted(own)
+        log = tmp_path / "placements"
+        self.placements(monkeypatch, log)
+        times = np.arange(9) * 0.125
+        states = np.linspace(-1.0, 1.0, 9 * 6).reshape(9, 6)
+        table = self.table(tmp_path, "all.csv", times, states)
+        assert os.sched_getaffinity(0) == own
+        assert self.placed(log) == ([str(cpus[:1]), str(cpus)], sorted(str([cpu]) for cpu in cpus[1:9]))
+        self.cpus(monkeypatch, 1)
+        assert self.table(tmp_path, "one.csv", times, states) == table
+
+    def test_refused_placement_writes_the_bytes_of_one(self, tmp_path, capsys, monkeypatch):
+        # a CPU set that cannot be had leaves each writer where it runs
+        cfg = write_config(tmp_path, initial_state="bump")
+        self.cpus(monkeypatch, 1)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "one.csv")]) == 0
+        log = tmp_path / "placements"
+        self.placements(monkeypatch, log, refuse=True)
+        self.cpus(monkeypatch, 3)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "three.csv")]) == 0
+        assert (tmp_path / "three.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert self.placed(log) == (["[0]", "[0, 1, 2]"], ["[1]", "[2]"])
 
     def test_one_cpu_never_forks(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, initial_state="bump")
@@ -569,6 +632,32 @@ class TestProcessExit:
             )
         assert proc.returncode == 2
         assert proc.stderr == "cannot write stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    def test_closed_stderr_loses_only_the_message(self, tmp_path, unbuffered):
+        # a stderr closed at start-up is None, where print writes to stdout:
+        # the error line is lost, and the exit code is kept
+        def closed(*args, **kwargs):
+            return run_cli(*args, preexec_fn=lambda: os.close(2), PYTHONUNBUFFERED=unbuffered, **kwargs)
+
+        proc = closed("audit", "--config", str(tmp_path / "absent.json"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "")
+        config = str(DATA / "renewal-n60.json")
+        with open("/dev/full", "w") as full:
+            proc = closed("audit", "--config", config, "--out", str(tmp_path / "report.json"), stdout=full)
+        assert proc.returncode == 2
+        # the writers flush the standard streams before they fork
+        proc = closed("simulate", "--config", config, "--out", str(tmp_path / "t.csv"))
+        assert proc.returncode == 0 and json.loads(proc.stdout)["command"] == "simulate"
+
+    def test_failing_stderr_loses_only_the_message(self, tmp_path, monkeypatch):
+        class Closed(io.TextIOBase):
+            def write(self, text):
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+        monkeypatch.setattr(sys, "stderr", Closed())
+        assert cli.main(["audit", "--config", str(tmp_path / "absent.json")]) == 2
 
     def test_script_is_the_process_entry(self):
         pyproject = (ROOT / "pyproject.toml").read_text()
