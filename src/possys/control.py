@@ -313,10 +313,11 @@ def mild_solution(
 def impulse_response_norms(
     model: GeneratorModel, b, tau: float, dt: float, method: str = DEFAULT_METHOD
 ) -> np.ndarray:
-    """||T(s) b|| for s on the uniform grid over [0, tau]."""
+    """||T(s) b|| for s on the uniform grid over [0, tau], stepped by E
+    alone: no input operator F is built."""
     col = _as_column(b, model.space)
     steps = grid_steps(tau, dt, "tau")
-    e, _ = step_input_operators(model, col, dt, method)
+    e = step_operator(model, dt, method)
     norms = np.empty(steps + 1)
     y = col.copy()
     norms[0] = weighted_l1(y, model.space)

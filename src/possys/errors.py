@@ -23,10 +23,7 @@ class WorkBudgetError(PossysError, ValueError):
 
 
 class GainValidationError(PossysError):
-    """A gain fit could not be made, or its norm curves disagree with a
-    forward trajectory; `time` names the first grid time they disagree at,
-    where there is one."""
-
-    def __init__(self, message: str, time=None):
-        super().__init__(message)
-        self.time = time
+    """A gain fit could not be made: the closed loop has s(A_S) >= 0 and no
+    decaying envelope.  The fit also refuses a signed injection column (with
+    ValueError), so it steps only E >= 0 and F >= 0, where its one adjoint
+    pass reads forward norms exactly; a test asserts that identity."""

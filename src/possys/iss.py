@@ -12,10 +12,12 @@ triangle inequality gives ||z_k|| <= ||E^k|| ||x0|| + max_m ||E^m F|| / dt
 ||u||_L1.  N and G are the sups of those two ratios over the grid, that is
 over the worst unit-norm pairs, a basis state and a one-step pulse, so
 every pair (x, u) on the grid, signed or not, obeys the envelope by
-construction.  What is validated is the norm curves they are read from: one
-forward trajectory of the pair x0 = 1, u = 1 matches them exactly.  A_S is
-Metzler and s(A_S) < 0, so E >= 0, and the injection column b >= 0 (a
-signed one is refused), so F >= 0: the norm is additive on the cone.
+construction.  The curves are read from one adjoint pass, exact where the
+norm is additive on the cone, that is for E >= 0 and F >= 0.  The fit's two
+refusals ensure both: A_S is Metzler and s(A_S) >= 0 is refused, so E >= 0,
+and a signed injection column is refused, so F >= 0.  That the forward
+norms of x0 = 1, u = 1 are then the sums the adjoint pass reads is an
+identity, asserted by a test on random bands and dense matrices.
 """
 from __future__ import annotations
 
@@ -25,10 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .control import _as_column, input_recursion, step_input_operators
+from .control import _as_column, step_input_operators
 from .errors import GainValidationError
-from .generators import RESIDUAL_TOL, perron_mode, spectral_bound
-from .lattice import weighted_l1
+from .generators import perron_mode, spectral_bound
 from .perturbation import PerturbedSystem, small_gain_radius
 from .semigroup import (
     FIT_STEPS,
@@ -95,7 +96,7 @@ def iss_gain_fit(
     horizon: Optional[float] = None,
     dt: Optional[float] = None,
 ) -> tuple[float, float, float]:
-    """Fit (N, mu, G) for the perturbed system and cross-check its curves.
+    """Fit (N, mu, G) for the perturbed system.
 
     The horizon defaults to `decay_horizon(s(A_S))` on FIT_STEPS steps.
     mu = log1p(-dt s(A_S)) / dt, the decay rate of the implicit-Euler step
@@ -112,9 +113,9 @@ def iss_gain_fit(
     injection column b >= 0: one with a negative entry is refused with
     ValueError.
 
-    One `norm_curves` call serves the fit and its validation
-    (`_cross_check`), which matches the curves against one forward
-    trajectory and raises GainValidationError if they disagree.
+    One adjoint `norm_curves` pass reads every curve.  It rests on E >= 0
+    and F >= 0, which the two refusals ensure; a test asserts that its
+    norms are those of forward trajectories.
     """
     model = system.perturbed
     col = _as_column(b, model.space)
@@ -132,42 +133,10 @@ def iss_gain_fit(
     steps = grid_steps(horizon, dt, "horizon")
     mu = math.log1p(-dt * s) / dt
     e, f = step_input_operators(model, col, dt)
-
-    x0 = np.ones(model.cells)
-    op_norms, _, (imp_norms, inj_norms, free) = norm_curves(model, e, steps, (f, col, x0))
+    op_norms, _, (imp_norms, inj_norms) = norm_curves(model, e, steps, (f, col))
     times = np.arange(steps + 1) * dt
     # lift over the curve above the floor; beyond it exp(mu t) may overflow
     above = op_norms > NORM_FLOOR
     amplitude = float(np.max(op_norms[above] * np.exp(mu * times[above])))
     gain = float(max(np.max(inj_norms), np.max(imp_norms[:-1]) / dt))
-
-    _cross_check(model, e, f, imp_norms, free, times)
     return amplitude, mu, gain
-
-
-def _cross_check(model, e, f, impulse, free, times):
-    """Match the fit's norm curves c_k = ||E^k F|| and ||E^k x0||, x0 = 1,
-    against one forward trajectory of the pair x0 = 1, u = 1.
-
-    That pair has z_k = E^k x0 + sum_{j<k} E^{k-1-j} F >= 0 for E >= 0 and
-    F >= 0, where the norm is additive, so ||z_k|| = ||E^k x0|| + c_0 + ...
-    + c_{k-1}.  A forward trajectory off that sum by more than RESIDUAL_TOL
-    relative raises GainValidationError at the first such time.
-    """
-    steps = len(times) - 1
-    total = free.copy()
-    total[1:] += np.cumsum(impulse[:-1])
-    stepped = np.fromiter(
-        (weighted_l1(z, model.space) for z in input_recursion(e, f, np.ones(model.cells), np.ones(steps))),
-        float, steps + 1,
-    )
-    # norms underflowed below NORM_FLOOR are compared in absolute terms
-    off = (stepped - total) / np.maximum(np.maximum(stepped, total), NORM_FLOOR)
-    bad = np.flatnonzero(np.abs(off) > RESIDUAL_TOL)
-    if len(bad):
-        k = int(bad[0])
-        raise GainValidationError(
-            f"forward and adjoint norms of the pair x0 = 1, u = 1 differ by {abs(off[k]):.3e} "
-            f"relative at t = {times[k]}",
-            time=float(times[k]),
-        )

@@ -211,6 +211,19 @@ class TestAdmissibility:
         assert norms[0] == pytest.approx(1.0)
         assert np.all(np.diff(norms) < 0)
 
+    def test_impulse_curve_builds_no_input_operator(self, toy, monkeypatch):
+        # the curve steps E alone; an exact F would cost a whole integral
+        _, model, b = toy
+
+        def refuse(*args):
+            raise AssertionError("built the input operator F")
+
+        monkeypatch.setattr(Uniformization, "integral", refuse)
+        norms = impulse_response_norms(model, b, 1.0, 1.0 / 64, method="exact_exponential")
+        # exp(A t) b = exp(-2 t) (1, t)
+        t = np.arange(65) / 64
+        assert np.allclose(norms, np.exp(-2 * t) * (1 + t), rtol=1e-12, atol=0)
+
     def test_markov_constant_in_tau(self):
         model = ps.markov_cycle_scenario(4)
         b = model.space.basis(0).values
