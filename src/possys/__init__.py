@@ -35,7 +35,6 @@ from .generators import (
 from .semigroup import (
     EvolutionPlan,
     Trajectory,
-    evolve,
     left_invertibility_audit,
 )
 from .control import (

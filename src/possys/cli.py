@@ -496,7 +496,7 @@ def cmd_simulate(cfg: RunConfig, plan: EvolutionPlan, out_path: str) -> int:
     if built.injection is not None:
         col = built.injection.column
     else:
-        if u.lp_norm(1) > 0:
+        if np.any(u.values):
             raise ConfigError("scenario has no injection column; input signal cannot act")
         col = np.zeros(model.cells)
 
@@ -543,7 +543,10 @@ def _admissibility(cfg, built, report):
     model, col, tau = built.model, built.injection.column, cfg.tau
     # kappa and kappa_inf off one impulse-response curve
     dt = tau / ADMISSIBILITY_STEPS
-    norms = impulse_response_norms(model, col, tau, dt)
+    try:
+        norms = impulse_response_norms(model, col, tau, dt)
+    except SingularSystemError as exc:
+        return str(exc)
     report["kappa"] = float(admissibility_curve(norms, dt, cfg.p)[-1])
     # A is Metzler, so every input map of a u >= 0 is >= 0 exactly when b >= 0
     scale = float(np.max(np.abs(col))) or 1.0

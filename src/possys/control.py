@@ -2,24 +2,26 @@
 
 The input map is the convolution of the semigroup with an injection column b
 against a piecewise-constant signal.  On a uniform grid each step applies a
-pair (E, F): by default the implicit-Euler E = (I - dt A)^{-1} with
-F = dt E b, O(n) per step on the presets and first-order accurate in dt; with
-exact_exponential, E = exp(A dt) and F = int_0^dt exp(A s) b ds are two
+pair (E, F).  The audits step the implicit-Euler E = (I - dt A)^{-1} with
+F = dt E b, O(n) per step on the presets and first-order accurate in dt, and
+the algebraic control-system laws hold to roundoff, since both sides run the
+same recursion.  Only `mild_solution` takes its plan's stepper, which may be
+exact_exponential: E = exp(A dt) and F = int_0^dt exp(A s) b ds, two
 uniformization sums in one P (`semigroup.Uniformization`), exact on aligned
-signals, as is `input_map(dt=None)`.  Either way the algebraic control-system
-laws hold to roundoff, since both sides run the same recursion.
+signals, as is `input_map(dt=None)`.
 
 Admissibility is read off one impulse-response curve c(s) = ||T(s) b||, stepped
 once on the tau / ADMISSIBILITY_STEPS grid: the norm is additive on the cone,
 so kappa_p(t) is the L^{p'} norm of c on [0, t] (`admissibility_curve`), and
-kappa_inf(t) = int_0^t c is the same functional at p = inf.
+kappa_inf(t) = int_0^t c is the same functional at p = inf.  The gain fit's G
+is that functional at p = 1 on the closed loop.
 
 Positivity of the input maps is not computed: the generator is Metzler, so
 T(t) >= 0 and R(lam, A) >= 0 exactly when lam > s(A) (Berman & Plemmons,
 Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6), and
 Phi_tau u >= 0 for every u >= 0 exactly when b >= 0.  The implicit-Euler
 step (I - dt A)^{-1} is >= 0 too while dt s(A) < 1, and `mild_solution`
-refuses a plan past that.
+and `impulse_response_norms` refuse a step past that.
 """
 from __future__ import annotations
 
@@ -141,18 +143,6 @@ class InputSignal:
         )
         return InputSignal(bp, vals)
 
-    def lp_norm(self, p: float = 1) -> float:
-        widths = np.diff(self.breakpoints)
-        if len(self.values) == 0:
-            return 0.0
-        if p == 1:
-            return float(np.sum(np.abs(self.values) * widths))
-        if p == 2:
-            return float(math.sqrt(np.sum(self.values**2 * widths)))
-        if math.isinf(p):
-            return float(np.max(np.abs(self.values)))
-        raise ValueError(f"p must be 1, 2, or inf, got {p}")
-
     @classmethod
     def from_csv(cls, path) -> "InputSignal":
         rows = []
@@ -269,27 +259,18 @@ def _segment_input_map(model: GeneratorModel, col: np.ndarray, u: InputSignal, t
     return acc
 
 
-def input_map(
-    model: GeneratorModel,
-    b,
-    u: InputSignal,
-    tau: float,
-    dt: Optional[float] = None,
-    method: str = DEFAULT_METHOD,
-) -> GridVector:
+def input_map(model: GeneratorModel, b, u: InputSignal, tau: float, dt: Optional[float] = None) -> GridVector:
     """Phi_tau u = int_0^tau T(tau - s) b u(s) ds.
 
-    With dt = None the integral is taken exactly, segment by segment, and
-    `method` plays no part; with a dt grid it runs through the `method`
-    (E, F) stepper, which for exact_exponential is still exact when the
-    breakpoints align with the grid.
+    With dt = None the integral is taken exactly, segment by segment; with a
+    dt grid it runs through the implicit-Euler (E, F) stepper.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     col = _as_column(b, model.space)
     if dt is None:
         return model.space.vector(_segment_input_map(model, col, u, tau))
-    return model.space.vector(_stepped_map(step_input_operators(model, col, dt, method), u, tau, dt))
+    return model.space.vector(_stepped_map(step_input_operators(model, col, dt), u, tau, dt))
 
 
 def mild_solution(
@@ -299,7 +280,8 @@ def mild_solution(
     plan needs dt s(A) < 1 (`semigroup._check_implicit_step`)."""
     if x.space != model.space:
         raise ValueError("initial state lives on a different grid")
-    _check_implicit_step(model, plan)
+    if plan.method == "implicit_euler":
+        _check_implicit_step(model, plan.dt)
     col = _as_column(b, model.space)
     if not u.aligned(plan.dt):
         warnings.warn(f"input breakpoints resampled onto the dt = {plan.dt} grid")
@@ -310,14 +292,14 @@ def mild_solution(
     return Trajectory(space=model.space, times=plan.times, states=states)
 
 
-def impulse_response_norms(
-    model: GeneratorModel, b, tau: float, dt: float, method: str = DEFAULT_METHOD
-) -> np.ndarray:
-    """||T(s) b|| for s on the uniform grid over [0, tau], stepped by E
-    alone: no input operator F is built."""
+def impulse_response_norms(model: GeneratorModel, b, tau: float, dt: float) -> np.ndarray:
+    """||T(s) b|| for s on the uniform grid over [0, tau], stepped by the
+    implicit-Euler E alone, which needs dt s(A) < 1
+    (`semigroup._check_implicit_step`)."""
     col = _as_column(b, model.space)
     steps = grid_steps(tau, dt, "tau")
-    e = step_operator(model, dt, method)
+    _check_implicit_step(model, dt)
+    e = step_operator(model, dt)
     norms = np.empty(steps + 1)
     y = col.copy()
     norms[0] = weighted_l1(y, model.space)
@@ -341,16 +323,9 @@ def admissibility_curve(norms: np.ndarray, dt: float, p: float = 1) -> np.ndarra
     return np.sqrt(cumul) if p == 2 else cumul
 
 
-def admissibility_constant(
-    model: GeneratorModel,
-    b,
-    tau: float,
-    p: float = 1,
-    dt: Optional[float] = None,
-    method: str = DEFAULT_METHOD,
-) -> float:
+def admissibility_constant(model: GeneratorModel, b, tau: float, p: float = 1) -> float:
     """kappa(tau) with ||Phi_tau u|| <= kappa ||u||_{L^p}: the last entry of
-    `admissibility_curve` on the dt grid, tau / ADMISSIBILITY_STEPS by default.
+    `admissibility_curve` on the tau / ADMISSIBILITY_STEPS grid.
 
     For a positive system the weighted-l1 norm is additive on the cone, so
     ||Phi_tau u|| = int_0^tau ||T(s) b|| u(tau - s) ds for u >= 0, and this
@@ -358,9 +333,8 @@ def admissibility_constant(
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if dt is None:
-        dt = tau / ADMISSIBILITY_STEPS
-    return float(admissibility_curve(impulse_response_norms(model, b, tau, dt, method), dt, p)[-1])
+    dt = tau / ADMISSIBILITY_STEPS
+    return float(admissibility_curve(impulse_response_norms(model, b, tau, dt), dt, p)[-1])
 
 
 def default_alpha(s: float, tau: float) -> float:
@@ -393,20 +367,12 @@ def resolvent_bound_audit(
     return float(best)
 
 
-def composition_law_check(
-    model: GeneratorModel,
-    b,
-    u: InputSignal,
-    t: float,
-    tau: float,
-    dt: float,
-    method: str = DEFAULT_METHOD,
-) -> float:
+def composition_law_check(model: GeneratorModel, b, u: InputSignal, t: float, tau: float, dt: float) -> float:
     """Residual of Phi_{tau+t} u = T(tau) Phi_t (u|_{[0,t)}) + Phi_tau (u shifted by t)
     on the dt grid."""
     if t <= 0 or tau <= 0:
         raise ValueError("t and tau must be positive")
-    pair = step_input_operators(model, b, dt, method)
+    pair = step_input_operators(model, b, dt)
     lhs = _stepped_map(pair, u, t + tau, dt)
     head = _stepped_map(pair, u.truncated(t), t, dt)
     for _ in range(grid_steps(tau, dt, "tau")):
@@ -415,26 +381,16 @@ def composition_law_check(
     return weighted_l1(lhs - head - tail, model.space)
 
 
-def composition_probe(model: GeneratorModel, b, tau: float, method: str = DEFAULT_METHOD) -> float:
+def composition_probe(model: GeneratorModel, b, tau: float) -> float:
     """The composition-law residual the audits report: the unit step on
     [0, tau/2), split at tau/2, on the tau/64 grid."""
     half = tau / 2
-    return composition_law_check(
-        model, b, InputSignal.constant(1.0, half), half, half, dt=tau / 64, method=method
-    )
+    return composition_law_check(model, b, InputSignal.constant(1.0, half), half, half, dt=tau / 64)
 
 
-def additivity_check(
-    model: GeneratorModel,
-    b,
-    u: InputSignal,
-    v: InputSignal,
-    tau: float,
-    dt: float,
-    method: str = DEFAULT_METHOD,
-) -> float:
+def additivity_check(model: GeneratorModel, b, u: InputSignal, v: InputSignal, tau: float, dt: float) -> float:
     """Residual of Phi_tau(u + v) = Phi_tau u + Phi_tau v on the dt grid."""
-    pair = step_input_operators(model, b, dt, method)
+    pair = step_input_operators(model, b, dt)
     both, one, two = (_stepped_map(pair, w, tau, dt) for w in (u + v, u, v))
     return weighted_l1(both - one - two, model.space)
 

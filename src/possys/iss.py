@@ -7,17 +7,18 @@ on the implicit-Euler grid.  Both routes are kept; neither is allowed to
 stand in for the other.
 
 mu is not fitted: it is log1p(-dt s(A_S)) / dt, the decay rate of the step
-E = (I - dt A_S)^-1, which tends to -s(A_S) as dt -> 0.  On every step the
-triangle inequality gives ||z_k|| <= ||E^k|| ||x0|| + max_m ||E^m F|| / dt
-||u||_L1.  N and G are the sups of those two ratios over the grid, that is
-over the worst unit-norm pairs, a basis state and a one-step pulse, so
-every pair (x, u) on the grid, signed or not, obeys the envelope by
-construction.  The curves are read from one adjoint pass, exact where the
-norm is additive on the cone, that is for E >= 0 and F >= 0.  The fit's two
+E = (I - dt A_S)^-1, which tends to -s(A_S) as dt -> 0.  N is the sup over
+the grid of ||E^k|| exp(mu t_k), the worst unit basis state's ratio, and G
+is the closed loop's admissibility constant kappa_1 over the horizon,
+max_k ||E^k b|| (`control.admissibility_curve`).  A one-step unit pulse
+reaches ||E^m (dt E b)|| / dt = ||E^(m+1) b|| <= G, so by the triangle
+inequality every pair (x, u) on the grid, signed or not, obeys the
+envelope.  Both curves come from one adjoint pass of E, exact where the
+norm is additive on the cone, that is for E >= 0 and b >= 0.  The fit's two
 refusals ensure both: A_S is Metzler and s(A_S) >= 0 is refused, so E >= 0,
-and a signed injection column is refused, so F >= 0.  That the forward
-norms of x0 = 1, u = 1 are then the sums the adjoint pass reads is an
-identity, asserted by a test on random bands and dense matrices.
+and a signed injection column is refused.  That the forward norms are then
+the sums the adjoint pass reads is an identity, asserted by a test on
+random bands and dense matrices.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .control import _as_column, step_input_operators
+from .control import _as_column, admissibility_curve
 from .errors import GainValidationError
 from .generators import perron_mode, spectral_bound
 from .perturbation import PerturbedSystem, small_gain_radius
@@ -37,6 +38,7 @@ from .semigroup import (
     decay_horizon,
     grid_steps,
     norm_curves,
+    step_operator,
 )
 
 EISS = "eISS"
@@ -105,17 +107,17 @@ def iss_gain_fit(
     s(A_S) is an eigenvalue and ||E^k|| >= rho(E)^k = exp(-mu t_k): no
     envelope with a larger mu holds at every k.  A loop with s(A_S) >= 0 is
     refused with GainValidationError.  N = max_k ||E^k|| exp(mu t_k) over
-    the grid points whose norm is above NORM_FLOOR, and G = max(max_k
-    ||E^k b||, max_m ||E^m F|| / dt) with F the per-step input operator.
-    These are the sups over the extremal pairs, a unit basis state and a
-    one-step unit pulse, so by the triangle inequality every pair on the
+    the grid points whose norm is above NORM_FLOOR, and G = max_k ||E^k b||,
+    the closed loop's kappa_1 over the horizon.  These are the sups over the
+    extremal pairs, a unit basis state and a one-step unit pulse (which
+    reaches ||E^(m+1) b||), so by the triangle inequality every pair on the
     grid obeys the envelope.  The fit is for the L1 input norm, and for an
     injection column b >= 0: one with a negative entry is refused with
     ValueError.
 
-    One adjoint `norm_curves` pass reads every curve.  It rests on E >= 0
-    and F >= 0, which the two refusals ensure; a test asserts that its
-    norms are those of forward trajectories.
+    One adjoint `norm_curves` pass of E reads both curves.  It rests on
+    E >= 0 and b >= 0, which the two refusals ensure; a test asserts that
+    its norms are those of forward trajectories.
     """
     model = system.perturbed
     col = _as_column(b, model.space)
@@ -132,11 +134,10 @@ def iss_gain_fit(
         dt = horizon / FIT_STEPS
     steps = grid_steps(horizon, dt, "horizon")
     mu = math.log1p(-dt * s) / dt
-    e, f = step_input_operators(model, col, dt)
-    op_norms, _, (imp_norms, inj_norms) = norm_curves(model, e, steps, (f, col))
+    op_norms, _, (impulse,) = norm_curves(model, step_operator(model, dt), steps, col)
     times = np.arange(steps + 1) * dt
     # lift over the curve above the floor; beyond it exp(mu t) may overflow
     above = op_norms > NORM_FLOOR
     amplitude = float(np.max(op_norms[above] * np.exp(mu * times[above])))
-    gain = float(max(np.max(inj_norms), np.max(imp_norms[:-1]) / dt))
+    gain = float(admissibility_curve(impulse, dt)[-1])
     return amplitude, mu, gain

@@ -1,9 +1,11 @@
 """Time evolution for generator models.
 
-Two steppers: implicit Euler, the default at every grid size, which
-preserves positivity at O(dt) accuracy while dt s(A) < 1 (`evolve` and
-`control.mild_solution` refuse a larger step), and the exact matrix exponential,
-kept as an explicit choice and as the stepper of `left_invertibility_audit`.
+Two steppers: implicit Euler, the default at every grid size and the only
+stepper of the audits that step in time, which preserves positivity at O(dt)
+accuracy while dt s(A) < 1 (`_check_implicit_step`), and the exact matrix
+exponential, kept as a choice of `simulate`'s plan (`step_operator`,
+`control.step_input_operators`, `EvolutionPlan`) and as the stepper of
+`left_invertibility_audit`.
 Every preset generator is lower bidiagonal except row 0, and for those
 implicit Euler is a bidiagonal solve, plus a rank-one correction when row 0
 closes a loop (`generators.ShiftedInverse`), O(n) per step; other matrices
@@ -282,31 +284,16 @@ def norm_curves(model: GeneratorModel, e: Step, steps: int, vectors=()) -> tuple
     return op, low, curves
 
 
-def _check_implicit_step(model: GeneratorModel, plan: EvolutionPlan) -> None:
-    """Refuse an implicit-Euler plan with dt s(A) >= 1 with
+def _check_implicit_step(model: GeneratorModel, dt: float) -> None:
+    """Refuse an implicit-Euler step with dt s(A) >= 1 with
     SingularSystemError: there (I - dt A)^{-1} is singular or has negative
     entries, and its steps may leave the cone and decay where T(t) grows."""
-    if plan.method == "implicit_euler":
-        s = _perron(model)[0]
-        if plan.dt * s >= 1.0:
-            raise SingularSystemError(
-                f"implicit Euler needs dt s(A) < 1, got dt = {plan.dt!r} and s(A) = {s!r}: "
-                f"dt must stay below 1/s(A) = {1.0 / s!r}"
-            )
-
-
-def evolve(model: GeneratorModel, x: GridVector, plan: EvolutionPlan) -> Trajectory:
-    """Propagate x along the plan's grid; states[k] approximates T(k dt) x.
-    An implicit-Euler plan needs dt s(A) < 1 (`_check_implicit_step`)."""
-    if x.space != model.space:
-        raise ValueError("initial state lives on a different grid")
-    _check_implicit_step(model, plan)
-    e = step_operator(model, plan.dt, plan.method)
-    states = np.empty((plan.steps + 1, model.cells))
-    states[0] = x.values
-    for k in range(plan.steps):
-        states[k + 1] = e @ states[k]
-    return Trajectory(space=model.space, times=plan.times, states=states)
+    s = _perron(model)[0]
+    if dt * s >= 1.0:
+        raise SingularSystemError(
+            f"implicit Euler needs dt s(A) < 1, got dt = {dt!r} and s(A) = {s!r}: "
+            f"dt must stay below 1/s(A) = {1.0 / s!r}"
+        )
 
 
 def _uniform_spacing(t_grid: np.ndarray) -> Optional[float]:

@@ -782,6 +782,19 @@ class TestAudit:
         assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
         assert grids == [(1.0, 1.0 / 1024)]
 
+    def test_admissibility_skips_past_dt_s_below_one(self, tmp_path, capsys):
+        # on the tau / 1024 grid dt s(A) = 1.95: the implicit-Euler step is
+        # signed there, and kappa would be a number of a step that leaves the cone
+        scenario = {"kind": "explicit", "matrix": [[2000.0, 0.0], [1.0, -1.0]], "b": [1.0, 0.0]}
+        cfg = write_config(tmp_path, scenario=scenario, audits=["admissibility"])
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["audits_run"] == []
+        assert report["skipped"] == [["admissibility", "implicit Euler needs dt s(A) < 1, got dt = 0.0009765625 and "
+                                      "s(A) = 2000.0: dt must stay below 1/s(A) = 0.0005"]]
+        assert report["kappa"] is None and report["positive_admissible"] is None
+
     def test_audits_without_perturbation_are_skipped(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario={"kind": "markov_cycle", "cells": 4})
         out = tmp_path / "report.json"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import possys as ps
-from possys import cli
+from possys import cli, control
 from possys.control import (
     additivity_check,
     composition_law_check,
@@ -19,6 +19,7 @@ from possys.control import (
 )
 from possys.semigroup import Uniformization
 from test_bands import columns_of, random_bordered_metzler
+from test_semigroup import free_evolution
 
 
 def steps_signal(rng, n_seg=3, t_max=2.0):
@@ -50,14 +51,8 @@ class TestInputSignal:
     def test_zero_signal(self):
         z = ps.InputSignal.zero()
         assert z.end == 0.0
-        assert z.lp_norm(1) == 0.0
+        assert not np.any(z.values)
         np.testing.assert_allclose(z.value_at(np.array([0.0, 1.0])), [0.0, 0.0])
-
-    def test_lp_norms(self):
-        u = ps.InputSignal(np.array([0.0, 0.5, 1.5]), np.array([2.0, -1.0]))
-        assert u.lp_norm(1) == pytest.approx(2.0)
-        assert u.lp_norm(2) == pytest.approx(np.sqrt(4 * 0.5 + 1.0))
-        assert u.lp_norm(np.inf) == pytest.approx(2.0)
 
     @given(st.floats(min_value=0.01, max_value=2.99))
     @settings(max_examples=60, deadline=None)
@@ -125,11 +120,13 @@ class TestInputMap:
         np.testing.assert_allclose(phi.values, ref, rtol=0, atol=1e-12 * np.max(ref))
 
     def test_segment_and_stepper_paths_agree(self, toy, rng):
+        # simulate's exact step pair from x = 0 is the segment path's map
         _, model, b = toy
         u = ps.InputSignal(np.array([0.0, 0.25, 0.75, 1.0]), rng.uniform(0, 2, 3))
         exact = ps.input_map(model, b, u, 1.0)                       # segment path
-        stepped = ps.input_map(model, b, u, 1.0, dt=0.0625, method="exact_exponential")
-        np.testing.assert_allclose(stepped.values, exact.values, atol=1e-12)
+        plan = ps.EvolutionPlan(1.0, 0.0625, "exact_exponential")
+        stepped = ps.mild_solution(model, b, model.space.zeros(), u, plan).states[-1]
+        np.testing.assert_allclose(stepped, exact.values, atol=1e-12)
 
     def test_positive_input_lands_in_cone(self, toy, rng):
         _, model, b = toy
@@ -149,7 +146,7 @@ class TestInputMap:
         _, model, b = toy
         u = ps.InputSignal.constant(1.0, 1.0)
         exact = ps.input_map(model, b, u, 1.0)
-        approx = ps.input_map(model, b, u, 1.0, dt=1e-3, method="implicit_euler")
+        approx = ps.input_map(model, b, u, 1.0, dt=1e-3)
         np.testing.assert_allclose(approx.values, exact.values, atol=5e-3)
 
 
@@ -159,7 +156,7 @@ class TestMildSolution:
         x = model.space.vector(rng.random(2))
         plan = ps.EvolutionPlan(1.0, 0.25, "exact_exponential")
         with_input = ps.mild_solution(model, b, x, ps.InputSignal.zero(), plan)
-        plain = ps.evolve(model, x, plan)
+        plain = free_evolution(model, x, plan)
         np.testing.assert_allclose(with_input.states, plain.states, atol=1e-13)
 
     def test_implicit_step_needs_dt_below_one_over_the_spectral_bound(self):
@@ -192,7 +189,7 @@ class TestMildSolution:
         u = steps_signal(rng, t_max=1.0)
         plan = ps.EvolutionPlan(1.0, 0.03125, "exact_exponential")
         full = ps.mild_solution(model, b, x, u, plan)
-        free = ps.evolve(model, x, plan)
+        free = free_evolution(model, x, plan)
         forced = ps.mild_solution(model, b, model.space.zeros(), u, plan)
         np.testing.assert_allclose(
             full.final.values, free.final.values + forced.final.values, atol=1e-12
@@ -212,17 +209,18 @@ class TestAdmissibility:
         assert np.all(np.diff(norms) < 0)
 
     def test_impulse_curve_builds_no_input_operator(self, toy, monkeypatch):
-        # the curve steps E alone; an exact F would cost a whole integral
+        # the curve steps the implicit-Euler E alone, no (E, F) pair
         _, model, b = toy
 
         def refuse(*args):
             raise AssertionError("built the input operator F")
 
-        monkeypatch.setattr(Uniformization, "integral", refuse)
-        norms = impulse_response_norms(model, b, 1.0, 1.0 / 64, method="exact_exponential")
-        # exp(A t) b = exp(-2 t) (1, t)
-        t = np.arange(65) / 64
-        assert np.allclose(norms, np.exp(-2 * t) * (1 + t), rtol=1e-12, atol=0)
+        monkeypatch.setattr(control, "step_input_operators", refuse)
+        dt = 1.0 / 64
+        norms = impulse_response_norms(model, b, 1.0, dt)
+        # with a = 1 + 2 dt, E^k e0 = a^-k (1, k dt / a)
+        a, k = 1.0 + 2.0 * dt, np.arange(65)
+        assert np.allclose(norms, a**-k * (1 + k * dt / a), rtol=1e-12, atol=0)
 
     def test_markov_constant_in_tau(self):
         model = ps.markov_cycle_scenario(4)
@@ -241,13 +239,6 @@ class TestAdmissibility:
         )
         return np.trapezoid(curve, ts), np.sqrt(np.trapezoid(curve**2, ts))
 
-    def test_p2_and_pinf_against_quadrature(self, toy):
-        _, model, b = toy
-        ref_inf, ref_2 = self._quadrature(model)
-        exact = dict(method="exact_exponential")
-        assert ps.admissibility_constant(model, b, 1.0, p=np.inf, **exact) == pytest.approx(ref_inf, abs=1e-5)
-        assert ps.admissibility_constant(model, b, 1.0, p=2, **exact) == pytest.approx(ref_2, abs=1e-5)
-
     def test_default_stepper_p2_and_pinf_within_half_a_step(self, toy):
         # implicit Euler on the default dt = tau/1024 grid is first-order:
         # measured 1.58e-4 (p = inf) and 1.17e-4 (p = 2) off, under dt/2
@@ -265,7 +256,8 @@ class TestAdmissibility:
         for _ in range(50):
             sig = ps.InputSignal(np.arange(129) * dt, rng.exponential(size=128) * (rng.random(128) < 0.5))
             phi = ps.input_map(model, b, sig, 1.0, dt=dt)
-            assert ps.weighted_l1(phi.values, model.space) <= kappa * sig.lp_norm(1) + 1e-9
+            u_norm = np.sum(sig.values * np.diff(sig.breakpoints))
+            assert ps.weighted_l1(phi.values, model.space) <= kappa * u_norm + 1e-9
 
     def test_uniform_decay_curve_monotone(self, toy):
         _, model, b = toy
@@ -383,7 +375,7 @@ class TestPositivityEquivalence:
             assert report["positive_admissible"] is admissible
 
 
-class TestStepStore:
+class TestStepPairs:
     """(E, F) pairs are built on every call, from the model they are given;
     a check builds one and hands it to each of its input maps."""
 
@@ -401,12 +393,17 @@ class TestStepStore:
         return calls
 
     def test_composition_law_builds_once(self, monkeypatch):
-        calls = self.count_builds(monkeypatch)
+        calls = []
+        real = control.step_input_operators
+
+        def counted(model, b, dt, *args):
+            calls.append(dt)
+            return real(model, b, dt, *args)
+
+        monkeypatch.setattr(control, "step_input_operators", counted)
         rs = ps.renewal_scenario(1.0, 0.5, length=2.0, cells=12)
         probe = ps.InputSignal.constant(1.0, 0.5)
-        residual = composition_law_check(
-            rs.generator, rs.boundary_input, probe, 0.5, 0.5, dt=1 / 64, method="exact_exponential"
-        )
+        residual = composition_law_check(rs.generator, rs.boundary_input, probe, 0.5, 0.5, dt=1 / 64)
         assert residual <= 1e-12
         # one step pair serves the check and its three input maps
         assert calls == [1 / 64]

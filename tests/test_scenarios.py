@@ -7,6 +7,7 @@ import pytest
 import possys as ps
 from possys import cli
 from possys.scenarios import profile_array
+from test_semigroup import free_evolution
 
 
 class TestRenewal:
@@ -68,7 +69,7 @@ class TestRing:
     def test_unit_gain_conserves_mass(self, rng):
         model = ps.ring_transport_scenario(gain=1.0, length=1.0, cells=40)
         x = model.space.vector(rng.random(40))
-        traj = ps.evolve(model, x, ps.EvolutionPlan(1.0, 0.05, "exact_exponential"))
+        traj = free_evolution(model, x, ps.EvolutionPlan(1.0, 0.05, "exact_exponential"))
         assert ps.l1_norm(traj.final) == pytest.approx(ps.l1_norm(x), rel=1e-12)
 
 
@@ -85,7 +86,7 @@ class TestMarkov:
     def test_mass_conserved_on_cone(self, rng):
         model = ps.markov_cycle_scenario(5)
         x = model.space.vector(rng.random(5))
-        traj = ps.evolve(model, x, ps.EvolutionPlan(2.0, 0.1, "exact_exponential"))
+        traj = free_evolution(model, x, ps.EvolutionPlan(2.0, 0.1, "exact_exponential"))
         np.testing.assert_allclose(traj.norms(), ps.l1_norm(x), rtol=1e-12)
 
     def test_cycle_is_the_unit_ring_on_bands(self, tmp_path, capsys):

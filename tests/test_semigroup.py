@@ -19,6 +19,11 @@ from possys.semigroup import (
 from test_bands import columns_of, random_bordered_metzler
 
 
+def free_evolution(model, x, plan):
+    """The zero-input trajectory of x: `mild_solution` with a zero column."""
+    return ps.mild_solution(model, np.zeros(model.cells), x, ps.InputSignal.zero(), plan)
+
+
 class TestEvolutionPlan:
     def test_grid(self):
         plan = EvolutionPlan(t_end=1.0, dt=0.25, method="exact_exponential")
@@ -279,7 +284,7 @@ class TestEvolve:
     def test_matches_expm(self, toy, rng):
         _, model, _ = toy
         x = model.space.vector(rng.random(2))
-        traj = ps.evolve(model, x, EvolutionPlan(1.0, 0.125, "exact_exponential"))
+        traj = free_evolution(model, x, EvolutionPlan(1.0, 0.125, "exact_exponential"))
         np.testing.assert_allclose(
             traj.final.values, scipy.linalg.expm(model.matrix) @ x.values, atol=1e-13
         )
@@ -288,7 +293,7 @@ class TestEvolve:
         _, model, _ = toy
         x = model.space.vector(rng.random(2) + 0.1)
         for method in ("exact_exponential", "implicit_euler"):
-            traj = ps.evolve(model, x, EvolutionPlan(2.0, 0.125, method))
+            traj = free_evolution(model, x, EvolutionPlan(2.0, 0.125, method))
             assert np.min(traj.states) >= -1e-15
 
     def test_implicit_step_needs_dt_below_one_over_the_spectral_bound(self):
@@ -297,14 +302,14 @@ class TestEvolve:
         s = ps.spectral_bound(model)
         x = model.space.vector(np.ones(20))
         with pytest.raises(ps.SingularSystemError, match=r"dt s\(A\) < 1"):
-            ps.evolve(model, x, EvolutionPlan(2.002 / s, 1.001 / s, "implicit_euler"))
-        traj = ps.evolve(model, x, EvolutionPlan(1.998 / s, 0.999 / s, "implicit_euler"))
+            free_evolution(model, x, EvolutionPlan(2.002 / s, 1.001 / s, "implicit_euler"))
+        traj = free_evolution(model, x, EvolutionPlan(1.998 / s, 0.999 / s, "implicit_euler"))
         assert np.min(traj.states) >= 0 and traj.norms()[-1] > traj.norms()[0]
 
     def test_norms_and_vector_at(self, toy):
         _, model, _ = toy
         x = model.space.vector(np.array([1.0, 0.0]))
-        traj = ps.evolve(model, x, EvolutionPlan(1.0, 0.25, "exact_exponential"))
+        traj = free_evolution(model, x, EvolutionPlan(1.0, 0.25, "exact_exponential"))
         assert traj.norms()[0] == pytest.approx(1.0)
         v = traj.vector_at(2)  # t = 2 * 0.25
         np.testing.assert_allclose(
