@@ -1,14 +1,15 @@
 """Input signals, input maps, and admissibility audits.
 
 The input map is the convolution of the semigroup with an injection column b
-against a piecewise-constant signal.  On a uniform grid each step applies a
-pair (E, F).  The audits step the implicit-Euler E = (I - dt A)^{-1} with
-F = dt E b, O(n) per step on the presets and first-order accurate in dt, and
-the algebraic control-system laws hold to roundoff, since both sides run the
-same recursion.  Only `mild_solution` takes its plan's stepper, which may be
-exact_exponential: E = exp(A dt) and F = int_0^dt exp(A s) b ds, two
-uniformization sums in one P (`semigroup.Uniformization`), exact on aligned
-signals, as is `input_map(dt=None)`.
+against a piecewise-constant signal.  `input_map` takes it exactly, segment
+by segment.  On a uniform grid each step applies a pair (E, F): the stepped
+map is `mild_solution` from x = 0.  The audits step the implicit-Euler
+E = (I - dt A)^{-1} with F = dt E b, O(n) per step on the presets and
+first-order accurate in dt, and the algebraic control-system laws hold to
+roundoff, since both sides run the same recursion.  Only `mild_solution`
+takes its plan's stepper, which may be exact_exponential: E = exp(A dt) and
+F = int_0^dt exp(A s) b ds, two uniformization sums in one P
+(`semigroup.Uniformization`), exact on aligned signals.
 
 Admissibility is read off one impulse-response curve c(s) = ||T(s) b||, stepped
 once on the tau / ADMISSIBILITY_STEPS grid: the norm is additive on the cone,
@@ -20,15 +21,16 @@ Positivity of the input maps is not computed: the generator is Metzler, so
 T(t) >= 0 and R(lam, A) >= 0 exactly when lam > s(A) (Berman & Plemmons,
 Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6), and
 Phi_tau u >= 0 for every u >= 0 exactly when b >= 0.  The implicit-Euler
-step (I - dt A)^{-1} is >= 0 too while dt s(A) < 1, and `mild_solution`
-and `impulse_response_norms` refuse a step past that.
+step (I - dt A)^{-1} is >= 0 too while dt s(A) < 1, and
+`semigroup.step_operator` refuses a step past that, so every stepped map,
+law check and impulse-response curve here refuses it too.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -41,13 +43,14 @@ from .semigroup import (
     Step,
     Trajectory,
     Uniformization,
-    _check_implicit_step,
     grid_steps,
     step_operator,
 )
 
 # steps of the impulse-response grid on [0, tau] for the admissibility audits
 ADMISSIBILITY_STEPS = 1024
+# the resolvent bound's grid lies these distances above alpha
+_LAMBDA_OFFSETS = np.logspace(-1, 2, 25)
 
 
 @dataclass(frozen=True)
@@ -102,12 +105,12 @@ class InputSignal:
         inside = (idx >= 0) & (idx < len(self.values))
         return np.where(inside, self.values[np.clip(idx, 0, len(self.values) - 1)], 0.0)
 
-    def aligned(self, dt: float) -> bool:
-        k = np.round(self.breakpoints / dt)
-        return bool(np.all(np.abs(k * dt - self.breakpoints) <= _GRID_TOL * max(1.0, self.end)))
-
     def sample_left(self, steps: int, dt: float) -> np.ndarray:
-        """Left-endpoint values on the uniform grid, one per step."""
+        """Left-endpoint values on the uniform grid, one per step; warns when
+        a breakpoint is off the grid, since sampling moves it onto it."""
+        k = np.round(self.breakpoints / dt)
+        if not np.all(np.abs(k * dt - self.breakpoints) <= _GRID_TOL * max(1.0, self.end)):
+            warnings.warn(f"input breakpoints resampled onto the dt = {dt} grid")
         return np.asarray(self.value_at(np.arange(steps) * dt), dtype=float)
 
     def truncated(self, t: float) -> "InputSignal":
@@ -229,23 +232,25 @@ def input_recursion(e: Step, f: np.ndarray, z: np.ndarray, u) -> Iterator[np.nda
 
 
 def _stepped_map(pair: tuple[Step, np.ndarray], u: InputSignal, tau: float, dt: float) -> np.ndarray:
-    """Phi_tau u by the step pair (E, F) on the dt grid, from z = 0."""
-    steps = grid_steps(tau, dt, "tau")
-    if not u.aligned(dt):
-        warnings.warn(f"input breakpoints resampled onto the dt = {dt} grid")
+    """Phi_tau u by the step pair (E, F) on the dt grid, from z = 0: the last
+    state of `mild_solution` from x = 0, for checks that share one pair."""
     e, f = pair
-    for z in input_recursion(e, f, np.zeros(len(f)), u.sample_left(steps, dt)):
+    for z in input_recursion(e, f, np.zeros(len(f)), u.sample_left(grid_steps(tau, dt, "tau"), dt)):
         pass
     return z
 
 
-def _segment_input_map(model: GeneratorModel, col: np.ndarray, u: InputSignal, tau: float) -> np.ndarray:
-    """Exact integral, segment by segment.
+def input_map(model: GeneratorModel, b, u: InputSignal, tau: float) -> GridVector:
+    """Phi_tau u = int_0^tau T(tau - s) b u(s) ds, exactly, segment by segment.
 
     For u constant on [a, b) the contribution to Phi_tau is
-    u * (G(tau - a) - G(tau - min(b, tau))) with G(s) = int_0^s exp(A r) col dr,
-    one `Uniformization.integral` per distinct s.
+    u * (G(tau - a) - G(tau - min(b, tau))) with G(s) = int_0^s exp(A r) b dr,
+    one `Uniformization.integral` per distinct s.  The map on a dt grid is
+    `mild_solution` from x = 0.
     """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    col = _as_column(b, model.space)
     g_at = {0.0: np.zeros(model.cells)}
     acc = np.zeros(model.cells)
     for val, a, bnd in zip(u.values, u.breakpoints[:-1], u.breakpoints[1:]):
@@ -256,36 +261,17 @@ def _segment_input_map(model: GeneratorModel, col: np.ndarray, u: InputSignal, t
             if s not in g_at:
                 g_at[s] = Uniformization(model, s).integral(col)
         acc += val * (g_at[hi] - g_at[lo])
-    return acc
-
-
-def input_map(model: GeneratorModel, b, u: InputSignal, tau: float, dt: Optional[float] = None) -> GridVector:
-    """Phi_tau u = int_0^tau T(tau - s) b u(s) ds.
-
-    With dt = None the integral is taken exactly, segment by segment; with a
-    dt grid it runs through the implicit-Euler (E, F) stepper.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    col = _as_column(b, model.space)
-    if dt is None:
-        return model.space.vector(_segment_input_map(model, col, u, tau))
-    return model.space.vector(_stepped_map(step_input_operators(model, col, dt), u, tau, dt))
+    return model.space.vector(acc)
 
 
 def mild_solution(
     model: GeneratorModel, b, x: GridVector, u: InputSignal, plan: EvolutionPlan
 ) -> Trajectory:
     """z(t_k) = T(t_k) x + Phi_{t_k} u on the plan's grid.  An implicit-Euler
-    plan needs dt s(A) < 1 (`semigroup._check_implicit_step`)."""
+    plan needs dt s(A) < 1 (`semigroup.step_operator`)."""
     if x.space != model.space:
         raise ValueError("initial state lives on a different grid")
-    if plan.method == "implicit_euler":
-        _check_implicit_step(model, plan.dt)
-    col = _as_column(b, model.space)
-    if not u.aligned(plan.dt):
-        warnings.warn(f"input breakpoints resampled onto the dt = {plan.dt} grid")
-    e, f = step_input_operators(model, col, plan.dt, plan.method)
+    e, f = step_input_operators(model, b, plan.dt, plan.method)
     states = np.empty((plan.steps + 1, model.cells))
     for k, z in enumerate(input_recursion(e, f, x.values, u.sample_left(plan.steps, plan.dt))):
         states[k] = z
@@ -295,10 +281,9 @@ def mild_solution(
 def impulse_response_norms(model: GeneratorModel, b, tau: float, dt: float) -> np.ndarray:
     """||T(s) b|| for s on the uniform grid over [0, tau], stepped by the
     implicit-Euler E alone, which needs dt s(A) < 1
-    (`semigroup._check_implicit_step`)."""
+    (`semigroup.step_operator`)."""
     col = _as_column(b, model.space)
     steps = grid_steps(tau, dt, "tau")
-    _check_implicit_step(model, dt)
     e = step_operator(model, dt)
     norms = np.empty(steps + 1)
     y = col.copy()
@@ -345,18 +330,14 @@ def default_alpha(s: float, tau: float) -> float:
     return max(s + 0.1, -1.0 / tau)
 
 
-def resolvent_bound_audit(
-    model: GeneratorModel, b, alpha: float, lambda_grid=None, p: float = 1
-) -> float:
-    """Smallest m with ||R(lam, A) b|| <= m / (lam - alpha)^(1/p) on the grid,
-    by default the 25 points alpha + logspace(-1, 2)."""
+def resolvent_bound_audit(model: GeneratorModel, b, alpha: float, p: float = 1) -> float:
+    """Smallest m with ||R(lam, A) b|| <= m / (lam - alpha)^(1/p) on the 25
+    points lam = alpha + logspace(-1, 2)."""
     s = spectral_bound(model)
     if alpha <= s:
         raise ValueError(f"alpha = {alpha} must exceed the spectral bound {s}")
     col = _as_column(b, model.space)
-    if lambda_grid is None:
-        lambda_grid = alpha + np.logspace(-1, 2, 25)
-    lams = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
+    lams = alpha + _LAMBDA_OFFSETS
     if np.any(lams <= alpha):
         raise ValueError("lambda grid must lie strictly above alpha")
     exponent = 0.0 if math.isinf(p) else 1.0 / p

@@ -94,7 +94,7 @@ class GridVector:
 
 def l1_norm(f: GridVector) -> float:
     """Weighted l1 norm, h * sum_j |f_j|; additive on the nonnegative cone."""
-    return float(f.space.spacing * np.sum(np.abs(f.values)))
+    return weighted_l1(f.values, f.space)
 
 
 def weighted_l1(values: np.ndarray, space: GridSpace) -> float:

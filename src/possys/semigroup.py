@@ -2,10 +2,10 @@
 
 Two steppers: implicit Euler, the default at every grid size and the only
 stepper of the audits that step in time, which preserves positivity at O(dt)
-accuracy while dt s(A) < 1 (`_check_implicit_step`), and the exact matrix
-exponential, kept as a choice of `simulate`'s plan (`step_operator`,
-`control.step_input_operators`, `EvolutionPlan`) and as the stepper of
-`left_invertibility_audit`.
+accuracy while dt s(A) < 1, a bound `step_operator` enforces for every
+caller, and the exact matrix exponential, kept as a choice of `simulate`'s
+plan (`step_operator`, `control.step_input_operators`, `EvolutionPlan`) and
+as the stepper of `left_invertibility_audit`.
 Every preset generator is lower bidiagonal except row 0, and for those
 implicit Euler is a bidiagonal solve, plus a rank-one correction when row 0
 closes a loop (`generators.ShiftedInverse`), O(n) per step; other matrices
@@ -242,8 +242,19 @@ Step = Union[np.ndarray, ShiftedInverse, Uniformization]
 def step_operator(model: GeneratorModel, dt: float, method: str = DEFAULT_METHOD) -> Step:
     """One-step propagator for time stepping: implicit Euler is
     `shifted_inverse(model, 1, dt)`, O(n) per vector on the presets' bands;
-    the exact exponential is a `Uniformization`, O(n) per term on bands."""
+    the exact exponential is a `Uniformization`, O(n) per term on bands.
+
+    Implicit Euler with dt s(A) >= 1 is refused with SingularSystemError:
+    there (I - dt A)^{-1} is singular or has negative entries, and its steps
+    may leave the cone and decay where T(t) grows.  Every implicit-Euler
+    step of the package is built here, so this is its one such refusal."""
     if method == "implicit_euler":
+        s = _perron(model)[0]
+        if dt * s >= 1.0:
+            raise SingularSystemError(
+                f"implicit Euler needs dt s(A) < 1, got dt = {dt!r} and s(A) = {s!r}: "
+                f"dt must stay below 1/s(A) = {1.0 / s!r}"
+            )
         return shifted_inverse(model, 1.0, dt)
     if method == "exact_exponential":
         return Uniformization(model, dt)
@@ -282,18 +293,6 @@ def norm_curves(model: GeneratorModel, e: Step, steps: int, vectors=()) -> tuple
         op[k], low[k] = sums.max(), sums.min()
         curves[:, k] = vecs @ y
     return op, low, curves
-
-
-def _check_implicit_step(model: GeneratorModel, dt: float) -> None:
-    """Refuse an implicit-Euler step with dt s(A) >= 1 with
-    SingularSystemError: there (I - dt A)^{-1} is singular or has negative
-    entries, and its steps may leave the cone and decay where T(t) grows."""
-    s = _perron(model)[0]
-    if dt * s >= 1.0:
-        raise SingularSystemError(
-            f"implicit Euler needs dt s(A) < 1, got dt = {dt!r} and s(A) = {s!r}: "
-            f"dt must stay below 1/s(A) = {1.0 / s!r}"
-        )
 
 
 def _uniform_spacing(t_grid: np.ndarray) -> Optional[float]:

@@ -795,6 +795,20 @@ class TestAudit:
                                       "s(A) = 2000.0: dt must stay below 1/s(A) = 0.0005"]]
         assert report["kappa"] is None and report["positive_admissible"] is None
 
+    def test_admissibility_skips_when_only_the_probe_passes_dt_s_below_one(self, tmp_path, capsys):
+        # s(A) = 100: the curve's tau/1024 step has dt s(A) = 0.098, but the
+        # composition probe's tau/64 step has 1.56, and is refused before
+        # any admissibility key is written
+        scenario = {"kind": "explicit", "matrix": [[100.0, 0.0], [1.0, -1.0]], "b": [1.0, 0.0]}
+        cfg = write_config(tmp_path, scenario=scenario, audits=["admissibility"])
+        out = tmp_path / "report.json"
+        assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["audits_run"] == []
+        assert report["skipped"] == [["admissibility", "implicit Euler needs dt s(A) < 1, got dt = 0.015625 and "
+                                      "s(A) = 100.0: dt must stay below 1/s(A) = 0.01"]]
+        assert all(report[k] is None for k in ("kappa", "positive_admissible", "composition_residual", "uniform_decay"))
+
     def test_audits_without_perturbation_are_skipped(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario={"kind": "markov_cycle", "cells": 4})
         out = tmp_path / "report.json"

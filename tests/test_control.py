@@ -13,7 +13,6 @@ from possys.control import (
     additivity_check,
     composition_law_check,
     impulse_response_norms,
-    input_map,
     resolvent_bound_audit,
     step_input_operators,
 )
@@ -139,15 +138,17 @@ class TestInputMap:
     def test_misaligned_signal_warns(self, toy):
         _, model, b = toy
         u = ps.InputSignal(np.array([0.0, 0.3]), np.array([1.0]))
-        with pytest.warns(UserWarning):
-            ps.input_map(model, b, u, 1.0, dt=0.25)
+        with pytest.warns(UserWarning, match="resampled onto the dt = 0.25 grid"):
+            ps.mild_solution(model, b, model.space.zeros(), u, ps.EvolutionPlan(1.0, 0.25))
+        with pytest.warns(UserWarning, match="resampled onto the dt = 0.25 grid"):
+            additivity_check(model, b, u, ps.InputSignal.zero(), 1.0, dt=0.25)
 
     def test_implicit_method_close_to_exact(self, toy):
         _, model, b = toy
         u = ps.InputSignal.constant(1.0, 1.0)
         exact = ps.input_map(model, b, u, 1.0)
-        approx = ps.input_map(model, b, u, 1.0, dt=1e-3)
-        np.testing.assert_allclose(approx.values, exact.values, atol=5e-3)
+        approx = ps.mild_solution(model, b, model.space.zeros(), u, ps.EvolutionPlan(1.0, 1e-3)).states[-1]
+        np.testing.assert_allclose(approx, exact.values, atol=5e-3)
 
 
 class TestMildSolution:
@@ -255,9 +256,9 @@ class TestAdmissibility:
         dt = 1.0 / 128
         for _ in range(50):
             sig = ps.InputSignal(np.arange(129) * dt, rng.exponential(size=128) * (rng.random(128) < 0.5))
-            phi = ps.input_map(model, b, sig, 1.0, dt=dt)
+            phi = ps.mild_solution(model, b, model.space.zeros(), sig, ps.EvolutionPlan(1.0, dt)).states[-1]
             u_norm = np.sum(sig.values * np.diff(sig.breakpoints))
-            assert ps.weighted_l1(phi.values, model.space) <= kappa * u_norm + 1e-9
+            assert ps.weighted_l1(phi, model.space) <= kappa * u_norm + 1e-9
 
     def test_uniform_decay_curve_monotone(self, toy):
         _, model, b = toy
@@ -283,31 +284,49 @@ class TestResolventBound:
         model = ps.GeneratorModel.from_matrix(space, -np.eye(2))
         b = np.array([1.0, 0.0])
         grid = -0.5 + np.logspace(-1, 2, 25)
-        m = resolvent_bound_audit(model, b, -0.5, grid, p=1)
+        m = resolvent_bound_audit(model, b, -0.5, p=1)
         expected = np.max((grid + 0.5) / (grid + 1.0))
         assert m == pytest.approx(expected, rel=1e-12)
         assert m < 1.0
 
     def test_large_lambda_finite(self, toy):
         _, model, b = toy
-        m = resolvent_bound_audit(model, b, -1.0, np.array([1e3, 1e6]), p=1)
-        assert np.isfinite(m)
+        for alpha in (1e3, 1e6):
+            m = resolvent_bound_audit(model, b, alpha, p=1)
+            assert np.isfinite(m)
 
     def test_renewal_grid_finite(self):
         rs = ps.renewal_scenario(1.0, 0.5, length=4.0, cells=50)
         alpha = -1.0
-        m = resolvent_bound_audit(rs.generator, rs.boundary_input, alpha, alpha + np.logspace(-1, 2, 25))
+        m = resolvent_bound_audit(rs.generator, rs.boundary_input, alpha)
         assert np.isfinite(m) and m > 0
 
     def test_validates_alpha(self, toy):
         _, model, b = toy
         with pytest.raises(ValueError):
-            resolvent_bound_audit(model, b, -3.0, np.array([1.0]))  # alpha below s(A)
-        with pytest.raises(ValueError):
-            resolvent_bound_audit(model, b, -1.0, np.array([-1.5]))  # grid below alpha
+            resolvent_bound_audit(model, b, -3.0)  # alpha below s(A)
+        with pytest.raises(ValueError, match="strictly above alpha"):
+            resolvent_bound_audit(model, b, 1e17)  # alpha + 0.1 rounds to alpha
 
 
 class TestSystemLaws:
+    def test_law_checks_refuse_dt_past_spectrum(self):
+        # s(A) = 100: the implicit-Euler step of the tau/64 grid at tau = 1
+        # has dt s(A) = 1.56
+        model = ps.GeneratorModel.from_matrix(ps.GridSpace(length=2.0, cells=2), [[100.0, 0.0], [1.0, -1.0]])
+        b = np.array([1.0, 0.0])
+        u = ps.InputSignal.constant(1.0, 0.5)
+        with pytest.raises(ps.SingularSystemError, match="dt = 0.015625"):
+            composition_law_check(model, b, u, 0.5, 0.5, dt=1 / 64)
+        with pytest.raises(ps.SingularSystemError, match="dt = 0.015625"):
+            additivity_check(model, b, u, u, 1.0, dt=1 / 64)
+        with pytest.raises(ps.SingularSystemError, match="dt = 0.015625"):
+            control.composition_probe(model, b, 1.0)
+        # the exact map runs: Phi_1 1 = (e^100 - 1) / 100 in cell 0
+        assert ps.input_map(model, b, ps.InputSignal.constant(1.0, 1.0), 1.0).values[0] == pytest.approx(
+            np.expm1(100.0) / 100.0, rel=1e-12
+        )
+
     def test_composition_zero_input(self, toy):
         _, model, b = toy
         assert composition_law_check(model, b, ps.InputSignal.zero(), 1.0, 1.0, dt=0.25) == 0.0
@@ -358,7 +377,7 @@ class TestPositivityEquivalence:
             assert np.min(g) >= -1e-12 * np.max(np.abs(g))
         one = ps.InputSignal.constant(1.0, 1.0)
         for t in (0.5, 1.0):
-            phi = input_map(model, col, one, t, dt=t / 64).values
+            phi = ps.mild_solution(model, col, model.space.zeros(), one, ps.EvolutionPlan(t, t / 64)).states[-1]
             assert np.min(phi) >= -1e-12 * np.max(np.abs(phi))
 
     def test_signed_column_all_red(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import possys as ps
 from possys.control import step_input_operators
-from possys.generators import BorderedBidiagonal, ShiftedInverse, _dense_inverse
+from possys.generators import BorderedBidiagonal, ShiftedInverse, _dense_inverse, shifted_inverse
 from possys.semigroup import (
     EvolutionPlan,
     Uniformization,
@@ -77,10 +77,23 @@ class TestStepMatrix:
         assert np.min(dense_step(model, 0.5, "implicit_euler")) >= 0.0
 
     def test_implicit_rejects_dt_past_spectrum(self):
+        # I - dt A is singular at dt s(A) = 1: the solve itself refuses it
         space = ps.GridSpace(length=1.0, cells=1)
         model = ps.GeneratorModel.from_matrix(space, np.array([[2.0]]))
         with pytest.raises(ps.SingularSystemError):
-            step_operator(model, 0.5, "implicit_euler")
+            shifted_inverse(model, 1.0, 0.5)
+
+    @pytest.mark.parametrize("dt", [0.5, 0.75])
+    def test_step_operator_refuses_dt_s_at_or_past_one(self, dt):
+        # the one refusal of every implicit-Euler step, before any solve
+        space = ps.GridSpace(length=1.0, cells=1)
+        model = ps.GeneratorModel.from_matrix(space, np.array([[2.0]]))
+        msg = (f"implicit Euler needs dt s(A) < 1, got dt = {dt!r} and s(A) = 2.0: "
+               "dt must stay below 1/s(A) = 0.5")
+        with pytest.raises(ps.SingularSystemError) as info:
+            step_operator(model, dt, "implicit_euler")
+        assert str(info.value) == msg
+        assert isinstance(step_operator(model, dt, "exact_exponential"), Uniformization)
 
 
 def _renewal(cells, q, beta, length):
@@ -116,7 +129,8 @@ class TestBidiagonalStep:
         # stay clear of dt at which I - dt A is (nearly) singular
         assume(np.linalg.cond(np.eye(model.cells) - dt * model.matrix) < 1e8)
         dense = _dense_inverse(model, 1.0, dt)
-        op = step_operator(model, dt, "implicit_euler")
+        # dt may pass 1/s(A), which step_operator refuses: solve directly
+        op = shifted_inverse(model, 1.0, dt)
         # on the bands where I - dt A is an M-matrix, or A lower bidiagonal
         banded = model.bands.lower or 1.0 / dt > ps.spectral_bound(model)
         assert isinstance(op, ShiftedInverse) == banded
@@ -137,8 +151,9 @@ class TestBidiagonalStep:
     def test_explicit_bordered_metzler_against_dense(self, n, dt, seed, lower):
         # random Metzler bordered or lower-bidiagonal A, some with a positive
         # diagonal: where 1 / dt <= s(A) the Sherman-Morrison term can lose
-        # accuracy, so step_operator must route those to the dense inverse
-        # unless A is lower bidiagonal and has no such term
+        # accuracy, so shifted_inverse must route those to the dense inverse
+        # unless A is lower bidiagonal and has no such term (step_operator
+        # refuses every such dt)
         rng = np.random.default_rng(seed)
         a = np.diag(rng.uniform(-3.0, 1.0, n)) + np.diag(rng.uniform(0.0, 3.0, n - 1), -1)
         if not lower:
@@ -147,7 +162,7 @@ class TestBidiagonalStep:
         assume(np.linalg.cond(m) < 1e8)
         model = ps.GeneratorModel.from_matrix(ps.GridSpace(length=float(n), cells=n), a)
         dense = _dense_inverse(model, 1.0, dt)
-        op = step_operator(model, dt, "implicit_euler")
+        op = shifted_inverse(model, 1.0, dt)
         banded = not np.any(a[0, 1:]) or 1.0 / dt > ps.spectral_bound(model)
         assert isinstance(op, ShiftedInverse) == banded
         got = columns_of(op, n) if banded else op
@@ -166,9 +181,12 @@ class TestBidiagonalStep:
             assert np.min(op @ np.ones(model.cells)) > 0
 
     def test_certificate_refused_past_the_spectrum(self):
-        # gain 2 ring grows at about ln 2: dt = 3 leaves the M-matrix regime
+        # gain 2 ring grows at about ln 2: dt = 3 leaves the M-matrix regime,
+        # which step_operator refuses; the solve's inverse is signed there
         model = ps.ring_transport_scenario(2.0, cells=20)
-        op = step_operator(model, 3.0, "implicit_euler")
+        with pytest.raises(ps.SingularSystemError):
+            step_operator(model, 3.0, "implicit_euler")
+        op = shifted_inverse(model, 1.0, 3.0)
         assert np.min(columns_of(op, 20)) < 0
         assert np.min(_dense_inverse(model, 1.0, 3.0)) < 0
 
@@ -185,13 +203,13 @@ class TestBidiagonalStep:
         space = ps.GridSpace(length=2.0, cells=2)
         model = ps.GeneratorModel.from_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ps.SingularSystemError):
-            step_operator(model, 1.0, "implicit_euler")
+            shifted_inverse(model, 1.0, 1.0)
 
     def test_zero_pivot(self):
         space = ps.GridSpace(length=2.0, cells=2)
         model = ps.GeneratorModel.from_matrix(space, [[-1.0, 0.0], [1.0, 2.0]])
         with pytest.raises(ps.SingularSystemError):
-            step_operator(model, 0.5, "implicit_euler")
+            shifted_inverse(model, 1.0, 0.5)
 
     def test_exact_method_stays_dense(self):
         # without bands the uniformization takes a dense P
